@@ -165,3 +165,65 @@ def replay_violation(G, v):
     if k in ("identity-missing", "inverse-missing", "dangling-reference"):
         return True  # structural; presence of the report is the fact
     raise AssertionError(f"unknown violation kind {k}")
+
+
+# ------------------------------------------------- explicit-family reference
+
+def _family_order(s):
+    return (len(s), sorted(map(str, s)))
+
+
+def explicit_topology(points, subbase):
+    """Every open of the topology `subbase` generates on `points`, as an
+    explicit family: closure under intersection, then under union."""
+    seeds = {frozenset(s) for s in subbase} | {frozenset(points)}
+    work = list(seeds)
+    while work:
+        cur = work.pop()
+        for s in list(seeds):
+            if cur & s not in seeds:
+                seeds.add(cur & s)
+                work.append(cur & s)
+    fam = {frozenset()} | seeds
+    work = list(fam)
+    while work:
+        cur = work.pop()
+        for s in seeds:
+            if cur | s not in fam:
+                fam.add(cur | s)
+                work.append(cur | s)
+    return frozenset(fam)
+
+
+def explicit_pullback(opens, pairs):
+    """The subspace of the product topology on `pairs`, as an explicit
+    family generated by the traces of the open rectangles."""
+    return explicit_topology(pairs, {frozenset(ab for ab in pairs
+                                               if ab[0] in o1 and ab[1] in o2)
+                                     for o1 in opens for o2 in opens})
+
+
+def scan_continuity(dom_points, dom_opens, cod_opens, fn):
+    """Exhaustive preimage scan over explicit families: (open, preimage) for
+    the first codomain open, in the order (size, sorted names), whose
+    preimage is not open; None when every preimage is open."""
+    dom_opens = set(dom_opens)
+    for o in sorted(cod_opens, key=_family_order):
+        pre = frozenset(p for p in dom_points if fn(p) in o)
+        if pre not in dom_opens:
+            return o, pre
+    return None
+
+
+def scan_pullback_continuity(pairs, pair_opens, cod_opens, fn):
+    """The scan on a pullback: (open, ((a, b), (a2, b2))) where (a, b) is the
+    first pair mapped into the open and (a2, b2) the first pair of its
+    smallest open neighbourhood that is not; None when continuous."""
+    found = scan_continuity(pairs, pair_opens, cod_opens, fn)
+    if found is None:
+        return None
+    o, inside = found
+    smallest = {ab: frozenset.intersection(*(s for s in pair_opens if ab in s))
+                for ab in pairs}
+    return o, next((ab, q) for ab in sorted(inside)
+                   for q in sorted(smallest[ab]) if q not in inside)

@@ -10,7 +10,6 @@ from groupoids.topology import (
     TopologySizeError,
     check_topological_groupoid,
     composable_pairs,
-    continuity,
     difference_pairs,
     discrete,
     generate_from_base,
@@ -23,7 +22,14 @@ from groupoids.topology import (
     subspace_topology,
     topology,
 )
-from helpers import cyclic, group_groupoid
+from helpers import (
+    cyclic,
+    explicit_pullback,
+    explicit_topology,
+    group_groupoid,
+    scan_continuity,
+    scan_pullback_continuity,
+)
 
 F = frozenset
 SIERPINSKI = [F(), F({0}), F({0, 1})]
@@ -258,8 +264,8 @@ def test_pullback_certificates_replay_on_materialized_pullbacks(data):
             ("difference", difference_pairs(G), rep.difference_map,
              lambda ab: G.compose[(G.inverse[ab[0]], ab[1])])):
         mat = pullback_space(G, T_G, kind=kind)
-        scan = continuity(cert.map_name, mat, T_G, fn)
-        assert cert.continuous == scan.continuous, (kind, T_G.opens)
+        scan = scan_continuity(mat.points, mat.opens, T_G.opens, fn)
+        assert cert.continuous == (scan is None), (kind, T_G.opens)
     # one direction of the difference-map equivalence is unconditional...
     if rep.composition_map.continuous and rep.inversion_map.continuous:
         assert rep.difference_map.continuous
@@ -267,3 +273,38 @@ def test_pullback_certificates_replay_on_materialized_pullbacks(data):
     # inversion as a -> difference(a, 1 at source(a)))
     if rep.identity_map.continuous and rep.source_map.continuous:
         assert rep.difference_equivalence_holds
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_certificates_match_the_explicit_family_scan(data):
+    """Every certificate carries the verdict, open, preimage and pair that an
+    exhaustive preimage scan over explicitly generated families finds."""
+    G = data.draw(st.sampled_from([pair_groupoid([0, 1]), group_groupoid(cyclic(3))]))
+    ms, objs = sorted(G.morphisms), sorted(G.objects, key=str)
+
+    def random_opens(points):
+        subs = st.frozensets(st.sampled_from(points), min_size=1)
+        return explicit_topology(points, data.draw(st.lists(subs, max_size=4)))
+
+    opens_g, opens_x = random_opens(ms), random_opens(objs)
+    rep = check_topological_groupoid(G, topology(ms, opens_g), topology(objs, opens_x))
+    plain = ((ms, opens_g, opens_x, G.source.__getitem__),
+             (ms, opens_g, opens_x, G.target.__getitem__),
+             (objs, opens_x, opens_g, G.identity.__getitem__),
+             (ms, opens_g, opens_g, G.inverse.__getitem__))
+    for cert, (points, dom, cod, fn) in zip(rep.certificates, plain):
+        found = scan_continuity(points, dom, cod, fn)
+        open_, pre = found or (None, None)
+        assert (cert.continuous, cert.witness_open, cert.witness_preimage,
+                cert.witness_pair) == (found is None, open_, pre, None), cert.map_name
+    composable = [(a, b) for a in ms for b in ms if G.target[a] == G.source[b]]
+    co_source = [(a, b) for a in ms for b in ms if G.source[a] == G.source[b]]
+    pullbacks = ((composable, lambda ab: G.compose[ab]),
+                 (co_source, lambda ab: G.compose[(G.inverse[ab[0]], ab[1])]))
+    for cert, (pairs, fn) in zip(rep.certificates[4:], pullbacks):
+        found = scan_pullback_continuity(pairs, explicit_pullback(opens_g, pairs),
+                                         opens_g, fn)
+        open_, pair = found or (None, None)
+        assert (cert.continuous, cert.witness_open, cert.witness_preimage,
+                cert.witness_pair) == (found is None, open_, None, pair), cert.map_name
