@@ -110,13 +110,12 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
     around it.
     """
     problems = []
-    opens = LT.base_space.opens
     cov = dict(LT.cover)
 
     for i, u in LT.cover:
-        if u not in opens:
+        if not LT.base_space.is_open(u):
             problems.append(("cover-not-open", i))
-    for o in sorted(opens, key=lambda s: (len(s), sorted(map(str, s)))):
+    for o in sorted(LT.base_space.opens, key=lambda s: (len(s), sorted(map(str, s)))):
         for p in sorted(o, key=str):
             if not any(p in u and u <= o for _, u in LT.cover):
                 problems.append(("not-a-base", (o, p)))

@@ -1,61 +1,90 @@
-"""Finite topological spaces as explicit open-set families.
+"""Finite topological spaces as minimal neighbourhoods.
 
-Everything here is exhaustively decidable: a topology is its full list of
-open sets, continuity is the literal preimage test against every open, and
-the constructions (products, subspaces, pullbacks of a groupoid's structure
-maps) materialize their families.  To keep that honest, families are capped
-at 2**16 sets; anything that would grow past the cap raises
-`TopologySizeError` instead of silently thrashing.
+A finite topology is determined by the smallest open set U_p around each
+point p (Alexandroff 1937; Stong 1966), and `FiniteTopology` stores exactly
+that.  A set S is open iff U_p is inside S for every p in S.  Products take
+U_a x U_b, subspaces U_p & S, and the topology a base or subbase generates
+has U_p = the intersection of the members containing p.
 
-The one place a family is *not* materialized is inside
-`check_topological_groupoid`: the composition and difference maps live on
-pullbacks of a product, whose family is exponentially larger than its
-factors.  Openness there is decided through minimal neighborhoods —
-a set S is open in the (subspace of the) product iff for each of its points
-(a, b) the rectangle U_a x U_b stays inside S — which needs only the factor
-topology.  Tests replay these certificates against small materialized
-pullbacks.
+Continuity is one pointwise test: f is continuous iff f(U_p) lies inside
+V_f(p) at every point.  That covers the pullbacks of a groupoid's structure
+maps too, whose neighbourhoods are (U_a x U_b) & pairs, so no open family is
+ever built to decide a certificate.
+
+Explicit families remain at the edges: `is_topology` and `topology` check
+documents that list their opens, and `FiniteTopology.opens` enumerates the
+opens on demand for counts and export.  Enumeration stops with
+`TopologySizeError` once it passes 2**16 sets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 MAX_OPENS = 1 << 16
 
 
 class TopologySizeError(Exception):
-    """An open family (or one being generated) exceeded the 2**16 cap."""
+    """An open family exceeded the 2**16 cap."""
+
+
+def _family_order(s):
+    """The order certificates and reports scan sets in: size, then names."""
+    return (len(s), sorted(map(str, s)))
 
 
 @dataclass(frozen=True)
 class FiniteTopology:
     points: tuple
-    opens: frozenset  # of frozensets
+    neighborhoods: dict  # point -> its minimal open set U_p
 
     def is_open(self, s) -> bool:
-        return frozenset(s) in self.opens
+        s = frozenset(s)
+        return all(p in self.neighborhoods and self.neighborhoods[p] <= s
+                   for p in s)
 
     def minimal_neighborhood(self, p):
-        return minimal_neighborhoods(self)[p]
+        return self.neighborhoods[p]
+
+    @cached_property
+    def opens(self) -> frozenset:
+        """Every open set, built class by class in order of neighbourhood
+        size: a class may join a set once the rest of its neighbourhood is
+        in, so each open comes out exactly once.  Counts never shrink along
+        the way, so the cap trips only on a family that is really too big."""
+        classes = {}
+        for p, u in self.neighborhoods.items():
+            classes.setdefault(u, set()).add(p)
+        family = [frozenset()]
+        for u in sorted(classes, key=len):
+            below = u - classes[u]
+            family += [s | u for s in family if below <= s]
+            if len(family) > MAX_OPENS:
+                raise TopologySizeError(
+                    f"the topology on {len(self.points)} points has more than "
+                    f"{MAX_OPENS} open sets, over the cap")
+        return frozenset(family)
 
 
-@lru_cache(maxsize=256)
+def _meets(points, family) -> dict:
+    """point -> the intersection of the family members containing it."""
+    full = frozenset(points)
+    meet = dict.fromkeys(points, full)
+    for s in family:
+        for p in s:
+            meet[p] &= s
+    return meet
+
+
 def minimal_neighborhoods(T: FiniteTopology) -> dict:
-    """Smallest open set around each point (an intersection of opens, hence
-    itself open in any valid finite topology)."""
-    full = frozenset(T.points)
-    mins = {p: full for p in T.points}
-    for o in T.opens:
-        for p in o:
-            mins[p] = mins[p] & o
-    return mins
+    """Smallest open set around each point."""
+    return dict(T.neighborhoods)
 
 
 def minimal_basis(T: FiniteTopology) -> frozenset:
-    return frozenset(minimal_neighborhoods(T).values())
+    return frozenset(T.neighborhoods.values())
 
 
 @dataclass(frozen=True)
@@ -89,8 +118,7 @@ def is_topology(points, family) -> TopologyReport:
 
     mins = {}
     for p in sorted(points):
-        around = sorted((o for o in fam if p in o),
-                        key=lambda s: (len(s), sorted(map(str, s))))
+        around = sorted((o for o in fam if p in o), key=_family_order)
         if not around:
             return TopologyReport(ok=False, kind="uncovered-point", witness=(p,))
         acc = around[0]
@@ -103,7 +131,7 @@ def is_topology(points, family) -> TopologyReport:
             acc = nxt
         mins[p] = acc  # every fold step stayed inside, so this is in fam
 
-    for a in sorted(fam, key=lambda s: (len(s), sorted(map(str, s)))):
+    for a in sorted(fam, key=_family_order):
         for p in sorted(points):
             if a | mins[p] not in fam:
                 return TopologyReport(ok=False, kind="missing-union",
@@ -112,115 +140,71 @@ def is_topology(points, family) -> TopologyReport:
 
 
 def topology(points, opens) -> FiniteTopology:
-    """Validated constructor; the only way a FiniteTopology should be made."""
+    """Validated constructor from an explicit family of open sets."""
     opens = frozenset(frozenset(o) for o in opens)
     if len(opens) > MAX_OPENS:
         raise TopologySizeError(f"{len(opens)} open sets exceeds the cap of {MAX_OPENS}")
     rep = is_topology(points, opens)
     if not rep.ok:
         raise ValueError(f"not a topology ({rep.kind}): witness {rep.witness!r}")
-    return FiniteTopology(points=tuple(sorted(points)), opens=opens)
+    return FiniteTopology(points=tuple(sorted(points)),
+                          neighborhoods=_meets(points, opens))
 
 
 def discrete(points) -> FiniteTopology:
     pts = sorted(points)
     if len(pts) > 16:
         raise TopologySizeError(f"discrete topology on {len(pts)} points exceeds the cap")
-    opens = [frozenset(c) for r in range(len(pts) + 1)
-             for c in itertools.combinations(pts, r)]
-    return FiniteTopology(points=tuple(pts), opens=frozenset(opens))
+    return FiniteTopology(points=tuple(pts),
+                          neighborhoods={p: frozenset([p]) for p in pts})
 
 
 def indiscrete(points) -> FiniteTopology:
     pts = tuple(sorted(points))
-    return FiniteTopology(points=pts, opens=frozenset({frozenset(), frozenset(pts)}))
+    return FiniteTopology(points=pts, neighborhoods=dict.fromkeys(pts, frozenset(pts)))
 
 
 @dataclass(frozen=True)
 class GeneratedTopology:
     topology: FiniteTopology
-    base_compatible: bool  # False: intersections forced subbase treatment
-
-
-def _union_closure(seeds, cap_context):
-    seeds = [frozenset(s) for s in seeds]
-    fam = {frozenset()} | set(seeds)
-    work = list(fam)
-    while work:
-        cur = work.pop()
-        for b in seeds:
-            u = cur | b
-            if u not in fam:
-                fam.add(u)
-                work.append(u)
-                if len(fam) > MAX_OPENS:
-                    raise TopologySizeError(
-                        f"union closure passed {MAX_OPENS} sets while {cap_context}")
-    return fam
+    base_compatible: bool  # False: the family is only a subbase
 
 
 def generate_from_base(points, base) -> GeneratedTopology:
-    """All unions of base members; falls back to subbase treatment (closing
-    under pairwise intersection first) when the base is not
-    intersection-compatible, flagging that it did."""
+    """The topology a base generates, U_p being the intersection of the
+    members around p.  The same holds for a subbase, so a family that is not
+    intersection-compatible still generates; `base_compatible` records
+    whether every U_p is itself a member, which for a finite family is the
+    same as every pairwise intersection being a union of members."""
     points = frozenset(points)
-    base = [frozenset(b) for b in base]
+    base = {frozenset(b) for b in base}
     for b in base:
         if not b <= points:
             raise ValueError(f"base member not a subset of the points: {sorted(b)!r}")
-    covered = frozenset().union(*base) if base else frozenset()
+    covered = frozenset().union(*base)
     if covered != points:
         raise ValueError(f"base fails to cover: {sorted(points - covered)[0]!r} missing")
-
-    def union_of_members(s, members):
-        return all(any(p in b and b <= s for b in members) for p in s)
-
-    compatible = all(union_of_members(b1 & b2, base)
-                     for b1, b2 in itertools.combinations(base, 2))
-    members = list(base)
-    if not compatible:
-        closed = set(base)
-        work = list(base)
-        while work:
-            cur = work.pop()
-            for b in base:
-                i = cur & b
-                if i not in closed:
-                    closed.add(i)
-                    work.append(i)
-                    if len(closed) > MAX_OPENS:
-                        raise TopologySizeError(
-                            f"intersection closure passed {MAX_OPENS} sets")
-        members = sorted(closed, key=lambda s: (len(s), sorted(s)))
-
-    fam = _union_closure(members, "generating from a base")
-    return GeneratedTopology(topology=topology(points, fam),
-                             base_compatible=compatible)
+    meets = _meets(points, base)
+    return GeneratedTopology(
+        topology=FiniteTopology(points=tuple(sorted(points)), neighborhoods=meets),
+        base_compatible=all(u in base for u in meets.values()))
 
 
 def product_topology(T1: FiniteTopology, T2: FiniteTopology) -> FiniteTopology:
-    """Generated by open rectangles O1 x O2."""
-    # distinct nonempty rectangles are in bijection with pairs of nonempty
-    # opens, so the family size is bounded below by their count: bail out
-    # before enumerating billions of rectangles
-    if (len(T1.opens) - 1) * (len(T2.opens) - 1) > MAX_OPENS:
-        raise TopologySizeError(
-            f"product family needs at least "
-            f"{(len(T1.opens) - 1) * (len(T2.opens) - 1)} sets, over the cap")
-    pts = [(p, q) for p in T1.points for q in T2.points]
-    rects = [frozenset(itertools.product(o1, o2))
-             for o1 in T1.opens for o2 in T2.opens]
-    gen = generate_from_base(pts, rects)
-    if not gen.base_compatible:  # rectangles always intersect to rectangles
-        raise RuntimeError("rectangle base unexpectedly incompatible")
-    return gen.topology
+    """Generated by open rectangles; U_(a, b) = U_a x U_b."""
+    return FiniteTopology(
+        points=tuple(sorted(itertools.product(T1.points, T2.points))),
+        neighborhoods={(a, b): frozenset(itertools.product(ua, ub))
+                       for a, ua in T1.neighborhoods.items()
+                       for b, ub in T2.neighborhoods.items()})
 
 
 def subspace_topology(T: FiniteTopology, subset) -> FiniteTopology:
     subset = frozenset(subset)
     if not subset <= set(T.points):
         raise ValueError(f"subset not contained in the points: {sorted(subset - set(T.points))[0]!r}")
-    return topology(subset, {o & subset for o in T.opens})
+    return FiniteTopology(points=tuple(sorted(subset)),
+                          neighborhoods={p: T.neighborhoods[p] & subset for p in subset})
 
 
 def composable_pairs(G) -> tuple:
@@ -235,12 +219,7 @@ def difference_pairs(G) -> tuple:
 
 
 def pullback_space(G, T_G: FiniteTopology, kind="composable") -> FiniteTopology:
-    """Materialized pullback: subspace of T_G x T_G on the constrained pairs.
-
-    Subject to the family cap like everything else; the groupoid checker
-    deliberately avoids this and certifies pullback openness through minimal
-    neighborhoods instead.
-    """
+    """The pullback as a space: the subspace of T_G x T_G on the pairs."""
     if kind == "composable":
         pairs = composable_pairs(G)
     elif kind == "difference":
@@ -265,39 +244,59 @@ class ContinuityCertificate:
     witness_pair: tuple = None          # pullback domains: the offending pair
 
 
+def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
+    """The first codomain open, in `_family_order`, whose preimage is not
+    open, or None when f is continuous.
+
+    Any open O with a bad preimage contains a point f(p) whose neighbourhood
+    V_f(p) misses part of f(U_p); that V_f(p) is itself bad and sorts no
+    later than O, so the smallest such neighbourhood is the first bad open.
+    """
+    bad = set()
+    for p in dom.points:
+        v = cod.neighborhoods[fn(p)]
+        if any(fn(q) not in v for q in dom.neighborhoods[p]):
+            bad.add(v)
+    return min(bad, key=_family_order, default=None)
+
+
 def continuity(map_name, dom: FiniteTopology, cod: FiniteTopology, fn,
                dom_label="domain", cod_label="codomain") -> ContinuityCertificate:
-    """Exhaustive preimage scan: continuous iff f^-1(O) is open for every O."""
-    for o in sorted(cod.opens, key=lambda s: (len(s), sorted(map(str, s)))):
-        pre = frozenset(p for p in dom.points if fn(p) in o)
-        if pre not in dom.opens:
-            return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                         codomain=cod_label, continuous=False,
-                                         witness_open=o, witness_preimage=pre)
-    return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                 codomain=cod_label, continuous=True)
+    """Continuous iff f(U_p) lies inside V_f(p) at every point p."""
+    o = _first_bad_open(dom, cod, fn)
+    if o is None:
+        return ContinuityCertificate(map_name=map_name, domain=dom_label,
+                                     codomain=cod_label, continuous=True)
+    return ContinuityCertificate(
+        map_name=map_name, domain=dom_label, codomain=cod_label,
+        continuous=False, witness_open=o,
+        witness_preimage=frozenset(p for p in dom.points if fn(p) in o))
 
 
 def pullback_continuity(map_name, pairs, factor: FiniteTopology,
                         cod: FiniteTopology, fn, dom_label,
                         cod_label="codomain") -> ContinuityCertificate:
-    """Continuity out of a subspace-of-a-product domain, without building its
-    family: S is open there iff around each (a, b) in S the whole trace of
-    the rectangle U_a x U_b stays in S, where U_* are minimal neighborhoods
-    in the factor."""
-    mins = minimal_neighborhoods(factor)
-    pair_set = set(pairs)
-    for o in sorted(cod.opens, key=lambda s: (len(s), sorted(map(str, s)))):
-        inside = {ab for ab in pairs if fn(*ab) in o}
-        for a, b in sorted(inside):
-            for a2, b2 in itertools.product(sorted(mins[a]), sorted(mins[b])):
-                if (a2, b2) in pair_set and (a2, b2) not in inside:
-                    return ContinuityCertificate(
-                        map_name=map_name, domain=dom_label, codomain=cod_label,
-                        continuous=False, witness_open=o,
-                        witness_pair=((a, b), (a2, b2)))
+    """Continuity out of the subspace of factor x factor on `pairs`, whose
+    minimal neighbourhoods are (U_a x U_b) & pairs.  A refutation names a
+    pair (a, b) mapped into the witness open and the first pair of its
+    neighbourhood that is not."""
+    pair_set = frozenset(pairs)
+    nb = factor.neighborhoods
+    dom = FiniteTopology(
+        points=tuple(sorted(pair_set)),
+        neighborhoods={(a, b): frozenset(q for q in itertools.product(nb[a], nb[b])
+                                         if q in pair_set)
+                       for a, b in pair_set})
+    o = _first_bad_open(dom, cod, lambda ab: fn(*ab))
+    if o is None:
+        return ContinuityCertificate(map_name=map_name, domain=dom_label,
+                                     codomain=cod_label, continuous=True)
+    inside = {ab for ab in dom.points if fn(*ab) in o}
+    pair = next((ab, q) for ab in sorted(inside)
+                for q in sorted(dom.neighborhoods[ab]) if q not in inside)
     return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                 codomain=cod_label, continuous=True)
+                                 codomain=cod_label, continuous=False,
+                                 witness_open=o, witness_pair=pair)
 
 
 @dataclass(frozen=True)
