@@ -37,8 +37,11 @@ def _family_order(s):
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    points: tuple
     neighborhoods: dict  # point -> its minimal open set U_p
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(sorted(self.neighborhoods))
 
     def is_open(self, s) -> bool:
         s = frozenset(s)
@@ -147,21 +150,19 @@ def topology(points, opens) -> FiniteTopology:
     rep = is_topology(points, opens)
     if not rep.ok:
         raise ValueError(f"not a topology ({rep.kind}): witness {rep.witness!r}")
-    return FiniteTopology(points=tuple(sorted(points)),
-                          neighborhoods=_meets(points, opens))
+    return FiniteTopology(_meets(points, opens))
 
 
 def discrete(points) -> FiniteTopology:
-    pts = sorted(points)
+    pts = frozenset(points)
     if len(pts) > 16:
         raise TopologySizeError(f"discrete topology on {len(pts)} points exceeds the cap")
-    return FiniteTopology(points=tuple(pts),
-                          neighborhoods={p: frozenset([p]) for p in pts})
+    return FiniteTopology({p: frozenset([p]) for p in pts})
 
 
 def indiscrete(points) -> FiniteTopology:
-    pts = tuple(sorted(points))
-    return FiniteTopology(points=pts, neighborhoods=dict.fromkeys(pts, frozenset(pts)))
+    pts = frozenset(points)
+    return FiniteTopology(dict.fromkeys(pts, pts))
 
 
 @dataclass(frozen=True)
@@ -185,26 +186,22 @@ def generate_from_base(points, base) -> GeneratedTopology:
     if covered != points:
         raise ValueError(f"base fails to cover: {sorted(points - covered)[0]!r} missing")
     meets = _meets(points, base)
-    return GeneratedTopology(
-        topology=FiniteTopology(points=tuple(sorted(points)), neighborhoods=meets),
-        base_compatible=all(u in base for u in meets.values()))
+    return GeneratedTopology(topology=FiniteTopology(meets),
+                             base_compatible=all(u in base for u in meets.values()))
 
 
 def product_topology(T1: FiniteTopology, T2: FiniteTopology) -> FiniteTopology:
     """Generated by open rectangles; U_(a, b) = U_a x U_b."""
-    return FiniteTopology(
-        points=tuple(sorted(itertools.product(T1.points, T2.points))),
-        neighborhoods={(a, b): frozenset(itertools.product(ua, ub))
-                       for a, ua in T1.neighborhoods.items()
-                       for b, ub in T2.neighborhoods.items()})
+    return FiniteTopology({(a, b): frozenset(itertools.product(ua, ub))
+                           for a, ua in T1.neighborhoods.items()
+                           for b, ub in T2.neighborhoods.items()})
 
 
 def subspace_topology(T: FiniteTopology, subset) -> FiniteTopology:
     subset = frozenset(subset)
     if not subset <= set(T.points):
         raise ValueError(f"subset not contained in the points: {sorted(subset - set(T.points))[0]!r}")
-    return FiniteTopology(points=tuple(sorted(subset)),
-                          neighborhoods={p: T.neighborhoods[p] & subset for p in subset})
+    return FiniteTopology({p: T.neighborhoods[p] & subset for p in subset})
 
 
 def composable_pairs(G) -> tuple:
@@ -245,17 +242,14 @@ class ContinuityCertificate:
 
 
 def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
-    """The first codomain open, in `_family_order`, whose preimage is not
-    open, or None when f is continuous.
-
-    Any open O with a bad preimage contains a point f(p) whose neighbourhood
-    V_f(p) misses part of f(U_p); that V_f(p) is itself bad and sorts no
-    later than O, so the smallest such neighbourhood is the first bad open.
-    """
+    """The first codomain open in `_family_order` whose preimage is not open,
+    or None.  Any such open O holds some f(p) with f(U_p) not inside V_f(p);
+    that V_f(p) is bad too and sorts no later than O, so the smallest bad
+    neighbourhood is the first bad open."""
     bad = set()
-    for p in dom.points:
+    for p, u in dom.neighborhoods.items():
         v = cod.neighborhoods[fn(p)]
-        if any(fn(q) not in v for q in dom.neighborhoods[p]):
+        if any(fn(q) not in v for q in u):
             bad.add(v)
     return min(bad, key=_family_order, default=None)
 
@@ -264,13 +258,10 @@ def continuity(map_name, dom: FiniteTopology, cod: FiniteTopology, fn,
                dom_label="domain", cod_label="codomain") -> ContinuityCertificate:
     """Continuous iff f(U_p) lies inside V_f(p) at every point p."""
     o = _first_bad_open(dom, cod, fn)
-    if o is None:
-        return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                     codomain=cod_label, continuous=True)
-    return ContinuityCertificate(
-        map_name=map_name, domain=dom_label, codomain=cod_label,
-        continuous=False, witness_open=o,
-        witness_preimage=frozenset(p for p in dom.points if fn(p) in o))
+    pre = None if o is None else frozenset(p for p in dom.points if fn(p) in o)
+    return ContinuityCertificate(map_name=map_name, domain=dom_label,
+                                 codomain=cod_label, continuous=o is None,
+                                 witness_open=o, witness_preimage=pre)
 
 
 def pullback_continuity(map_name, pairs, factor: FiniteTopology,
@@ -282,20 +273,16 @@ def pullback_continuity(map_name, pairs, factor: FiniteTopology,
     neighbourhood that is not."""
     pair_set = frozenset(pairs)
     nb = factor.neighborhoods
-    dom = FiniteTopology(
-        points=tuple(sorted(pair_set)),
-        neighborhoods={(a, b): frozenset(q for q in itertools.product(nb[a], nb[b])
-                                         if q in pair_set)
-                       for a, b in pair_set})
-    o = _first_bad_open(dom, cod, lambda ab: fn(*ab))
-    if o is None:
-        return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                     codomain=cod_label, continuous=True)
-    inside = {ab for ab in dom.points if fn(*ab) in o}
-    pair = next((ab, q) for ab in sorted(inside)
-                for q in sorted(dom.neighborhoods[ab]) if q not in inside)
+    dom = FiniteTopology({(a, b): frozenset(q for q in itertools.product(nb[a], nb[b])
+                                            if q in pair_set)
+                          for a, b in pair_set})
+    o, pair = _first_bad_open(dom, cod, lambda ab: fn(*ab)), None
+    if o is not None:
+        inside = {ab for ab in pair_set if fn(*ab) in o}
+        pair = next((ab, q) for ab in sorted(inside)
+                    for q in sorted(dom.neighborhoods[ab]) if q not in inside)
     return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                 codomain=cod_label, continuous=False,
+                                 codomain=cod_label, continuous=o is None,
                                  witness_open=o, witness_pair=pair)
 
 
