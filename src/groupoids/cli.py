@@ -14,7 +14,9 @@ Eight subcommands over the JSON interchange documents:
 Exit status: 0 every check passed; 1 a check was refuted (report carries the
 witness); 2 at least one verdict is undecided at the given budget/depth/
 window (the report names the exhausted parameter); 3 the input did not parse
-or violated a documented precondition.
+or violated a documented precondition, including a groupoid table that
+fails the linear checks of `validate_structure`; an unexpected internal
+error also exits 3, with a one-line message and no traceback.
 
 Reports echo the command, the input's canonical fingerprint, and the
 parameters used; --format picks the human or machine rendering and --out
@@ -30,7 +32,7 @@ import tempfile
 import time
 import warnings
 
-from .core import validate_groupoid
+from .core import validate_groupoid, validate_structure
 from .dot import export_dot
 from .interchange import (
     DocumentError,
@@ -90,32 +92,45 @@ def _cmd_validate(doc, args):
                      for i, v in enumerate(rep.violations)}
         if args.dot:
             _write_atomic(args.dot, export_dot(G))
-        return (PASS if rep.ok else REFUTED), verdicts, witnesses, []
+        return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
     if "points" in doc:
-        points, fam = parse_topology_family(doc)
-        rep = is_topology(points, fam)
-        verdicts = {"topology-valid": rep.ok}
-        witnesses = {}
-        if not rep.ok:
-            verdicts["failure"] = rep.kind
-            witnesses["witness"] = _render_value(rep.witness)
-        return (PASS if rep.ok else REFUTED), verdicts, witnesses, []
+        return _check_family(doc)
     raise DocumentError("document: expected a groupoid or a topology document")
 
 
-def _monodromy_of(doc, budget, notes):
-    G = parse_groupoid(_need(doc, "groupoid"))
+def _check_family(doc):
+    """The closure axioms on a bare topology document's family."""
+    points, fam = parse_topology_family(doc)
+    rep = is_topology(points, fam)
+    verdicts, witnesses = {"topology-valid": rep.ok}, {}
+    if not rep.ok:
+        verdicts["failure"] = rep.kind
+        witnesses["witness"] = _render_value(rep.witness)
+    return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
+
+
+def _lawful_groupoid(doc, field):
+    """Parse a groupoid field whose table must pass the linear checks."""
+    G = parse_groupoid(_need(doc, field), where=field)
+    rep = validate_structure(G)
+    if not rep.ok:
+        v = rep.violations[0]
+        raise ValueError(f"{field} is not a groupoid: {v.kind} at {v.witness!r}")
+    return G
+
+
+def _monodromy_of(G, doc, budget):
+    """(W, M, notes): the presentation over the document's carrier, and the
+    warnings raised while building it."""
     W = pregroupoid(G, parse_carrier(doc, G))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         M = build_monodromy(G, W, budget=budget)
-    notes.extend(str(w.message) for w in caught)
-    return G, W, M
+    return W, M, [str(w.message) for w in caught]
 
 
 def _cmd_monodromy(doc, args):
-    notes = []
-    _, _, M = _monodromy_of(doc, args.budget, notes)
+    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     verdicts = {"relators": len(M.relator_family),
                 "generates-ambient": M.generates_ambient}
     undecided = []
@@ -144,12 +159,11 @@ def _cmd_pi1(doc, args):
         verdicts[f"rank[{comp.base}]"] = r
     if args.dot:
         _write_atomic(args.dot, export_dot(res))
-    return PASS, verdicts, {}, []
+    return PASS, verdicts, {}, [], []
 
 
 def _cmd_star_cover(doc, args):
-    notes = []
-    G, _, M = _monodromy_of(doc, args.budget, notes)
+    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     x = _need(doc, "object")
     if not isinstance(x, str):
         raise DocumentError("document.object: expected string")
@@ -179,9 +193,8 @@ def _cmd_star_cover(doc, args):
 
 
 def _cmd_globalize(doc, args):
-    notes = []
-    G, _, M = _monodromy_of(doc, args.budget, notes)
-    H = parse_groupoid(_need(doc, "target"), where="target")
+    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
+    H = _lawful_groupoid(doc, "target")
     table = _need(doc, "map")
     if not isinstance(table, dict):
         raise DocumentError("document.map: expected object")
@@ -194,42 +207,42 @@ def _cmd_globalize(doc, args):
 
 def _cmd_topology_check(doc, args):
     if "groupoid" in doc:
-        G = parse_groupoid(_need(doc, "groupoid"))
+        G = _lawful_groupoid(doc, "groupoid")
         verdicts, witnesses = {}, {}
         tops = {}
-        for field, points in (("morphism_topology", sorted(G.morphisms)),
-                              ("object_topology", sorted(G.objects, key=str))):
-            pts, fam = parse_topology_family(_need(doc, field), where=field)
-            rep = is_topology(pts, fam)
+        for field in ("morphism_topology", "object_topology"):
+            tops[field] = parse_topology_family(_need(doc, field), where=field)
+            rep = is_topology(*tops[field])
             verdicts[f"{field}-valid"] = rep.ok
             if not rep.ok:
                 verdicts[f"{field}-failure"] = rep.kind
                 witnesses[field] = _render_value(rep.witness)
         if witnesses:
-            return REFUTED, verdicts, witnesses, []
-        T_G = topology(*parse_topology_family(doc["morphism_topology"]))
-        T_X = topology(*parse_topology_family(doc["object_topology"]))
-        rep = check_topological_groupoid(G, T_G, T_X)
-        for cert in rep.certificates:
-            verdicts[f"{cert.map_name}-continuous"] = cert.continuous
-            if not cert.continuous:
-                witnesses[cert.map_name] = (
-                    f"open {_render_value(cert.witness_open)} pulls back to "
-                    f"{_render_value(cert.witness_preimage)}")
+            return REFUTED, verdicts, witnesses, [], []
+        rep = check_topological_groupoid(G, topology(*tops["morphism_topology"]),
+                                         topology(*tops["object_topology"]))
+        _record_certificates(rep, verdicts, witnesses)
         verdicts["difference-equivalence"] = rep.difference_equivalence_holds
-        return (PASS if rep.ok else REFUTED), verdicts, witnesses, []
-    points, fam = parse_topology_family(doc)
-    rep = is_topology(points, fam)
-    verdicts = {"topology-valid": rep.ok, "opens": len(fam)}
-    witnesses = {}
-    if not rep.ok:
-        verdicts["failure"] = rep.kind
-        witnesses["witness"] = _render_value(rep.witness)
-    return (PASS if rep.ok else REFUTED), verdicts, witnesses, []
+        return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
+    outcome = _check_family(doc)
+    outcome[1]["opens"] = len(doc["opens"])  # entries as listed, repeats too
+    return outcome
+
+
+def _record_certificates(rep, verdicts, witnesses):
+    """One verdict per structure map, and for each refuted map its witness
+    open with the preimage, or the offending pair on a pullback."""
+    for cert in rep.certificates:
+        verdicts[f"{cert.map_name}-continuous"] = cert.continuous
+        if not cert.continuous:
+            back = (_render_value(cert.witness_preimage) if cert.witness_pair is None
+                    else "{" + _render_value(cert.witness_pair) + "}")
+            witnesses[cert.map_name] = (
+                f"open {_render_value(cert.witness_open)} pulls back to {back}")
 
 
 def _lt_of(doc):
-    G = parse_groupoid(_need(doc, "groupoid"))
+    G = _lawful_groupoid(doc, "groupoid")
     LT = parse_local_trivialization(doc, where="document")
     return G, LT
 
@@ -241,14 +254,9 @@ def _cmd_clt_generate(doc, args):
     witnesses = {f"problem[{i}]": f"{kind}: {_render_value(payload)}"
                  for i, (kind, payload) in enumerate(rep.problems)}
     if not rep.ok:
-        return REFUTED, verdicts, witnesses, []
+        return REFUTED, verdicts, witnesses, [], []
     if "carrier" in doc:
-        notes = []
-        W = pregroupoid(G, parse_carrier(doc, G))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            M = build_monodromy(G, W, budget=args.budget)
-        notes.extend(str(w.message) for w in caught)
+        W, M, notes = _monodromy_of(G, doc, args.budget)
         mrep = clt_on_monodromy(G, LT, W, M, depth=args.window)
         verdicts.update({
             "transported-sections-valid": not mrep.problems,
@@ -288,11 +296,8 @@ def _cmd_clt_generate(doc, args):
     })
     for i, fail in enumerate(grep_.refinement_failures):
         witnesses[f"refinement[{i}]"] = _render_value(fail)
-    for cert in grep_.groupoid.certificates:
-        verdicts[f"{cert.map_name}-continuous"] = cert.continuous
-        if not cert.continuous:
-            witnesses[cert.map_name] = _render_value(cert.witness_open)
-    return (PASS if grep_.ok else REFUTED), verdicts, witnesses, []
+    _record_certificates(grep_.groupoid, verdicts, witnesses)
+    return (PASS if grep_.ok else REFUTED), verdicts, witnesses, [], []
 
 
 def _cmd_w_open(doc, args):
@@ -302,7 +307,7 @@ def _cmd_w_open(doc, args):
     verdicts = {"w-open": rep.is_open, "carrier-size": len(carrier),
                 "witnessed": len(rep.witnesses)}
     witnesses = {f"no-neighborhood[{i}]": a for i, a in enumerate(rep.failures)}
-    return (PASS if rep.is_open else REFUTED), verdicts, witnesses, []
+    return (PASS if rep.is_open else REFUTED), verdicts, witnesses, [], []
 
 
 _COMMANDS = {
@@ -410,34 +415,35 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         doc = load_document(args.input)
-        outcome = _COMMANDS[args.command](_public(doc), args)
+        status, verdicts, witnesses, undecided, notes = _COMMANDS[args.command](
+            _public(doc), args)
+        report = {
+            "command": args.command,
+            "fingerprint": fingerprint(_strip(doc)),
+            "parameters": {"budget": args.budget, "depth": args.depth,
+                           "window": args.window},
+            "verdict": _VERDICT[status],
+            "verdicts": verdicts,
+            "witnesses": witnesses,
+            "undecided": list(undecided),
+            "notes": list(notes),
+            "timing": {"seconds": round(time.perf_counter() - started, 6)},
+        }
+        rendered = _render_report(report, args.format)
+        if args.out:
+            _write_atomic(args.out, rendered)
+        else:
+            sys.stdout.write(rendered)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, TopologySizeError) as e:
         print(f"error: precondition violated: {e}", file=sys.stderr)
         return INPUT_ERROR
-
-    status, verdicts, witnesses, undecided, *rest = outcome
-    report = {
-        "command": args.command,
-        "fingerprint": fingerprint(_strip(doc)),
-        "parameters": {"budget": args.budget, "depth": args.depth,
-                       "window": args.window},
-        "verdict": _VERDICT[status],
-        "verdicts": verdicts,
-        "witnesses": witnesses,
-        "undecided": list(undecided),
-        "notes": list(rest[0]) if rest else [],
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-    rendered = _render_report(report, args.format)
-    if args.out:
-        _write_atomic(args.out, rendered)
-    else:
-        sys.stdout.write(rendered)
+    except Exception as e:  # exit 1 means refuted, so nothing else may reach it
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INPUT_ERROR
     return status
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -102,14 +102,20 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
-    """Exhaustively check the groupoid axioms on a candidate table.
+_REFERENCE_KINDS = ("dangling-reference", "identity-missing", "inverse-missing")
 
-    Violations carry replayable witnesses.  Checks are guarded so that one
-    corrupt entry is reported once at its root cause: a composition entry
-    with bad endpoints is excluded from the associativity and inverse-law
-    scans instead of cascading into derived failures.
-    """
+
+def _by_source(G: FiniteGroupoid) -> dict:
+    by_src = {}
+    for m in sorted(G.source):
+        by_src.setdefault(G.source[m], []).append(m)
+    return by_src
+
+
+def validate_structure(G: FiniteGroupoid) -> ValidationReport:
+    """The linear part of `validate_groupoid`, which every table lookup
+    relies on: reference integrity, identity and inverse endpoints, and
+    composition totality, domain and endpoints, in the same order."""
     out = []
     objects = G.objects
     morphs = set(G.source)
@@ -143,34 +149,46 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         return ValidationReport(tuple(out))
 
     src, tgt, comp = G.source, G.target, G.compose
-
-    # identity endpoints
-    bad_identity_obj = set()
     for x in sorted(objects):
         e = G.identity[x]
         if src[e] != x or tgt[e] != x:
             out.append(Violation("identity-endpoint", (x, e)))
-            bad_identity_obj.add(x)
 
-    # composition domain, totality, endpoints
-    poisoned = set()  # compose keys whose entry is unusable downstream
-    by_src = {}
-    for m in morphs:
-        by_src.setdefault(src[m], []).append(m)
-    for lst in by_src.values():
-        lst.sort()
+    by_src = _by_source(G)
     for a in sorted(morphs):
         for b in by_src.get(tgt[a], ()):
             if (a, b) not in comp:
                 out.append(Violation("compose-missing", (a, b)))
-                poisoned.add((a, b))
     for (a, b), c in sorted(comp.items()):
         if tgt[a] != src[b]:
             out.append(Violation("compose-domain", (a, b)))
-            poisoned.add((a, b))
         elif src[c] != src[a] or tgt[c] != tgt[b]:
             out.append(Violation("compose-endpoint", (a, b, c)))
-            poisoned.add((a, b))
+
+    for a in sorted(morphs):
+        ai = G.inverse[a]
+        if src[ai] != tgt[a] or tgt[ai] != src[a]:
+            out.append(Violation("inverse-endpoint", (a, ai)))
+    return ValidationReport(tuple(out))
+
+
+def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
+    """Exhaustively check the groupoid axioms on a candidate table.
+
+    Violations carry replayable witnesses.  Checks are guarded so that one
+    corrupt entry is reported once at its root cause: a composition entry
+    with bad endpoints is excluded from the associativity and inverse-law
+    scans instead of cascading into derived failures.
+    """
+    found = validate_structure(G).violations
+    if found and found[0].kind in _REFERENCE_KINDS:
+        return ValidationReport(found)
+    bad_inverse = {v.witness[0]: v for v in found if v.kind == "inverse-endpoint"}
+    out = [v for v in found if v.kind != "inverse-endpoint"]
+    bad_identity_obj = {v.witness[0] for v in out if v.kind == "identity-endpoint"}
+    poisoned = {v.witness[:2] for v in out if v.kind.startswith("compose-")}
+    src, tgt, comp = G.source, G.target, G.compose
+    morphs, by_src = set(G.source), _by_source(G)
 
     def product(a, b):
         if (a, b) in poisoned:
@@ -191,10 +209,10 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
 
     # inverse endpoints and laws
     for a in sorted(morphs):
-        ai = G.inverse[a]
-        if src[ai] != tgt[a] or tgt[ai] != src[a]:
-            out.append(Violation("inverse-endpoint", (a, ai)))
+        if a in bad_inverse:
+            out.append(bad_inverse[a])
             continue
+        ai = G.inverse[a]
         left = product(a, ai)
         if left is not None and src[a] not in bad_identity_obj and left != G.identity[src[a]]:
             out.append(Violation("inverse-law", (a, "left")))

@@ -144,3 +144,53 @@ def test_comp_violation_is_refuted_with_witness(capsys):
     code, out, _ = run(["clt-generate", str(CORPUS / "clt-comp-violation.json")],
                        capsys)
     assert code == 1 and "comp" in out and "o0" in out
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unlawful_tables_are_precondition_errors(tmp_path, capsys):
+    """A missing composite in the groupoid, or in globalize's target, is an
+    input fault: exit 3 with a message, never a traceback or a refutation."""
+    doc = json.loads((CORPUS / "z5-window.json").read_text())
+    doc["groupoid"]["compose"] = doc["groupoid"]["compose"][1:]
+    code, out, err = run(["monodromy", _write(tmp_path, "g.json", doc)], capsys)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "precondition violated: groupoid is not a groupoid: compose-missing" in err
+    doc = json.loads((CORPUS / "globalize-z7-s3.json").read_text())
+    doc["target"]["compose"] = doc["target"]["compose"][1:]
+    code, _, err = run(["globalize", _write(tmp_path, "h.json", doc)], capsys)
+    assert code == 3 and "target is not a groupoid: compose-missing" in err
+
+
+def test_unexpected_errors_exit_three_without_a_traceback(monkeypatch, capsys):
+    import groupoids.cli as cli
+
+    def broken(doc, args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+    code, out, err = run(["validate", str(CORPUS / "pair-groupoid-3.json")], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+def test_pullback_witness_names_the_offending_pair(tmp_path, capsys):
+    """Z/2 with {e} open: t then t composes into {e}, but (e, t), which lies
+    in every neighbourhood of (t, t), composes to t; the witness names both
+    pairs."""
+    doc = {"groupoid": {"objects": ["*"],
+                        "morphisms": [{"id": m, "src": "*", "tgt": "*"} for m in "et"],
+                        "identities": {"*": "e"}, "inverses": {"e": "e", "t": "t"},
+                        "compose": [["e", "e", "e"], ["e", "t", "t"],
+                                    ["t", "e", "t"], ["t", "t", "e"]]},
+           "morphism_topology": {"points": ["e", "t"], "opens": [[], ["e"], ["e", "t"]]},
+           "object_topology": {"points": ["*"], "opens": [[], ["*"]]}}
+    code, out, _ = run(["topology-check", _write(tmp_path, "z2.json", doc),
+                        "--format", "machine"], capsys)
+    witnesses = json.loads(out)["witnesses"]
+    assert code == 1
+    assert witnesses["composition"] == "open {e} pulls back to {((t, t), (e, t))}"
