@@ -30,7 +30,7 @@ from .topology import (
     check_topological_groupoid,
     generate_from_base,
 )
-from .words import Word, free_reduce, inv_letters, word_target
+from .words import Word, concat, free_reduce, invert_word, word_target
 
 
 @dataclass(frozen=True)
@@ -270,18 +270,6 @@ def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
 
 # ---------------------------------------------------- transport to words
 
-def _concat(*parts):
-    base = parts[0].base
-    letters = ()
-    for w in parts:
-        letters = letters + w.letters
-    return Word(free_reduce(letters), base)
-
-
-def _inv_word(M, w):
-    return Word(inv_letters(w.letters), word_target(M.graph, w))
-
-
 @dataclass(frozen=True)
 class WindowTopologyReport:
     depth: int
@@ -392,7 +380,8 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
 
     def transported_neighborhood(w, i, j):
         x, y = w.base, word_target(M.graph, w)
-        return [_concat(_inv_word(M, trans[(x, i)][u]), w, trans[(y, j)][v])
+        return [concat(M.graph, concat(M.graph, invert_word(M.graph, trans[(x, i)][u]), w),
+                       trans[(y, j)][v])
                 for u in sorted(cov[i], key=str) for v in sorted(cov[j], key=str)]
 
     w_fail, w_und, w_wit = [], [], {}
