@@ -115,7 +115,7 @@ def _lawful_groupoid(doc, field):
     rep = validate_structure(G)
     if not rep.ok:
         v = rep.violations[0]
-        raise ValueError(f"{field} is not a groupoid: {v.kind} at {v.witness!r}")
+        raise ValueError(f"document.{field}: {v.kind} at {v.witness!r}")
     return G
 
 
@@ -241,14 +241,9 @@ def _record_certificates(rep, verdicts, witnesses):
                 f"open {_render_value(cert.witness_open)} pulls back to {back}")
 
 
-def _lt_of(doc):
+def _cmd_clt_generate(doc, args):
     G = _lawful_groupoid(doc, "groupoid")
     LT = parse_local_trivialization(doc, where="document")
-    return G, LT
-
-
-def _cmd_clt_generate(doc, args):
-    G, LT = _lt_of(doc)
     rep = validate_clt(G, LT)
     verdicts = {"clt-valid": rep.ok}
     witnesses = {f"problem[{i}]": f"{kind}: {_render_value(payload)}"
@@ -301,7 +296,8 @@ def _cmd_clt_generate(doc, args):
 
 
 def _cmd_w_open(doc, args):
-    G, LT = _lt_of(doc)
+    G = _lawful_groupoid(doc, "groupoid")
+    LT = parse_local_trivialization(doc, where="document")
     carrier = parse_carrier(doc, G)
     rep = check_w_open(G, LT, carrier)
     verdicts = {"w-open": rep.is_open, "carrier-size": len(carrier),
@@ -444,6 +440,7 @@ def main(argv=None) -> int:
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return INPUT_ERROR
     return status
+
 
 if __name__ == "__main__":
     sys.exit(main())

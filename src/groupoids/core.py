@@ -115,61 +115,67 @@ def _by_source(G: FiniteGroupoid) -> dict:
 def validate_structure(G: FiniteGroupoid) -> ValidationReport:
     """The linear part of `validate_groupoid`, which every table lookup
     relies on: reference integrity, identity and inverse endpoints, and
-    composition totality, domain and endpoints, in the same order."""
+    composition totality, domain and endpoints, in the same order.  The
+    tables are scanned again in sorted order only when something is wrong."""
+    if not _linear_scan(G, iter):
+        return ValidationReport()
+    return ValidationReport(tuple(_linear_scan(G, sorted)))
+
+
+def _linear_scan(G: FiniteGroupoid, order) -> list:
     out = []
     objects = G.objects
     morphs = set(G.source)
 
     # reference integrity
-    for m in sorted(morphs):
+    for m in order(morphs):
         if G.source[m] not in objects:
             out.append(Violation("dangling-reference", ("src", m, G.source[m])))
         if m not in G.target:
             out.append(Violation("dangling-reference", ("target-missing", m)))
         elif G.target[m] not in objects:
             out.append(Violation("dangling-reference", ("tgt", m, G.target[m])))
-    for m in sorted(set(G.target) - morphs):
+    for m in order(set(G.target) - morphs):
         out.append(Violation("dangling-reference", ("target-extra", m)))
-    for x in sorted(objects):
+    for x in order(objects):
         if x not in G.identity:
             out.append(Violation("identity-missing", (x,)))
         elif G.identity[x] not in morphs:
             out.append(Violation("dangling-reference", ("identity", x, G.identity[x])))
-    for m in sorted(morphs):
+    for m in order(morphs):
         if m not in G.inverse:
             out.append(Violation("inverse-missing", (m,)))
         elif G.inverse[m] not in morphs:
             out.append(Violation("dangling-reference", ("inverse", m, G.inverse[m])))
-    for (a, b), c in sorted(G.compose.items()):
+    for (a, b), c in order(G.compose.items()):
         for m in (a, b, c):
             if m not in morphs:
                 out.append(Violation("dangling-reference", ("compose", a, b, m)))
     if out:
-        # structure too broken for the table scans below to mean anything
-        return ValidationReport(tuple(out))
+        return out  # too broken for the table scans below to mean anything
 
     src, tgt, comp = G.source, G.target, G.compose
-    for x in sorted(objects):
+    for x in order(objects):
         e = G.identity[x]
         if src[e] != x or tgt[e] != x:
             out.append(Violation("identity-endpoint", (x, e)))
 
     by_src = _by_source(G)
-    for a in sorted(morphs):
+    for a in order(morphs):
         for b in by_src.get(tgt[a], ()):
             if (a, b) not in comp:
                 out.append(Violation("compose-missing", (a, b)))
-    for (a, b), c in sorted(comp.items()):
+    for (a, b), c in order(comp.items()):
         if tgt[a] != src[b]:
             out.append(Violation("compose-domain", (a, b)))
         elif src[c] != src[a] or tgt[c] != tgt[b]:
             out.append(Violation("compose-endpoint", (a, b, c)))
 
-    for a in sorted(morphs):
+    for a in order(morphs):
         ai = G.inverse[a]
         if src[ai] != tgt[a] or tgt[ai] != src[a]:
             out.append(Violation("inverse-endpoint", (a, ai)))
-    return ValidationReport(tuple(out))
+    return out
 
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:

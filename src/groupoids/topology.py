@@ -2,19 +2,14 @@
 
 A finite topology is determined by the smallest open set U_p around each
 point p (Alexandroff 1937; Stong 1966), and `FiniteTopology` stores exactly
-that.  A set S is open iff U_p is inside S for every p in S.  Products take
-U_a x U_b, subspaces U_p & S, and the topology a base or subbase generates
-has U_p = the intersection of the members containing p.
-
-Continuity is one pointwise test: f is continuous iff f(U_p) lies inside
-V_f(p) at every point.  That covers the pullbacks of a groupoid's structure
-maps too, whose neighbourhoods are (U_a x U_b) & pairs, so no open family is
-ever built to decide a certificate.
-
-Explicit families remain at the edges: `is_topology` and `topology` check
-documents that list their opens, and `FiniteTopology.opens` enumerates the
-opens on demand for counts and export.  Enumeration stops with
-`TopologySizeError` once it passes 2**16 sets.
+that: S is open iff U_p lies inside S for every p in S.  Products take
+U_a x U_b, subspaces U_p & S, and a base or subbase generates U_p = the
+intersection of its members around p.  Continuity is one pointwise test,
+f(U_p) inside V_f(p), on plain domains and on the pullbacks of a groupoid's
+structure maps alike, so no certificate builds an open family.  Explicit
+families remain at the edges: `is_topology` and `topology` check documents
+that list their opens, and `FiniteTopology.opens` enumerates them on demand
+for counts and export, stopping with `TopologySizeError` past 2**16 sets.
 """
 
 from __future__ import annotations
@@ -54,9 +49,8 @@ class FiniteTopology:
     @cached_property
     def opens(self) -> frozenset:
         """Every open set, built class by class in order of neighbourhood
-        size: a class may join a set once the rest of its neighbourhood is
-        in, so each open comes out exactly once.  Counts never shrink along
-        the way, so the cap trips only on a family that is really too big."""
+        size: a class joins a set once the rest of its neighbourhood is in,
+        so each open comes out once and the count never shrinks on the way."""
         classes = {}
         for p, u in self.neighborhoods.items():
             classes.setdefault(u, set()).add(p)
@@ -244,13 +238,15 @@ class ContinuityCertificate:
 def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
     """The first codomain open in `_family_order` whose preimage is not open,
     or None.  Any such open O holds some f(p) with f(U_p) not inside V_f(p);
-    that V_f(p) is bad too and sorts no later than O, so the smallest bad
-    neighbourhood is the first bad open."""
-    bad = set()
+    that V_f(p) is bad too and sorts no later than O.  Points sharing a pair
+    (U_p, V_f(p)) share the test."""
+    bad, tested = set(), set()
     for p, u in dom.neighborhoods.items():
         v = cod.neighborhoods[fn(p)]
-        if any(fn(q) not in v for q in u):
-            bad.add(v)
+        if v not in bad and (u, v) not in tested:
+            tested.add((u, v))
+            if any(fn(q) not in v for q in u):
+                bad.add(v)
     return min(bad, key=_family_order, default=None)
 
 
@@ -271,11 +267,12 @@ def pullback_continuity(map_name, pairs, factor: FiniteTopology,
     minimal neighbourhoods are (U_a x U_b) & pairs.  A refutation names a
     pair (a, b) mapped into the witness open and the first pair of its
     neighbourhood that is not."""
-    pair_set = frozenset(pairs)
-    nb = factor.neighborhoods
-    dom = FiniteTopology({(a, b): frozenset(q for q in itertools.product(nb[a], nb[b])
-                                            if q in pair_set)
-                          for a, b in pair_set})
+    pair_set, nb, traces = frozenset(pairs), factor.neighborhoods, {}
+    for a, b in pair_set:
+        if (nb[a], nb[b]) not in traces:
+            traces[nb[a], nb[b]] = frozenset(
+                q for q in itertools.product(nb[a], nb[b]) if q in pair_set)
+    dom = FiniteTopology({(a, b): traces[nb[a], nb[b]] for a, b in pair_set})
     o, pair = _first_bad_open(dom, cod, lambda ab: fn(*ab)), None
     if o is not None:
         inside = {ab for ab in pair_set if fn(*ab) in o}

@@ -159,11 +159,11 @@ def test_unlawful_tables_are_precondition_errors(tmp_path, capsys):
     doc["groupoid"]["compose"] = doc["groupoid"]["compose"][1:]
     code, out, err = run(["monodromy", _write(tmp_path, "g.json", doc)], capsys)
     assert code == 3 and out == "" and "Traceback" not in err
-    assert "precondition violated: groupoid is not a groupoid: compose-missing" in err
+    assert "precondition violated: document.groupoid: compose-missing at" in err
     doc = json.loads((CORPUS / "globalize-z7-s3.json").read_text())
     doc["target"]["compose"] = doc["target"]["compose"][1:]
     code, _, err = run(["globalize", _write(tmp_path, "h.json", doc)], capsys)
-    assert code == 3 and "target is not a groupoid: compose-missing" in err
+    assert code == 3 and "document.target: compose-missing at" in err
 
 
 def test_unexpected_errors_exit_three_without_a_traceback(monkeypatch, capsys):
