@@ -26,6 +26,7 @@ writes atomically to a path instead of standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -180,6 +181,8 @@ def _cmd_star_cover(doc, args):
     if rep.unreachable:
         witnesses["unreachable"] = ", ".join(sorted(rep.unreachable))
         return REFUTED, verdicts, witnesses, undecided, notes
+    if rep.capped_at is not None:
+        undecided.append(_cap_marker(sum(rep.reached.values()), rep.capped_at, rep.depth))
     for a in rep.undecided_depth:
         undecided.append(f"star element {a!r} not reached at depth {rep.depth}")
     if rep.translate_collisions:
@@ -278,6 +281,9 @@ def _cmd_clt_generate(doc, args):
                       for a in mrep.w_tilde_undecided]
         if not mrep.window.tokens_exact:
             undecided.append(f"window classes inexact at budget {M.budget}")
+        if mrep.window.capped_at is not None:
+            undecided.append(_cap_marker(mrep.window.points, mrep.window.capped_at,
+                                         mrep.window.depth))
         if refuted:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
@@ -317,6 +323,11 @@ _COMMANDS = {
     "w-open": _cmd_w_open,
 }
 _DOT_COMMANDS = {"validate", "monodromy", "pi1"}
+
+
+def _cap_marker(classes, levels, depth):
+    return (f"class search capped at {classes} classes "
+            f"after depth {levels} of {depth}")
 
 
 def _need(doc, field):
@@ -376,7 +387,9 @@ def _render_report(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: construction costs far more than parsing."""
     parser = argparse.ArgumentParser(
         prog="groupoids",
         description="Finite groupoid constructions and checks over JSON documents.")

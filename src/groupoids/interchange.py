@@ -54,6 +54,8 @@ def fingerprint(doc) -> str:
 
 
 def _require(doc, field, kind, where):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{where}: expected object")
     if field not in doc:
         raise DocumentError(f"{where}: missing field {field!r}")
     value = doc[field]
@@ -92,6 +94,8 @@ def parse_groupoid(doc, where="groupoid") -> FiniteGroupoid:
         source[mid], target[mid] = src, tgt
 
     def known(mid, spot):
+        if not isinstance(mid, str):
+            raise DocumentError(f"{spot}: expected string")
         if mid not in source:
             raise DocumentError(f"{spot}: unknown morphism {mid!r}")
         return mid

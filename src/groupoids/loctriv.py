@@ -11,26 +11,38 @@ Out of a valid structure, every morphism a: x -> y acquires basic
 neighborhoods s_{x,i}(U_i)^-1 . a . s_{y,j}(U_j); these generate a topology
 on the morphism set under which every structure map is continuous, and a
 composition-closed generating subset with sections landing in it becomes an
-open subset.  The same data transports along the one-letter embedding into a
-monodromy groupoid, where word equality (and hence every check) is answered
-by the per-component engines — possibly as "undecided" when a budget runs
-out, which the reports here surface rather than hide.
+open subset.
+
+Section laws, the Comp search, basic neighborhoods and the openness search
+are written once, each over what it needs of an element: endpoints,
+product, inverse, identity, and an equality answering True, False or None.
+On finite tables equality is `==` and always decides.  Transported along the
+one-letter embedding into a monodromy groupoid, elements are words and the
+per-component engines answer equality, possibly "undecided" when a budget
+runs out, which the reports here surface rather than hide.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .core import FiniteGroupoid, WideSubgroupoid, check_wide_subgroupoid
-from .monodromy import MonodromyGroupoid, PregroupoidSubset, canonical_morphism
+from .monodromy import (
+    MonodromyGroupoid,
+    PregroupoidSubset,
+    canonical_morphism,
+    enumerate_classes,
+)
 from .topology import (
     FiniteTopology,
     TopologicalGroupoidReport,
     check_topological_groupoid,
     generate_from_base,
 )
-from .words import Word, concat, free_reduce, invert_word, word_target
+from .words import Word, concat, invert_word, word_target
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,110 @@ def _members_at(LT, p):
     return [i for i, u in LT.cover if p in u]
 
 
+def _all3(votes):
+    """Three-valued conjunction: False beats None (undecided) beats True."""
+    votes = list(votes)
+    return False if False in votes else None if None in votes else True
+
+
+def _first(candidates, test):
+    """(True, c) for the first candidate whose three-valued test holds; else
+    (None, None) if some test was undecided, or (False, None)."""
+    outcome = False
+    for c in candidates:
+        v = test(c)
+        if v is True:
+            return True, c
+        if v is None:
+            outcome = None
+    return outcome, None
+
+
+def _section_problems(LT, sections, identity, endpoints):
+    """Laws of the section tables, in report order: one table per incidence,
+    its domain the cover member, every value an element (endpoints(m) is
+    None otherwise) from x to its argument, and the identity at x itself."""
+    cov = dict(LT.cover)
+    expected = {(x, i) for i, u in LT.cover for x in u}
+    problems = [("section-missing", key)
+                for key in sorted(expected - set(sections), key=str)]
+    problems += [("section-unexpected", key)
+                 for key in sorted(set(sections) - expected, key=str)]
+    for x, i in sorted(expected & set(sections), key=str):
+        tab = sections[(x, i)]
+        if set(tab) != cov[i]:
+            problems.append(("section-domain", (x, i)))
+        for u in sorted(set(tab) & cov[i], key=str):
+            ends = endpoints(tab[u])
+            if ends is None:
+                problems.append(("section-value", (x, i, u)))
+                continue
+            if ends[0] != x:
+                problems.append(("section-source", (x, i, u)))
+            if ends[1] != u:
+                problems.append(("section-target", (x, i, u)))
+        if tab.get(x) != identity(x):
+            problems.append(("section-identity", (x, i)))
+    return problems
+
+
+def _comp_triples(LT):
+    """(x, i, j) for every point and pair of cover members around it."""
+    for x in sorted(LT.base_space.points, key=str):
+        around = sorted(_members_at(LT, x), key=_index_key)
+        for i, j in itertools.combinations(around, 2):
+            yield x, i, j
+
+
+def _comp(LT, sections, equal, x, i, j):
+    """Comp for s_{x,i}, s_{x,j}: (verdict, k) for the first member k, by
+    index then serialized member, that contains x, sits in the intersection,
+    and on which both tables agree."""
+    cov = dict(LT.cover)
+    si, sj = sections.get((x, i), {}), sections.get((x, j), {})
+    around = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
+                    key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
+    return _first(around, lambda k: _all3(equal(si.get(u), sj.get(u))
+                                          for u in cov[k]))
+
+
+def _neighborhood(LT, sections, inverse, mul, a, x, y, i, j):
+    """s_{x,i}(u)^-1 . a . s_{y,j}(v) for every u in U_i and v in U_j."""
+    cov = dict(LT.cover)
+    si, sj = sections[(x, i)], sections[(y, j)]
+    return [mul(inverse(si[u]), a, sj[v]) for u in cov[i] for v in cov[j]]
+
+
+def _open_search(G, LT, elements, inside):
+    """For each element a, the first (i, j) around its endpoints whose basic
+    neighborhood is inside the subset by `inside(a, i, j)`:
+    (witnesses, undecided, failures)."""
+    witnesses, unwitnessed = {}, {None: [], False: []}
+    for a in elements:
+        pairs = [(i, j) for i in _members_at(LT, G.source[a])
+                 for j in _members_at(LT, G.target[a])]
+        verdict, ij = _first(pairs, lambda ij: inside(a, *ij))
+        if verdict:
+            witnesses[a] = ij
+        else:
+            unwitnessed[verdict].append(a)
+    return witnesses, unwitnessed[None], unwitnessed[False]
+
+
+def _require_valid(G, LT):
+    rep = validate_clt(G, LT)
+    if not rep.ok:
+        raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
+    return rep
+
+
+def _require_sections_in(LT, carrier, what):
+    for key in sorted(LT.sections, key=str):
+        for u in sorted(LT.sections[key], key=str):
+            if LT.sections[key][u] not in carrier:
+                raise ValueError(f"section {key!r} leaves the {what} at {u!r}")
+
+
 @dataclass(frozen=True)
 class CltReport:
     problems: tuple  # (kind, payload) pairs, deterministic order
@@ -86,19 +202,7 @@ def comp_witness(LT: LocalTrivialization, x, i, j):
     index (then smallest serialized member) whose member contains x, sits in
     the intersection, and on which both section tables agree.  None if Comp
     fails for this triple."""
-    cov = dict(LT.cover)
-    si = LT.sections.get((x, i), {})
-    sj = LT.sections.get((x, j), {})
-    best = None
-    for k, uk in LT.cover:
-        if x not in uk or not uk <= (cov[i] & cov[j]):
-            continue
-        if any(si.get(u) != sj.get(u) for u in uk):
-            continue
-        key = (_index_key(k), sorted(map(str, uk)))
-        if best is None or key < best[0]:
-            best = (key, k)
-    return None if best is None else best[1]
+    return _comp(LT, LT.sections, operator.eq, x, i, j)[1]
 
 
 def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
@@ -110,8 +214,6 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
     around it.
     """
     problems = []
-    cov = dict(LT.cover)
-
     for i, u in LT.cover:
         if not LT.base_space.is_open(u):
             problems.append(("cover-not-open", i))
@@ -121,33 +223,13 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
                 problems.append(("not-a-base", (o, p)))
                 break
 
-    expected = {(x, i) for i, u in LT.cover for x in u}
-    for key in sorted(expected - set(LT.sections), key=str):
-        problems.append(("section-missing", key))
-    for key in sorted(set(LT.sections) - expected, key=str):
-        problems.append(("section-unexpected", key))
+    problems += _section_problems(
+        LT, LT.sections, lambda x: G.identity[x],
+        lambda m: (G.source[m], G.target[m]) if m in G.morphisms else None)
 
-    for x, i in sorted(expected & set(LT.sections), key=str):
-        tab = LT.sections[(x, i)]
-        if set(tab) != cov[i]:
-            problems.append(("section-domain", (x, i)))
-        for u in sorted(set(tab) & cov[i], key=str):
-            m = tab[u]
-            if m not in G.morphisms:
-                problems.append(("section-value", (x, i, u)))
-                continue
-            if G.source[m] != x:
-                problems.append(("section-source", (x, i, u)))
-            if G.target[m] != u:
-                problems.append(("section-target", (x, i, u)))
-        if tab.get(x) != G.identity[x]:
-            problems.append(("section-identity", (x, i)))
-
-    for x in sorted(LT.base_space.points, key=str):
-        around = sorted(_members_at(LT, x), key=_index_key)
-        for i, j in itertools.combinations(around, 2):
-            if comp_witness(LT, x, i, j) is None:
-                problems.append(("comp", (x, i, j)))
+    for x, i, j in _comp_triples(LT):
+        if comp_witness(LT, x, i, j) is None:
+            problems.append(("comp", (x, i, j)))
     return CltReport(problems=tuple(problems))
 
 
@@ -163,9 +245,8 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
         raise ValueError(f"source {x!r} not in cover member {i!r}")
     if y not in cov[j]:
         raise ValueError(f"target {y!r} not in cover member {j!r}")
-    si, sj = LT.sections[(x, i)], LT.sections[(y, j)]
-    return frozenset(G.mul(G.inverse[si[u]], a, sj[v])
-                     for u in cov[i] for v in cov[j])
+    return frozenset(_neighborhood(LT, LT.sections, G.inverse.__getitem__, G.mul,
+                                   a, x, y, i, j))
 
 
 @dataclass(frozen=True)
@@ -190,10 +271,7 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization):
     center), generates the topology, and certifies all six structure maps
     against it and the base space.
     """
-    rep = validate_clt(G, LT)
-    if not rep.ok:
-        raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
-
+    rep = _require_valid(G, LT)
     nbhds = set()
     pairs_of = {}
     for a in sorted(G.morphisms):
@@ -241,29 +319,10 @@ def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
     reasons = check_wide_subgroupoid(G, W)
     if reasons:
         raise ValueError(f"not a wide subgroupoid: {reasons[0]!r}")
-    rep = validate_clt(G, LT)
-    if not rep.ok:
-        raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
-    for key in sorted(LT.sections, key=str):
-        for u in sorted(LT.sections[key], key=str):
-            if LT.sections[key][u] not in W:
-                raise ValueError(
-                    f"section {key!r} leaves the subgroupoid at {u!r}")
-
-    witnesses, failures = {}, []
-    for a in sorted(W):
-        found = None
-        for i in _members_at(LT, G.source[a]):
-            for j in _members_at(LT, G.target[a]):
-                if basic_neighborhood(G, LT, a, i, j) <= W:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found:
-            witnesses[a] = found
-        else:
-            failures.append(a)
+    _require_valid(G, LT)
+    _require_sections_in(LT, W, "subgroupoid")
+    witnesses, _, failures = _open_search(
+        G, LT, sorted(W), lambda a, i, j: basic_neighborhood(G, LT, a, i, j) <= W)
     return WOpenReport(is_open=not failures, witnesses=witnesses,
                        failures=tuple(failures))
 
@@ -280,6 +339,7 @@ class WindowTopologyReport:
     w_tilde_open: bool = None     # None when the openness leg was skipped
     topology: FiniteTopology = None     # on the window's class tokens
     values: dict = field(default_factory=dict)  # token -> image morphism
+    capped_at: int = None         # levels searched in full when the class cap hit
 
 
 @dataclass(frozen=True)
@@ -316,154 +376,70 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
     i~(W)) and against the topology generated from transported neighborhoods
     on the finite window of word classes no longer than `depth`.
     """
-    rep = validate_clt(G, LT)
-    if not rep.ok:
-        raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
+    _require_valid(G, LT)
     if M.subset.carrier != W.carrier:
         raise ValueError("the monodromy groupoid was built over a different subset")
-    for key in sorted(LT.sections, key=str):
-        for u in sorted(LT.sections[key], key=str):
-            if LT.sections[key][u] not in W.carrier:
-                raise ValueError(
-                    f"section {key!r} leaves the generating subset at {u!r}")
+    _require_sections_in(LT, W.carrier, "generating subset")
 
     trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
              for key, tab in LT.sections.items()}
+    problems = _section_problems(LT, trans, lambda x: Word((), x),
+                                 lambda w: (w.base, word_target(M.graph, w)))
 
-    problems = []
-    for (x, i) in sorted(trans, key=str):
-        for u in sorted(trans[(x, i)], key=str):
-            w = trans[(x, i)][u]
-            if w.base != x:
-                problems.append(("section-source", (x, i, u)))
-            if word_target(M.graph, w) != u:
-                problems.append(("section-target", (x, i, u)))
-        if trans[(x, i)][x].letters != ():
-            problems.append(("section-identity", (x, i)))
+    comp = {True: [], None: [], False: []}
+    for x, i, j in _comp_triples(LT):
+        verdict, k = _comp(LT, trans, M.equal, x, i, j)
+        comp[verdict].append((x, i, j, k) if verdict else (x, i, j))
 
-    cov = dict(LT.cover)
-    comp_sat, comp_und, comp_bad = [], [], []
-    for x in sorted(LT.base_space.points, key=str):
-        around = sorted(_members_at(LT, x), key=_index_key)
-        for i, j in itertools.combinations(around, 2):
-            si, sj = trans[(x, i)], trans[(x, j)]
-            saw_undecided = False
-            hit = None
-            for k, uk in sorted(LT.cover, key=lambda kv: (_index_key(kv[0]),
-                                                          sorted(map(str, kv[1])))):
-                if x not in uk or not uk <= (cov[i] & cov[j]):
-                    continue
-                votes = [M.equal(si[u], sj[u]) for u in sorted(uk, key=str)]
-                if all(v is True for v in votes):
-                    hit = k
-                    break
-                if None in votes and False not in votes:
-                    saw_undecided = True
-            if hit is not None:
-                comp_sat.append((x, i, j, hit))
-            elif saw_undecided:
-                comp_und.append((x, i, j))
-            else:
-                comp_bad.append((x, i, j))
+    def neighborhood(w, i, j):
+        return _neighborhood(LT, trans, functools.partial(invert_word, M.graph),
+                             lambda s, a, t: concat(M.graph, concat(M.graph, s, a), t),
+                             w, w.base, word_target(M.graph, w), i, j)
 
-    carrier = W.carrier
-    closed = all(G.compose[(a, b)] in carrier
-                 for a in carrier for b in carrier
-                 if G.target[a] == G.source[b])
     p = canonical_morphism(M)
 
     def in_w_tilde(w):
         b = p.evaluate(w)
-        if b not in carrier:
-            return False
-        return M.equal(w, M.i_tilde(b))
+        return b in W.carrier and M.equal(w, M.i_tilde(b))
 
-    def transported_neighborhood(w, i, j):
-        x, y = w.base, word_target(M.graph, w)
-        return [concat(M.graph, concat(M.graph, invert_word(M.graph, trans[(x, i)][u]), w),
-                       trans[(y, j)][v])
-                for u in sorted(cov[i], key=str) for v in sorted(cov[j], key=str)]
-
-    w_fail, w_und, w_wit = [], [], {}
+    closed = not check_wide_subgroupoid(G, W.carrier)
+    w_wit, w_und, w_fail = {}, [], []
     if closed:
-        for a in sorted(carrier):
-            wa = M.i_tilde(a)
-            found, saw_und = None, False
-            for i in _members_at(LT, wa.base):
-                for j in _members_at(LT, word_target(M.graph, wa)):
-                    votes = [in_w_tilde(w) for w in transported_neighborhood(wa, i, j)]
-                    if all(v is True for v in votes):
-                        found = (i, j)
-                        break
-                    if None in votes and False not in votes:
-                        saw_und = True
-                if found:
-                    break
-            if found:
-                w_wit[a] = found
-            elif saw_und:
-                w_und.append(a)
-            else:
-                w_fail.append(a)
-
-    window = _window_topology(G, LT, W, M, trans, depth, closed=closed, p=p,
-                              transported_neighborhood=transported_neighborhood)
+        w_wit, w_und, w_fail = _open_search(
+            G, LT, sorted(W.carrier),
+            lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
 
     return MonodromyCltReport(
         sections=trans, problems=tuple(problems),
-        comp_satisfied=tuple(comp_sat), comp_undecided=tuple(comp_und),
-        comp_failed=tuple(comp_bad), subset_closed=closed,
+        comp_satisfied=tuple(comp[True]), comp_undecided=tuple(comp[None]),
+        comp_failed=tuple(comp[False]), subset_closed=closed,
         w_tilde_failures=tuple(w_fail), w_tilde_undecided=tuple(w_und),
-        w_tilde_witnesses=w_wit, window=window)
+        w_tilde_witnesses=w_wit,
+        window=_window_topology(LT, M, depth, closed, neighborhood))
 
 
-def _window_topology(G, LT, W, M, trans, depth, closed, p,
-                     transported_neighborhood) -> WindowTopologyReport:
+def _window_topology(LT, M, depth, closed, neighborhood) -> WindowTopologyReport:
     """Generate the transported-neighborhood topology on the word classes of
     length <= depth and test openness of i~(W) inside it."""
-    gens = [a for a in sorted(W.carrier) if not G.is_identity(a)]
-    reps = {}
-    exact_all = True
-    frontier = []
-    for x in sorted(G.objects, key=str):
-        w = Word((), x)
-        t, exact = M.token(w)
-        exact_all &= exact
-        reps.setdefault(t, w)
-        frontier.append(w)
-    for _ in range(depth):
-        fresh = []
-        for w in frontier:
-            at = word_target(M.graph, w)
-            for a in gens:
-                if G.source[a] != at:
-                    continue
-                w2 = Word(free_reduce(w.letters + ((a, 1),)), w.base)
-                t2, exact = M.token(w2)
-                exact_all &= exact
-                if t2 not in reps:
-                    reps[t2] = w2
-                    fresh.append(w2)
-        frontier = fresh
-
+    search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
+    classes = search.classes
     traces = set()
-    for t in sorted(reps, key=str):
-        w = reps[t]
+    for w, _ in classes.values():
         for i in _members_at(LT, w.base):
             for j in _members_at(LT, word_target(M.graph, w)):
-                trace = frozenset(M.token(v)[0]
-                                  for v in transported_neighborhood(w, i, j))
-                traces.add(trace & set(reps))
-    gen = generate_from_base(sorted(reps, key=str), traces)
+                traces.add(frozenset(M.token(v)[0] for v in neighborhood(w, i, j))
+                           .intersection(classes))
+    gen = generate_from_base(sorted(classes, key=str), traces)
 
     w_open = None
     if closed:
-        image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(W.carrier))
-        w_open = gen.topology.is_open(image & set(reps))
-    return WindowTopologyReport(depth=depth, points=len(reps),
+        image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
+        w_open = gen.topology.is_open(image.intersection(classes))
+    return WindowTopologyReport(depth=depth, points=len(classes),
                                 base_compatible=gen.base_compatible,
-                                tokens_exact=exact_all,
+                                tokens_exact=search.exact,
                                 opens=len(gen.topology.opens),
                                 w_tilde_open=w_open,
                                 topology=gen.topology,
-                                values={t: p.evaluate(reps[t]) for t in reps})
+                                values={t: val for t, (_, val) in classes.items()},
+                                capped_at=search.capped_at)

@@ -12,13 +12,16 @@ i~ sending each element of W to its one-letter word, and the evaluation
 map p sending a word to its product in G.  `globalize` extends a map
 defined only on W to the whole presented groupoid exactly when the map is
 compatible with every relator, and `star_covering_report` measures how far
-p is from a bijection on stars, depth window by depth window.
+p is from a bijection on stars, depth window by depth window.  That report
+and the transported window in `loctriv` share one breadth-first class
+search, `enumerate_classes`, which stops at MAX_CLASSES classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import FiniteGroupoid, generated_by, pair_groupoid
@@ -152,31 +155,6 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
 
 
 @dataclass(frozen=True)
-class CanonicalMorphism:
-    """Evaluation in the ambient groupoid: a word maps to the product of its
-    letters.  Sends i~(a) back to a."""
-
-    monodromy: MonodromyGroupoid
-
-    def evaluate(self, w: Word):
-        G = self.monodromy.ambient
-        acc = G.identity[w.base]
-        for e, s in w.letters:
-            m = e if s > 0 else G.inverse[e]
-            acc = G.compose[(acc, m)]
-        return acc
-
-
-def canonical_morphism(M: MonodromyGroupoid) -> CanonicalMorphism:
-    p = CanonicalMorphism(monodromy=M)
-    G = M.ambient
-    for a, b, ab in M.relator_family:
-        if G.compose[(a, b)] != ab:
-            raise RuntimeError(f"corrupt composition table under relator {(a, b)!r}")
-    return p
-
-
-@dataclass(frozen=True)
 class WordEvaluator:
     """A morphism out of the presented groupoid, tabulated on generators."""
 
@@ -191,6 +169,17 @@ class WordEvaluator:
             m = self.gen_map[e] if s > 0 else H.inverse[self.gen_map[e]]
             acc = H.compose[(acc, m)]
         return acc
+
+
+def canonical_morphism(M: MonodromyGroupoid) -> WordEvaluator:
+    """Evaluation in the ambient groupoid: a word maps to the product of its
+    letters, so i~(a) goes back to a."""
+    G = M.ambient
+    for a, b, ab in M.relator_family:
+        if G.compose[(a, b)] != ab:
+            raise RuntimeError(f"corrupt composition table under relator {(a, b)!r}")
+    return WordEvaluator(target=G, obj_map={x: x for x in G.objects},
+                         gen_map={a: a for a in M.subset.carrier})
 
 
 @dataclass(frozen=True)
@@ -242,6 +231,56 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> Globalization
                                gen_map={a: f[a] for a in carrier}))
 
 
+MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
+
+
+@dataclass(frozen=True)
+class ClassSearch:
+    classes: dict     # class token -> (first word found, its ambient value)
+    exact: bool       # every token computed was decided
+    saturated: bool   # the search closed before the window ended
+    capped_at: int    # levels searched in full when MAX_CLASSES stopped it, else None
+
+
+def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
+    """Breadth-first search of the word classes within `depth` one-letter
+    steps along the subset from the empty words at `roots`.
+
+    Each class keeps the first word that reached it and that word's product
+    in the ambient groupoid.  The search stops, capped, when a new class
+    turns up once MAX_CLASSES are known.
+    """
+    G = M.ambient
+    gens = [a for a in sorted(M.subset.carrier) if not G.is_identity(a)]
+    classes, frontier, exact = {}, [], True
+    for x in roots:
+        w = Word((), x)
+        t, ok = M.token(w)
+        exact &= ok
+        classes.setdefault(t, (w, G.identity[x]))
+        frontier.append((w, G.identity[x]))
+    levels = 0
+    while frontier and levels < depth:
+        fresh = []
+        for w, val in frontier:
+            at = word_target(M.graph, w)
+            for a in gens:
+                if G.source[a] != at:
+                    continue
+                w2 = Word(free_reduce(w.letters + ((a, 1),)), w.base)
+                t2, ok = M.token(w2)
+                exact &= ok
+                if t2 in classes:
+                    continue
+                if len(classes) >= MAX_CLASSES:
+                    return ClassSearch(classes, exact, False, levels)
+                classes[t2] = (w2, G.compose[(val, a)])
+                fresh.append(classes[t2])
+        frontier = fresh
+        levels += 1
+    return ClassSearch(classes, exact, not frontier, None)
+
+
 @dataclass(frozen=True)
 class StarCoverReport:
     object: str
@@ -255,15 +294,16 @@ class StarCoverReport:
     translate_collisions: tuple   # pairs a != b in W with i~(a) = i~(b)
     injectivity_undecided: tuple  # pairs the engine could not separate
     engine_kind: str
+    capped_at: int = None     # levels searched in full when the class cap hit
 
     @property
     def has_undecided(self):
         return (bool(self.undecided_depth) or bool(self.injectivity_undecided)
-                or not self.fiber_counts_exact)
+                or not self.fiber_counts_exact or self.capped_at is not None)
 
 
-def star_covering_report(M: MonodromyGroupoid, p: CanonicalMorphism, x,
-                         depth, budget=None) -> StarCoverReport:
+def star_covering_report(M: MonodromyGroupoid, p: WordEvaluator, x,
+                         depth) -> StarCoverReport:
     """How close p is to a covering over the star at x, within a depth window.
 
     Counts distinct word classes over every reached star element, separates
@@ -275,51 +315,17 @@ def star_covering_report(M: MonodromyGroupoid, p: CanonicalMorphism, x,
     if x not in G.objects:
         raise ValueError(f"unknown object: {x!r}")
     carrier = M.subset.carrier
-    gens = [a for a in sorted(carrier) if not G.is_identity(a)]
     engine = M.engines[M.component_of(x)]
+    search = enumerate_classes(M, [x], depth)
 
-    start = Word((), x)
-    tok, _ = M.token(start)
-    info = {tok: (start, G.identity[x])}
-    frontier = [(start, G.identity[x])]
-    saturated = False
-    for _ in range(depth):
-        if not frontier:
-            saturated = True
-            break
-        fresh = []
-        for w, val in frontier:
-            at = word_target(M.graph, w)
-            for a in gens:
-                if G.source[a] != at:
-                    continue
-                w2 = Word(free_reduce(w.letters + ((a, 1),)), x)
-                t2, _ = M.token(w2)
-                if t2 in info:
-                    continue
-                v2 = G.compose[(val, a)]
-                info[t2] = (w2, v2)
-                fresh.append((w2, v2))
-        frontier = fresh
-    if not frontier:
-        saturated = True
-
-    reached = {}
-    for w, val in info.values():
-        reached[val] = reached.get(val, 0) + 1
+    reached = dict(Counter(val for _, val in search.classes.values()))
 
     star = set(G.star(x))
-    closure = {G.identity[x]}
-    grow = True
-    while grow:
-        grow = False
-        for g in sorted(closure):
-            for a in sorted(carrier):
-                if G.target[g] == G.source[a]:
-                    h = G.compose[(g, a)]
-                    if h not in closure:
-                        closure.add(h)
-                        grow = True
+    closure, frontier = set(), {G.identity[x]}
+    while frontier:  # products of subset elements, grown one factor at a time
+        closure |= frontier
+        frontier = {G.compose[(g, a)] for g in frontier for a in carrier
+                    if G.target[g] == G.source[a]} - closure
     unreachable = tuple(sorted(star - closure))
     undecided_depth = tuple(sorted((star & closure) - set(reached)))
 
@@ -340,11 +346,11 @@ def star_covering_report(M: MonodromyGroupoid, p: CanonicalMorphism, x,
         object=x, depth=depth, reached=reached,
         surjective_within_depth=not undecided_depth and not unreachable,
         undecided_depth=undecided_depth, unreachable=unreachable,
-        saturated=saturated,
+        saturated=search.saturated,
         fiber_counts_exact=engine.kind != "undecided",
         translate_collisions=tuple(collisions),
         injectivity_undecided=tuple(inj_undecided),
-        engine_kind=engine.kind)
+        engine_kind=engine.kind, capped_at=search.capped_at)
 
 
 @dataclass(frozen=True)

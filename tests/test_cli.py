@@ -194,3 +194,54 @@ def test_pullback_witness_names_the_offending_pair(tmp_path, capsys):
     witnesses = json.loads(out)["witnesses"]
     assert code == 1
     assert witnesses["composition"] == "open {e} pulls back to {((t, t), (e, t))}"
+
+
+def _unit_window_doc(**extra):
+    """Z/5 x Z/5 over the unit window {0, +-e1, +-e2}: a free vertex group
+    of rank 2, so the class search triples at every level."""
+    from groupoids.interchange import serialize_groupoid
+    from helpers import cyclic, direct, group_groupoid
+
+    G = group_groupoid(direct(cyclic(5), cyclic(5)))
+    return {"groupoid": serialize_groupoid(G),
+            "carrier": ["0.0", "1.0", "4.0", "0.1", "0.4"], **extra}
+
+
+def test_star_cover_names_the_class_cap(tmp_path, monkeypatch, capsys):
+    """Depth 4 holds 161 classes and reaches all 25 star elements; with the
+    cap at 100 the search stops in the fourth level and the report says so,
+    with the same verdict keys as an uncapped run."""
+    import groupoids.monodromy as monodromy
+
+    path = _write(tmp_path, "z5z5.json", _unit_window_doc(object="*"))
+    argv = ["star-cover", path, "--depth", "4", "--format", "machine"]
+    code, out, _ = run(argv, capsys)
+    whole = json.loads(out)
+    assert code == 0 and whole["undecided"] == []
+    monkeypatch.setattr(monodromy, "MAX_CLASSES", 100)
+    code, out, _ = run(argv, capsys)
+    capped = json.loads(out)
+    assert code == 2 and capped["verdict"] == "undecided"
+    assert capped["undecided"][0] == "class search capped at 100 classes after depth 3 of 4"
+    assert capped["verdicts"].keys() == whole["verdicts"].keys()
+
+
+def test_transported_window_names_the_class_cap(tmp_path, monkeypatch, capsys):
+    """The whole-space cover of the one-point base transports to the
+    discrete topology on the window; a cap of 3 stops the depth-1 window
+    (5 classes) in its first level."""
+    import groupoids.monodromy as monodromy
+
+    lt = {"base_space": {"points": ["*"], "opens": [[], ["*"]]},
+          "cover": [[0, ["*"]]], "sections": [["*", 0, [["*", "0.0"]]]]}
+    path = _write(tmp_path, "z5z5-clt.json", _unit_window_doc(**lt))
+    argv = ["clt-generate", path, "--window", "1", "--format", "machine"]
+    code, out, _ = run(argv, capsys)
+    whole = json.loads(out)
+    assert code == 0 and whole["verdicts"]["window-classes"] == 5
+    monkeypatch.setattr(monodromy, "MAX_CLASSES", 3)
+    code, out, _ = run(argv, capsys)
+    capped = json.loads(out)
+    assert code == 2 and capped["verdicts"]["window-classes"] == 3
+    assert capped["undecided"] == ["class search capped at 3 classes after depth 0 of 1"]
+    assert capped["verdicts"].keys() == whole["verdicts"].keys()

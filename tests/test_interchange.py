@@ -146,3 +146,19 @@ def test_plain_groupoid_export():
     assert "2 objects, 4 morphisms" in dot
     with pytest.raises(TypeError, match="cannot export"):
         export_dot(42)
+
+
+@pytest.mark.parametrize("field", ["identities", "inverses"])
+def test_non_string_morphism_names_are_document_errors(field):
+    doc = serialize_groupoid(group_groupoid(cyclic(2)))
+    doc[field]["*" if field == "identities" else "1"] = ["0"]
+    with pytest.raises(DocumentError, match="expected string"):
+        parse_groupoid(doc)
+
+
+@pytest.mark.parametrize("value", [7, "objects", ["objects"], None])
+def test_non_object_sections_are_document_errors(value):
+    with pytest.raises(DocumentError, match="groupoid: expected object"):
+        parse_groupoid(value)
+    with pytest.raises(DocumentError, match="topology: expected object"):
+        parse_topology(value)

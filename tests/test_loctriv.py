@@ -2,6 +2,7 @@
 topologies, openness of generating subgroupoids, and transport along the
 one-letter embedding into a presented groupoid."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -18,7 +19,12 @@ from groupoids.loctriv import (
     sections_from_arrows,
     validate_clt,
 )
-from groupoids.monodromy import build_monodromy, pregroupoid
+from groupoids.monodromy import (
+    build_monodromy,
+    canonical_morphism,
+    pregroupoid,
+    star_covering_report,
+)
 from groupoids.topology import discrete, indiscrete, is_topology, topology
 
 from helpers import cyclic, group_groupoid, product_groupoid
@@ -299,3 +305,38 @@ def test_transport_preconditions():
     other = pregroupoid(G, G.morphisms)
     with pytest.raises(ValueError, match="different subset"):
         clt_on_monodromy(G, LT, other, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_transport_agrees_with_the_finite_checks(data):
+    """With every morphism of a pair groupoid as the subset, the presented
+    groupoid is that pair groupoid again, so the transported checks must
+    repeat the finite ones: no problems, the same Comp witnesses, the same
+    openness witnesses, and star classes that are the window classes based
+    at the same point."""
+    points = ["a", "b", "c"][:data.draw(st.integers(2, 3), label="points")]
+    shapes = [F(s) for r in (1, 2, 3) for s in itertools.combinations(points, r)]
+    members = [F({p}) for p in points] + data.draw(
+        st.lists(st.sampled_from(shapes), max_size=3), label="extra members")
+    indices = data.draw(st.lists(st.integers(0, 20), unique=True, min_size=len(members),
+                                 max_size=len(members)), label="indices")
+    cover = list(zip(indices, members))
+    G = pair_groupoid(points)
+    W = pregroupoid(G, G.morphisms)
+    M = build_monodromy(G, W)
+    LT = canonical_lt(discrete(points), cover)
+
+    rep = clt_on_monodromy(G, LT, W, M, depth=3)
+    assert rep.ok and rep.problems == () and rep.subset_closed
+    triples = [(x, i, j) for x in points
+               for i, j in itertools.combinations(
+                   sorted(k for k, u in cover if x in u), 2)]
+    assert rep.comp_satisfied == tuple((x, i, j, comp_witness(LT, x, i, j))
+                                       for x, i, j in triples)
+    assert rep.w_tilde_witnesses == check_w_open(G, LT, G.morphisms).witnesses
+    p = canonical_morphism(M)
+    for x in points:
+        star = star_covering_report(M, p, x, 3)
+        based = Counter(v for t, v in rep.window.values.items() if t[0] == x)
+        assert star.reached == based

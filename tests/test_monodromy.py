@@ -333,3 +333,26 @@ def test_pi1_rank_formula_random(data):
     es = path + chosen
     r = pi1_graph(vs, es)
     assert r.component_ranks == (len(es) - n + 1,)
+
+
+# --------------------------------------------------------------- class cap
+
+def test_class_search_stops_at_the_cap(monkeypatch):
+    """The unit window of Z/5 x Z/5 presents a free group of rank 2, so its
+    star holds 1, 4, 12, 36 new classes at depths 0-3.  A cap of 20 stops
+    the search in the fourth level, with the first 20 classes kept."""
+    import groupoids.monodromy as monodromy
+    from helpers import direct
+
+    G = group_groupoid(direct(cyclic(5), cyclic(5)))
+    M = build_monodromy(G, pregroupoid(G, {"0.0", "1.0", "4.0", "0.1", "0.4"}))
+    whole = monodromy.enumerate_classes(M, ["*"], 3)
+    assert len(whole.classes) == 53 and whole.capped_at is None
+    monkeypatch.setattr(monodromy, "MAX_CLASSES", 20)
+    capped = monodromy.enumerate_classes(M, ["*"], 3)
+    assert len(capped.classes) == 20 and capped.capped_at == 2
+    assert not capped.saturated
+    assert list(capped.classes.items()) == list(whole.classes.items())[:20]
+    rep = star_covering_report(M, canonical_morphism(M), "*", 3)
+    assert rep.capped_at == 2 and rep.has_undecided
+    assert sum(rep.reached.values()) == 20
