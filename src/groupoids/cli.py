@@ -199,8 +199,8 @@ def _cmd_globalize(doc, args):
     _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     H = _lawful_groupoid(doc, "target")
     table = _need(doc, "map")
-    if not isinstance(table, dict):
-        raise DocumentError("document.map: expected object")
+    if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+        raise DocumentError("document.map: expected object of morphism ids")
     res = globalize(M, dict(table), H)
     if res.ok:
         return PASS, {"extends": True}, {}, [], notes

@@ -148,9 +148,8 @@ def _comp(LT, sections, equal, x, i, j):
                                           for u in cov[k]))
 
 
-def _neighborhood(LT, sections, inverse, mul, a, x, y, i, j):
+def _neighborhood(cov, sections, inverse, mul, a, x, y, i, j):
     """s_{x,i}(u)^-1 . a . s_{y,j}(v) for every u in U_i and v in U_j."""
-    cov = dict(LT.cover)
     si, sj = sections[(x, i)], sections[(y, j)]
     return [mul(inverse(si[u]), a, sj[v]) for u in cov[i] for v in cov[j]]
 
@@ -245,7 +244,7 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
         raise ValueError(f"source {x!r} not in cover member {i!r}")
     if y not in cov[j]:
         raise ValueError(f"target {y!r} not in cover member {j!r}")
-    return frozenset(_neighborhood(LT, LT.sections, G.inverse.__getitem__, G.mul,
+    return frozenset(_neighborhood(cov, LT.sections, G.inverse.__getitem__, G.mul,
                                    a, x, y, i, j))
 
 
@@ -391,8 +390,10 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
         verdict, k = _comp(LT, trans, M.equal, x, i, j)
         comp[verdict].append((x, i, j, k) if verdict else (x, i, j))
 
+    cov = dict(LT.cover)
+
     def neighborhood(w, i, j):
-        return _neighborhood(LT, trans, functools.partial(invert_word, M.graph),
+        return _neighborhood(cov, trans, functools.partial(invert_word, M.graph),
                              lambda s, a, t: concat(M.graph, concat(M.graph, s, a), t),
                              w, w.base, word_target(M.graph, w), i, j)
 

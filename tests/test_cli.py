@@ -245,3 +245,11 @@ def test_transported_window_names_the_class_cap(tmp_path, monkeypatch, capsys):
     assert code == 2 and capped["verdicts"]["window-classes"] == 3
     assert capped["undecided"] == ["class search capped at 3 classes after depth 0 of 1"]
     assert capped["verdicts"].keys() == whole["verdicts"].keys()
+
+
+def test_globalize_map_values_must_be_morphism_ids(tmp_path, capsys):
+    doc = json.loads((CORPUS / "globalize-z7-s3.json").read_text())
+    doc["map"]["0"] = []
+    code, out, err = run(["globalize", _write(tmp_path, "bad-map.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: document.map: expected object of morphism ids\n"
