@@ -245,22 +245,31 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
-    """The groupoid with exactly one morphism (x, y) between any two points."""
+    """The groupoid with exactly one morphism "(x,y)" between any two points.
+
+    Each name is built once, in an N x N table for N points, and that one
+    string is the key or value wherever the morphism appears in `source`,
+    `target`, `identity`, `inverse` and `compose`.  The composition table
+    still holds all N**3 composable pairs.  Entries are inserted in the
+    order of `itertools.product` over the sorted points: pairs for the
+    morphism tables, triples for `compose`.
+    """
     pts = sorted(points)
     if not pts:
         raise ValueError("pair groupoid needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    mid = lambda x, y: f"({x},{y})"
-    source, target = {}, {}
-    for x, y in itertools.product(pts, pts):
-        source[mid(x, y)] = x
-        target[mid(x, y)] = y
-    identity = {x: mid(x, x) for x in pts}
-    inverse = {mid(x, y): mid(y, x) for x, y in itertools.product(pts, pts)}
-    compose = {}
-    for x, y, z in itertools.product(pts, pts, pts):
-        compose[(mid(x, y), mid(y, z))] = mid(x, z)
+    names = [[f"({x},{y})" for y in pts] for x in pts]
+    source, target, inverse, compose = {}, {}, {}, {}
+    for i, (x, row) in enumerate(zip(pts, names)):
+        for y, xy, yx_row in zip(pts, row, names):
+            source[xy] = x
+            target[xy] = y
+            inverse[xy] = yx_row[i]
+    for row in names:
+        for xy, from_y in zip(row, names):
+            compose.update(zip(zip(itertools.repeat(xy), from_y), row))
+    identity = {x: names[i][i] for i, x in enumerate(pts)}
     return FiniteGroupoid(
         objects=frozenset(pts), source=source, target=target,
         identity=identity, inverse=inverse, compose=compose,
@@ -290,9 +299,49 @@ def components(G: FiniteGroupoid):
     return comps
 
 
+def _closure(G: FiniteGroupoid, members, step=None) -> set:
+    """The least superset of `members` closed under inversion, composition
+    and, when given, `step` (a function from one member to more members).
+
+    Each round pairs only the members the last round added with the
+    closure, indexed by source and target: a new member d as (d, c) with
+    every member c, and as (c, d) with members of earlier rounds only, so
+    each composable pair is looked up once.  Entries missing from `compose`
+    are skipped.  Only pairs with tgt(a) == src(b) are looked up, and every
+    member must have a source and a target; `validate_structure` rejects
+    any table that breaks either.
+    """
+    src, tgt, inv, get = G.source, G.target, G.inverse, G.compose.get
+    closure, by_src, by_tgt = set(), {}, {}
+    new = set(members)
+    while new:
+        found = set()
+        for d in new:
+            found.add(inv[d])
+            found.update(map(get, zip(by_tgt.get(src[d], ()), itertools.repeat(d))))
+            if step is not None:
+                found.update(step(d))
+        closure |= new
+        for d in new:
+            by_src.setdefault(src[d], []).append(d)
+            by_tgt.setdefault(tgt[d], []).append(d)
+        for d in new:
+            found.update(map(get, zip(itertools.repeat(d), by_src.get(tgt[d], ()))))
+        found.discard(None)
+        new = found - closure
+    return closure
+
+
 def generated_by(G: FiniteGroupoid, carrier) -> bool:
     """Does the closure of `carrier` under composition and inversion reach
-    every morphism?  `carrier` must contain all identities."""
+    every morphism?  `carrier` must contain all identities.
+
+    The closure is the least fixpoint of "add every inverse and every
+    composite of two members", reached by semi-naive rounds (Bancilhon &
+    Ramakrishnan 1986) that pair only the newest members with the rest.  It
+    uses the table as it is and assumes no associativity, so on an
+    unlawful table it is still the closure under the entries present.
+    """
     carrier = set(carrier)
     for x in sorted(G.objects):
         if G.identity[x] not in carrier:
@@ -300,22 +349,7 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
     unknown = carrier - set(G.morphisms)
     if unknown:
         raise ValueError(f"carrier not a subset of morphisms: {sorted(unknown)[0]!r}")
-    closure = set(carrier)
-    frontier = set(carrier)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            inv = G.inverse[a]
-            if inv not in closure:
-                fresh.add(inv)
-        for a in list(closure):
-            for b in list(closure):
-                c = G.compose.get((a, b))
-                if c is not None and c not in closure:
-                    fresh.add(c)
-        closure |= fresh
-        frontier = fresh
-    return closure == set(G.morphisms)
+    return _closure(G, carrier) == set(G.morphisms)
 
 
 def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
@@ -360,35 +394,25 @@ def check_normal_subgroupoid(G: FiniteGroupoid, carrier) -> list:
 
 
 def normal_closure(G: FiniteGroupoid, seeds) -> NormalSubgroupoid:
-    """Smallest normal subgroupoid containing `seeds` (endomorphisms only)."""
+    """Smallest normal subgroupoid containing `seeds` (endomorphisms only).
+
+    The same semi-naive rounds as `generated_by`, where each new member is
+    also conjugated by every morphism into its object, once.
+    """
     seeds = set(seeds)
     for s in sorted(seeds):
         if s not in G.morphisms:
             raise ValueError(f"unknown morphism: {s!r}")
         if G.source[s] != G.target[s]:
             raise ValueError(f"seed is not an endomorphism: {s!r}")
-    carrier = {G.identity[x] for x in G.objects} | seeds
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(carrier):
-            inv = G.inverse[n]
-            if inv not in carrier:
-                carrier.add(inv)
-                changed = True
-        for a in sorted(carrier):
-            for b in sorted(carrier):
-                c = G.compose.get((a, b))
-                if c is not None and c not in carrier:
-                    carrier.add(c)
-                    changed = True
-        for n in sorted(carrier):
-            x = G.source[n]
-            for g in G.costar(x):
-                conj = G.mul(g, n, G.inverse[g])
-                if conj not in carrier:
-                    carrier.add(conj)
-                    changed = True
+    costar = {}
+    for g in sorted(G.target):
+        costar.setdefault(G.target[g], []).append(g)
+
+    def conjugates(n):
+        return [G.mul(g, n, G.inverse[g]) for g in costar.get(G.source[n], ())]
+
+    carrier = _closure(G, {G.identity[x] for x in G.objects} | seeds, conjugates)
     return NormalSubgroupoid(carrier=frozenset(carrier))
 
 

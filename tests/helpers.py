@@ -124,6 +124,58 @@ def product_groupoid(n_objects, table):
                           identity=identity, inverse=inverse, compose=compose)
 
 
+# ------------------------------------------------------------ closure oracles
+
+def closure_oracle(G, carrier):
+    """The closure of `carrier` under inversion and composition, by the
+    round loop that rescans closure x closure every round."""
+    closure = set(carrier)
+    frontier = set(carrier)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            inv = G.inverse[a]
+            if inv not in closure:
+                fresh.add(inv)
+        for a in list(closure):
+            for b in list(closure):
+                c = G.compose.get((a, b))
+                if c is not None and c not in closure:
+                    fresh.add(c)
+        closure |= fresh
+        frontier = fresh
+    return closure
+
+
+def normal_closure_oracle(G, seeds):
+    """The carrier of the smallest normal subgroupoid containing `seeds`, by
+    the round loop that rescans carrier x carrier and conjugates every
+    member on every round."""
+    carrier = {G.identity[x] for x in G.objects} | set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for n in sorted(carrier):
+            inv = G.inverse[n]
+            if inv not in carrier:
+                carrier.add(inv)
+                changed = True
+        for a in sorted(carrier):
+            for b in sorted(carrier):
+                c = G.compose.get((a, b))
+                if c is not None and c not in carrier:
+                    carrier.add(c)
+                    changed = True
+        for n in sorted(carrier):
+            x = G.source[n]
+            for g in G.costar(x):
+                conj = G.mul(g, n, G.inverse[g])
+                if conj not in carrier:
+                    carrier.add(conj)
+                    changed = True
+    return carrier
+
+
 # --------------------------------------------------------------- witness replay
 
 def replay_violation(G, v):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupoids import (
     NormalSubgroupoid,
+    core,
     components,
     generated_by,
     normal_closure,
@@ -16,8 +18,10 @@ from groupoids import (
 )
 from helpers import (
     all_groups_upto8,
+    closure_oracle,
     cyclic,
     group_groupoid,
+    normal_closure_oracle,
     product_groupoid,
     replay_violation,
     sym3,
@@ -124,6 +128,56 @@ def test_generated_by_path_adjacency():
     assert not generated_by(G, {G.identity[x] for x in G.objects})
     with pytest.raises(ValueError):
         generated_by(G, {"(0,1)"})  # identities missing
+
+
+# a connected groupoid on 1-3 objects with a vertex group of order <= 8
+lawful_groupoids = st.builds(product_groupoid, st.integers(1, 3),
+                             st.sampled_from([t for _, t in all_groups_upto8()]))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_generated_by_matches_the_round_loop(data):
+    """Semi-naive rounds reach the fixpoint of the loop that rescans closure
+    x closure, on lawful tables and on tables that keep every composable
+    key but drop some composites or name wrong ones."""
+    G = data.draw(lawful_groupoids)
+    morphs = sorted(G.morphisms)
+    if data.draw(st.booleans()):
+        compose = dict(G.compose)
+        for key in data.draw(st.lists(st.sampled_from(sorted(compose)),
+                                      max_size=6, unique=True)):
+            wrong = data.draw(st.none() | st.sampled_from(morphs))
+            if wrong is None:
+                del compose[key]
+            else:
+                compose[key] = wrong
+        G = dataclasses.replace(G, compose=compose)
+    carrier = {G.identity[x] for x in G.objects}
+    carrier |= set(data.draw(st.lists(st.sampled_from(morphs), max_size=4)))
+    closure = closure_oracle(G, carrier)
+    assert core._closure(G, carrier) == closure
+    assert generated_by(G, carrier) == (closure == set(morphs))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_normal_closure_matches_the_round_loop(data):
+    G = data.draw(lawful_groupoids)
+    endos = sorted(m for m in G.morphisms if G.source[m] == G.target[m])
+    seeds = {G.identity[x] for x in G.objects}
+    seeds |= set(data.draw(st.lists(st.sampled_from(endos), max_size=3)))
+    expected = NormalSubgroupoid(frozenset(normal_closure_oracle(G, seeds)))
+    assert normal_closure(G, seeds) == expected
+
+
+def test_pair_groupoid_names_each_morphism_once():
+    G = pair_groupoid(range(4))
+    named = {id(m) for m in G.source}
+    for names in (G.target, G.inverse, G.inverse.values(), G.compose.values(),
+                  (m for key in G.compose for m in key)):
+        assert {id(m) for m in names} == named
+    assert {id(m) for m in G.identity.values()} <= named
 
 
 def test_normal_closure_in_z6():

@@ -1,5 +1,8 @@
 """Monodromy construction, evaluation map, globalization, star covers, graphs."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -333,6 +336,21 @@ def test_pi1_rank_formula_random(data):
     es = path + chosen
     r = pi1_graph(vs, es)
     assert r.component_ranks == (len(es) - n + 1,)
+
+
+def test_pi1_scales_to_thirty_vertices_and_sixty_edges():
+    """A seeded connected graph with |V| = 30 and |E| = 60: rank
+    |E| - |V| + 1 = 31.  Its pair groupoid has 90 points and 729,000
+    composites, all of which the generation check has to reach."""
+    rng = random.Random(30)
+    vs = [f"v{i:02d}" for i in range(30)]
+    es = {(vs[rng.randrange(i)], vs[i]) for i in range(1, 30)}  # a spanning tree
+    while len(es) < 60:
+        es.add(tuple(sorted(rng.sample(vs, 2))))
+    start = time.perf_counter()
+    r = pi1_graph(vs, sorted(es))
+    assert r.rank == 31
+    assert time.perf_counter() - start < 15
 
 
 # --------------------------------------------------------------- class cap
