@@ -55,7 +55,6 @@ from .loctriv import (
 )
 from .monodromy import (
     build_monodromy,
-    canonical_morphism,
     globalize,
     pi1_graph,
     pregroupoid,
@@ -168,7 +167,7 @@ def _cmd_star_cover(doc, args):
     x = _need(doc, "object")
     if not isinstance(x, str):
         raise DocumentError("document.object: expected string")
-    rep = star_covering_report(M, canonical_morphism(M), x, depth=args.depth)
+    rep = star_covering_report(M, x, depth=args.depth)
     verdicts = {"object": x, "depth": rep.depth,
                 "reached": len(rep.reached),
                 "surjective-within-depth": rep.surjective_within_depth,
@@ -214,8 +213,9 @@ def _cmd_topology_check(doc, args):
         verdicts, witnesses = {}, {}
         tops = {}
         for field in ("morphism_topology", "object_topology"):
-            tops[field] = parse_topology_family(_need(doc, field), where=field)
-            rep = is_topology(*tops[field])
+            family = parse_topology_family(_need(doc, field), where=field)
+            rep = is_topology(*family)
+            tops[field] = (*family, rep)
             verdicts[f"{field}-valid"] = rep.ok
             if not rep.ok:
                 verdicts[f"{field}-failure"] = rep.kind
@@ -255,7 +255,7 @@ def _cmd_clt_generate(doc, args):
         return REFUTED, verdicts, witnesses, [], []
     if "carrier" in doc:
         W, M, notes = _monodromy_of(G, doc, args.budget)
-        mrep = clt_on_monodromy(G, LT, W, M, depth=args.window)
+        mrep = clt_on_monodromy(G, LT, W, M, depth=args.window, clt=rep)
         verdicts.update({
             "transported-sections-valid": not mrep.problems,
             "comp-satisfied": len(mrep.comp_satisfied),
@@ -287,7 +287,7 @@ def _cmd_clt_generate(doc, args):
         if refuted:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
-    T, grep_ = generate_groupoid_topology(G, LT)
+    T, grep_ = generate_groupoid_topology(G, LT, clt=rep)
     verdicts.update({
         "opens": len(T.opens),
         "base-compatible": grep_.base_compatible,

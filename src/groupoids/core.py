@@ -15,12 +15,14 @@ can inspect rather than an exception.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
-    """Explicit composition tables.  Treated as immutable after construction."""
+    """Lookup tables; `compose` is a dict, or for `pair_groupoid` a mapping
+    that computes its entries.  Treated as immutable after construction."""
 
     objects: frozenset
     source: dict
@@ -244,42 +246,82 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+class _PairCompose(Mapping):
+    """The composition table of a pair groupoid, computed on lookup:
+    (x,y)·(y,z) = (x,z).  It keeps the N x N name table and the other tables
+    the groupoid was built with, so `generated_by` can tell an unmodified
+    pair groupoid from one rebuilt around this table."""
+
+    def __init__(self, pts, names, tables):
+        self._index = {x: i for i, x in enumerate(pts)}
+        self._names = names
+        self.tables = tables  # (objects, source, target, identity, inverse)
+
+    def __getitem__(self, key):
+        _, source, target, _, _ = self.tables
+        try:
+            a, b = key
+            x, y, y2, z = source[a], target[a], source[b], target[b]
+        except (KeyError, TypeError, ValueError):  # not a pair of morphisms
+            raise KeyError(key) from None
+        if y != y2:
+            raise KeyError(key)
+        return self._names[self._index[x]][self._index[z]]
+
+    def __len__(self):
+        return len(self._names) ** 3
+
+    def __iter__(self):
+        names = self._names
+        for row in names:
+            for xy, from_y in zip(row, names):
+                yield from zip(itertools.repeat(xy), from_y)
+
+
 def pair_groupoid(points) -> FiniteGroupoid:
     """The groupoid with exactly one morphism "(x,y)" between any two points.
 
     Each name is built once, in an N x N table for N points, and that one
     string is the key or value wherever the morphism appears in `source`,
-    `target`, `identity`, `inverse` and `compose`.  The composition table
-    still holds all N**3 composable pairs.  Entries are inserted in the
-    order of `itertools.product` over the sorted points: pairs for the
-    morphism tables, triples for `compose`.
+    `target`, `identity` and `inverse`.  `compose` is a read-only mapping
+    that computes (x,y)·(y,z) = (x,z) on lookup and raises `KeyError` on
+    any other key, so no N**3 table is built.  It still has N**3 entries:
+    iterating it, like the morphism tables, yields them in the order of
+    `itertools.product` over the sorted points (pairs for the morphism
+    tables, triples for `compose`).
     """
     pts = sorted(points)
     if not pts:
         raise ValueError("pair groupoid needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
+    n = len(pts)
     names = [[f"({x},{y})" for y in pts] for x in pts]
-    source, target, inverse, compose = {}, {}, {}, {}
-    for i, (x, row) in enumerate(zip(pts, names)):
-        for y, xy, yx_row in zip(pts, row, names):
-            source[xy] = x
-            target[xy] = y
-            inverse[xy] = yx_row[i]
-    for row in names:
-        for xy, from_y in zip(row, names):
-            compose.update(zip(zip(itertools.repeat(xy), from_y), row))
+    flat = list(itertools.chain.from_iterable(names))
+    source = dict(zip(flat, itertools.chain.from_iterable(itertools.repeat(x, n) for x in pts)))
+    target = dict(zip(flat, itertools.chain.from_iterable(itertools.repeat(pts, n))))
+    inverse = dict(zip(flat, itertools.chain.from_iterable(zip(*names))))
     identity = {x: names[i][i] for i, x in enumerate(pts)}
+    objects = frozenset(pts)
+    compose = _PairCompose(pts, names, (objects, source, target, identity, inverse))
     return FiniteGroupoid(
-        objects=frozenset(pts), source=source, target=target,
+        objects=objects, source=source, target=target,
         identity=identity, inverse=inverse, compose=compose,
     )
 
 
-def components(G: FiniteGroupoid):
-    """Connected components of the object set, as sorted lists."""
+def _is_pair_groupoid(G: FiniteGroupoid) -> bool:
+    """Is G a pair groupoid with every table it was built with?"""
+    return isinstance(G.compose, _PairCompose) and all(
+        mine is built for mine, built in
+        zip((G.objects, G.source, G.target, G.identity, G.inverse), G.compose.tables))
+
+
+def components(G: FiniteGroupoid, morphisms=None):
+    """Connected components of the object set, as sorted lists, joined by
+    `morphisms` (every morphism by default) in either direction."""
     adj = {x: set() for x in G.objects}
-    for m in G.morphisms:
+    for m in G.morphisms if morphisms is None else morphisms:
         adj[G.source[m]].add(G.target[m])
         adj[G.target[m]].add(G.source[m])
     seen, comps = set(), []
@@ -336,19 +378,26 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
     """Does the closure of `carrier` under composition and inversion reach
     every morphism?  `carrier` must contain all identities.
 
-    The closure is the least fixpoint of "add every inverse and every
-    composite of two members", reached by semi-naive rounds (Bancilhon &
-    Ramakrishnan 1986) that pair only the newest members with the rest.  It
-    uses the table as it is and assumes no associativity, so on an
-    unlawful table it is still the closure under the entries present.
+    On an unmodified `pair_groupoid` every hom-set is one arrow, so the
+    closure is every (x,y) with x and y joined by a path of carrier arrows
+    taken either way (the tree-groupoid picture: Higgins 1971; Brown,
+    *Topology and Groupoids* 6.7), and the answer is whether the carrier's
+    graph on the objects is connected.  Any other table gets the least
+    fixpoint of "add every inverse and every composite of two members",
+    reached by semi-naive rounds (Bancilhon & Ramakrishnan 1986) that pair
+    only the newest members with the rest.  That uses the table as it is
+    and assumes no associativity, so on an unlawful table it is still the
+    closure under the entries present.
     """
     carrier = set(carrier)
     for x in sorted(G.objects):
         if G.identity[x] not in carrier:
             raise ValueError(f"carrier misses identity at {x!r}")
-    unknown = carrier - set(G.morphisms)
+    unknown = [m for m in carrier if m not in G.source]
     if unknown:
-        raise ValueError(f"carrier not a subset of morphisms: {sorted(unknown)[0]!r}")
+        raise ValueError(f"carrier not a subset of morphisms: {min(unknown)!r}")
+    if _is_pair_groupoid(G):
+        return len(components(G, carrier)) == 1
     return _closure(G, carrier) == set(G.morphisms)
 
 

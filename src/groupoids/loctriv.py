@@ -170,8 +170,10 @@ def _open_search(G, LT, elements, inside):
     return witnesses, unwitnessed[None], unwitnessed[False]
 
 
-def _require_valid(G, LT):
-    rep = validate_clt(G, LT)
+def _require_valid(G, LT, clt=None):
+    """The `validate_clt` report, or `clt` when the caller already made it;
+    raises on an invalid structure."""
+    rep = validate_clt(G, LT) if clt is None else clt
     if not rep.ok:
         raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
     return rep
@@ -261,16 +263,18 @@ class GenerationReport:
                 and not self.refinement_failures and self.groupoid.ok)
 
 
-def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization):
+def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
+                               clt: CltReport = None):
     """(topology on the morphisms, report).
 
-    Refuses to run on an invalid structure.  Collects every basic
+    Refuses to run on an invalid structure; `clt` is the `validate_clt`
+    report on (G, LT) when the caller already has it.  Collects every basic
     neighborhood, replays the shrinking argument (the Comp witnesses around
     both endpoints give a third neighborhood inside any two with the same
     center), generates the topology, and certifies all six structure maps
     against it and the base space.
     """
-    rep = _require_valid(G, LT)
+    rep = _require_valid(G, LT, clt)
     nbhds = set()
     pairs_of = {}
     for a in sorted(G.morphisms):
@@ -363,7 +367,7 @@ class MonodromyCltReport:
 
 def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
                      W: PregroupoidSubset, M: MonodromyGroupoid,
-                     depth=6) -> MonodromyCltReport:
+                     depth=6, clt: CltReport = None) -> MonodromyCltReport:
     """Transport a local trivialization along the one-letter embedding.
 
     Sections must land in the generating subset (hard error otherwise);
@@ -373,9 +377,10 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
     composition-closed, the openness of its image is checked two ways:
     elementwise (some transported neighborhood of each i~(a) stays inside
     i~(W)) and against the topology generated from transported neighborhoods
-    on the finite window of word classes no longer than `depth`.
+    on the finite window of word classes no longer than `depth`.  `clt` is
+    the `validate_clt` report on (G, LT) when the caller already has it.
     """
-    _require_valid(G, LT)
+    _require_valid(G, LT, clt)
     if M.subset.carrier != W.carrier:
         raise ValueError("the monodromy groupoid was built over a different subset")
     _require_sections_in(LT, W.carrier, "generating subset")

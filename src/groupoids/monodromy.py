@@ -52,9 +52,9 @@ class PregroupoidSubset:
 
 def pregroupoid(G: FiniteGroupoid, carrier) -> PregroupoidSubset:
     carrier = frozenset(carrier)
-    unknown = carrier - set(G.morphisms)
+    unknown = [m for m in carrier if m not in G.source]
     if unknown:
-        raise ValueError(f"not a morphism: {sorted(unknown)[0]!r}")
+        raise ValueError(f"not a morphism: {min(unknown)!r}")
     for x in sorted(G.objects):
         if G.identity[x] not in carrier:
             raise ValueError(f"carrier misses the identity at {x!r}")
@@ -127,17 +127,19 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
     def letters_of(a):
         return () if G.is_identity(a) else ((a, 1),)
 
+    by_src = {}
+    for b in sorted(carrier):
+        by_src.setdefault(G.source[b], []).append(b)
     family, relator_words = [], []
-    for a, b in itertools.product(sorted(carrier), repeat=2):
-        if G.target[a] != G.source[b]:
-            continue
-        ab = G.compose[(a, b)]
-        if ab not in carrier:
-            continue
-        family.append((a, b, ab))
-        letters = free_reduce(letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
-        if letters:
-            relator_words.append(Word(letters, G.source[a]))
+    for a in sorted(carrier):
+        for b in by_src.get(G.target[a], ()):
+            ab = G.compose[(a, b)]
+            if ab not in carrier:
+                continue
+            family.append((a, b, ab))
+            letters = free_reduce(letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
+            if letters:
+                relator_words.append(Word(letters, G.source[a]))
     present = presentation(graph, relator_words)
     forest = spanning_forest(graph, edge_order=edge_order)
     vgps = collapse_presentation(present, forest)
@@ -302,9 +304,9 @@ class StarCoverReport:
                 or not self.fiber_counts_exact or self.capped_at is not None)
 
 
-def star_covering_report(M: MonodromyGroupoid, p: WordEvaluator, x,
-                         depth) -> StarCoverReport:
-    """How close p is to a covering over the star at x, within a depth window.
+def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
+    """How close the evaluation map p (`canonical_morphism`) is to a covering
+    over the star at x, within a depth window.
 
     Counts distinct word classes over every reached star element, separates
     "not reached yet" (deeper window needed, undecided) from "never reachable"

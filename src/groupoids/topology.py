@@ -2,8 +2,8 @@
 
 A finite topology is determined by the smallest open set U_p around each
 point p (Alexandroff 1937; Stong 1966), and `FiniteTopology` stores exactly
-that: S is open iff U_p lies inside S for every p in S.  Products take
-U_a x U_b, subspaces U_p & S, and a base or subbase generates U_p = the
+that: S is open iff U_p lies inside S for every p in S.  A pullback of
+pairs takes (U_a x U_b) & pairs, and a base or subbase generates U_p = the
 intersection of its members around p.  Continuity is one pointwise test,
 f(U_p) inside V_f(p), on plain domains and on the pullbacks of a groupoid's
 structure maps alike, so no certificate builds an open family.  Explicit
@@ -136,12 +136,14 @@ def is_topology(points, family) -> TopologyReport:
     return TopologyReport(ok=True)
 
 
-def topology(points, opens) -> FiniteTopology:
-    """Validated constructor from an explicit family of open sets."""
+def topology(points, opens, report=None) -> FiniteTopology:
+    """Validated constructor from an explicit family of open sets.  A caller
+    that already holds the `is_topology` report on this family passes it as
+    `report`, and the family is not checked again."""
     opens = frozenset(frozenset(o) for o in opens)
     if len(opens) > MAX_OPENS:
         raise TopologySizeError(f"{len(opens)} open sets exceeds the cap of {MAX_OPENS}")
-    rep = is_topology(points, opens)
+    rep = is_topology(points, opens) if report is None else report
     if not rep.ok:
         raise ValueError(f"not a topology ({rep.kind}): witness {rep.witness!r}")
     return FiniteTopology(_meets(points, opens))
@@ -184,20 +186,6 @@ def generate_from_base(points, base) -> GeneratedTopology:
                              base_compatible=all(u in base for u in meets.values()))
 
 
-def product_topology(T1: FiniteTopology, T2: FiniteTopology) -> FiniteTopology:
-    """Generated by open rectangles; U_(a, b) = U_a x U_b."""
-    return FiniteTopology({(a, b): frozenset(itertools.product(ua, ub))
-                           for a, ua in T1.neighborhoods.items()
-                           for b, ub in T2.neighborhoods.items()})
-
-
-def subspace_topology(T: FiniteTopology, subset) -> FiniteTopology:
-    subset = frozenset(subset)
-    if not subset <= set(T.points):
-        raise ValueError(f"subset not contained in the points: {sorted(subset - set(T.points))[0]!r}")
-    return FiniteTopology({p: T.neighborhoods[p] & subset for p in subset})
-
-
 def composable_pairs(G) -> tuple:
     return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
                         if G.target[a] == G.source[b]))
@@ -207,19 +195,6 @@ def difference_pairs(G) -> tuple:
     """Pairs with a common source: the domain of (a, b) -> a^-1 b."""
     return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
                         if G.source[a] == G.source[b]))
-
-
-def pullback_space(G, T_G: FiniteTopology, kind="composable") -> FiniteTopology:
-    """The pullback as a space: the subspace of T_G x T_G on the pairs."""
-    if kind == "composable":
-        pairs = composable_pairs(G)
-    elif kind == "difference":
-        pairs = difference_pairs(G)
-    else:
-        raise ValueError(f"unknown pullback kind: {kind!r}")
-    if set(T_G.points) != set(G.morphisms):
-        raise ValueError("topology points differ from the morphism set")
-    return subspace_topology(product_topology(T_G, T_G), pairs)
 
 
 # ------------------------------------------------------------- continuity

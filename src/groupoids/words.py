@@ -10,7 +10,9 @@ The word-problem pipeline is:
   spanning forest (deterministic breadth-first, lexicographic edge order)
     -> collapse every relator to a one-object presentation per component
     -> eliminate generators that occur exactly once in some relator
-       (records substitutions, so words can be canonicalized later)
+       (records substitutions, so words can be canonicalized later); an
+       index from each generator to the relators holding it means each
+       elimination rewrites only the relators that contain its generator
     -> free normal forms if no relations survive, otherwise coset
        enumeration under an explicit row budget.
 
@@ -20,7 +22,9 @@ undecided when the budget runs out and no free fallback applies.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+import itertools
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 DEFAULT_BUDGET = 10000
@@ -245,39 +249,61 @@ def _substitute(letters, gen, repl):
     return free_reduce(tuple(out))
 
 
+def _lone_letter(r):
+    """Index of the first letter of r whose generator occurs once in r, or None."""
+    counts = Counter(e for e, _ in r)
+    return next((i for i, (e, _) in enumerate(r) if counts[e] == 1), None)
+
+
 def simplify_presentation(generators, relations) -> SimplifiedPresentation:
     """Eliminate generators that occur exactly once in some relation.
 
     Solving such a relation for its lone generator is a substitution that
     preserves the presented group; repeating it shrinks presentations like
     <g1, g4 | g1 g4, g4 g1> down to a free one, which is what lets a free
-    rank be certified instead of guessed.
+    rank be certified instead of guessed.  Relations are kept canonical
+    (`canonical_relator` of a cyclically reduced word).  Each step solves
+    the least relation, by (length, letters), that has a lone generator,
+    at its first lone letter.  An index from each generator to the
+    relations containing it, and a heap of the relations with a lone
+    generator, confine the substitution and re-canonicalisation to the
+    relations that contain the eliminated generator, as in Havas, Kenne,
+    Richardson and Robertson (1984); every other relation is left as it is,
+    which is what rewriting it would give.
     """
     gens = list(generators)
-    rels = {canonical_relator(cyclic_reduce(r)) for r in relations}
-    rels.discard(())
+    rels, containing, lone = {}, {}, []  # word -> serial; gen -> {serial: word}
+    serials = itertools.count()
+
+    def add(w):
+        if w and w not in rels:
+            k = rels[w] = next(serials)
+            counts = Counter(e for e, _ in w)
+            for e in counts:
+                containing.setdefault(e, {})[k] = w
+            if 1 in counts.values():
+                heapq.heappush(lone, (len(w), w))
+
+    for r in relations:
+        add(canonical_relator(cyclic_reduce(r)))
     eliminations = []
-    while True:
-        pick = None
-        for r in sorted(rels, key=lambda w: (len(w), w)):
-            counts = {}
-            for e, _ in r:
-                counts[e] = counts.get(e, 0) + 1
-            for i, (e, s) in enumerate(r):
-                if counts[e] == 1:
-                    pick = (r, i, e, s)
-                    break
-            if pick:
-                break
-        if not pick:
-            break
-        r, i, g, s = pick
+    while lone:
+        _, r = heapq.heappop(lone)
+        if r not in rels:
+            continue  # replaced since it was pushed
+        i = _lone_letter(r)
+        g, s = r[i]
         u, v = r[:i], r[i + 1:]
         repl = (inv_letters(u) + inv_letters(v)) if s > 0 else (v + u)
         repl = free_reduce(repl)
-        rels.remove(r)
-        rels = {canonical_relator(cyclic_reduce(_substitute(w, g, repl))) for w in rels}
-        rels.discard(())
+        affected = containing.pop(g)
+        for k, w in affected.items():
+            del rels[w]
+            for e in {e for e, _ in w} - {g}:
+                del containing[e][k]
+        for w in affected.values():
+            if w != r:
+                add(canonical_relator(cyclic_reduce(_substitute(w, g, repl))))
         gens.remove(g)
         eliminations.append((g, repl))
     return SimplifiedPresentation(generators=tuple(gens),

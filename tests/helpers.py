@@ -8,6 +8,8 @@ axiom checker, the enumeration engine, and the quotient construction.
 import itertools
 
 from groupoids import FiniteGroupoid
+from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
+from groupoids.words import canonical_relator, cyclic_reduce, free_reduce, inv_letters
 
 
 # ---------------------------------------------------------------- group tables
@@ -124,6 +126,16 @@ def product_groupoid(n_objects, table):
                           identity=identity, inverse=inverse, compose=compose)
 
 
+def pair_compose_table(points):
+    """The composition table of the pair groupoid on `points` as a dict,
+    ((x,y), (y,z)) -> (x,z), in the order of `itertools.product` over the
+    sorted points."""
+    pts = sorted(points)
+    name = lambda x, y: f"({x},{y})"
+    return {(name(x, y), name(y, z)): name(x, z)
+            for x, y, z in itertools.product(pts, repeat=3)}
+
+
 # ------------------------------------------------------------ closure oracles
 
 def closure_oracle(G, carrier):
@@ -176,6 +188,50 @@ def normal_closure_oracle(G, seeds):
     return carrier
 
 
+# --------------------------------------------------------- simplification oracle
+
+def simplify_oracle(generators, relations):
+    """(generators, relations, eliminations) of Tietze elimination by the
+    loop that sorts every relation on every round and rewrites all of them
+    after each elimination."""
+    def substitute(letters, gen, repl):
+        out = []
+        for e, s in letters:
+            if e == gen:
+                out.extend(repl if s > 0 else inv_letters(repl))
+            else:
+                out.append((e, s))
+        return free_reduce(tuple(out))
+
+    gens = list(generators)
+    rels = {canonical_relator(cyclic_reduce(r)) for r in relations}
+    rels.discard(())
+    eliminations = []
+    while True:
+        pick = None
+        for r in sorted(rels, key=lambda w: (len(w), w)):
+            counts = {}
+            for e, _ in r:
+                counts[e] = counts.get(e, 0) + 1
+            for i, (e, s) in enumerate(r):
+                if counts[e] == 1:
+                    pick = (r, i, e, s)
+                    break
+            if pick:
+                break
+        if not pick:
+            break
+        r, i, g, s = pick
+        u, v = r[:i], r[i + 1:]
+        repl = free_reduce((inv_letters(u) + inv_letters(v)) if s > 0 else (v + u))
+        rels.remove(r)
+        rels = {canonical_relator(cyclic_reduce(substitute(w, g, repl))) for w in rels}
+        rels.discard(())
+        gens.remove(g)
+        eliminations.append((g, repl))
+    return tuple(gens), tuple(sorted(rels)), tuple(eliminations)
+
+
 # --------------------------------------------------------------- witness replay
 
 def replay_violation(G, v):
@@ -217,6 +273,35 @@ def replay_violation(G, v):
     if k in ("identity-missing", "inverse-missing", "dangling-reference"):
         return True  # structural; presence of the report is the fact
     raise AssertionError(f"unknown violation kind {k}")
+
+
+# ------------------------------------------ product and subspace topologies
+
+def product_topology(T1, T2):
+    """Generated by open rectangles; U_(a, b) = U_a x U_b."""
+    return FiniteTopology({(a, b): frozenset(itertools.product(ua, ub))
+                           for a, ua in T1.neighborhoods.items()
+                           for b, ub in T2.neighborhoods.items()})
+
+
+def subspace_topology(T, subset):
+    subset = frozenset(subset)
+    if not subset <= set(T.points):
+        raise ValueError(f"subset not contained in the points: {sorted(subset - set(T.points))[0]!r}")
+    return FiniteTopology({p: T.neighborhoods[p] & subset for p in subset})
+
+
+def pullback_space(G, T_G, kind="composable"):
+    """The pullback as a space: the subspace of T_G x T_G on the pairs."""
+    if kind == "composable":
+        pairs = composable_pairs(G)
+    elif kind == "difference":
+        pairs = difference_pairs(G)
+    else:
+        raise ValueError(f"unknown pullback kind: {kind!r}")
+    if set(T_G.points) != set(G.morphisms):
+        raise ValueError("topology points differ from the morphism set")
+    return subspace_topology(product_topology(T_G, T_G), pairs)
 
 
 # ------------------------------------------------- explicit-family reference

@@ -38,11 +38,11 @@ from groupoids import (
     quotient,
     sections_from_arrows,
     star_covering_report,
-    topology,
     validate_clt,
     validate_groupoid,
     validate_morphism,
 )
+from groupoids.topology import topology
 from groupoids.words import Word
 
 from helpers import (
@@ -108,7 +108,7 @@ def _rank_one_covering_case(n):
     t0 = perf_counter()
     G, W, M = _unit_window(n)
     assert M.vertex_group_info(M.component_of("*")) == ("free", 1)
-    report = star_covering_report(M, canonical_morphism(M), "*", depth=3 * n)
+    report = star_covering_report(M, "*", depth=3 * n)
     assert report.surjective_within_depth
     assert not report.unreachable and not report.undecided_depth
     assert not report.translate_collisions and not report.injectivity_undecided
@@ -136,7 +136,7 @@ def test_criterion_2_smallest_cyclic_true_behaviour():
     presented groupoid is Z/3 itself, and evaluation is bijective."""
     G, W, M = _unit_window(3)
     assert M.vertex_group_info(M.component_of("*")) == ("finite", 3)
-    report = star_covering_report(M, canonical_morphism(M), "*", depth=9)
+    report = star_covering_report(M, "*", depth=9)
     assert report.surjective_within_depth and report.saturated
     assert report.reached == {"0": 1, "1": 1, "2": 1}  # one class per element
     assert not report.translate_collisions and not report.injectivity_undecided
@@ -209,9 +209,8 @@ def test_criterion_5_tree_collapse():
         res = pi1_graph(verts, edges)
         assert res.component_ranks == (0,) and res.rank == 0
         M, G = res.monodromy, res.groupoid
-        p = canonical_morphism(M)
         for x in sorted(G.objects):
-            rep = star_covering_report(M, p, x, depth=2 * n)
+            rep = star_covering_report(M, x, depth=2 * n)
             assert rep.saturated and rep.fiber_counts_exact
             assert rep.surjective_within_depth and not rep.unreachable
             assert set(rep.reached) == set(G.star(x))

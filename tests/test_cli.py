@@ -1,6 +1,7 @@
 """Command-line contract: corpus exit statuses, report formats, flags, and
 file outputs."""
 
+import importlib
 import json
 import pathlib
 
@@ -176,6 +177,28 @@ def test_unexpected_errors_exit_three_without_a_traceback(monkeypatch, capsys):
     code, out, err = run(["validate", str(CORPUS / "pair-groupoid-3.json")], capsys)
     assert code == 3 and out == ""
     assert err == "error: internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("name, checker, calls", [
+    ("clt-sierpinski", "validate_clt", 1),
+    ("clt-monodromy-triangle", "validate_clt", 1),
+    ("discrete-pair-topology", "is_topology", 2),  # one per family
+])
+def test_each_document_is_validated_once(name, checker, calls, monkeypatch, capsys):
+    """The CLI hands its `validate_clt` or `is_topology` report on, so the
+    construction behind it does not check the same input again."""
+    seen = []
+    for module_name in ("groupoids.cli", "groupoids.loctriv", "groupoids.topology"):
+        module = importlib.import_module(module_name)
+        if hasattr(module, checker):
+            original = getattr(module, checker)
+            monkeypatch.setattr(module, checker,
+                                lambda *a, _f=original, **k: seen.append(1) or _f(*a, **k))
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    code, _, _ = run([doc["_expect"]["command"], str(CORPUS / f"{name}.json"),
+                      *doc["_expect"]["flags"]], capsys)
+    assert code == doc["_expect"]["exit"]
+    assert len(seen) == calls
 
 
 def test_pullback_witness_names_the_offending_pair(tmp_path, capsys):

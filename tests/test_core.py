@@ -22,6 +22,7 @@ from helpers import (
     cyclic,
     group_groupoid,
     normal_closure_oracle,
+    pair_compose_table,
     product_groupoid,
     replay_violation,
     sym3,
@@ -178,6 +179,59 @@ def test_pair_groupoid_names_each_morphism_once():
                   (m for key in G.compose for m in key)):
         assert {id(m) for m in names} == named
     assert {id(m) for m in G.identity.values()} <= named
+
+
+@pytest.mark.parametrize("points", [["0"], ["a", "b"], range(5), ["x", "y10", "y2", "z"]])
+def test_pair_groupoid_computes_the_explicit_table(points):
+    """The computed composition holds the entries of the explicit table, in
+    its order, has its length, and refuses every other pair."""
+    G = pair_groupoid(points)
+    table = pair_compose_table(points)
+    assert list(G.compose.items()) == list(table.items())
+    assert list(G.compose) == list(table)
+    assert len(G.compose) == len(table) == len(G.objects) ** 3
+    morphs = sorted(G.morphisms)
+    for a, b in itertools.product(morphs, morphs):
+        assert G.compose.get((a, b)) == table.get((a, b))
+    for key in [("(0,0)", "(9,9)"), ("nope", morphs[0]), (morphs[0],), "ab", None]:
+        assert key not in G.compose
+        with pytest.raises(KeyError):
+            G.compose[key]
+    with pytest.raises(TypeError):
+        G.compose[(morphs[0], morphs[0])] = morphs[0]  # read-only
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_generated_by_on_pair_groupoids_matches_the_round_loop(data):
+    """Connectivity of the carrier's graph decides generation on pair
+    groupoids of 1-6 points, for carriers that hold the identities, whether
+    or not they are closed under inversion."""
+    n = data.draw(st.integers(1, 6))
+    G = pair_groupoid([f"p{i}" for i in range(n)])
+    assert core._is_pair_groupoid(G)
+    others = sorted(m for m in G.morphisms if not G.is_identity(m))
+    carrier = {G.identity[x] for x in G.objects}
+    if others:
+        carrier |= data.draw(st.sets(st.sampled_from(others), max_size=2 * n))
+    expected = closure_oracle(G, carrier) == set(G.morphisms)
+    assert generated_by(G, carrier) == expected
+
+
+def test_generated_by_shortcut_needs_every_pair_table():
+    """A table rebuilt around a pair groupoid's composition, with another
+    inverse or identity, is closed by the general rounds: here a wrong
+    inverse keeps (1,0) out of reach although {0, 1} is connected."""
+    G = pair_groupoid(["0", "1"])
+    carrier = {"(0,0)", "(1,1)", "(0,1)"}
+    assert generated_by(G, carrier)
+    B = dataclasses.replace(G, inverse={**G.inverse, "(0,1)": "(0,1)"})
+    assert not core._is_pair_groupoid(B)
+    assert closure_oracle(B, carrier) == carrier
+    assert not generated_by(B, carrier)
+    C = dataclasses.replace(G, identity=dict(G.identity))
+    assert not core._is_pair_groupoid(C)
+    assert generated_by(C, carrier)
 
 
 def test_normal_closure_in_z6():

@@ -21,7 +21,6 @@ from groupoids.loctriv import (
 )
 from groupoids.monodromy import (
     build_monodromy,
-    canonical_morphism,
     pregroupoid,
     star_covering_report,
 )
@@ -335,8 +334,7 @@ def test_transport_agrees_with_the_finite_checks(data):
     assert rep.comp_satisfied == tuple((x, i, j, comp_witness(LT, x, i, j))
                                        for x, i, j in triples)
     assert rep.w_tilde_witnesses == check_w_open(G, LT, G.morphisms).witnesses
-    p = canonical_morphism(M)
     for x in points:
-        star = star_covering_report(M, p, x, 3)
+        star = star_covering_report(M, x, 3)
         based = Counter(v for t, v in rep.window.values.items() if t[0] == x)
         assert star.reached == based

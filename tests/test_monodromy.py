@@ -209,7 +209,7 @@ def test_star_cover_matches_the_integer_line():
     for n, depth in ((4, 12), (5, 12), (6, 18), (7, 10)):
         G, W = zmod(n)
         M = build_monodromy(G, W)
-        rep = star_covering_report(M, canonical_morphism(M), "*", depth)
+        rep = star_covering_report(M, "*", depth)
         assert rep.reached == line_fibers(n, depth), (n, depth)
         assert rep.surjective_within_depth
         assert not rep.saturated          # free of rank one: always more words
@@ -221,14 +221,14 @@ def test_star_cover_matches_the_integer_line():
 def test_star_cover_equal_fibers_in_a_balanced_window():
     G, W = zmod(5)
     M = build_monodromy(G, W)
-    rep = star_covering_report(M, canonical_morphism(M), "*", 12)
+    rep = star_covering_report(M, "*", 12)
     assert set(rep.reached.values()) == {5}  # 25 classes spread evenly
 
 
 def test_star_cover_shallow_window_leaves_elements_undecided():
     G, W = zmod(5)
     M = build_monodromy(G, W)
-    rep = star_covering_report(M, canonical_morphism(M), "*", 1)
+    rep = star_covering_report(M, "*", 1)
     assert rep.reached == {"0": 1, "1": 1, "4": 1}
     assert rep.undecided_depth == ("2", "3")
     assert not rep.surjective_within_depth
@@ -241,7 +241,7 @@ def test_star_cover_refutes_unreachable_elements():
     W = pregroupoid(G, {"0", "2", "4"})
     with pytest.warns(UserWarning):
         M = build_monodromy(G, W)
-    rep = star_covering_report(M, canonical_morphism(M), "*", 10)
+    rep = star_covering_report(M, "*", 10)
     assert rep.unreachable == ("1", "3", "5")  # odd elements refuted outright
     assert rep.undecided_depth == ()
     assert rep.reached == {"0": 1, "2": 1, "4": 1}
@@ -253,7 +253,7 @@ def test_star_cover_refutes_unreachable_elements():
 def test_star_cover_saturates_on_finite_classes():
     G, W = zmod(3)
     M = build_monodromy(G, W)
-    rep = star_covering_report(M, canonical_morphism(M), "*", 12)
+    rep = star_covering_report(M, "*", 12)
     assert rep.reached == {"0": 1, "1": 1, "2": 1}
     assert rep.saturated
     assert rep.surjective_within_depth
@@ -263,7 +263,7 @@ def test_star_cover_saturates_on_finite_classes():
 def test_star_cover_undecided_engine_is_flagged():
     G = group_groupoid(sym3())
     M = build_monodromy(G, pregroupoid(G, set(G.morphisms)), budget=3)
-    rep = star_covering_report(M, canonical_morphism(M), "*", 4)
+    rep = star_covering_report(M, "*", 4)
     assert not rep.fiber_counts_exact
     assert rep.has_undecided
     assert rep.engine_kind == "undecided"
@@ -276,7 +276,7 @@ def test_tree_has_trivial_vertex_groups_and_a_bijective_cover():
     assert r.component_ranks == (0,)
     assert r.rank == 0
     M = r.monodromy
-    rep = star_covering_report(M, canonical_morphism(M), "a", 20)
+    rep = star_covering_report(M, "a", 20)
     assert rep.saturated and rep.surjective_within_depth
     assert set(rep.reached.values()) == {1}   # one word class per pair
     assert len(rep.reached) == len(r.vertices)
@@ -341,7 +341,7 @@ def test_pi1_rank_formula_random(data):
 def test_pi1_scales_to_thirty_vertices_and_sixty_edges():
     """A seeded connected graph with |V| = 30 and |E| = 60: rank
     |E| - |V| + 1 = 31.  Its pair groupoid has 90 points and 729,000
-    composites, all of which the generation check has to reach."""
+    composites."""
     rng = random.Random(30)
     vs = [f"v{i:02d}" for i in range(30)]
     es = {(vs[rng.randrange(i)], vs[i]) for i in range(1, 30)}  # a spanning tree
@@ -350,6 +350,20 @@ def test_pi1_scales_to_thirty_vertices_and_sixty_edges():
     start = time.perf_counter()
     r = pi1_graph(vs, sorted(es))
     assert r.rank == 31
+    assert time.perf_counter() - start < 15
+
+
+def test_pi1_scales_to_two_hundred_vertices_and_four_hundred_edges():
+    """A seeded connected graph with |V| = 200 and |E| = 400: rank
+    |E| - |V| + 1 = 201, on a pair groupoid of 600 points."""
+    rng = random.Random(200)
+    vs = [f"v{i:03d}" for i in range(200)]
+    es = {(vs[rng.randrange(i)], vs[i]) for i in range(1, 200)}  # a spanning tree
+    while len(es) < 400:
+        es.add(tuple(sorted(rng.sample(vs, 2))))
+    start = time.perf_counter()
+    r = pi1_graph(vs, sorted(es))
+    assert r.rank == 201
     assert time.perf_counter() - start < 15
 
 
@@ -371,6 +385,6 @@ def test_class_search_stops_at_the_cap(monkeypatch):
     assert len(capped.classes) == 20 and capped.capped_at == 2
     assert not capped.saturated
     assert list(capped.classes.items()) == list(whole.classes.items())[:20]
-    rep = star_covering_report(M, canonical_morphism(M), "*", 3)
+    rep = star_covering_report(M, "*", 3)
     assert rep.capped_at == 2 and rep.has_undecided
     assert sum(rep.reached.values()) == 20

@@ -1,6 +1,7 @@
 """Finite topologies: axiom checking, constructions, continuity certificates."""
 
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,6 @@ from groupoids.topology import (
     is_topology,
     minimal_basis,
     minimal_neighborhoods,
-    product_topology,
-    pullback_space,
-    subspace_topology,
     topology,
 )
 from helpers import (
@@ -27,8 +25,11 @@ from helpers import (
     explicit_pullback,
     explicit_topology,
     group_groupoid,
+    product_topology,
+    pullback_space,
     scan_continuity,
     scan_pullback_continuity,
+    subspace_topology,
 )
 
 F = frozenset
@@ -310,3 +311,9 @@ def test_certificates_match_the_explicit_family_scan(data):
         open_, pair = found or (None, None)
         assert (cert.continuous, cert.witness_open, cert.witness_preimage,
                 cert.witness_pair) == (found is None, open_, None, pair), cert.map_name
+
+
+def test_the_package_attribute_is_the_module():
+    import groupoids.topology as T
+
+    assert isinstance(T, types.ModuleType) and T.topology is topology

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupoids import build_monodromy, pi1_graph, pregroupoid
 from groupoids.words import (
     CosetTable,
     Exhausted,
@@ -24,6 +27,7 @@ from groupoids.words import (
     word_problem,
     word_target,
 )
+from helpers import all_groups_upto8, group_groupoid, product_groupoid, simplify_oracle
 
 
 def line_graph(n):
@@ -156,6 +160,44 @@ def test_simplify_substitution_is_sound():
     assert len(simp.generators) == 1
     (rel,) = simp.relations
     assert len(rel) == 3 and {l[0] for l in rel} == set(simp.generators)
+
+
+@functools.cache
+def collapsed_full_carriers():
+    """The collapsed presentations of the monodromy over the whole groupoid,
+    for every group of order <= 8 on one object and on two."""
+    out = []
+    for _, table in all_groups_upto8():
+        for G in (group_groupoid(table), product_groupoid(2, table)):
+            out.extend(build_monodromy(G, pregroupoid(G, G.morphisms)).vertex_groups)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_simplify_matches_the_all_relators_loop(data):
+    """Rewriting only the relations that hold the eliminated generator picks
+    the same generators, in the same order, with the same replacements and
+    the same surviving relations as rewriting every relation every time."""
+    source = data.draw(st.sampled_from(["full-carrier", "pi1", "random"]))
+    if source == "full-carrier":
+        presentations = [data.draw(st.sampled_from(collapsed_full_carriers()))]
+    elif source == "pi1":
+        n = data.draw(st.integers(2, 7))
+        vs = [f"v{i}" for i in range(n)]
+        es = data.draw(st.lists(st.sampled_from(list(itertools.combinations(vs, 2))),
+                                unique=True, min_size=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # disconnected graphs are fine here
+            presentations = pi1_graph(vs, es).monodromy.vertex_groups
+    else:
+        letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
+        rels = data.draw(st.lists(st.lists(letters, max_size=6).map(tuple), max_size=5))
+        presentations = [vgp("abc", rels)]
+    for v in presentations:
+        simp = simplify_presentation(v.generators, v.relations)
+        assert ((simp.generators, simp.relations, simp.eliminations)
+                == simplify_oracle(v.generators, v.relations))
 
 
 def vgp(gens, rels):
