@@ -398,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="path to a JSON interchange document")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="word-problem budget (default %(default)s)")
+                       help="word-problem budget in coset rows; a finite vertex "
+                            "group of order n is decided only above n, on a "
+                            "composition-closed carrier too, where it is read "
+                            "off the table (default %(default)s)")
         p.add_argument("--depth", type=int, default=8,
                        help="star-cover search depth (default %(default)s)")
         p.add_argument("--window", type=int, default=6,

@@ -288,7 +288,8 @@ def pair_groupoid(points) -> FiniteGroupoid:
     any other key, so no N**3 table is built.  It still has N**3 entries:
     iterating it, like the morphism tables, yields them in the order of
     `itertools.product` over the sorted points (pairs for the morphism
-    tables, triples for `compose`).
+    tables, triples for `compose`).  Points whose pairs would share a name,
+    such as "a", "b,c" and "a,b", "c", are a `ValueError`.
     """
     pts = sorted(points)
     if not pts:
@@ -299,6 +300,13 @@ def pair_groupoid(points) -> FiniteGroupoid:
     names = [[f"({x},{y})" for y in pts] for x in pts]
     flat = list(itertools.chain.from_iterable(names))
     source = dict(zip(flat, itertools.chain.from_iterable(itertools.repeat(x, n) for x in pts)))
+    if len(source) != n * n:  # names with commas can spell one pair two ways
+        first = {}
+        for pair, name in zip(itertools.product(pts, pts), flat):
+            if name in first:
+                raise ValueError(f"pairs {first[name]!r} and {pair!r} "
+                                 f"are both named {name!r}")
+            first[name] = pair
     target = dict(zip(flat, itertools.chain.from_iterable(itertools.repeat(pts, n))))
     inverse = dict(zip(flat, itertools.chain.from_iterable(zip(*names))))
     identity = {x: names[i][i] for i, x in enumerate(pts)}

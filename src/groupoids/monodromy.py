@@ -7,6 +7,17 @@ a, b in W whose ambient product is defined and lands back in W (identity
 letters are erased).  Elements are words; equality is decided by the
 word-problem engine per component.
 
+When no product of two composable carrier elements leaves the carrier (W is
+a subgroupoid), the relators are W's own multiplication table, so every
+word is equal to a one-letter word and the vertex group at a component's
+base x is W(x,x) itself.  Such components skip Tietze elimination and coset
+enumeration: the coset table is read off W, its rows being W(x,x) under
+right multiplication by the loops the collapsed generators stand for, and
+kept only if a certificate holds (see `_table_engine`).  This path decides
+only a group of order n with 1 < n < budget.  Coset enumeration never
+completes within a budget of n rows or fewer, so every other case, and any
+table that fails the certificate, goes to `build_engine` as before.
+
 Two distinguished maps come with the construction: the universal map
 i~ sending each element of W to its one-letter word, and the evaluation
 map p sending a word to its product in G.  `globalize` extends a map
@@ -23,13 +34,19 @@ import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import FiniteGroupoid, generated_by, pair_groupoid
 from .words import (
     DEFAULT_BUDGET,
+    CosetTable,
     Forest,
+    ForestComponent,
     GeneratingGraph,
     GroupoidPresentation,
+    SimplifiedPresentation,
+    VertexGroupEngine,
+    VertexGroupPresentation,
     Word,
     build_engine,
     collapse_letters,
@@ -130,11 +147,12 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
     by_src = {}
     for b in sorted(carrier):
         by_src.setdefault(G.source[b], []).append(b)
-    family, relator_words = [], []
+    family, relator_words, closed = [], [], True
     for a in sorted(carrier):
         for b in by_src.get(G.target[a], ()):
             ab = G.compose[(a, b)]
             if ab not in carrier:
+                closed = False
                 continue
             family.append((a, b, ab))
             letters = free_reduce(letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
@@ -143,7 +161,9 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
     present = presentation(graph, relator_words)
     forest = spanning_forest(graph, edge_order=edge_order)
     vgps = collapse_presentation(present, forest)
-    engines = tuple(build_engine(v, budget=budget) for v in vgps)
+    engines = tuple((closed and _table_engine(G, carrier, graph, comp, v, budget))
+                    or build_engine(v, budget=budget)
+                    for comp, v in zip(forest.components, vgps))
 
     generates = generated_by(G, carrier)
     if not generates:
@@ -154,6 +174,78 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
                              relator_family=tuple(family), forest=forest,
                              vertex_groups=vgps, engines=engines,
                              generates_ambient=generates, budget=budget)
+
+
+def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
+                  comp: ForestComponent, vgp: VertexGroupPresentation, budget):
+    """The vertex group at comp.base of a composition-closed carrier, read
+    off the carrier's own table; None leaves the component to `build_engine`.
+
+    A collapsed generator e, an edge u -> v, stands for the loop
+    path(u) e path(v)^-1 at the base x, evaluated in G.  Row 0 is the
+    identity at x, and the rows are its breadth-first orbit under right
+    multiplication by each loop and then its inverse, in generator order.
+    The table is kept only when it is certified: the rows are exactly
+    W(x,x), each inverse action undoes its action, and every relation
+    returns every row to itself.  Then the rows carry a transitive action
+    of the vertex group, which has at least n = |W(x,x)| elements.  It has
+    at most n: a product of two composable letters is one letter, so the
+    one-letter words from u to u with the empty word are a finite set
+    closed under products, hence a subgroup, and each formal inverse
+    a^-1 = inv(a) (a inv(a))^-1 is then a positive word, as is every word.
+    So the action is regular and the table is exact.  The argument uses
+    only the checks of `validate_structure`, not associativity.  None is
+    returned, too, when n is 1, which keeps "free rank 0" for a trivial
+    group, and when n >= budget.
+    """
+    x = comp.base
+    members = {a for a in carrier if G.source[a] == x == G.target[a]}
+    if not 1 < len(members) < budget:
+        return None
+    p = WordEvaluator(target=G, obj_map={x: x}, gen_map=dict(zip(carrier, carrier)))
+    try:
+        steps = []  # (loop, its inverse) per generator
+        for e in vgp.generators:
+            u, v = graph.edges[e]
+            loop = p.evaluate(Word(comp.paths[u].letters + ((e, 1),)
+                                   + inv_letters(comp.paths[v].letters), x))
+            steps.append((loop, G.inverse[loop]))
+        rows, index = [G.identity[x]], {G.identity[x]: 0}
+        columns = [([], []) for _ in steps]  # (action, inverse action)
+        for g in rows:  # grows while it is read: a breadth-first search
+            for step, cols in zip(steps, columns):
+                for m, col in zip(step, cols):
+                    h = G.compose[(g, m)]
+                    if h not in index:
+                        index[h] = len(rows)
+                        rows.append(h)
+                    col.append(index[h])
+    except KeyError:
+        return None
+    if set(rows) != members:
+        return None
+    fixed = tuple(range(len(rows)))  # two or more, so itemgetter gives tuples
+    action = {e: tuple(f) for e, (f, _) in zip(vgp.generators, columns)}
+    inverse_action = {e: tuple(b) for e, (_, b) in zip(vgp.generators, columns)}
+    for e in vgp.generators:
+        if tuple(map(inverse_action[e].__getitem__, action[e])) != fixed:
+            return None
+
+    def perm(e, s):
+        return (action if s > 0 else inverse_action)[e]
+
+    for r in vgp.relations:
+        at = perm(*r[0])
+        for letter in r[1:]:
+            at = itemgetter(*at)(perm(*letter))
+        if at != fixed:
+            return None
+    table = CosetTable(generators=vgp.generators, size=len(rows),
+                       action=action, inverse_action=inverse_action)
+    simp = SimplifiedPresentation(generators=vgp.generators,
+                                  relations=vgp.relations, eliminations=())
+    return VertexGroupEngine(vgp=vgp, simplified=simp, kind="finite",
+                             table=table, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -398,16 +490,19 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Res
         norm.append(k)
     norm.sort()
 
-    mids = {}
+    mids = {}  # midpoint name -> its edge
     for u, v in norm:
         m = f"mid({u},{v})"
         if m in vset:
             raise ValueError(f"vertex name collides with a midpoint: {m!r}")
-        mids[(u, v)] = m
-    allv = vertices + sorted(mids.values())
+        if m in mids:
+            raise ValueError(f"midpoint names collide: edges {mids[m]!r} "
+                             f"and {(u, v)!r} both give {m!r}")
+        mids[m] = (u, v)
+    allv = vertices + sorted(mids)
     G = pair_groupoid(allv)
     carrier = {G.identity[x] for x in allv}
-    for (u, v), m in mids.items():
+    for m, (u, v) in mids.items():
         for a, b in ((u, m), (m, u), (v, m), (m, v)):
             carrier.add(f"({a},{b})")
     W = pregroupoid(G, carrier)

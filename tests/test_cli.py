@@ -276,3 +276,11 @@ def test_globalize_map_values_must_be_morphism_ids(tmp_path, capsys):
     code, out, err = run(["globalize", _write(tmp_path, "bad-map.json", doc)], capsys)
     assert code == 3 and out == ""
     assert err == "error: document.map: expected object of morphism ids\n"
+
+
+def test_pi1_names_colliding_midpoints(tmp_path, capsys):
+    doc = {"vertices": ["a", "b,c", "a,b", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
+    code, out, err = run(["pi1", _write(tmp_path, "commas.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error: precondition violated: midpoint names collide: edges "
+                   "('a', 'b,c') and ('a,b', 'c') both give 'mid(a,b,c)'\n")

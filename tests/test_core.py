@@ -181,6 +181,15 @@ def test_pair_groupoid_names_each_morphism_once():
     assert {id(m) for m in G.identity.values()} <= named
 
 
+def test_pair_groupoid_refuses_two_pairs_with_one_name():
+    """("a", "b,c") and ("a,b", "c") would both be named "(a,b,c)"."""
+    with pytest.raises(ValueError) as err:
+        pair_groupoid(["a", "b,c", "a,b", "c"])
+    assert str(err.value) == ("pairs ('a', 'b,c') and ('a,b', 'c') "
+                              "are both named '(a,b,c)'")
+    assert len(pair_groupoid(["a", "b,c", "c"]).source) == 9  # commas alone are fine
+
+
 @pytest.mark.parametrize("points", [["0"], ["a", "b"], range(5), ["x", "y10", "y2", "z"]])
 def test_pair_groupoid_computes_the_explicit_table(points):
     """The computed composition holds the entries of the explicit table, in

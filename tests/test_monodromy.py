@@ -2,11 +2,14 @@
 
 import random
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import groupoids.monodromy as monodromy
 from groupoids import (
+    FiniteGroupoid,
     Word,
     build_monodromy,
     canonical_morphism,
@@ -15,8 +18,11 @@ from groupoids import (
     pi1_graph,
     pregroupoid,
     star_covering_report,
+    validate_groupoid,
 )
-from helpers import cyclic, group_groupoid, sym3
+from groupoids.core import validate_structure
+from groupoids.words import DEFAULT_BUDGET, build_engine
+from helpers import all_groups_upto8, cyclic, group_groupoid, product_groupoid, sym3
 
 
 def zmod(n, window=(0, 1, -1)):
@@ -323,6 +329,15 @@ def test_pi1_input_validation():
         pi1_graph(["a", "b", "mid(a,b)"], [("a", "b")])
 
 
+def test_pi1_names_colliding_midpoints():
+    """The edges ("a", "b,c") and ("a,b", "c") share the midpoint name
+    "mid(a,b,c)", although no two vertices are the same."""
+    with pytest.raises(ValueError, match="midpoint names collide") as err:
+        pi1_graph(["a", "b,c", "a,b", "c"], [("a", "b,c"), ("a,b", "c")])
+    assert "('a', 'b,c') and ('a,b', 'c')" in str(err.value)
+    assert "duplicate" not in str(err.value)
+
+
 @given(st.data())
 @settings(max_examples=20, deadline=None)
 def test_pi1_rank_formula_random(data):
@@ -388,3 +403,190 @@ def test_class_search_stops_at_the_cap(monkeypatch):
     rep = star_covering_report(M, "*", 3)
     assert rep.capped_at == 2 and rep.has_undecided
     assert sum(rep.reached.values()) == 20
+
+
+# ------------------------------------------- closed carriers, read off W
+
+def subgroup(table, seeds):
+    """The subgroup of a raw group table generated by `seeds`."""
+    names, mul, _, unit = table
+    H = {unit, *seeds}
+    while True:
+        more = {mul[(a, b)] for a in H for b in H} - H
+        if not more:
+            return H
+        H |= more
+
+
+@st.composite
+def closed_carriers(draw):
+    """(G, W): a connected groupoid on 1-3 objects with a vertex group of
+    order <= 8, and a composition-closed carrier in it.  The objects fall
+    into blocks, and W holds every arrow x>y:h with x and y in one block and
+    h in that block's subgroup, so it may be all of G or a subgroup like
+    {0, 2, 4} in Z/6, on one component or several."""
+    _, table = draw(st.sampled_from(all_groups_upto8()))
+    G = product_groupoid(draw(st.integers(1, 3)), table)
+    objs = sorted(G.objects)
+    block = {x: draw(st.integers(0, len(objs) - 1)) for x in objs}
+    full = draw(st.booleans())
+    groups = {b: set(table[0]) if full else
+              subgroup(table, draw(st.lists(st.sampled_from(table[0]), max_size=2)))
+              for b in sorted(set(block.values()))}
+    W = {m for m in G.morphisms
+         if block[G.source[m]] == block[G.target[m]]
+         and m.split(":")[1] in groups[block[G.source[m]]]}
+    return G, pregroupoid(G, W)
+
+
+def random_word(draw, G, W, base, length):
+    """A chain of carrier letters from `base`, one random step at a time."""
+    letters, at = [], base
+    steps = sorted((a, s) for a in W.carrier if not G.is_identity(a) for s in (1, -1))
+    for _ in range(length):
+        options = [(a, s) for a, s in steps
+                   if (G.source[a] if s > 0 else G.target[a]) == at]
+        if not options:
+            break
+        a, s = draw(st.sampled_from(options))
+        letters.append((a, s))
+        at = G.target[a] if s > 0 else G.source[a]
+    return Word(tuple(letters), base), at
+
+
+def ambient_product(G, w):
+    acc = G.identity[w.base]
+    for a, s in w.letters:
+        acc = G.compose[(acc, a if s > 0 else G.inverse[a])]
+    return acc
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_closed_carriers_agree_with_coset_enumeration(data):
+    """On a composition-closed carrier the vertex group at x is W(x,x).
+    Wherever simplification and coset enumeration decide, the table read
+    off W gives the same kind and order; elsewhere it is undecided or the
+    true order |W(x,x)|, below the budget.  Word equality is equality of
+    ambient products, which is exact for a closed carrier."""
+    G, W = data.draw(closed_carriers())
+    n_max = max(sum(1 for a in W.carrier if G.source[a] == x == G.target[a])
+                for x in G.objects)
+    budget = data.draw(st.integers(1, n_max + 40) | st.just(DEFAULT_BUDGET))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # several blocks do not generate G
+        M = build_monodromy(G, W, budget=budget)
+    for i, (comp, vgp) in enumerate(zip(M.forest.components, M.vertex_groups)):
+        old, new = build_engine(vgp, budget=budget), M.engines[i]
+        n = sum(1 for a in W.carrier if G.source[a] == comp.base == G.target[a])
+        if old.kind != "undecided":
+            assert (new.kind, new.order, new.rank) == (old.kind, old.order, old.rank)
+        else:
+            assert M.vertex_group_info(i) in {("undecided", budget), ("finite", n)}
+            assert new.kind == "undecided" or n < budget
+    for _ in range(4):
+        base = data.draw(st.sampled_from(sorted(G.objects)))
+        w1, end1 = random_word(data.draw, G, W, base, data.draw(st.integers(0, 6)))
+        w2, end2 = random_word(data.draw, G, W, base, data.draw(st.integers(0, 6)))
+        if end2 != end1:  # close w2 up to w1's end, within the block
+            link = min(a for a in W.carrier if G.source[a] == end2 and G.target[a] == end1)
+            w2 = Word(w2.letters + ((link, 1),), base)
+        eq = M.equal(w1, w2)
+        if M.engines[M.component_of(base)].kind != "undecided":
+            assert eq is not None
+        assert eq in (None, ambient_product(G, w1) == ambient_product(G, w2))
+
+
+def one_object(rows, inverse):
+    """A one-object table on "0".."n-1" with identity "0": rows[a][b] is
+    a.b, and inverse[a] is the inverse of a.  Only `validate_structure`'s
+    checks are sure to hold."""
+    names = [str(i) for i in range(len(rows))]
+    return FiniteGroupoid(
+        objects=frozenset("*"), source=dict.fromkeys(names, "*"),
+        target=dict.fromkeys(names, "*"), identity={"*": "0"},
+        inverse=dict(zip(names, inverse)),
+        compose={(a, b): rows[int(a)][int(b)] for a in names for b in names})
+
+
+def certificate(G):
+    """The table engine of the full carrier of a one-object G, or None."""
+    W = pregroupoid(G, set(G.morphisms))
+    M = build_monodromy(G, W)
+    return M, monodromy._table_engine(G, W.carrier, M.graph, M.forest.components[0],
+                                      M.vertex_groups[0], DEFAULT_BUDGET)
+
+
+def scrambled_z5():
+    names, mul, inv, unit = cyclic(5)
+    return group_groupoid((names, {**mul, ("2", "3"): "1"}, inv, unit))
+
+
+@pytest.mark.parametrize("G", [
+    scrambled_z5(),
+    # a loop of order 5 (a Latin square with identity "0", every element its
+    # own inverse) that is not a group: (1.1).2 = 2 but 1.(1.2) = 4
+    one_object(["01234", "10342", "24013", "32401", "43120"], "01234"),
+], ids=["scrambled-Z5", "loop-of-order-5"])
+def test_certificate_rejects_non_associative_tables(G):
+    """Tables that pass the linear checks but are not associative: the
+    certificate turns the table down, and the verdict is coset
+    enumeration's."""
+    assert validate_structure(G).ok
+    assert "associativity" in {v.kind for v in validate_groupoid(G).violations}
+    M, engine = certificate(G)
+    assert engine is None
+    old = build_engine(M.vertex_groups[0])
+    assert (M.engines[0].kind, M.engines[0].order) == (old.kind, old.order)
+
+
+@pytest.mark.parametrize("rows, inverse, verdict", [
+    # 0.2 = 1, so the rows {0, 1} miss 2; the group is Z/2 all the same
+    (["011", "100", "200"], "011", ("finite", 2)),
+    # 0.0 = 1: the inverse of 1 is 0, whose action does not undo 1's
+    (["102", "010", "220"], "101", ("free", 0)),
+    # (1.1).2 = 2 but 1.(1.2) = 0
+    (["012", "101", "220"], "012", ("free", 0)),
+], ids=["rows", "inverse-action", "relations"])
+def test_each_certificate_check_is_needed(rows, inverse, verdict):
+    """Each table passes the linear checks and fails exactly one of the
+    certificate's, which turns it down; the verdict is coset
+    enumeration's.  Kept without its check, the second and third tables
+    would claim order 3 for a trivial group."""
+    G = one_object(rows, inverse)
+    assert validate_structure(G).ok
+    M, engine = certificate(G)
+    assert engine is None
+    assert M.vertex_group_info(0) == verdict
+    old = build_engine(M.vertex_groups[0])
+    assert (old.kind, old.order) == (M.engines[0].kind, M.engines[0].order)
+
+
+def test_closed_carriers_decide_only_below_the_budget():
+    """P2 x Z/2 with the full carrier has vertex groups of order n = 2.
+    Coset enumeration needs more than n rows, so budget 2 stays undecided
+    (as in corpus/monodromy-starved.json) and budget 3 decides.  A trivial
+    vertex group keeps its "free rank 0"."""
+    G = product_groupoid(2, cyclic(2))
+    W = pregroupoid(G, set(G.morphisms))
+    assert build_monodromy(G, W, budget=2).vertex_group_info(0) == ("undecided", 2)
+    assert build_monodromy(G, W, budget=3).vertex_group_info(0) == ("finite", 2)
+    P = pair_groupoid(["a", "b", "c"])
+    M = build_monodromy(P, pregroupoid(P, set(P.morphisms)))
+    assert M.vertex_group_info(0) == ("free", 0)
+
+
+@pytest.mark.parametrize("n", [80, 120])
+def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
+    """The monodromy groupoid of the whole groupoid is the groupoid: with
+    the full carrier of Z/n the vertex group has order n, decided at the
+    default budget."""
+    G = group_groupoid(cyclic(n))
+    start = time.perf_counter()
+    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)))
+    assert M.vertex_group_info(0) == ("finite", n)
+    assert M.equal(Word((("1", 1),) * n, "*"), Word((), "*")) is True
+    assert M.equal(Word((("1", 1),) * (n - 1), "*"), Word((("1", -1),), "*")) is True
+    assert M.equal(Word((("1", 1),) * 2, "*"), Word((("2", 1),), "*")) is True
+    assert M.equal(Word((("1", 1),), "*"), Word((("2", 1),), "*")) is False
+    assert time.perf_counter() - start < 15
