@@ -25,7 +25,9 @@ defined only on W to the whole presented groupoid exactly when the map is
 compatible with every relator, and `star_covering_report` measures how far
 p is from a bijection on stars, depth window by depth window.  That report
 and the transported window in `loctriv` share one breadth-first class
-search, `enumerate_classes`, which stops at MAX_CLASSES classes.
+search, `enumerate_classes`, which stops at MAX_CLASSES classes.  It extends
+each class's token by the image of one more letter, computed once per
+carrier element, instead of rebuilding the token from the whole word.
 """
 
 from __future__ import annotations
@@ -341,35 +343,42 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     steps along the subset from the empty words at `roots`.
 
     Each class keeps the first word that reached it and that word's product
-    in the ambient groupoid.  The search stops, capped, when a new class
-    turns up once MAX_CLASSES are known.
+    in the ambient groupoid.  A word's token is never rebuilt from its
+    letters: each carrier element's image under its engine is computed
+    once, and a new word's token extends the token of the word it grows
+    from by that image (`VertexGroupEngine.extend`).  The search stops,
+    capped, when a new class turns up once MAX_CLASSES are known.
     """
     G = M.ambient
-    gens = [a for a in sorted(M.subset.carrier) if not G.is_identity(a)]
+    comps = {M.component_of(x) for x in roots}
+    steps = {}  # object -> (a, its target, normal letters of i~(a)), a ascending
+    for a in sorted(M.subset.carrier):
+        x = G.source[a]
+        comp = M.component_of(x)
+        if not G.is_identity(a) and comp in comps:
+            image = collapse_letters(M.forest, M.graph, ((a, 1),))
+            steps.setdefault(x, []).append(
+                (a, G.target[a], M.engines[comp].normal_letters(image)))
     classes, frontier, exact = {}, [], True
     for x in roots:
         w = Word((), x)
         t, ok = M.token(w)
-        exact &= ok
+        exact &= ok  # every later word lies in its root's component, same engine
         classes.setdefault(t, (w, G.identity[x]))
-        frontier.append((w, G.identity[x]))
+        frontier.append((w, G.identity[x], x, t[2], M.engines[M.component_of(x)]))
     levels = 0
     while frontier and levels < depth:
         fresh = []
-        for w, val in frontier:
-            at = word_target(M.graph, w)
-            for a in gens:
-                if G.source[a] != at:
-                    continue
-                w2 = Word(free_reduce(w.letters + ((a, 1),)), w.base)
-                t2, ok = M.token(w2)
-                exact &= ok
+        for w, val, at, state, engine in frontier:
+            for a, y, image in steps.get(at, ()):
+                t2 = (w.base, y, engine.extend(state, image))
                 if t2 in classes:
                     continue
                 if len(classes) >= MAX_CLASSES:
                     return ClassSearch(classes, exact, False, levels)
-                classes[t2] = (w2, G.compose[(val, a)])
-                fresh.append(classes[t2])
+                w2, val2 = Word(w.letters + ((a, 1),), w.base), G.compose[(val, a)]
+                classes[t2] = (w2, val2)
+                fresh.append((w2, val2, y, t2[2], engine))
         frontier = fresh
         levels += 1
     return ClassSearch(classes, exact, not frontier, None)

@@ -474,26 +474,47 @@ class VertexGroupEngine:
             return 1 if not self.simplified.generators else None
         return self.table.size if self.kind == "finite" else None
 
+    @property
+    def unit(self):
+        """The token of the empty word."""
+        return 0 if self.kind == "finite" else ()
+
     def normal_letters(self, letters):
-        return free_reduce(rewrite_through(self.simplified.eliminations, letters))
+        return rewrite_through(self.simplified.eliminations, letters)
+
+    def extend(self, state, letters):
+        """The token of w.u, given state, the token of w, and letters, the
+        normal letters of u.
+
+        Tokens are homomorphic images of words, which is why one letter can
+        be traced on from the state already held.  For "free" and
+        "undecided" engines a token is the freely reduced image under the
+        recorded eliminations, and a substitution followed by free
+        reduction is a homomorphism of free groups, so the image of w.u is
+        the reduced image of w joined to the reduced image of u; only the
+        junction of those two reduced words can cancel.  For "finite"
+        engines a token is the row reached from row 0, and each inverse
+        column undoes its column (a completed enumeration traces g g^-1
+        from every row, and a table read off the carrier is certified to),
+        so following a word from a row gives the row its free reduction
+        gives: following u from the row of w is the row of w.u."""
+        if self.kind == "finite":
+            return self.table.follow(letters, state)
+        i, n = 0, min(len(state), len(letters))
+        while i < n and state[-1 - i] == (letters[i][0], -letters[i][1]):
+            i += 1
+        return state[:len(state) - i] + letters[i:]
 
     def token(self, letters):
         """(token, exact).  Equal tokens always mean equal elements; when
         exact is False, distinct tokens prove nothing."""
-        nf = self.normal_letters(letters)
-        if self.kind == "finite":
-            return self.table.follow(nf), True
-        return nf, self.kind == "free"
+        return self.extend(self.unit, self.normal_letters(letters)), self.kind != "undecided"
 
     def is_trivial(self, letters):
-        nf = self.normal_letters(letters)
-        if not nf:
+        tok, exact = self.token(letters)
+        if tok == self.unit:
             return True
-        if self.kind == "free":
-            return False
-        if self.kind == "finite":
-            return self.table.follow(nf) == 0
-        return None
+        return False if exact else None
 
 
 def build_engine(vgp: VertexGroupPresentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:

@@ -7,9 +7,16 @@ axiom checker, the enumeration engine, and the quotient construction.
 
 import itertools
 
-from groupoids import FiniteGroupoid
+from groupoids import FiniteGroupoid, Word
+from groupoids.monodromy import ClassSearch
 from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
-from groupoids.words import canonical_relator, cyclic_reduce, free_reduce, inv_letters
+from groupoids.words import (
+    canonical_relator,
+    cyclic_reduce,
+    free_reduce,
+    inv_letters,
+    word_target,
+)
 
 
 # ---------------------------------------------------------------- group tables
@@ -230,6 +237,42 @@ def simplify_oracle(generators, relations):
         gens.remove(g)
         eliminations.append((g, repl))
     return tuple(gens), tuple(sorted(rels)), tuple(eliminations)
+
+
+# --------------------------------------------------------- class search oracle
+
+def class_search_oracle(M, roots, depth, max_classes):
+    """`monodromy.enumerate_classes` by the loop that rebuilds every new
+    word's token from all of its letters (`M.token`)."""
+    G = M.ambient
+    gens = [a for a in sorted(M.subset.carrier) if not G.is_identity(a)]
+    classes, frontier, exact = {}, [], True
+    for x in roots:
+        w = Word((), x)
+        t, ok = M.token(w)
+        exact &= ok
+        classes.setdefault(t, (w, G.identity[x]))
+        frontier.append((w, G.identity[x]))
+    levels = 0
+    while frontier and levels < depth:
+        fresh = []
+        for w, val in frontier:
+            at = word_target(M.graph, w)
+            for a in gens:
+                if G.source[a] != at:
+                    continue
+                w2 = Word(free_reduce(w.letters + ((a, 1),)), w.base)
+                t2, ok = M.token(w2)
+                exact &= ok
+                if t2 in classes:
+                    continue
+                if len(classes) >= max_classes:
+                    return ClassSearch(classes, exact, False, levels)
+                classes[t2] = (w2, G.compose[(val, a)])
+                fresh.append(classes[t2])
+        frontier = fresh
+        levels += 1
+    return ClassSearch(classes, exact, not frontier, None)
 
 
 # --------------------------------------------------------------- witness replay

@@ -249,6 +249,16 @@ def test_star_cover_names_the_class_cap(tmp_path, monkeypatch, capsys):
     assert capped["verdicts"].keys() == whole["verdicts"].keys()
 
 
+def test_star_cover_stops_at_the_real_class_cap(tmp_path, capsys):
+    """At depth 12 the star holds 1,062,881 classes; the search keeps the
+    first 65,536, which it finds in level 10, and says so."""
+    path = _write(tmp_path, "z5z5.json", _unit_window_doc(object="*"))
+    code, out, _ = run(["star-cover", path, "--depth", "12", "--format", "machine"], capsys)
+    assert code == 2
+    assert json.loads(out)["undecided"] == [
+        "class search capped at 65536 classes after depth 9 of 12"]
+
+
 def test_transported_window_names_the_class_cap(tmp_path, monkeypatch, capsys):
     """The whole-space cover of the one-point base transports to the
     discrete topology on the window; a cap of 3 stops the depth-1 window

@@ -3,9 +3,10 @@
 import random
 import time
 import warnings
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import groupoids.monodromy as monodromy
 from groupoids import (
@@ -22,7 +23,14 @@ from groupoids import (
 )
 from groupoids.core import validate_structure
 from groupoids.words import DEFAULT_BUDGET, build_engine
-from helpers import all_groups_upto8, cyclic, group_groupoid, product_groupoid, sym3
+from helpers import (
+    all_groups_upto8,
+    class_search_oracle,
+    cyclic,
+    group_groupoid,
+    product_groupoid,
+    sym3,
+)
 
 
 def zmod(n, window=(0, 1, -1)):
@@ -129,7 +137,7 @@ def test_undecided_engine_reports_none():
                  for a in sorted(M.subset.carrier)
                  for b in sorted(M.subset.carrier) if a < b]
     assert None in undecided  # some pair the budget cannot separate
-    assert True not in undecided or True  # no claim either way on the rest
+    assert True not in undecided  # p(i~(a)) = a keeps distinct elements apart
     _, exact = M.token(M.i_tilde("120"))
     assert exact is False
 
@@ -590,3 +598,104 @@ def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
     assert M.equal(Word((("1", 1),) * 2, "*"), Word((("2", 1),), "*")) is True
     assert M.equal(Word((("1", 1),), "*"), Word((("2", 1),), "*")) is False
     assert time.perf_counter() - start < 15
+
+
+# ------------------------------------------- class search against its oracle
+
+def search_instance(G, carrier, budget, roots, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # carriers that do not generate G
+        return build_monodromy(G, pregroupoid(G, carrier), budget=budget), roots, depth
+
+
+@st.composite
+def search_instances(draw):
+    """(M, roots, depth): a group or product groupoid on 1-3 objects; a
+    carrier that is composition-closed (`closed_carriers`), such a carrier
+    less up to two elements and their inverses, or random and
+    inversion-closed; a budget; roots in any component; and a depth of at
+    most 5 with at most 4096 words of full length."""
+    shape = draw(st.sampled_from(["closed", "punctured", "random"]))
+    if shape != "random":
+        G, W = draw(closed_carriers())
+        moves = sorted(a for a in W.carrier if not G.is_identity(a))
+        drop = (draw(st.lists(st.sampled_from(moves), min_size=1, max_size=2))
+                if shape == "punctured" and moves else [])
+        W = W.carrier - {*drop, *(G.inverse[a] for a in drop)}
+    else:
+        _, table = draw(st.sampled_from(all_groups_upto8()))
+        n = draw(st.integers(1, 3))
+        G = group_groupoid(table) if n == 1 and draw(st.booleans()) else product_groupoid(n, table)
+        moves = sorted(m for m in G.morphisms if not G.is_identity(m))
+        picks = draw(st.lists(st.sampled_from(moves), max_size=4)) if moves else []
+        W = {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)}
+    budget = draw(st.sampled_from([2, 3, 5, 8, 20, DEFAULT_BUDGET]))
+    roots = draw(st.lists(st.sampled_from(sorted(G.objects)), min_size=1, max_size=3))
+    steps = max(Counter(G.source[a] for a in W if not G.is_identity(a)).values(), default=0)
+    depth = draw(st.integers(0, 5))
+    while steps ** depth > 4096:
+        depth -= 1
+    return search_instance(G, W, budget, roots, depth)
+
+
+def engine_label(M, component):
+    """free, undecided, or finite split by where its table came from: read
+    off a composition-closed carrier, or by coset enumeration."""
+    engine, G, W = M.engines[component], M.ambient, M.subset.carrier
+    if engine.kind != "finite":
+        return engine.kind
+    closed = all(ab in W for a, b, ab in
+                 ((a, b, G.compose[(a, b)]) for a in W for b in W
+                  if G.target[a] == G.source[b]))
+    return "table" if closed and engine.order > 1 else "coset"
+
+
+def assert_same_search(new, old):
+    assert list(new.classes.items()) == list(old.classes.items())
+    assert (new.exact, new.saturated, new.capped_at) == (old.exact, old.saturated,
+                                                         old.capped_at)
+
+
+S3, Z6 = group_groupoid(sym3()), group_groupoid(cyclic(6))
+
+
+def test_class_search_matches_the_whole_word_oracle():
+    """Extending each class's token by a letter's image gives the classes,
+    in the same order, and the flags that rebuilding every token from its
+    whole word gives, on every engine kind.  The explicit examples are one
+    of each kind: Z/6 over its unit window (free), all of Z/6 (read off
+    W), S3 less a transposition (coset enumeration) and all of S3 at
+    budget 3 (undecided)."""
+    labels = Counter()
+
+    @given(search_instances())
+    @example(search_instance(Z6, {"0", "1", "5"}, DEFAULT_BUDGET, ["*"], 5))
+    @example(search_instance(Z6, set(Z6.morphisms), DEFAULT_BUDGET, ["*"], 3))
+    @example(search_instance(S3, set(S3.morphisms) - {"021"}, 20, ["*"], 4))
+    @example(search_instance(S3, set(S3.morphisms), 3, ["*", "*"], 3))
+    @settings(max_examples=150, deadline=None)
+    def check(instance):
+        M, roots, depth = instance
+        new = monodromy.enumerate_classes(M, roots, depth)
+        assert_same_search(new, class_search_oracle(M, roots, depth, monodromy.MAX_CLASSES))
+        labels.update(engine_label(M, M.component_of(x)) for x in set(roots))
+
+    check()
+    assert set(labels) == {"free", "undecided", "table", "coset"}, labels
+
+
+def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):
+    """Two components of Z/5 on two objects, each presenting a free group of
+    rank 1 (1 + 1 and 2 + 2 leave the carrier), searched from both roots:
+    2, 4 and 4 new classes at depths 0-2, so a cap of 7 stops level 2 after
+    its first new class."""
+    G = product_groupoid(2, cyclic(5))
+    W = pregroupoid(G, {*G.identity.values(), "o0>o0:1", "o0>o0:4", "o1>o1:2", "o1>o1:3"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # W does not reach o0 -> o1
+        M = build_monodromy(G, W)
+    assert [M.vertex_group_info(i) for i in range(2)] == [("free", 1)] * 2
+    monkeypatch.setattr(monodromy, "MAX_CLASSES", 7)
+    capped = monodromy.enumerate_classes(M, ["o0", "o1"], 3)
+    assert len(capped.classes) == 7 and capped.capped_at == 1
+    assert_same_search(capped, class_search_oracle(M, ["o0", "o1"], 3, 7))
