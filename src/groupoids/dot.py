@@ -55,12 +55,8 @@ def export_dot(obj) -> str:
     if isinstance(obj, Pi1Result):
         obj = obj.monodromy
     if isinstance(obj, MonodromyGroupoid):
-        graph = obj.graph
-        tree = frozenset().union(*(c.tree_edges for c in obj.forest.components)) \
-            if obj.forest.components else frozenset()
-        edges = _paired_edges(graph.edges, obj.ambient.inverse, tree)
-        label = (f"{len(edges)} generators, "
-                 f"{len(obj.present.relators)} relators")
+        edges = _paired_edges(obj.graph.edges, obj.ambient.inverse, obj.forest.tree_edges)
+        label = f"{len(edges)} generators, {len(obj.relators)} relators"
         comps = [sorted(c.vertices) for c in obj.forest.components]
         comps.sort(key=lambda vs: vs[0])
     elif isinstance(obj, FiniteGroupoid):

@@ -23,7 +23,6 @@ import json
 from .core import FiniteGroupoid
 from .loctriv import LocalTrivialization, local_trivialization
 from .topology import FiniteTopology, topology
-from .words import GeneratingGraph, GroupoidPresentation, Word, presentation
 
 
 class DocumentError(Exception):
@@ -186,57 +185,6 @@ def parse_graph(doc, where="graph"):
                 raise DocumentError(f"{spot}: unknown vertex {p!r}")
         edges.append((u, v))
     return vertices, edges
-
-
-# ---------------------------------------------------------- presentations
-
-def parse_presentation(doc, where="presentation") -> GroupoidPresentation:
-    vertices = _strings(_require(doc, "vertices", list, where), f"{where}.vertices")
-    edges = {}
-    for i, e in enumerate(_require(doc, "edges", list, where)):
-        spot = f"{where}.edges[{i}]"
-        if not isinstance(e, dict):
-            raise DocumentError(f"{spot}: expected object")
-        eid = _require(e, "id", str, spot)
-        if eid in edges:
-            raise DocumentError(f"{spot}: duplicate edge id {eid!r}")
-        src, tgt = _require(e, "src", str, spot), _require(e, "tgt", str, spot)
-        for p in (src, tgt):
-            if p not in vertices:
-                raise DocumentError(f"{spot}: unknown vertex {p!r}")
-        edges[eid] = (src, tgt)
-    graph = GeneratingGraph(vertices=frozenset(vertices), edges=edges)
-    relators = []
-    for i, r in enumerate(_require(doc, "relators", list, where)):
-        spot = f"{where}.relators[{i}]"
-        if not isinstance(r, dict):
-            raise DocumentError(f"{spot}: expected object")
-        base = _require(r, "base", str, spot)
-        if base not in vertices:
-            raise DocumentError(f"{spot}: unknown vertex {base!r}")
-        letters = []
-        for j, letter in enumerate(_require(r, "letters", list, spot)):
-            if not (isinstance(letter, list) and len(letter) == 2
-                    and isinstance(letter[0], str) and letter[1] in (1, -1)):
-                raise DocumentError(f"{spot}.letters[{j}]: expected [edge, 1|-1]")
-            if letter[0] not in edges:
-                raise DocumentError(f"{spot}.letters[{j}]: unknown edge {letter[0]!r}")
-            letters.append((letter[0], letter[1]))
-        relators.append(Word(tuple(letters), base))
-    try:
-        return presentation(graph, relators)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}") from e
-
-
-def serialize_presentation(P: GroupoidPresentation) -> dict:
-    return {
-        "vertices": sorted(P.graph.vertices),
-        "edges": [{"id": e, "src": s, "tgt": t}
-                  for e, (s, t) in sorted(P.graph.edges.items())],
-        "relators": [{"base": r.base, "letters": [[e, s] for e, s in r.letters]}
-                     for r in P.relators],
-    }
 
 
 # ----------------------------------------------------- local trivializations

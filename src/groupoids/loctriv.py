@@ -408,9 +408,8 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
         b = p.evaluate(w)
         return b in W.carrier and M.equal(w, M.i_tilde(b))
 
-    closed = not check_wide_subgroupoid(G, W.carrier)
     w_wit, w_und, w_fail = {}, [], []
-    if closed:
+    if M.closed:
         w_wit, w_und, w_fail = _open_search(
             G, LT, sorted(W.carrier),
             lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
@@ -418,13 +417,13 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
     return MonodromyCltReport(
         sections=trans, problems=tuple(problems),
         comp_satisfied=tuple(comp[True]), comp_undecided=tuple(comp[None]),
-        comp_failed=tuple(comp[False]), subset_closed=closed,
+        comp_failed=tuple(comp[False]), subset_closed=M.closed,
         w_tilde_failures=tuple(w_fail), w_tilde_undecided=tuple(w_und),
         w_tilde_witnesses=w_wit,
-        window=_window_topology(LT, M, depth, closed, neighborhood))
+        window=_window_topology(LT, M, depth, neighborhood))
 
 
-def _window_topology(LT, M, depth, closed, neighborhood) -> WindowTopologyReport:
+def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
     """Generate the transported-neighborhood topology on the word classes of
     length <= depth and test openness of i~(W) inside it."""
     search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
@@ -438,7 +437,7 @@ def _window_topology(LT, M, depth, closed, neighborhood) -> WindowTopologyReport
     gen = generate_from_base(sorted(classes, key=str), traces)
 
     w_open = None
-    if closed:
+    if M.closed:
         image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
         w_open = gen.topology.is_open(image.intersection(classes))
     return WindowTopologyReport(depth=depth, points=len(classes),

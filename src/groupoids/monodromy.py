@@ -45,7 +45,6 @@ from .words import (
     Forest,
     ForestComponent,
     GeneratingGraph,
-    GroupoidPresentation,
     SimplifiedPresentation,
     VertexGroupEngine,
     VertexGroupPresentation,
@@ -55,7 +54,6 @@ from .words import (
     collapse_presentation,
     free_reduce,
     inv_letters,
-    presentation,
     spanning_forest,
     word_target,
 )
@@ -88,12 +86,13 @@ class MonodromyGroupoid:
     ambient: FiniteGroupoid
     subset: PregroupoidSubset
     graph: GeneratingGraph
-    present: GroupoidPresentation
+    relators: tuple            # closed Words a.b.(ab)^-1, identity letters erased
     relator_family: tuple      # (a, b, ab) triples, the defining family
     forest: Forest
     vertex_groups: tuple       # VertexGroupPresentation per component
     engines: tuple             # VertexGroupEngine per component
     generates_ambient: bool
+    closed: bool               # no product of composable carrier elements leaves W
     budget: int
 
     def component_of(self, x):
@@ -111,7 +110,7 @@ class MonodromyGroupoid:
     def token(self, w: Word):
         """((src, tgt, class token), exact) for the word's class."""
         engine = self.engines[self.component_of(w.base)]
-        tok, exact = engine.token(collapse_letters(self.forest, self.graph, w.letters))
+        tok, exact = engine.token(collapse_letters(self.forest, w.letters))
         return (w.base, word_target(self.graph, w), tok), exact
 
     def equal(self, w1: Word, w2: Word):
@@ -122,8 +121,7 @@ class MonodromyGroupoid:
             return False
         engine = self.engines[self.component_of(w1.base)]
         return engine.is_trivial(
-            collapse_letters(self.forest, self.graph,
-                             w1.letters + inv_letters(w2.letters)))
+            collapse_letters(self.forest, w1.letters + inv_letters(w2.letters)))
 
     def vertex_group_info(self, component):
         e = self.engines[component]
@@ -149,7 +147,7 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
     by_src = {}
     for b in sorted(carrier):
         by_src.setdefault(G.source[b], []).append(b)
-    family, relator_words, closed = [], [], True
+    family, relators, closed = [], [], True
     for a in sorted(carrier):
         for b in by_src.get(G.target[a], ()):
             ab = G.compose[(a, b)]
@@ -159,10 +157,9 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
             family.append((a, b, ab))
             letters = free_reduce(letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
             if letters:
-                relator_words.append(Word(letters, G.source[a]))
-    present = presentation(graph, relator_words)
+                relators.append(Word(letters, G.source[a]))
     forest = spanning_forest(graph, edge_order=edge_order)
-    vgps = collapse_presentation(present, forest)
+    vgps = collapse_presentation(graph, relators, forest)
     engines = tuple((closed and _table_engine(G, carrier, graph, comp, v, budget))
                     or build_engine(v, budget=budget)
                     for comp, v in zip(forest.components, vgps))
@@ -172,10 +169,10 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
         warnings.warn("generating subset does not reach every morphism; "
                       "the evaluation map cannot be star-surjective",
                       stacklevel=2)
-    return MonodromyGroupoid(ambient=G, subset=W, graph=graph, present=present,
+    return MonodromyGroupoid(ambient=G, subset=W, graph=graph, relators=tuple(relators),
                              relator_family=tuple(family), forest=forest,
                              vertex_groups=vgps, engines=engines,
-                             generates_ambient=generates, budget=budget)
+                             generates_ambient=generates, closed=closed, budget=budget)
 
 
 def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
@@ -246,8 +243,7 @@ def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
                        action=action, inverse_action=inverse_action)
     simp = SimplifiedPresentation(generators=vgp.generators,
                                   relations=vgp.relations, eliminations=())
-    return VertexGroupEngine(vgp=vgp, simplified=simp, kind="finite",
-                             table=table, budget=budget)
+    return VertexGroupEngine(simplified=simp, kind="finite", table=table)
 
 
 @dataclass(frozen=True)
@@ -356,7 +352,7 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
         x = G.source[a]
         comp = M.component_of(x)
         if not G.is_identity(a) and comp in comps:
-            image = collapse_letters(M.forest, M.graph, ((a, 1),))
+            image = collapse_letters(M.forest, ((a, 1),))
             steps.setdefault(x, []).append(
                 (a, G.target[a], M.engines[comp].normal_letters(image)))
     classes, frontier, exact = {}, [], True

@@ -43,9 +43,6 @@ class FiniteTopology:
         return all(p in self.neighborhoods and self.neighborhoods[p] <= s
                    for p in s)
 
-    def minimal_neighborhood(self, p):
-        return self.neighborhoods[p]
-
     @cached_property
     def opens(self) -> frozenset:
         """Every open set, built class by class in order of neighbourhood
@@ -73,15 +70,6 @@ def _meets(points, family) -> dict:
         for p in s:
             meet[p] &= s
     return meet
-
-
-def minimal_neighborhoods(T: FiniteTopology) -> dict:
-    """Smallest open set around each point."""
-    return dict(T.neighborhoods)
-
-
-def minimal_basis(T: FiniteTopology) -> frozenset:
-    return frozenset(T.neighborhoods.values())
 
 
 @dataclass(frozen=True)

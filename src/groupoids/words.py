@@ -8,7 +8,9 @@ vertex is representable).
 The word-problem pipeline is:
 
   spanning forest (deterministic breadth-first, lexicographic edge order)
-    -> collapse every relator to a one-object presentation per component
+    -> collapse every relator into its base's component by one filter:
+       letters whose edge is one of the forest's tree edges vanish, the
+       rest keep their names (each edge lies in exactly one component)
     -> eliminate generators that occur exactly once in some relator
        (records substitutions, so words can be canonicalized later); an
        index from each generator to the relators holding it means each
@@ -25,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_BUDGET = 10000
 
@@ -63,35 +65,8 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def word(graph: GeneratingGraph, letters, base=None) -> Word:
-    """Build a word, checking that consecutive letters chain up."""
-    letters = tuple(letters)
-    at = base
-    for i, letter in enumerate(letters):
-        u, v = graph.letter_ends(letter)
-        if at is None:
-            at = u
-        if u != at:
-            raise ValueError(f"letter {i} starts at {u!r}, expected {at!r}")
-        at = v
-    if not letters:
-        if base is None:
-            raise ValueError("empty word needs a base vertex")
-        if base not in graph.vertices:
-            raise ValueError(f"unknown vertex: {base!r}")
-        return Word((), base)
-    src = graph.letter_ends(letters[0])[0]
-    if base is not None and base != src:
-        raise ValueError(f"base {base!r} does not match first letter at {src!r}")
-    return Word(letters, src)
-
-
 def word_target(graph: GeneratingGraph, w: Word):
     return graph.letter_ends(w.letters[-1])[1] if w.letters else w.base
-
-
-def reduce_word(graph: GeneratingGraph, w: Word) -> Word:
-    return Word(free_reduce(w.letters), w.base)
 
 
 def invert_word(graph: GeneratingGraph, w: Word) -> Word:
@@ -116,6 +91,7 @@ class ForestComponent:
 class Forest:
     components: tuple
     vertex_component: dict
+    tree_edges: frozenset  # union of the components' tree edges
 
 
 def spanning_forest(graph: GeneratingGraph, edge_order=None) -> Forest:
@@ -158,23 +134,8 @@ def spanning_forest(graph: GeneratingGraph, edge_order=None) -> Forest:
                 queue.append(v)
         comps.append(ForestComponent(base=root, vertices=frozenset(paths),
                                      tree_edges=frozenset(tree), paths=paths))
-    return Forest(components=tuple(comps), vertex_component=vertex_component)
-
-
-@dataclass(frozen=True)
-class GroupoidPresentation:
-    graph: GeneratingGraph
-    relators: tuple  # closed Words
-
-
-def presentation(graph, relators) -> GroupoidPresentation:
-    rels = []
-    for r in relators:
-        r = r if isinstance(r, Word) else word(graph, r)
-        if word_target(graph, r) != r.base:
-            raise ValueError(f"relator not closed: {r.letters!r}")
-        rels.append(r)
-    return GroupoidPresentation(graph=graph, relators=tuple(rels))
+    return Forest(components=tuple(comps), vertex_component=vertex_component,
+                  tree_edges=frozenset().union(*(c.tree_edges for c in comps)))
 
 
 @dataclass(frozen=True)
@@ -184,16 +145,11 @@ class VertexGroupPresentation:
     relations: tuple   # letter tuples over the generators
 
 
-def collapse_letters(forest: Forest, graph: GeneratingGraph, letters):
-    """Image of a chain of letters after contracting the tree: tree letters
+def collapse_letters(forest: Forest, letters):
+    """Image of a chain of letters after contracting the forest: tree letters
     vanish, the rest keep their names.  Freely reduced."""
-    comp_trees = [c.tree_edges for c in forest.components]
-    kept = []
-    for e, s in letters:
-        u = graph.letter_ends((e, s))[0]
-        if e not in comp_trees[forest.vertex_component[u]]:
-            kept.append((e, s))
-    return free_reduce(kept)
+    tree = forest.tree_edges
+    return free_reduce([letter for letter in letters if letter[0] not in tree])
 
 
 def cyclic_reduce(letters):
@@ -212,22 +168,22 @@ def canonical_relator(letters):
     return min(candidates) if candidates else ()
 
 
-def collapse_presentation(P: GroupoidPresentation, forest: Forest):
-    """One vertex-group presentation per forest component."""
-    out = []
-    for ci, comp in enumerate(forest.components):
-        gens = sorted(e for e, (u, _) in P.graph.edges.items()
-                      if forest.vertex_component[u] == ci and e not in comp.tree_edges)
-        rels = set()
-        for r in P.relators:
-            if forest.vertex_component[r.base] != ci:
-                continue
-            w = cyclic_reduce(collapse_letters(forest, P.graph, r.letters))
-            if w:
-                rels.add(canonical_relator(w))
-        out.append(VertexGroupPresentation(base=comp.base, generators=tuple(gens),
-                                           relations=tuple(sorted(rels))))
-    return tuple(out)
+def collapse_presentation(graph: GeneratingGraph, relators, forest: Forest):
+    """One vertex-group presentation per forest component: its non-tree
+    edges, sorted, and the canonical collapses of the closed relator Words
+    based in it."""
+    gens = [[] for _ in forest.components]
+    for e, (u, _) in sorted(graph.edges.items()):
+        if e not in forest.tree_edges:
+            gens[forest.vertex_component[u]].append(e)
+    rels = [set() for _ in forest.components]
+    for r in relators:
+        w = cyclic_reduce(collapse_letters(forest, r.letters))
+        if w:
+            rels[forest.vertex_component[r.base]].add(canonical_relator(w))
+    return tuple(VertexGroupPresentation(base=c.base, generators=tuple(g),
+                                         relations=tuple(sorted(r)))
+                 for c, g, r in zip(forest.components, gens, rels))
 
 
 # ------------------------------------------------------------- simplification
@@ -443,13 +399,6 @@ def coset_enumeration(gp, budget=DEFAULT_BUDGET):
 # ------------------------------------------------------------------- verdicts
 
 @dataclass(frozen=True)
-class WordProblemVerdict:
-    status: str  # "trivial" | "nontrivial" | "undecided"
-    certificate: tuple = ()
-    budget: int = DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
 class VertexGroupEngine:
     """Normal forms for one collapsed vertex group.
 
@@ -458,11 +407,9 @@ class VertexGroupEngine:
     indices), or "undecided" (budget ran out; tokens are still sound for
     equality but cannot certify inequality)."""
 
-    vgp: VertexGroupPresentation
     simplified: SimplifiedPresentation
     kind: str
     table: CosetTable = None
-    budget: int = DEFAULT_BUDGET
 
     @property
     def rank(self):
@@ -520,31 +467,8 @@ class VertexGroupEngine:
 def build_engine(vgp: VertexGroupPresentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:
     simp = simplify_presentation(vgp.generators, vgp.relations)
     if not simp.relations:
-        return VertexGroupEngine(vgp=vgp, simplified=simp, kind="free", budget=budget)
+        return VertexGroupEngine(simplified=simp, kind="free")
     table = coset_enumeration(simp, budget=budget)
     if isinstance(table, Exhausted):
-        return VertexGroupEngine(vgp=vgp, simplified=simp, kind="undecided", budget=budget)
-    return VertexGroupEngine(vgp=vgp, simplified=simp, kind="finite",
-                             table=table, budget=budget)
-
-
-def word_problem(P: GroupoidPresentation, w: Word, budget=DEFAULT_BUDGET) -> WordProblemVerdict:
-    """Decide whether w is an identity of the presented groupoid."""
-    w = reduce_word(P.graph, w)
-    if word_target(P.graph, w) != w.base:
-        return WordProblemVerdict("nontrivial",
-                                  ("endpoints", w.base, word_target(P.graph, w)), budget)
-    forest = spanning_forest(P.graph)
-    vgps = collapse_presentation(P, forest)
-    engine = build_engine(vgps[forest.vertex_component[w.base]], budget=budget)
-    nf = engine.normal_letters(collapse_letters(forest, P.graph, w.letters))
-    if not nf:
-        return WordProblemVerdict("trivial", (), budget)
-    if engine.kind == "free":
-        return WordProblemVerdict("nontrivial", ("free-normal-form", nf), budget)
-    if engine.kind == "finite":
-        c = engine.table.follow(nf)
-        if c == 0:
-            return WordProblemVerdict("trivial", (), budget)
-        return WordProblemVerdict("nontrivial", ("coset", c, engine.table.size), budget)
-    return WordProblemVerdict("undecided", ("budget", budget), budget)
+        return VertexGroupEngine(simplified=simp, kind="undecided")
+    return VertexGroupEngine(simplified=simp, kind="finite", table=table)

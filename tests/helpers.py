@@ -11,6 +11,7 @@ from groupoids import FiniteGroupoid, Word
 from groupoids.monodromy import ClassSearch
 from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
 from groupoids.words import (
+    VertexGroupPresentation,
     canonical_relator,
     cyclic_reduce,
     free_reduce,
@@ -237,6 +238,56 @@ def simplify_oracle(generators, relations):
         gens.remove(g)
         eliminations.append((g, repl))
     return tuple(gens), tuple(sorted(rels)), tuple(eliminations)
+
+
+# ------------------------------------------------------------ collapse oracle
+
+def collapse_oracle(G, carrier, forest):
+    """(relators, vertex-group presentations) of the monodromy over `carrier`
+    by the Word pipeline that re-walks every relator to check that it chains
+    and closes up, and then collapses it once per forest component: each
+    component scans every relator, and each letter is kept unless its edge
+    is a tree edge of the component its source vertex lies in."""
+    ends = {a: (G.source[a], G.target[a]) for a in carrier if not G.is_identity(a)}
+
+    def letters_of(a):
+        return () if G.is_identity(a) else ((a, 1),)
+
+    relators = []
+    for a in sorted(carrier):
+        for b in sorted(carrier):
+            if G.target[a] != G.source[b] or G.compose[(a, b)] not in carrier:
+                continue
+            letters = free_reduce(letters_of(a) + letters_of(b)
+                                  + inv_letters(letters_of(G.compose[(a, b)])))
+            if letters:
+                relators.append(Word(letters, G.source[a]))
+    for r in relators:
+        at = r.base
+        for e, s in r.letters:
+            u, v = ends[e] if s > 0 else ends[e][::-1]
+            assert u == at, f"relator does not chain: {r.letters!r}"
+            at = v
+        assert at == r.base, f"relator not closed: {r.letters!r}"
+
+    def kept(e, s):
+        u = ends[e][0] if s > 0 else ends[e][1]
+        return e not in forest.components[forest.vertex_component[u]].tree_edges
+
+    out = []
+    for ci, comp in enumerate(forest.components):
+        gens = sorted(e for e, (u, _) in ends.items()
+                      if forest.vertex_component[u] == ci and e not in comp.tree_edges)
+        rels = set()
+        for r in relators:
+            if forest.vertex_component[r.base] != ci:
+                continue
+            w = cyclic_reduce(free_reduce(tuple(x for x in r.letters if kept(*x))))
+            if w:
+                rels.add(canonical_relator(w))
+        out.append(VertexGroupPresentation(base=comp.base, generators=tuple(gens),
+                                           relations=tuple(sorted(rels))))
+    return tuple(relators), tuple(out)
 
 
 # --------------------------------------------------------- class search oracle

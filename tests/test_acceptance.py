@@ -238,8 +238,7 @@ def _point_plus_rest(pts):
 def _cover_of(T, rng):
     """A cover that is a base: all nonempty opens, or the minimal base."""
     if rng.random() < 0.5:
-        from groupoids import minimal_basis
-        family = minimal_basis(T)
+        family = frozenset(T.neighborhoods.values())
     else:
         family = [o for o in T.opens if o]
     members = sorted(family, key=lambda s: (len(s), sorted(map(str, s))))

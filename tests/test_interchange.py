@@ -13,11 +13,9 @@ from groupoids.interchange import (
     fingerprint,
     parse_groupoid,
     parse_local_trivialization,
-    parse_presentation,
     parse_topology,
     serialize_groupoid,
     serialize_local_trivialization,
-    serialize_presentation,
     serialize_topology,
 )
 from groupoids.loctriv import local_trivialization, sections_from_arrows
@@ -46,15 +44,6 @@ def test_topology_round_trip():
     assert parse_topology(serialize_topology(T)) == T
     doc = serialize_topology(T)
     assert serialize_topology(parse_topology(doc)) == doc
-
-
-def test_presentation_round_trip():
-    G = pair_groupoid(["a", "b", "c"])
-    M = build_monodromy(G, pregroupoid(G, G.morphisms))
-    doc = serialize_presentation(M.present)
-    assert serialize_presentation(parse_presentation(doc)) == doc
-    P = parse_presentation(doc)
-    assert P.graph == M.present.graph and P.relators == M.present.relators
 
 
 def test_local_trivialization_round_trip():

@@ -1,12 +1,13 @@
 """Monodromy construction, evaluation map, globalization, star covers, graphs."""
 
+import itertools
 import random
 import time
 import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import groupoids.monodromy as monodromy
 from groupoids import (
@@ -14,6 +15,7 @@ from groupoids import (
     Word,
     build_monodromy,
     canonical_morphism,
+    check_wide_subgroupoid,
     globalize,
     pair_groupoid,
     pi1_graph,
@@ -22,10 +24,12 @@ from groupoids import (
     validate_groupoid,
 )
 from groupoids.core import validate_structure
+from groupoids.dot import export_dot
 from groupoids.words import DEFAULT_BUDGET, build_engine
 from helpers import (
     all_groups_upto8,
     class_search_oracle,
+    collapse_oracle,
     cyclic,
     group_groupoid,
     product_groupoid,
@@ -61,7 +65,7 @@ def test_relator_family_mod5():
         ("1", "4", "0"), ("4", "1", "0"),
     }
     # identity letters erased: only the two backtracking relators survive
-    assert sorted(r.letters for r in M.present.relators) == [
+    assert sorted(r.letters for r in M.relators) == [
         (("1", 1), ("4", 1)), (("4", 1), ("1", 1))]
 
 
@@ -161,7 +165,7 @@ def test_canonical_morphism_kills_relators():
     G, W = zmod(7)
     M = build_monodromy(G, W)
     p = canonical_morphism(M)
-    for r in M.present.relators:
+    for r in M.relators:
         assert p.evaluate(r) == "0"
     # equal words evaluate equal
     w1 = Word((("1", 1),) * 3, "*")
@@ -699,3 +703,77 @@ def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):
     capped = monodromy.enumerate_classes(M, ["o0", "o1"], 3)
     assert len(capped.classes) == 7 and capped.capped_at == 1
     assert_same_search(capped, class_search_oracle(M, ["o0", "o1"], 3, 7))
+
+
+# ------------------------------------ the relators and their collapse, by oracle
+
+@st.composite
+def presented_carriers(draw):
+    """A monodromy groupoid over one of: a composition-closed carrier
+    (`closed_carriers`); a random inversion-closed carrier that is not
+    closed, in a group or product groupoid on 1-3 objects; a pair groupoid
+    on 2-7 points whose carrier links points only within two or three
+    blocks, the first point and the last in different ones, so it has
+    several components; or `pi1` of a graph with two vertex blocks and no
+    edge between them.  The spanning forest follows a random edge
+    order."""
+    shape = draw(st.sampled_from(["closed", "random", "pairs", "pi1"]))
+    if shape == "pi1":
+        n = draw(st.integers(2, 7))
+        vs = [f"v{i}" for i in range(n)]
+        cut = draw(st.integers(1, n - 1))
+        within = [(u, v) for u, v in itertools.combinations(vs, 2)
+                  if (u in vs[:cut]) == (v in vs[:cut])]
+        es = draw(st.lists(st.sampled_from(within), unique=True)) if within else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the graph is disconnected
+            edge_ids = sorted(pi1_graph(vs, es).monodromy.graph.edges)
+            return pi1_graph(vs, es, budget=20,
+                             edge_order=draw(st.permutations(edge_ids))).monodromy
+    if shape == "closed":
+        G, W = draw(closed_carriers())
+        W = W.carrier
+    elif shape == "random":
+        _, table = draw(st.sampled_from(all_groups_upto8()))
+        n = draw(st.integers(1, 3))
+        G = group_groupoid(table) if n == 1 and draw(st.booleans()) else product_groupoid(n, table)
+        moves = sorted(m for m in G.morphisms if not G.is_identity(m))
+        picks = draw(st.lists(st.sampled_from(moves), min_size=1, max_size=4)) if moves else []
+        W = {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)}
+        assume(any(G.compose[(a, b)] not in W
+                   for a in W for b in W if G.target[a] == G.source[b]))
+    else:
+        pts = [f"p{i}" for i in range(draw(st.integers(2, 7)))]
+        G = pair_groupoid(pts)
+        block = {pts[0]: 0, pts[-1]: 1} | {p: draw(st.integers(0, 2)) for p in pts[1:-1]}
+        links = [(u, v) for u, v in itertools.combinations(pts, 2) if block[u] == block[v]]
+        picks = draw(st.lists(st.sampled_from(links), unique=True)) if links else []
+        W = {*G.identity.values(), *(f"({u},{v})" for u, v in picks),
+             *(f"({v},{u})" for u, v in picks)}
+    moves = sorted(a for a in W if not G.is_identity(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # carriers that do not generate G
+        return build_monodromy(G, pregroupoid(G, W), budget=20,
+                               edge_order=draw(st.permutations(moves)))
+
+
+@given(presented_carriers())
+@settings(max_examples=150, deadline=None)
+def test_relators_and_collapse_match_the_word_pipeline(M):
+    """Filtering each relator once by the forest's tree edges, into its
+    base's component, gives the relators, the vertex-group presentations
+    (base, generators, relations, in order) and the DOT label that
+    re-walking every relator and collapsing it per component gives."""
+    G, W = M.ambient, M.subset.carrier
+    relators, vertex_groups = collapse_oracle(G, W, M.forest)
+    assert M.relators == relators
+    assert M.vertex_groups == vertex_groups
+    pairs = {frozenset({a, G.inverse[a]}) for a in W if not G.is_identity(a)}
+    label = f'  label="{len(pairs)} generators, {len(relators)} relators";'
+    assert export_dot(M).splitlines()[1] == label
+
+
+@given(presented_carriers())
+@settings(max_examples=100, deadline=None)
+def test_closed_flag_is_wide_subgroupoid_membership(M):
+    assert M.closed == (not check_wide_subgroupoid(M.ambient, M.subset.carrier))

@@ -16,8 +16,6 @@ from groupoids.topology import (
     generate_from_base,
     indiscrete,
     is_topology,
-    minimal_basis,
-    minimal_neighborhoods,
     topology,
 )
 from helpers import (
@@ -110,8 +108,8 @@ def test_family_cap():
 
 def test_minimal_neighborhoods():
     T = topology([0, 1], SIERPINSKI)
-    assert minimal_neighborhoods(T) == {0: F({0}), 1: F({0, 1})}
-    assert minimal_basis(T) == F({F({0}), F({0, 1})})
+    assert T.neighborhoods == {0: F({0}), 1: F({0, 1})}
+    assert F(T.neighborhoods.values()) == F({F({0}), F({0, 1})})
 
 
 # ------------------------------------------------------------ construction
