@@ -44,7 +44,6 @@ from .interchange import (
     parse_graph,
     parse_groupoid,
     parse_local_trivialization,
-    parse_topology,
     parse_topology_family,
 )
 from .loctriv import (

@@ -410,7 +410,12 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
 
 
 def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
-    """Reasons `carrier` fails to be a wide subgroupoid (empty list = fine)."""
+    """Reasons `carrier` fails to be a wide subgroupoid (empty list = fine).
+
+    Composites are looked up only for pairs a, b with tgt(a) = src(b),
+    through an index of the carrier by source; on a table that passes
+    `validate_structure` no other pair has one, so the problems and their
+    order are those of a scan over every pair."""
     carrier = set(carrier)
     problems = []
     if not carrier <= set(G.morphisms):
@@ -422,8 +427,11 @@ def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
     for a in sorted(carrier):
         if G.inverse[a] not in carrier:
             problems.append(("inverse-escapes", a))
+    by_src = {}
+    for b in sorted(carrier):
+        by_src.setdefault(G.source[b], []).append(b)
     for a in sorted(carrier):
-        for b in sorted(carrier):
+        for b in by_src.get(G.target[a], ()):
             c = G.compose.get((a, b))
             if c is not None and c not in carrier:
                 problems.append(("composite-escapes", (a, b, c)))

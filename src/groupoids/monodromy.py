@@ -13,10 +13,13 @@ word is equal to a one-letter word and the vertex group at a component's
 base x is W(x,x) itself.  Such components skip Tietze elimination and coset
 enumeration: the coset table is read off W, its rows being W(x,x) under
 right multiplication by the loops the collapsed generators stand for, and
-kept only if a certificate holds (see `_table_engine`).  This path decides
-only a group of order n with 1 < n < budget.  Coset enumeration never
-completes within a budget of n rows or fewer, so every other case, and any
-table that fails the certificate, goes to `build_engine` as before.
+kept only if a certificate holds (see `_table_engine`).  A certified order
+n below the budget is decided "finite order n".  Coset enumeration never
+completes within a budget of n rows or fewer, so an order n at or above
+the budget is "undecided" straight away, as `build_engine` would conclude
+after simplifying and enumerating; the simplification its tokens need runs
+only when a token is first asked for.  A trivial group, and any table that
+fails the certificate, go to `build_engine` as before.
 
 Two distinguished maps come with the construction: the universal map
 i~ sending each element of W to its one-letter word, and the evaluation
@@ -195,11 +198,27 @@ def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
     So the action is regular and the table is exact.  The argument uses
     only the checks of `validate_structure`, not associativity.  None is
     returned, too, when n is 1, which keeps "free rank 0" for a trivial
-    group, and when n >= budget.
+    group.
+
+    A certified n >= budget gives an "undecided" engine, which is the
+    verdict `build_engine` reaches, because Haselgrove-Leech-Trotter
+    enumeration (`coset_enumeration`) always wastes a row.  It allocates at
+    most `budget` rows and frees none.  The group is finite and nontrivial,
+    so some relation survives simplification, and every simplified
+    relation is a rotation of a cyclically reduced word, hence freely
+    reduced.  Tracing the first relation from row 0 of the empty table
+    defines a new row at every letter, the last included: a fresh row has
+    only the column back to the row before it, and the next letter, not
+    being the inverse of the last, needs another.  The last new row is then
+    merged into row 0.
+    A completed table of n rows has thus allocated n + 1 or more, which is
+    more than the budget.  The engine's `simplified` presentation is the
+    one `build_engine` computes from the same `vgp`, so tokens and equality
+    are unchanged; it is computed only when a token is first asked for.
     """
     x = comp.base
     members = {a for a in carrier if G.source[a] == x == G.target[a]}
-    if not 1 < len(members) < budget:
+    if len(members) < 2:
         return None
     p = WordEvaluator(target=G, obj_map={x: x}, gen_map=dict(zip(carrier, carrier)))
     try:
@@ -239,11 +258,13 @@ def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
             at = itemgetter(*at)(perm(*letter))
         if at != fixed:
             return None
+    if len(rows) >= budget:
+        return VertexGroupEngine(presentation=vgp, kind="undecided")
     table = CosetTable(generators=vgp.generators, size=len(rows),
                        action=action, inverse_action=inverse_action)
     simp = SimplifiedPresentation(generators=vgp.generators,
                                   relations=vgp.relations, eliminations=())
-    return VertexGroupEngine(simplified=simp, kind="finite", table=table)
+    return VertexGroupEngine(presentation=simp, kind="finite", table=table)
 
 
 @dataclass(frozen=True)

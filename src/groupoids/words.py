@@ -28,6 +28,7 @@ import heapq
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_BUDGET = 10000
 
@@ -404,12 +405,25 @@ class VertexGroupEngine:
 
     kind is "free" (no relations survived simplification; tokens are free
     normal forms), "finite" (enumeration completed; tokens are coset
-    indices), or "undecided" (budget ran out; tokens are still sound for
-    equality but cannot certify inequality)."""
+    indices), or "undecided" (budget ran out, or a table read off a
+    closed carrier shows that it would; tokens are still sound for
+    equality but cannot certify inequality).
 
-    simplified: SimplifiedPresentation
+    `presentation` is the SimplifiedPresentation the tokens are normal
+    forms in, or a VertexGroupPresentation that `simplified` simplifies on
+    its first use and then keeps, so a verdict that asks for no token never
+    runs the elimination."""
+
+    presentation: SimplifiedPresentation | VertexGroupPresentation
     kind: str
     table: CosetTable = None
+
+    @cached_property
+    def simplified(self) -> SimplifiedPresentation:
+        p = self.presentation
+        if isinstance(p, SimplifiedPresentation):
+            return p
+        return simplify_presentation(p.generators, p.relations)
 
     @property
     def rank(self):
@@ -467,8 +481,8 @@ class VertexGroupEngine:
 def build_engine(vgp: VertexGroupPresentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:
     simp = simplify_presentation(vgp.generators, vgp.relations)
     if not simp.relations:
-        return VertexGroupEngine(simplified=simp, kind="free")
+        return VertexGroupEngine(presentation=simp, kind="free")
     table = coset_enumeration(simp, budget=budget)
     if isinstance(table, Exhausted):
-        return VertexGroupEngine(simplified=simp, kind="undecided")
-    return VertexGroupEngine(simplified=simp, kind="finite", table=table)
+        return VertexGroupEngine(presentation=simp, kind="undecided")
+    return VertexGroupEngine(presentation=simp, kind="finite", table=table)

@@ -196,6 +196,28 @@ def normal_closure_oracle(G, seeds):
     return carrier
 
 
+def wide_subgroupoid_oracle(G, carrier):
+    """`check_wide_subgroupoid` by the scan that looks up the composite of
+    every ordered pair of carrier elements, composable or not."""
+    carrier = set(carrier)
+    problems = []
+    if not carrier <= set(G.morphisms):
+        problems.append(("not-a-morphism", sorted(carrier - set(G.morphisms))[0]))
+        return problems
+    for x in sorted(G.objects):
+        if G.identity[x] not in carrier:
+            problems.append(("identity-missing", x))
+    for a in sorted(carrier):
+        if G.inverse[a] not in carrier:
+            problems.append(("inverse-escapes", a))
+    for a in sorted(carrier):
+        for b in sorted(carrier):
+            c = G.compose.get((a, b))
+            if c is not None and c not in carrier:
+                problems.append(("composite-escapes", (a, b, c)))
+    return problems
+
+
 # --------------------------------------------------------- simplification oracle
 
 def simplify_oracle(generators, relations):

@@ -294,3 +294,67 @@ def test_pi1_names_colliding_midpoints(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("error: precondition violated: midpoint names collide: edges "
                    "('a', 'b,c') and ('a,b', 'c') both give 'mid(a,b,c)'\n")
+
+
+def _closed_carrier_doc(G, carrier, **extra):
+    from groupoids.interchange import serialize_groupoid
+
+    return {"groupoid": serialize_groupoid(G), "carrier": sorted(carrier), **extra}
+
+
+def _runs_through_build_engine(argv, monkeypatch, capsys):
+    """Exit, machine report without `timing` and stderr of `argv`, and the
+    same with every component sent to `build_engine`, which simplifies and
+    enumerates; each with the number of `simplify_presentation` calls in
+    its run."""
+    import groupoids.monodromy as monodromy
+    import groupoids.words as words
+
+    calls = []
+    original = words.simplify_presentation
+    monkeypatch.setattr(words, "simplify_presentation",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    runs = []
+    for table_engine in (monodromy._table_engine, lambda *a: None):
+        monkeypatch.setattr(monodromy, "_table_engine", table_engine)
+        before = len(calls)
+        code, out, err = run(argv, capsys)
+        report = json.loads(out)
+        report.pop("timing")
+        runs.append(((code, report, err), len(calls) - before))
+    return runs
+
+
+def test_monodromy_at_the_order_budget_runs_no_elimination(tmp_path, monkeypatch, capsys):
+    """The full carrier of Z/48 at budget 40: the certified order 48 reaches
+    the budget, so the verdict is undecided without Tietze elimination, and
+    the report is the one elimination and coset enumeration give."""
+    from helpers import cyclic, group_groupoid
+
+    G = group_groupoid(cyclic(48))
+    path = _write(tmp_path, "z48.json", _closed_carrier_doc(G, G.morphisms))
+    (shortcut, calls), (enumerated, old_calls) = _runs_through_build_engine(
+        ["monodromy", path, "--budget", "40", "--format", "machine"], monkeypatch, capsys)
+    assert calls == 0 and old_calls == 1
+    assert shortcut == enumerated
+    assert shortcut[0] == 2 and shortcut[1]["verdicts"]["vertex-group[*]"] == "undecided"
+
+
+def test_star_cover_at_the_order_budget_simplifies_once_per_component(
+        tmp_path, monkeypatch, capsys):
+    """P2 x Z/6 with the carrier of every endomorphism has two components,
+    each a vertex group of order 6, here at budget 6.  The star cover at o0
+    asks for tokens of its component only, whose engine simplifies once for
+    all of them; the report is the one `build_engine` gives."""
+    from helpers import cyclic, product_groupoid
+
+    G = product_groupoid(2, cyclic(6))
+    carrier = {m for m in G.morphisms if G.source[m] == G.target[m]}
+    path = _write(tmp_path, "p2z6.json", _closed_carrier_doc(G, carrier, object="o0"))
+    (shortcut, calls), (enumerated, old_calls) = _runs_through_build_engine(
+        ["star-cover", path, "--depth", "4", "--budget", "6", "--format", "machine"],
+        monkeypatch, capsys)
+    assert calls == 1 and old_calls == 2
+    assert shortcut == enumerated
+    assert shortcut[1]["verdicts"]["engine"] == "undecided"
+    assert shortcut[0] == 1  # o0 -> o1 is never reached

@@ -26,6 +26,7 @@ from helpers import (
     product_groupoid,
     replay_violation,
     sym3,
+    wide_subgroupoid_oracle,
 )
 
 
@@ -170,6 +171,43 @@ def test_normal_closure_matches_the_round_loop(data):
     seeds |= set(data.draw(st.lists(st.sampled_from(endos), max_size=3)))
     expected = NormalSubgroupoid(frozenset(normal_closure_oracle(G, seeds)))
     assert normal_closure(G, seeds) == expected
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_subgroupoid_check_matches_the_all_pairs_scan(data):
+    """Looking composites up only for composable pairs, through the index by
+    source, gives the problems, in order, that looking up every pair gives.
+    The tables are lawful group, product and pair groupoids, or such tables
+    with some composites and inverses replaced by other morphisms with the
+    same endpoints, which still pass `validate_structure`.  Carriers are
+    random, with or without the identities, sometimes closed by the round
+    loop, and sometimes hold a name that is not a morphism."""
+    G = data.draw(lawful_groupoids | st.builds(
+        lambda n: pair_groupoid([f"p{i}" for i in range(n)]), st.integers(1, 5)))
+    morphs = sorted(G.morphisms)
+
+    def parallel(x, y):
+        return [m for m in morphs if G.source[m] == x and G.target[m] == y]
+
+    if data.draw(st.booleans()):
+        compose, inverse = dict(G.compose), dict(G.inverse)
+        for a, b in data.draw(st.lists(st.sampled_from(sorted(compose)),
+                                       max_size=6, unique=True)):
+            compose[(a, b)] = data.draw(st.sampled_from(parallel(G.source[a], G.target[b])))
+        for m in data.draw(st.lists(st.sampled_from(morphs), max_size=2, unique=True)):
+            inverse[m] = data.draw(st.sampled_from(parallel(G.target[m], G.source[m])))
+        G = dataclasses.replace(G, compose=compose, inverse=inverse)
+        assert core.validate_structure(G).ok
+    carrier = set(data.draw(st.lists(st.sampled_from(morphs), max_size=len(morphs))))
+    if data.draw(st.booleans()):
+        carrier |= set(G.identity.values())
+    shape = data.draw(st.sampled_from(["random", "closed", "stranger"]))
+    if shape == "closed":
+        carrier = closure_oracle(G, carrier)
+    elif shape == "stranger":
+        carrier.add("not-a-morphism")
+    assert core.check_wide_subgroupoid(G, carrier) == wide_subgroupoid_oracle(G, carrier)
 
 
 def test_pair_groupoid_names_each_morphism_once():

@@ -25,7 +25,14 @@ from groupoids import (
 )
 from groupoids.core import validate_structure
 from groupoids.dot import export_dot
-from groupoids.words import DEFAULT_BUDGET, build_engine
+from groupoids.words import (
+    DEFAULT_BUDGET,
+    Exhausted,
+    build_engine,
+    collapse_letters,
+    coset_enumeration,
+    simplify_presentation,
+)
 from helpers import (
     all_groups_upto8,
     class_search_oracle,
@@ -586,6 +593,70 @@ def test_closed_carriers_decide_only_below_the_budget():
     P = pair_groupoid(["a", "b", "c"])
     M = build_monodromy(P, pregroupoid(P, set(P.morphisms)))
     assert M.vertex_group_info(0) == ("free", 0)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_carriers_at_the_order_budget_match_build_engine(data):
+    """Differential test of the table read off W against `build_engine` at
+    budgets n - 1, n and n + 1 for the order n of a drawn component, 2 and
+    the default.  Wherever a component's order n is 1 or at least the
+    budget, its kind, order and rank are `build_engine`'s, and so are the
+    normal letters, tokens and token extensions of random words; an
+    undecided engine read off W simplifies only when a token is first asked
+    for.  Below the budget the table decides "finite order n", where coset
+    enumeration agrees or runs out (HLT can waste more than one row: V4 and
+    S3 at budget n + 1), and where both decide, they agree on triviality."""
+    G, W = data.draw(closed_carriers())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # several blocks do not generate G
+        forest = build_monodromy(G, W).forest
+        orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+                  for c in forest.components]
+        n = data.draw(st.sampled_from(orders))
+        budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, 2, DEFAULT_BUDGET]))
+        M = build_monodromy(G, W, budget=budget)
+    old = [build_engine(vgp, budget=budget) for vgp in M.vertex_groups]
+    for order, new, ref in zip(orders, M.engines, old):
+        if order == 1 or order >= budget:
+            assert (new.kind, new.order, new.rank) == (ref.kind, ref.order, ref.rank)
+            if new.kind == "undecided":
+                assert "simplified" not in vars(new)
+        else:
+            assert (new.kind, new.order) == ("finite", order)
+            assert ref.kind == "undecided" or ref.order == order
+    for _ in range(4):
+        base = data.draw(st.sampled_from(sorted(G.objects)))
+        w, _ = random_word(data.draw, G, W, base, data.draw(st.integers(0, 8)))
+        cut = data.draw(st.integers(0, len(w.letters)))
+        whole, head, tail = (collapse_letters(M.forest, letters) for letters in
+                             (w.letters, w.letters[:cut], w.letters[cut:]))
+        i = M.component_of(base)
+        new, ref = M.engines[i], old[i]
+        assert new.extend(new.token(head)[0], new.normal_letters(tail)) == new.token(whole)[0]
+        if new.kind != "finite":
+            assert new.normal_letters(whole) == ref.normal_letters(whole)
+            assert new.token(whole) == ref.token(whole)
+            assert (ref.extend(ref.token(head)[0], ref.normal_letters(tail))
+                    == new.token(whole)[0])
+        elif ref.kind == "finite":
+            assert new.is_trivial(whole) == ref.is_trivial(whole)
+
+
+@pytest.mark.parametrize("name, table", [
+    *((name, table) for name, table in all_groups_upto8() if len(table[0]) > 1),
+    ("Z12", cyclic(12))])
+def test_coset_enumeration_wastes_a_row_on_full_carriers(name, table):
+    """The bound that settles closed carriers at budgets n and below without
+    enumerating: the full carrier's presentation of a group of order n > 1,
+    simplified, runs out of a budget of n rows, and completes with n rows
+    at the default budget."""
+    G = group_groupoid(table)
+    vgp = build_monodromy(G, pregroupoid(G, set(G.morphisms))).vertex_groups[0]
+    simp = simplify_presentation(vgp.generators, vgp.relations)
+    n = len(table[0])
+    assert coset_enumeration(simp, budget=n) == Exhausted(budget=n, rows_used=n)
+    assert coset_enumeration(simp).size == n
 
 
 @pytest.mark.parametrize("n", [80, 120])
