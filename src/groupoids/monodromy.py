@@ -8,18 +8,14 @@ letters are erased).  Elements are words; equality is decided by the
 word-problem engine per component.
 
 When no product of two composable carrier elements leaves the carrier (W is
-a subgroupoid), the relators are W's own multiplication table, so every
-word is equal to a one-letter word and the vertex group at a component's
-base x is W(x,x) itself.  Such components skip Tietze elimination and coset
-enumeration: the coset table is read off W, its rows being W(x,x) under
-right multiplication by the loops the collapsed generators stand for, and
-kept only if a certificate holds (see `_table_engine`).  A certified order
-n below the budget is decided "finite order n".  Coset enumeration never
-completes within a budget of n rows or fewer, so an order n at or above
-the budget is "undecided" straight away, as `build_engine` would conclude
-after simplifying and enumerating; the simplification its tokens need runs
-only when a token is first asked for.  A trivial group, and any table that
-fails the certificate, go to `build_engine` as before.
+a subgroupoid), the relators are W's own multiplication table and the vertex
+group at a component's base x is W(x,x).  Such a component is decided from
+its defining triples (a, b, ab) alone, by a coset table read off W and
+certified triple by triple (`_table_engine`): "finite order n" below the
+budget, "undecided" at or above it.  Relator words, their collapse and any
+simplification are built only on demand: for the DOT export, for
+`build_engine` (a carrier that is not closed, a trivial group, a failed
+certificate), and for the first token asked of an undecided engine.
 
 Two distinguished maps come with the construction: the universal map
 i~ sending each element of W to its one-letter word, and the evaluation
@@ -37,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .core import FiniteGroupoid, generated_by, pair_groupoid
@@ -46,11 +43,9 @@ from .words import (
     DEFAULT_BUDGET,
     CosetTable,
     Forest,
-    ForestComponent,
     GeneratingGraph,
     SimplifiedPresentation,
     VertexGroupEngine,
-    VertexGroupPresentation,
     Word,
     build_engine,
     collapse_letters,
@@ -89,14 +84,37 @@ class MonodromyGroupoid:
     ambient: FiniteGroupoid
     subset: PregroupoidSubset
     graph: GeneratingGraph
-    relators: tuple            # closed Words a.b.(ab)^-1, identity letters erased
     relator_family: tuple      # (a, b, ab) triples, the defining family
     forest: Forest
-    vertex_groups: tuple       # VertexGroupPresentation per component
-    engines: tuple             # VertexGroupEngine per component
     generates_ambient: bool
     closed: bool               # no product of composable carrier elements leaves W
     budget: int
+
+    @cached_property
+    def relators(self) -> tuple:
+        """Closed Words a.b.(ab)^-1 that do not reduce away, identity letters
+        erased, one per triple in order; built on first use."""
+        G = self.ambient
+        one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.subset.carrier}
+        words = (Word(free_reduce(one[a] + one[b] + inv_letters(one[ab])), G.source[a])
+                 for a, b, ab in self.relator_family)
+        return tuple(w for w in words if w.letters)
+
+    @cached_property
+    def vertex_groups(self) -> tuple:
+        """VertexGroupPresentation per component, collapsed from `relators`."""
+        return collapse_presentation(self.graph, self.relators, self.forest)
+
+    @cached_property
+    def engines(self) -> tuple:
+        """Per component: `_table_engine` on a closed carrier, else `build_engine`."""
+        G, forest = self.ambient, self.forest
+        triples = [[] for _ in forest.components]
+        for t in self.relator_family if self.closed else ():
+            triples[forest.vertex_component[G.source[t[0]]]].append(t)
+        return tuple((self.closed and _table_engine(self, i, triples[i]))
+                     or build_engine(self.vertex_groups[i], budget=self.budget)
+                     for i in range(len(forest.components)))
 
     def component_of(self, x):
         return self.forest.vertex_component[x]
@@ -105,10 +123,7 @@ class MonodromyGroupoid:
         """Universal map: one-letter word for a, empty word for an identity."""
         if a not in self.subset.carrier:
             raise ValueError(f"not in the generating subset: {a!r}")
-        src = self.ambient.source[a]
-        if self.ambient.is_identity(a):
-            return Word((), src)
-        return Word(((a, 1),), src)
+        return Word(() if self.ambient.is_identity(a) else ((a, 1),), self.ambient.source[a])
 
     def token(self, w: Word):
         """((src, tgt, class token), exact) for the word's class."""
@@ -118,9 +133,8 @@ class MonodromyGroupoid:
 
     def equal(self, w1: Word, w2: Word):
         """True / False / None (undecided at this budget)."""
-        if w1.base != w2.base:
-            return False
-        if word_target(self.graph, w1) != word_target(self.graph, w2):
+        if (w1.base != w2.base
+                or word_target(self.graph, w1) != word_target(self.graph, w2)):
             return False
         engine = self.engines[self.component_of(w1.base)]
         return engine.is_trivial(
@@ -144,61 +158,57 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
              for a in sorted(carrier) if not G.is_identity(a)}
     graph = GeneratingGraph(vertices=frozenset(G.objects), edges=edges)
 
-    def letters_of(a):
-        return () if G.is_identity(a) else ((a, 1),)
-
     by_src = {}
     for b in sorted(carrier):
         by_src.setdefault(G.source[b], []).append(b)
-    family, relators, closed = [], [], True
+    family, closed = [], True
     for a in sorted(carrier):
         for b in by_src.get(G.target[a], ()):
             ab = G.compose[(a, b)]
-            if ab not in carrier:
+            if ab in carrier:
+                family.append((a, b, ab))
+            else:
                 closed = False
-                continue
-            family.append((a, b, ab))
-            letters = free_reduce(letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
-            if letters:
-                relators.append(Word(letters, G.source[a]))
     forest = spanning_forest(graph, edge_order=edge_order)
-    vgps = collapse_presentation(graph, relators, forest)
-    engines = tuple((closed and _table_engine(G, carrier, graph, comp, v, budget))
-                    or build_engine(v, budget=budget)
-                    for comp, v in zip(forest.components, vgps))
 
-    generates = generated_by(G, carrier)
+    # a closed carrier holds every inverse and product of its members: its own closure
+    generates = carrier == G.morphisms if closed else generated_by(G, carrier)
     if not generates:
         warnings.warn("generating subset does not reach every morphism; "
                       "the evaluation map cannot be star-surjective",
                       stacklevel=2)
-    return MonodromyGroupoid(ambient=G, subset=W, graph=graph, relators=tuple(relators),
-                             relator_family=tuple(family), forest=forest,
-                             vertex_groups=vgps, engines=engines,
-                             generates_ambient=generates, closed=closed, budget=budget)
+    M = MonodromyGroupoid(ambient=G, subset=W, graph=graph, relator_family=tuple(family),
+                          forest=forest, generates_ambient=generates, closed=closed,
+                          budget=budget)
+    M.engines  # decided here; an engine may hold M to build its relations later
+    return M
 
 
-def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
-                  comp: ForestComponent, vgp: VertexGroupPresentation, budget):
-    """The vertex group at comp.base of a composition-closed carrier, read
-    off the carrier's own table; None leaves the component to `build_engine`.
+def _table_engine(M: MonodromyGroupoid, i, triples):
+    """The vertex group of component i of a composition-closed carrier, read
+    off the carrier's own table and certified by the component's defining
+    triples (a, b, ab); None leaves the component to `build_engine`.
 
     A collapsed generator e, an edge u -> v, stands for the loop
     path(u) e path(v)^-1 at the base x, evaluated in G.  Row 0 is the
     identity at x, and the rows are its breadth-first orbit under right
     multiplication by each loop and then its inverse, in generator order.
     The table is kept only when it is certified: the rows are exactly
-    W(x,x), each inverse action undoes its action, and every relation
-    returns every row to itself.  Then the rows carry a transitive action
-    of the vertex group, which has at least n = |W(x,x)| elements.  It has
-    at most n: a product of two composable letters is one letter, so the
-    one-letter words from u to u with the empty word are a finite set
-    closed under products, hence a subgroup, and each formal inverse
-    a^-1 = inv(a) (a inv(a))^-1 is then a positive word, as is every word.
-    So the action is regular and the table is exact.  The argument uses
-    only the checks of `validate_structure`, not associativity.  None is
-    returned, too, when n is 1, which keeps "free rank 0" for a trivial
-    group.
+    W(x,x), each inverse action undoes its action, and P(a) then P(b) is
+    P(ab) on every row for every triple, P being a generator's action and
+    the identity on identity arrows and tree edges.  Once inverse actions
+    are certified P is a homomorphism on free words, and reduction,
+    rotation and inversion keep "fixes every row", so these are the checks
+    that every collapsed relator fixes every row.  Then the rows carry a
+    transitive action of the vertex group, which has at least n = |W(x,x)|
+    elements.  It has at most n: a product of two composable letters is
+    one letter, so the one-letter words from u to u with the empty word
+    are a finite set closed under products, hence a subgroup, and each
+    formal inverse a^-1 = inv(a) (a inv(a))^-1 is then a positive word, as
+    is every word.  So the action is regular and the table is exact.  The
+    argument uses only the checks of `validate_structure`, not
+    associativity.  None is returned, too, when n is 1, which keeps
+    "free rank 0" for a trivial group.
 
     A certified n >= budget gives an "undecided" engine, which is the
     verdict `build_engine` reaches, because Haselgrove-Leech-Trotter
@@ -210,23 +220,25 @@ def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
     defines a new row at every letter, the last included: a fresh row has
     only the column back to the row before it, and the next letter, not
     being the inverse of the last, needs another.  The last new row is then
-    merged into row 0.
-    A completed table of n rows has thus allocated n + 1 or more, which is
-    more than the budget.  The engine's `simplified` presentation is the
-    one `build_engine` computes from the same `vgp`, so tokens and equality
-    are unchanged; it is computed only when a token is first asked for.
+    merged into row 0.  A completed table of n rows has thus allocated
+    n + 1 or more, which is more than the budget.  The engine simplifies `M.vertex_groups[i]` as
+    `build_engine` does, so tokens and equality are unchanged, but only
+    when a token is first asked for.
     """
+    G, comp = M.ambient, M.forest.components[i]
     x = comp.base
-    members = {a for a in carrier if G.source[a] == x == G.target[a]}
+    members = {a for a in M.subset.carrier if G.source[a] == x == G.target[a]}
     if len(members) < 2:
         return None
-    p = WordEvaluator(target=G, obj_map={x: x}, gen_map=dict(zip(carrier, carrier)))
+    generators = tuple(sorted(e for e, (u, _) in M.graph.edges.items()
+                              if u in comp.vertices and e not in comp.tree_edges))
+
     try:
         steps = []  # (loop, its inverse) per generator
-        for e in vgp.generators:
-            u, v = graph.edges[e]
-            loop = p.evaluate(Word(comp.paths[u].letters + ((e, 1),)
-                                   + inv_letters(comp.paths[v].letters), x))
+        for e in generators:
+            u, v = M.graph.edges[e]
+            letters = comp.paths[u].letters + ((e, 1),) + inv_letters(comp.paths[v].letters)
+            loop = G.mul(G.identity[x], *(f if s > 0 else G.inverse[f] for f, s in letters))
             steps.append((loop, G.inverse[loop]))
         rows, index = [G.identity[x]], {G.identity[x]: 0}
         columns = [([], []) for _ in steps]  # (action, inverse action)
@@ -238,32 +250,22 @@ def _table_engine(G: FiniteGroupoid, carrier, graph: GeneratingGraph,
                         index[h] = len(rows)
                         rows.append(h)
                     col.append(index[h])
-    except KeyError:
+    except (KeyError, ValueError):  # a missing composite
         return None
     if set(rows) != members:
         return None
     fixed = tuple(range(len(rows)))  # two or more, so itemgetter gives tuples
-    action = {e: tuple(f) for e, (f, _) in zip(vgp.generators, columns)}
-    inverse_action = {e: tuple(b) for e, (_, b) in zip(vgp.generators, columns)}
-    for e in vgp.generators:
-        if tuple(map(inverse_action[e].__getitem__, action[e])) != fixed:
-            return None
-
-    def perm(e, s):
-        return (action if s > 0 else inverse_action)[e]
-
-    for r in vgp.relations:
-        at = perm(*r[0])
-        for letter in r[1:]:
-            at = itemgetter(*at)(perm(*letter))
-        if at != fixed:
-            return None
-    if len(rows) >= budget:
-        return VertexGroupEngine(presentation=vgp, kind="undecided")
-    table = CosetTable(generators=vgp.generators, size=len(rows),
+    action = {e: tuple(f) for e, (f, _) in zip(generators, columns)}
+    inverse_action = {e: tuple(b) for e, (_, b) in zip(generators, columns)}
+    perm = defaultdict(lambda: fixed, action)  # P: the identity off the generators
+    if (any(itemgetter(*action[e])(inverse_action[e]) != fixed for e in generators)
+            or any(itemgetter(*perm[a])(perm[b]) != perm[ab] for a, b, ab in triples)):
+        return None
+    if len(rows) >= M.budget:
+        return VertexGroupEngine(presentation=lambda: M.vertex_groups[i], kind="undecided")
+    table = CosetTable(generators=generators, size=len(rows),
                        action=action, inverse_action=inverse_action)
-    simp = SimplifiedPresentation(generators=vgp.generators,
-                                  relations=vgp.relations, eliminations=())
+    simp = SimplifiedPresentation(generators=generators, relations=(), eliminations=())
     return VertexGroupEngine(presentation=simp, kind="finite", table=table)
 
 
@@ -483,9 +485,7 @@ class Pi1Result:
 
     @property
     def rank(self):
-        if any(r is None for r in self.component_ranks):
-            return None
-        return sum(self.component_ranks)
+        return None if None in self.component_ranks else sum(self.component_ranks)
 
 
 def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Result:
@@ -501,7 +501,6 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Res
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertices")
     vset = set(vertices)
-    norm = []
     seen = set()
     for e in edges:
         u, v = e
@@ -513,8 +512,7 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Res
         if k in seen:
             raise ValueError(f"duplicate edge: {e!r}")
         seen.add(k)
-        norm.append(k)
-    norm.sort()
+    norm = sorted(seen)
 
     mids = {}  # midpoint name -> its edge
     for u, v in norm:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -410,11 +411,11 @@ class VertexGroupEngine:
     equality but cannot certify inequality).
 
     `presentation` is the SimplifiedPresentation the tokens are normal
-    forms in, or a VertexGroupPresentation that `simplified` simplifies on
-    its first use and then keeps, so a verdict that asks for no token never
-    runs the elimination."""
+    forms in (a table read off a closed carrier keeps no relations), or a
+    function giving the VertexGroupPresentation that `simplified` builds
+    and simplifies on first use, so a tokenless verdict never does."""
 
-    presentation: SimplifiedPresentation | VertexGroupPresentation
+    presentation: SimplifiedPresentation | Callable[[], VertexGroupPresentation]
     kind: str
     table: CosetTable = None
 
@@ -423,7 +424,8 @@ class VertexGroupEngine:
         p = self.presentation
         if isinstance(p, SimplifiedPresentation):
             return p
-        return simplify_presentation(p.generators, p.relations)
+        vgp = p()
+        return simplify_presentation(vgp.generators, vgp.relations)
 
     @property
     def rank(self):

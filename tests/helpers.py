@@ -8,9 +8,12 @@ axiom checker, the enumeration engine, and the quotient construction.
 import itertools
 
 from groupoids import FiniteGroupoid, Word
-from groupoids.monodromy import ClassSearch
+from groupoids.monodromy import ClassSearch, WordEvaluator
 from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
 from groupoids.words import (
+    CosetTable,
+    SimplifiedPresentation,
+    VertexGroupEngine,
     VertexGroupPresentation,
     canonical_relator,
     cyclic_reduce,
@@ -310,6 +313,58 @@ def collapse_oracle(G, carrier, forest):
         out.append(VertexGroupPresentation(base=comp.base, generators=tuple(gens),
                                            relations=tuple(sorted(rels))))
     return tuple(relators), tuple(out)
+
+
+# -------------------------------------------- relator certificate oracle
+
+def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
+    """The coset table of a closed carrier's vertex group at comp.base, read
+    off the carrier and certified against the collapsed relations of the
+    component's presentation `vgp`: the rows are W(x,x), each inverse
+    action undoes its action, and following every relation from every row
+    returns to it.  None when n < 2 or a check fails; an "undecided" engine
+    that simplifies `vgp` on first use when n >= budget."""
+    x = comp.base
+    members = {a for a in carrier if G.source[a] == x == G.target[a]}
+    if len(members) < 2:
+        return None
+    p = WordEvaluator(target=G, obj_map={x: x}, gen_map=dict(zip(carrier, carrier)))
+    try:
+        steps = []  # (loop, its inverse) per generator
+        for e in vgp.generators:
+            u, v = graph.edges[e]
+            loop = p.evaluate(Word(comp.paths[u].letters + ((e, 1),)
+                                   + inv_letters(comp.paths[v].letters), x))
+            steps.append((loop, G.inverse[loop]))
+        rows, index = [G.identity[x]], {G.identity[x]: 0}
+        columns = [([], []) for _ in steps]  # (action, inverse action)
+        for g in rows:
+            for step, cols in zip(steps, columns):
+                for m, col in zip(step, cols):
+                    h = G.compose[(g, m)]
+                    if h not in index:
+                        index[h] = len(rows)
+                        rows.append(h)
+                    col.append(index[h])
+    except KeyError:
+        return None
+    if set(rows) != members:
+        return None
+    action = {e: tuple(f) for e, (f, _) in zip(vgp.generators, columns)}
+    inverse_action = {e: tuple(b) for e, (_, b) in zip(vgp.generators, columns)}
+    table = CosetTable(generators=vgp.generators, size=len(rows),
+                       action=action, inverse_action=inverse_action)
+    for e in vgp.generators:
+        if any(table.follow(((e, 1), (e, -1)), r) != r for r in range(len(rows))):
+            return None
+    for r in vgp.relations:
+        if any(table.follow(r, row) != row for row in range(len(rows))):
+            return None
+    if len(rows) >= budget:
+        return VertexGroupEngine(presentation=lambda: vgp, kind="undecided")
+    simp = SimplifiedPresentation(generators=vgp.generators,
+                                  relations=vgp.relations, eliminations=())
+    return VertexGroupEngine(presentation=simp, kind="finite", table=table)
 
 
 # --------------------------------------------------------- class search oracle

@@ -358,3 +358,39 @@ def test_star_cover_at_the_order_budget_simplifies_once_per_component(
     assert shortcut == enumerated
     assert shortcut[1]["verdicts"]["engine"] == "undecided"
     assert shortcut[0] == 1  # o0 -> o1 is never reached
+
+
+@pytest.mark.parametrize("n, budget, verdict", [(12, [], "finite order 12"),
+                                                (48, ["--budget", "40"], "undecided")])
+def test_monodromy_on_full_carriers_builds_no_words(n, budget, verdict, tmp_path,
+                                                    monkeypatch, capsys):
+    """The full carrier of Z/n is decided from its defining triples: no
+    relator Word is built and `collapse_presentation` is never called.
+    With --dot the relators are built for the label, which is the one the
+    word pipeline of `collapse_oracle` gives."""
+    import groupoids.cli as cli
+    import groupoids.monodromy as monodromy
+    from helpers import collapse_oracle, cyclic, group_groupoid
+
+    G = group_groupoid(cyclic(n))
+    path = _write(tmp_path, "zn.json", _closed_carrier_doc(G, G.morphisms))
+    built, words, collapses = [], [], []
+    build, word, collapse = (cli.build_monodromy, monodromy.Word,
+                             monodromy.collapse_presentation)
+    monkeypatch.setattr(cli, "build_monodromy",
+                        lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    monkeypatch.setattr(monodromy, "Word", lambda *a: words.append(a) or word(*a))
+    monkeypatch.setattr(monodromy, "collapse_presentation",
+                        lambda *a: collapses.append(a) or collapse(*a))
+    argv = ["monodromy", path, *budget, "--format", "machine"]
+    code, out, _ = run(argv, capsys)
+    assert json.loads(out)["verdicts"]["vertex-group[*]"] == verdict
+    assert not words and not collapses and "relators" not in vars(built[0])
+
+    dot = tmp_path / "zn.dot"
+    assert run([*argv, "--dot", str(dot)], capsys)[0] == code
+    M = built[1]
+    relators, _ = collapse_oracle(G, M.subset.carrier, M.forest)
+    pairs = {frozenset({a, G.inverse[a]}) for a in G.morphisms if not G.is_identity(a)}
+    assert (dot.read_text().splitlines()[1]
+            == f'  label="{len(pairs)} generators, {len(relators)} relators";')

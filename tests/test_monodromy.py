@@ -16,6 +16,7 @@ from groupoids import (
     build_monodromy,
     canonical_morphism,
     check_wide_subgroupoid,
+    generated_by,
     globalize,
     pair_groupoid,
     pi1_graph,
@@ -36,11 +37,13 @@ from groupoids.words import (
 from helpers import (
     all_groups_upto8,
     class_search_oracle,
+    closure_oracle,
     collapse_oracle,
     cyclic,
     group_groupoid,
     product_groupoid,
     sym3,
+    table_engine_oracle,
 )
 
 
@@ -528,12 +531,25 @@ def one_object(rows, inverse):
         compose={(a, b): rows[int(a)][int(b)] for a in names for b in names})
 
 
+def table_engines(M, i):
+    """(the triple certificate's engine, the relator certificate's) for
+    component i of M, each None when it turns the table down."""
+    G = M.ambient
+    triples = [t for t in M.relator_family if M.component_of(G.source[t[0]]) == i]
+    new = monodromy._table_engine(M, i, triples)
+    old = table_engine_oracle(G, M.subset.carrier, M.graph, M.forest.components[i],
+                              M.vertex_groups[i], M.budget)
+    return new, old
+
+
 def certificate(G):
-    """The table engine of the full carrier of a one-object G, or None."""
+    """The table engine of the full carrier of a one-object G, or None; the
+    relator certificate of `table_engine_oracle` must agree."""
     W = pregroupoid(G, set(G.morphisms))
     M = build_monodromy(G, W)
-    return M, monodromy._table_engine(G, W.carrier, M.graph, M.forest.components[0],
-                                      M.vertex_groups[0], DEFAULT_BUDGET)
+    new, old = table_engines(M, 0)
+    assert (new is None) == (old is None)
+    return M, new
 
 
 def scrambled_z5():
@@ -641,6 +657,90 @@ def test_closed_carriers_at_the_order_budget_match_build_engine(data):
                     == new.token(whole)[0])
         elif ref.kind == "finite":
             assert new.is_trivial(whole) == ref.is_trivial(whole)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_triple_certificate_matches_the_relator_certificate(data):
+    """Differential test of `_table_engine`, which checks P(a) P(b) = P(ab)
+    on every row for each defining triple, against `table_engine_oracle`,
+    which follows every collapsed relation of the component's presentation
+    from every row, at budgets n - 1, n and n + 1 for the order n of a
+    drawn component and the default.  Both accept or both turn the table
+    down; then `M.engines` matches the oracle's engine, or `build_engine`'s
+    where both turn it down, on kind, order, tokens and token extensions of
+    random words."""
+    G, W = data.draw(closed_carriers())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # several blocks do not generate G
+        forest = build_monodromy(G, W).forest
+        orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+                  for c in forest.components]
+        n = data.draw(st.sampled_from(orders))
+        budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, DEFAULT_BUDGET]))
+        M = build_monodromy(G, W, budget=budget)
+    refs = []
+    for i in range(len(M.forest.components)):
+        new, old = table_engines(M, i)
+        assert (new is None) == (old is None)
+        refs.append(old or build_engine(M.vertex_groups[i], budget=budget))
+    for new, ref in zip(M.engines, refs):
+        assert (new.kind, new.order, new.rank) == (ref.kind, ref.order, ref.rank)
+    for _ in range(4):
+        base = data.draw(st.sampled_from(sorted(G.objects)))
+        w, _ = random_word(data.draw, G, W, base, data.draw(st.integers(0, 8)))
+        cut = data.draw(st.integers(0, len(w.letters)))
+        whole, head, tail = (collapse_letters(M.forest, letters) for letters in
+                             (w.letters, w.letters[:cut], w.letters[cut:]))
+        new, ref = M.engines[M.component_of(base)], refs[M.component_of(base)]
+        assert new.token(whole) == ref.token(whole)
+        assert (new.extend(new.token(head)[0], new.normal_letters(tail))
+                == ref.extend(ref.token(head)[0], ref.normal_letters(tail))
+                == ref.token(whole)[0])
+
+
+@st.composite
+def closed_carriers_in_any_table(draw):
+    """(G, W): a `closed_carriers` groupoid, a pair groupoid on 1-5 points,
+    or either with some composites and inverses replaced by other morphisms
+    with the same endpoints, which still pass `validate_structure` but need
+    not be associative; W is the closure of random arrows and the
+    identities under the table's own inverses and composites."""
+    G = (draw(closed_carriers())[0] if draw(st.booleans())
+         else pair_groupoid([f"p{i}" for i in range(draw(st.integers(1, 5)))]))
+    morphs = sorted(G.morphisms)
+
+    def parallel(x, y):
+        return [m for m in morphs if G.source[m] == x and G.target[m] == y]
+
+    if draw(st.booleans()):
+        compose, inverse = dict(G.compose), dict(G.inverse)
+        for a, b in draw(st.lists(st.sampled_from(sorted(compose)), max_size=6, unique=True)):
+            compose[(a, b)] = draw(st.sampled_from(parallel(G.source[a], G.target[b])))
+        for m in draw(st.lists(st.sampled_from(morphs), max_size=2, unique=True)):
+            inverse[m] = draw(st.sampled_from(parallel(G.target[m], G.source[m])))
+        G = FiniteGroupoid(objects=G.objects, source=G.source, target=G.target,
+                           identity=G.identity, inverse=inverse, compose=compose)
+        assert validate_structure(G).ok
+    picks = draw(st.lists(st.sampled_from(morphs), max_size=3))
+    return G, pregroupoid(G, closure_oracle(G, {*G.identity.values(), *picks}))
+
+
+@given(closed_carriers_in_any_table())
+@settings(max_examples=100, deadline=None)
+def test_closed_carriers_generate_exactly_when_they_are_everything(GW):
+    """A closed carrier is its own closure, so `build_monodromy` decides
+    `generates_ambient` as W == G.morphisms without calling `generated_by`,
+    and agrees with it, on lawful tables and on tables that only pass the
+    linear checks."""
+    G, W = GW
+    calls = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # carriers that do not generate G
+        mp.setattr(monodromy, "generated_by", lambda *a: calls.append(a))
+        M = build_monodromy(G, W, budget=20)
+    assert M.closed and not calls
+    assert M.generates_ambient == generated_by(G, W.carrier)
 
 
 @pytest.mark.parametrize("name, table", [
