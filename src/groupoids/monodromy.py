@@ -221,9 +221,9 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     only the column back to the row before it, and the next letter, not
     being the inverse of the last, needs another.  The last new row is then
     merged into row 0.  A completed table of n rows has thus allocated
-    n + 1 or more, which is more than the budget.  The engine simplifies `M.vertex_groups[i]` as
-    `build_engine` does, so tokens and equality are unchanged, but only
-    when a token is first asked for.
+    n + 1 or more, which is more than the budget.  The engine simplifies
+    `M.vertex_groups[i]` as `build_engine` does, so tokens and equality
+    are unchanged, but only when a token is first asked for.
     """
     G, comp = M.ambient, M.forest.components[i]
     x = comp.base
