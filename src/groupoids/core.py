@@ -75,11 +75,6 @@ class GroupoidMorphism:
 
 
 @dataclass(frozen=True)
-class WideSubgroupoid:
-    carrier: frozenset
-
-
-@dataclass(frozen=True)
 class NormalSubgroupoid:
     """Totally disconnected wide subgroupoid, closed under conjugation."""
 
@@ -99,9 +94,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.violations
-
-    def of_kind(self, kind):
-        return [v for v in self.violations if v.kind == kind]
 
 
 _REFERENCE_KINDS = ("dangling-reference", "identity-missing", "inverse-missing")

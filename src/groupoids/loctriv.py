@@ -29,7 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import FiniteGroupoid, WideSubgroupoid, check_wide_subgroupoid
+from .core import FiniteGroupoid, check_wide_subgroupoid
 from .monodromy import (
     MonodromyGroupoid,
     PregroupoidSubset,
@@ -194,9 +194,6 @@ class CltReport:
     def ok(self):
         return not self.problems
 
-    def of_kind(self, kind):
-        return [p for p in self.problems if p[0] == kind]
-
 
 def comp_witness(LT: LocalTrivialization, x, i, j):
     """The cover index Comp provides for sections s_{x,i}, s_{x,j}: smallest
@@ -268,35 +265,33 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
     """(topology on the morphisms, report).
 
     Refuses to run on an invalid structure; `clt` is the `validate_clt`
-    report on (G, LT) when the caller already has it.  Collects every basic
-    neighborhood, replays the shrinking argument (the Comp witnesses around
-    both endpoints give a third neighborhood inside any two with the same
-    center), generates the topology, and certifies all six structure maps
-    against it and the base space.
+    report on (G, LT) when the caller already has it.  Builds every basic
+    neighborhood once, into a table keyed by (a, i, j), then replays the
+    shrinking argument from that table: the Comp witnesses around both
+    endpoints, each asked once, give a third neighborhood inside any two
+    with the same center.  A witness contains its point, so the third is
+    in the table too.  Generates the topology and certifies all six
+    structure maps against it and the base space.
     """
     rep = _require_valid(G, LT, clt)
-    nbhds = set()
-    pairs_of = {}
+    witness = functools.cache(functools.partial(comp_witness, LT))
+    nbhds, pairs_of = {}, {}
     for a in sorted(G.morphisms):
         at = [(i, j) for i in _members_at(LT, G.source[a])
               for j in _members_at(LT, G.target[a])]
         pairs_of[a] = sorted(at, key=lambda ij: (_index_key(ij[0]), _index_key(ij[1])))
         for i, j in pairs_of[a]:
-            nbhds.add(basic_neighborhood(G, LT, a, i, j))
+            nbhds[(a, i, j)] = basic_neighborhood(G, LT, a, i, j)
 
     failures = []
     for a in sorted(G.morphisms):
         x, y = G.source[a], G.target[a]
         for (i, j), (i2, j2) in itertools.combinations(pairs_of[a], 2):
-            k = comp_witness(LT, x, i, i2)
-            l = comp_witness(LT, y, j, j2)
-            inner = basic_neighborhood(G, LT, a, k, l)
-            outer = (basic_neighborhood(G, LT, a, i, j)
-                     & basic_neighborhood(G, LT, a, i2, j2))
-            if not inner <= outer:
+            k, l = witness(x, i, i2), witness(y, j, j2)
+            if not nbhds[(a, k, l)] <= nbhds[(a, i, j)] & nbhds[(a, i2, j2)]:
                 failures.append((a, (i, j), (i2, j2), k, l))
 
-    gen = generate_from_base(sorted(G.morphisms), nbhds)
+    gen = generate_from_base(sorted(G.morphisms), nbhds.values())
     greport = check_topological_groupoid(G, gen.topology, LT.base_space)
     return gen.topology, GenerationReport(
         clt=rep, base_compatible=gen.base_compatible,
@@ -316,8 +311,6 @@ def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
     inside W.  With the stated preconditions (W composition-closed, sections
     landing in W) a failure is impossible, so a False verdict means an
     upstream hypothesis was broken."""
-    if isinstance(W, WideSubgroupoid):
-        W = W.carrier
     W = frozenset(W)
     reasons = check_wide_subgroupoid(G, W)
     if reasons:

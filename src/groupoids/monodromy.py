@@ -180,7 +180,6 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
     M = MonodromyGroupoid(ambient=G, subset=W, graph=graph, relator_family=tuple(family),
                           forest=forest, generates_ambient=generates, closed=closed,
                           budget=budget)
-    M.engines  # decided here; an engine may hold M to build its relations later
     return M
 
 

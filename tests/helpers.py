@@ -403,6 +403,45 @@ def class_search_oracle(M, roots, depth, max_classes):
     return ClassSearch(classes, exact, not frontier, None)
 
 
+def generation_oracle(G, LT):
+    """`generate_groupoid_topology` on a valid structure as it was written
+    before its neighborhood table: collect every basic neighborhood into a
+    set, then replay the shrinking argument by building the three
+    neighborhoods of each pair of pairs again and searching Comp again.
+    Returns (topology, base_compatible, refinement failures, groupoid report)."""
+    from groupoids.loctriv import basic_neighborhood, comp_witness
+    from groupoids.topology import check_topological_groupoid, generate_from_base
+
+    def key(i):
+        return (0, i) if isinstance(i, int) else (1, str(i))
+
+    def members(p):
+        return [i for i, u in LT.cover if p in u]
+
+    nbhds, pairs_of = set(), {}
+    for a in sorted(G.morphisms):
+        at = [(i, j) for i in members(G.source[a]) for j in members(G.target[a])]
+        pairs_of[a] = sorted(at, key=lambda ij: (key(ij[0]), key(ij[1])))
+        for i, j in pairs_of[a]:
+            nbhds.add(basic_neighborhood(G, LT, a, i, j))
+
+    failures = []
+    for a in sorted(G.morphisms):
+        x, y = G.source[a], G.target[a]
+        for (i, j), (i2, j2) in itertools.combinations(pairs_of[a], 2):
+            k = comp_witness(LT, x, i, i2)
+            l = comp_witness(LT, y, j, j2)
+            inner = basic_neighborhood(G, LT, a, k, l)
+            outer = (basic_neighborhood(G, LT, a, i, j)
+                     & basic_neighborhood(G, LT, a, i2, j2))
+            if not inner <= outer:
+                failures.append((a, (i, j), (i2, j2), k, l))
+
+    gen = generate_from_base(sorted(G.morphisms), nbhds)
+    return (gen.topology, gen.base_compatible, tuple(failures),
+            check_topological_groupoid(G, gen.topology, LT.base_space))
+
+
 # --------------------------------------------------------------- witness replay
 
 def replay_violation(G, v):

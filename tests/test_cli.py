@@ -153,6 +153,22 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def test_refuted_refinement_law_is_refuted_with_witness(tmp_path, capsys):
+    """A valid structure whose shrinking argument fails exits 1 and names
+    the first failure."""
+    from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
+    from test_loctriv import refuted_refinement_instance
+
+    G, LT = refuted_refinement_instance()
+    doc = {"groupoid": serialize_groupoid(G), **serialize_local_trivialization(LT)}
+    code, out, _ = run(["clt-generate", _write(tmp_path, "refuted.json", doc),
+                        "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["verdicts"]["clt-valid"] is True
+    assert report["verdicts"]["refinement-law"] is False
+    assert report["witnesses"]["refinement[0]"] == "(o0>o0:0, (0, 2), (1, 2), 1, 0)"
+
+
 def test_unlawful_tables_are_precondition_errors(tmp_path, capsys):
     """A missing composite in the groupoid, or in globalize's target, is an
     input fault: exit 3 with a message, never a traceback or a refutation."""

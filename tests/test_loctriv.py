@@ -24,9 +24,15 @@ from groupoids.monodromy import (
     pregroupoid,
     star_covering_report,
 )
-from groupoids.topology import discrete, indiscrete, is_topology, topology
+from groupoids.topology import (
+    discrete,
+    generate_from_base,
+    indiscrete,
+    is_topology,
+    topology,
+)
 
-from helpers import cyclic, group_groupoid, product_groupoid
+from helpers import cyclic, generation_oracle, group_groupoid, product_groupoid
 
 F = frozenset
 
@@ -56,9 +62,12 @@ def test_singleton_cover_is_valid():
 SUBS7 = [F({0}), F({1}), F({2}), F({0, 1}), F({0, 2}), F({1, 2}), F({0, 1, 2})]
 
 
+def all_subsets_instance():
+    return pair_groupoid([0, 1, 2]), canonical_lt(discrete([0, 1, 2]), list(enumerate(SUBS7)))
+
+
 def test_all_subsets_cover_with_canonical_sections_is_valid():
-    G = pair_groupoid([0, 1, 2])
-    LT = canonical_lt(discrete([0, 1, 2]), list(enumerate(SUBS7)))
+    G, LT = all_subsets_instance()
     rep = validate_clt(G, LT)
     assert rep.ok, rep.problems  # one global arrow choice agrees with itself
     assert comp_witness(LT, 0, 3, 4) == 0  # {0} is the least-index member in {0,1} n {0,2}
@@ -198,6 +207,105 @@ def test_canonical_covers_always_generate_topological_groupoids(extra):
             for j, v in LT.cover:
                 if G.source[a] in u and G.target[a] in v:
                     assert a in basic_neighborhood(G, LT, a, i, j)
+
+
+def refuted_refinement_instance():
+    """A valid structure whose refinement law fails: over Sierpinski space
+    the whole-space members 0 and 2 share a point, and s_{o0,0} alone sends
+    o1 to the non-trivial arrow.  The self pair (2, 2) is witnessed by member
+    0, whose section is not the one of member 2."""
+    G = product_groupoid(2, cyclic(2))
+    base = topology(["o0", "o1"], [F(), F({"o0"}), F({"o0", "o1"})])
+    cover = [(0, F({"o0", "o1"})), (1, F({"o0"})), (2, F({"o0", "o1"}))]
+    sections = {(x, i): {u: f"{x}>{u}:0" for u in member}
+                for i, member in cover for x in member}
+    sections[("o0", 0)]["o1"] = "o0>o1:1"
+    return G, local_trivialization(base, cover, sections)
+
+
+def test_refuted_refinement_law_is_pinned():
+    G, LT = refuted_refinement_instance()
+    assert validate_clt(G, LT).ok
+    _, rep = generate_groupoid_topology(G, LT)
+    shrink = [((0, 2), (1, 2), 1, 0), ((0, 2), (2, 2), 1, 0), ((1, 2), (2, 2), 1, 0),
+              ((2, 0), (2, 1), 0, 1), ((2, 0), (2, 2), 0, 1), ((2, 1), (2, 2), 0, 1)]
+    assert rep.refinement_failures == (
+        *(("o0>o0:0", *f) for f in shrink), *(("o0>o0:1", *f) for f in shrink),
+        ("o0>o1:0", (2, 0), (2, 2), 0, 0), ("o0>o1:1", (2, 0), (2, 2), 0, 0),
+        ("o1>o0:0", (0, 2), (2, 2), 0, 0), ("o1>o0:1", (0, 2), (2, 2), 0, 0))
+    assert generation_oracle(G, LT)[2] == rep.refinement_failures
+    assert not rep.ok
+
+
+def _structures(data):
+    """A valid or invalid local trivialization drawn from sorted lists only:
+    a pair groupoid with its canonical sections, or a product groupoid over
+    Z/2 or Z/3 with random section values, on up to three points whose
+    topology is generated by random subsets.  The cover holds every minimal
+    neighborhood, so it is a base, and up to three more opens."""
+    group = data.draw(st.sampled_from(["pair", "Z/2", "Z/3"]), label="groupoid")
+    points = ["o0", "o1", "o2"][:data.draw(st.integers(1, 3), label="points")]
+    subsets = [F(s) for r in range(1, len(points) + 1)
+               for s in itertools.combinations(points, r)]
+    family = data.draw(st.lists(st.sampled_from(subsets), max_size=3), label="subbase")
+    base = generate_from_base(points, family + [F(points)]).topology
+    opens = sorted((o for o in base.opens if o), key=lambda o: (len(o), sorted(o)))
+    minimal = [o for o in opens if o in base.neighborhoods.values()]
+    members = minimal + data.draw(st.lists(st.sampled_from(opens), max_size=3),
+                                  label="extra members")
+    indices = data.draw(st.lists(st.integers(0, 9), unique=True, min_size=len(members),
+                                 max_size=len(members)), label="indices")
+    cover = list(zip(indices, members))
+    if group == "pair":
+        return pair_groupoid(points), canonical_lt(base, cover)
+    n = int(group[2:])
+    values = st.sampled_from([str(g) for g in range(n)])
+    sections = {(x, i): {u: f"{x}>{u}:{'0' if u == x else data.draw(values)}"
+                         for u in sorted(member)}
+                for i, member in cover for x in sorted(member)}
+    return (product_groupoid(len(points), cyclic(n)),
+            local_trivialization(base, cover, sections))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generation_matches_the_oracle(data):
+    """The neighborhood table gives the topology, base compatibility,
+    refinement failures in order and groupoid report of the loops that
+    built every neighborhood again (`generation_oracle`), refuted
+    refinement laws included."""
+    G, LT = _structures(data)
+    if not validate_clt(G, LT).ok:
+        with pytest.raises(ValueError, match="local trivialization invalid"):
+            generate_groupoid_topology(G, LT)
+        return
+    T, rep = generate_groupoid_topology(G, LT)
+    T_old, compatible, failures, groupoid = generation_oracle(G, LT)
+    assert T.neighborhoods == T_old.neighborhoods
+    assert rep.base_compatible == compatible
+    assert rep.refinement_failures == failures
+    assert rep.groupoid == groupoid
+
+
+@pytest.mark.parametrize("instance", [refuted_refinement_instance, all_subsets_instance])
+def test_generation_asks_each_neighborhood_and_witness_once(instance, monkeypatch):
+    """`basic_neighborhood` runs once per distinct (a, i, j), and
+    `comp_witness` at most once per distinct argument triple."""
+    import groupoids.loctriv as loctriv
+
+    G, LT = instance()
+    clt = validate_clt(G, LT)
+    calls = {"basic_neighborhood": [], "comp_witness": []}
+    for name, log in calls.items():
+        original = getattr(loctriv, name)
+        monkeypatch.setattr(loctriv, name,
+                            lambda *a, _o=original, _log=log: _log.append(a[-3:]) or _o(*a))
+    generate_groupoid_topology(G, LT, clt=clt)
+    nbhds, witnesses = calls["basic_neighborhood"], calls["comp_witness"]
+    assert len(nbhds) == len(set(nbhds)) == sum(
+        len([i for i, u in LT.cover if G.source[a] in u])
+        * len([j for j, v in LT.cover if G.target[a] in v]) for a in G.morphisms)
+    assert witnesses and len(witnesses) == len(set(witnesses))
 
 
 # ----------------------------------------------------------------- openness

@@ -224,6 +224,22 @@ def test_globalize_precondition_errors():
         globalize(M, {"0": "012", "1": "120", "6": "120"}, H)
 
 
+def test_globalize_builds_no_engine(monkeypatch):
+    """`globalize` reads only the defining triples.  On the full carrier of
+    Z/48 less {2, 46}, whose engine would take Tietze elimination and coset
+    enumeration, neither `build_engine` nor `_table_engine` is called."""
+    G = group_groupoid(cyclic(48))
+    W = pregroupoid(G, G.morphisms - {"2", "46"})
+    calls = []
+    for name in ("build_engine", "_table_engine"):
+        original = getattr(monodromy, name)
+        monkeypatch.setattr(monodromy, name,
+                            lambda *a, _o=original, **k: calls.append(a) or _o(*a, **k))
+    M = build_monodromy(G, W)
+    assert globalize(M, {a: a for a in W.carrier}, G).ok
+    assert calls == [] and "engines" not in vars(M)
+
+
 # ------------------------------------------------------------- star covers
 
 def line_fibers(n, depth):
