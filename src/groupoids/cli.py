@@ -26,6 +26,7 @@ writes atomically to a path instead of standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -59,6 +60,7 @@ from .monodromy import (
     pregroupoid,
     star_covering_report,
 )
+from . import topology as finite_topology
 from .topology import (
     TopologySizeError,
     check_topological_groupoid,
@@ -283,12 +285,14 @@ def _cmd_clt_generate(doc, args):
         if mrep.window.capped_at is not None:
             undecided.append(_cap_marker(mrep.window.points, mrep.window.capped_at,
                                          mrep.window.depth))
+        if mrep.window.opens is None:
+            undecided.append(_count_marker("window-opens"))
         if refuted:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
     T, grep_ = generate_groupoid_topology(G, LT, clt=rep)
     verdicts.update({
-        "opens": len(T.opens),
+        "opens": T.open_count,
         "base-compatible": grep_.base_compatible,
         "refinement-law": not grep_.refinement_failures,
         "all-maps-continuous": grep_.groupoid.ok,
@@ -297,7 +301,11 @@ def _cmd_clt_generate(doc, args):
     for i, fail in enumerate(grep_.refinement_failures):
         witnesses[f"refinement[{i}]"] = _render_value(fail)
     _record_certificates(grep_.groupoid, verdicts, witnesses)
-    return (PASS if grep_.ok else REFUTED), verdicts, witnesses, [], []
+    if not grep_.ok:
+        return REFUTED, verdicts, witnesses, [], []
+    if T.open_count is None:
+        return UNDECIDED, verdicts, witnesses, [_count_marker("opens")], []
+    return PASS, verdicts, witnesses, [], []
 
 
 def _cmd_w_open(doc, args):
@@ -327,6 +335,11 @@ _DOT_COMMANDS = {"validate", "monodromy", "pi1"}
 def _cap_marker(classes, levels, depth):
     return (f"class search capped at {classes} classes "
             f"after depth {levels} of {depth}")
+
+
+def _count_marker(key):
+    return (f"{key} not counted: the count stopped at MAX_COUNT_STATES = "
+            f"{finite_topology.MAX_COUNT_STATES} memoised subproblems")
 
 
 def _need(doc, field):
@@ -386,6 +399,21 @@ def _render_report(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's cap on int-to-str digits (4,300 by default):
+    an exact open count can pass it, 2**65536 for a discrete window at the
+    class cap."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: construction costs far more than parsing."""
@@ -440,7 +468,8 @@ def main(argv=None) -> int:
             "notes": list(notes),
             "timing": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        rendered = _render_report(report, args.format)
+        with _all_digits():
+            rendered = _render_report(report, args.format)
         if args.out:
             _write_atomic(args.out, rendered)
         else:

@@ -206,7 +206,9 @@ def comp_witness(LT: LocalTrivialization, x, i, j):
 def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
     """Check every law of the structure; failures are report content.
 
-    Legs: cover members open, cover a base of the space, section tables
+    Legs: cover members open, cover a base of the space (some member u
+    with p in u inside U_p at every point p; only a cover that is not a
+    base lists the opens, to name each open it fails in), section tables
     present/total/lawful (target back to the argument, source pinned at x,
     identity at x itself), and Comp for every point and pair of members
     around it.
@@ -215,11 +217,13 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
     for i, u in LT.cover:
         if not LT.base_space.is_open(u):
             problems.append(("cover-not-open", i))
-    for o in sorted(LT.base_space.opens, key=lambda s: (len(s), sorted(map(str, s)))):
-        for p in sorted(o, key=str):
-            if not any(p in u and u <= o for _, u in LT.cover):
-                problems.append(("not-a-base", (o, p)))
-                break
+    nb = LT.base_space.neighborhoods
+    if not all(any(p in u and u <= nb[p] for _, u in LT.cover) for p in nb):
+        for o in sorted(LT.base_space.opens, key=lambda s: (len(s), sorted(map(str, s)))):
+            for p in sorted(o, key=str):
+                if not any(p in u and u <= o for _, u in LT.cover):
+                    problems.append(("not-a-base", (o, p)))
+                    break
 
     problems += _section_problems(
         LT, LT.sections, lambda x: G.identity[x],
@@ -331,7 +335,7 @@ class WindowTopologyReport:
     points: int                   # distinct word classes in the window
     base_compatible: bool
     tokens_exact: bool            # False if any engine was undecided
-    opens: int
+    opens: int                    # None when the count stopped at its bound
     w_tilde_open: bool = None     # None when the openness leg was skipped
     topology: FiniteTopology = None     # on the window's class tokens
     values: dict = field(default_factory=dict)  # token -> image morphism
@@ -436,7 +440,7 @@ def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
     return WindowTopologyReport(depth=depth, points=len(classes),
                                 base_compatible=gen.base_compatible,
                                 tokens_exact=search.exact,
-                                opens=len(gen.topology.opens),
+                                opens=gen.topology.open_count,
                                 w_tilde_open=w_open,
                                 topology=gen.topology,
                                 values={t: val for t, (_, val) in classes.items()},

@@ -6,19 +6,25 @@ that: S is open iff U_p lies inside S for every p in S.  A pullback of
 pairs takes (U_a x U_b) & pairs, and a base or subbase generates U_p = the
 intersection of its members around p.  Continuity is one pointwise test,
 f(U_p) inside V_f(p), on plain domains and on the pullbacks of a groupoid's
-structure maps alike, so no certificate builds an open family.  Explicit
-families remain at the edges: `is_topology` and `topology` check documents
-that list their opens, and `FiniteTopology.opens` enumerates them on demand
-for counts and export, stopping with `TopologySizeError` past 2**16 sets.
+structure maps alike, so no certificate builds an open family, and neither
+does a count: `FiniteTopology.open_count` counts the up-sets of the
+specialisation preorder without listing them.  Counting them is #P-complete
+in general (Provan-Ball 1983), so a count gives up, with None, once it has
+memoised MAX_COUNT_STATES subproblems.  Explicit families remain at the
+edges: `is_topology` and `topology` check documents that list their opens,
+and `FiniteTopology.opens` enumerates them on demand for export, stopping
+with `TopologySizeError` past 2**16 sets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 MAX_OPENS = 1 << 16
+MAX_COUNT_STATES = 1 << 16  # subproblems one open count may memoise
 
 
 class TopologySizeError(Exception):
@@ -60,6 +66,120 @@ class FiniteTopology:
                     f"the topology on {len(self.points)} points has more than "
                     f"{MAX_OPENS} open sets, over the cap")
         return frozenset(family)
+
+    @cached_property
+    def open_count(self):
+        """The number of open sets, or None when counting stops at
+        MAX_COUNT_STATES memoised subproblems.  Points with one U_p form a
+        class, and an open set is a set of classes holding, with each class,
+        the classes inside its U_p.  Classes no other class touches count 2
+        each; the components of the comparability graph count apart and
+        multiply, over bit masks of their own (masks over all the classes
+        would take n**2 bits for n lone classes)."""
+        index = {}
+        for p in self.points:
+            index.setdefault(self.neighborhoods[p], len(index))
+        inside = [{index[self.neighborhoods[q]] for q in u} for u in index]
+        near = [set(below) for below in inside]
+        for c, below in enumerate(inside):
+            for d in below:
+                near[d].add(c)
+        count, budget, seen = 1, MAX_COUNT_STATES, set()
+        for start in range(len(inside)):
+            if start in seen:
+                continue
+            comp, todo = [], [start]
+            seen.add(start)
+            while todo:
+                c = todo.pop()
+                comp.append(c)
+                todo += near[c] - seen
+                seen |= near[c]
+            if len(comp) == 1:
+                count *= 2
+                continue
+            local = {c: i for i, c in enumerate(sorted(comp))}
+            down, up = [0] * len(comp), [0] * len(comp)
+            for c, i in local.items():
+                for d in inside[c]:
+                    down[i] |= 1 << local[d]
+                    up[local[d]] |= 1 << i
+            n, used = _count_down_sets(down, up, budget)
+            if n is None:
+                return None
+            count, budget = count * n, budget - used
+        return count
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _count_down_sets(down, up, budget):
+    """(number of index sets S with down[i] inside S for every i in S,
+    subproblems memoised), or (None, budget) once `budget` are.
+
+    down[i] and up[i] are bit masks holding i and the indices below and
+    above it.  One index is decided at a time, from an explicit stack rather
+    than by recursion, and each undecided rest is memoised: putting i in
+    removes down[i] from the rest, leaving it out removes up[i].  A rest
+    first splits into the components of its comparability graph, whose
+    counts multiply (a lone index counts 2); a connected rest branches as
+    `_plan` says."""
+    near = [d | u for d, u in zip(down, up)]
+    full = (1 << len(down)) - 1
+    memo, plans, stack = {0: 1}, {}, [full]
+    while stack:
+        rest = stack[-1]
+        if rest in memo:
+            stack.pop()
+            continue
+        if rest not in plans:
+            plans[rest] = _plan(rest, down, up, near)
+        singles, parts = plans[rest]
+        todo = [s for s in parts if s not in memo]
+        if todo:
+            stack += todo
+            continue
+        if len(memo) > budget:
+            return None, budget
+        counts = [memo[s] for s in parts]
+        memo[rest] = (counts[0] + counts[1] if singles is None
+                      else math.prod(counts) << singles)
+        del plans[rest]
+        stack.pop()
+    return memo[full], len(memo) - 1
+
+
+def _plan(rest, down, up, near):
+    """(lone indices, components) of a rest that splits, or (None, the two
+    branches) of a connected one.  The pivot comes from the middle layer of
+    a breadth-first search, so a path of comparable pairs splits in half,
+    and within it has the largest smaller side, so a chain halves too."""
+    singles, parts, left = 0, [], rest
+    while left:
+        layers = [left & -left]
+        comp = layers[0]
+        while layers[-1]:
+            reach = 0
+            for i in _bits(layers[-1]):
+                reach |= near[i]
+            layers.append(reach & left & ~comp)
+            comp |= layers[-1]
+        left &= ~comp
+        if comp & (comp - 1):
+            parts.append(comp)
+        else:
+            singles += 1
+    if singles or len(parts) > 1:
+        return singles, parts
+    pivot = max(_bits(layers[(len(layers) - 1) // 2]), key=lambda i: (
+        min((down[i] & rest).bit_count(), (up[i] & rest).bit_count()),
+        (near[i] & rest).bit_count(), -i))
+    return None, [rest & ~down[pivot], rest & ~up[pivot]]
 
 
 def _meets(points, family) -> dict:
@@ -138,10 +258,7 @@ def topology(points, opens, report=None) -> FiniteTopology:
 
 
 def discrete(points) -> FiniteTopology:
-    pts = frozenset(points)
-    if len(pts) > 16:
-        raise TopologySizeError(f"discrete topology on {len(pts)} points exceeds the cap")
-    return FiniteTopology({p: frozenset([p]) for p in pts})
+    return FiniteTopology({p: frozenset([p]) for p in points})
 
 
 def indiscrete(points) -> FiniteTopology:

@@ -410,3 +410,88 @@ def test_monodromy_on_full_carriers_builds_no_words(n, budget, verdict, tmp_path
     pairs = {frozenset({a, G.inverse[a]}) for a in G.morphisms if not G.is_identity(a)}
     assert (dot.read_text().splitlines()[1]
             == f'  label="{len(pairs)} generators, {len(relators)} relators";')
+
+
+def test_window_over_the_listing_cap_is_counted(tmp_path, capsys):
+    """Z/5 with the carrier {0, 1, 4} and the whole-space cover of one point:
+    the depth-8 window has 17 classes and a discrete topology of 2**17 opens,
+    one more class than listing allows, and is decided."""
+    from groupoids.interchange import serialize_groupoid
+    from helpers import cyclic, group_groupoid
+
+    doc = {"groupoid": serialize_groupoid(group_groupoid(cyclic(5))),
+           "carrier": ["0", "1", "4"],
+           "base_space": {"points": ["*"], "opens": [[], ["*"]]},
+           "cover": [[0, ["*"]]], "sections": [["*", 0, [["*", "0"]]]]}
+    code, out, err = run(["clt-generate", _write(tmp_path, "z5-clt.json", doc),
+                          "--window", "8", "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["undecided"] == []
+    assert report["verdicts"]["window-classes"] == 17
+    assert report["verdicts"]["window-opens"] == 2 ** 17
+
+
+def _discrete_pair4_doc():
+    """The pair groupoid on four points over the discrete space with the
+    singleton cover: its morphism topology is discrete, 2**16 opens."""
+    from groupoids.core import pair_groupoid
+    from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
+    from groupoids.loctriv import local_trivialization, sections_from_arrows
+    from groupoids.topology import discrete
+
+    points = ["a", "b", "c", "d"]
+    cover = [(i, frozenset({p})) for i, p in enumerate(points)]
+    LT = local_trivialization(discrete(points), cover,
+                              sections_from_arrows(cover, lambda x, u: f"({x},{u})"))
+    return {"groupoid": serialize_groupoid(pair_groupoid(points)),
+            **serialize_local_trivialization(LT)}
+
+
+@pytest.mark.parametrize("name, flags, key, count", [
+    ("pair4-discrete", [], "opens", 2 ** 16),
+    ("clt-monodromy-triangle", ["--window", "4"], "window-opens", 512),
+])
+def test_clt_generate_lists_no_opens(name, flags, key, count, tmp_path, monkeypatch,
+                                     capsys):
+    """`clt-generate` counts opens and tests the base pointwise, so its
+    report is the same when listing an open family fails."""
+    from groupoids.topology import FiniteTopology
+
+    path = (_write(tmp_path, "pair4.json", _discrete_pair4_doc())
+            if name == "pair4-discrete" else str(CORPUS / f"{name}.json"))
+    argv = ["clt-generate", path, *flags, "--format", "machine"]
+    reports = []
+    for _ in range(2):
+        code, out, err = run(argv, capsys)
+        report = json.loads(out)
+        report.pop("timing")
+        reports.append((code, report, err))
+
+        def refuse(self):
+            raise RuntimeError("an open family was listed")
+
+        monkeypatch.setattr(FiniteTopology, "opens", property(refuse))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and reports[0][1]["verdicts"][key] == count
+
+
+def test_a_count_past_the_digit_limit_is_rendered_whole(monkeypatch, capsys):
+    """An exact count can pass the interpreter's 4,300-digit limit on
+    int-to-str conversion (2**65536 has 19,729 digits).  Both renderings
+    carry it whole, and the limit is back in place afterwards."""
+    import sys
+
+    import groupoids.cli as cli
+    from groupoids.topology import FiniteTopology
+
+    huge = 2 ** 65536
+    with cli._all_digits():
+        digits = str(huge)
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(FiniteTopology, "open_count", huge)
+    path = str(CORPUS / "clt-sierpinski.json")
+    code, out, err = run(["clt-generate", path, "--format", "machine"], capsys)
+    assert code == 0 and err == "" and f'"opens":{digits},' in out
+    code, out, err = run(["clt-generate", path], capsys)
+    assert code == 0 and err == "" and f"\nopens: {digits}\n" in out
+    assert sys.get_int_max_str_digits() == limit

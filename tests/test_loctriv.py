@@ -108,6 +108,27 @@ def test_validate_flags_cover_member_that_is_not_open():
     assert validate_clt(G, LT).problems == (("cover-not-open", 0),)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_base_check_lists_the_opens_the_full_scan_lists(data):
+    """The pointwise base test (some member u with p in u inside U_p) lists
+    exactly the not-a-base failures of a scan over every open, in order."""
+    points = list(range(data.draw(st.integers(1, 4), label="points")))
+    subs = st.frozensets(st.sampled_from(points), min_size=1)
+    base = generate_from_base(points, data.draw(st.lists(subs, max_size=4)) + [F(points)])
+    T = base.topology
+    members = data.draw(st.lists(subs, min_size=1, max_size=5), label="cover")
+    LT = canonical_lt(T, list(enumerate(members)))
+    scan = []
+    for o in sorted(T.opens, key=lambda s: (len(s), sorted(map(str, s)))):
+        for p in sorted(o, key=str):
+            if not any(p in u and u <= o for u in members):
+                scan.append(("not-a-base", (o, p)))
+                break
+    problems = validate_clt(pair_groupoid(points), LT).problems
+    assert [q for q in problems if q[0] == "not-a-base"] == scan
+
+
 def test_validate_flags_broken_section_tables():
     G = pair_groupoid(["a", "b"])
     base = discrete(["a", "b"])
@@ -369,6 +390,17 @@ def test_one_object_window_counts_classes_by_displacement():
     fibers = Counter(rep.window.values.values())
     assert fibers == Counter(str(k % 5) for k in range(-6, 7))
     assert not rep.subset_closed and rep.window.w_tilde_open is None
+
+
+def test_discrete_window_over_the_listing_cap_is_counted():
+    """At depth 8 the same window holds 17 classes, so its discrete topology
+    has 2**17 opens, over the 2**16 cap on listing them; the count needs no
+    list."""
+    G = group_groupoid(cyclic(5))
+    W = pregroupoid(G, {"0", "1", "4"})
+    LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
+    rep = clt_on_monodromy(G, LT, W, build_monodromy(G, W), depth=8)
+    assert rep.window.points == 17 and rep.window.opens == 2 ** 17
 
 
 def test_triangle_adjacency_image_is_open_upstairs():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupoids import FiniteGroupoid, pair_groupoid
+from groupoids import topology as finite_topology
 from groupoids.topology import (
+    FiniteTopology,
     TopologySizeError,
     check_topological_groupoid,
     composable_pairs,
@@ -98,8 +100,7 @@ def test_validated_constructor():
 
 
 def test_family_cap():
-    with pytest.raises(TopologySizeError):
-        discrete(range(17))
+    assert discrete(range(17)).open_count == 2 ** 17  # counted, never listed
     pts = list(range(17))
     powerset = [F(c) for r in range(18) for c in itertools.combinations(pts, r)]
     with pytest.raises(TopologySizeError, match="exceeds the cap"):
@@ -202,6 +203,76 @@ def test_pullback_of_discrete_units():
     assert P.opens == discrete(P.points).opens
     with pytest.raises(ValueError, match="unknown pullback kind"):
         pullback_space(G, discrete(G.morphisms), kind="weird")
+
+
+# ---------------------------------------------------------------- counting
+
+@st.composite
+def small_topologies(draw):
+    """Topologies on at most 10 points: generated by a random subbase, a
+    product of two such, or a subspace of one."""
+    def generated(max_points):
+        pts = list(range(draw(st.integers(1, max_points))))
+        subs = st.frozensets(st.sampled_from(pts), min_size=1)
+        return generate_from_base(pts, draw(st.lists(subs, max_size=6)) + [F(pts)]).topology
+
+    kind = draw(st.sampled_from(["subbase", "product", "subspace"]))
+    if kind == "subbase":
+        return generated(10)
+    if kind == "product":
+        return product_topology(generated(3), generated(3))
+    T = generated(10)
+    return subspace_topology(T, draw(st.frozensets(st.sampled_from(T.points), min_size=1)))
+
+
+@given(small_topologies())
+@settings(max_examples=300, deadline=None)
+def test_open_count_matches_the_listed_family(T):
+    assert T.open_count == len(T.opens)
+
+
+def test_long_chains_and_wide_antichains_count_without_recursion():
+    """A chain halves at each branch and an antichain is all lone points, so
+    neither goes deep.  The 5,000-point chain is given to the counter as bit
+    masks: its neighbourhoods as sets would hold 12.5 million points.  The
+    1,200-point chain, over the default recursion limit, goes through
+    `FiniteTopology`."""
+    n = 5000
+    full = (1 << n) - 1
+    down = [(1 << (i + 1)) - 1 for i in range(n)]
+    up = [full ^ ((1 << i) - 1) for i in range(n)]
+    assert finite_topology._count_down_sets(down, up, finite_topology.MAX_COUNT_STATES)[0] \
+        == n + 1
+    chain = FiniteTopology({i: F(range(i + 1)) for i in range(1200)})
+    assert chain.open_count == 1201
+    assert discrete(range(200)).open_count == 2 ** 200
+
+
+def test_open_count_stops_at_its_bound(monkeypatch, capsys):
+    """The Sierpinski clt document needs 5 memoised subproblems to count the
+    6 opens of its morphism topology; with the bound at 4 the count stops
+    and the report is undecided, naming the bound."""
+    import json
+    import pathlib
+
+    from groupoids.cli import main
+
+    S = topology([0, 1], SIERPINSKI)
+    assert S.open_count == 3
+    monkeypatch.setattr(finite_topology, "MAX_COUNT_STATES", 0)
+    assert topology([0, 1], SIERPINSKI).open_count is None
+    assert discrete(range(20)).open_count == 2 ** 20  # lone points need no memo
+
+    doc = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "clt-sierpinski.json"
+    argv = ["clt-generate", str(doc), "--format", "machine"]
+    monkeypatch.setattr(finite_topology, "MAX_COUNT_STATES", 5)
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["verdicts"]["opens"] == 6
+    monkeypatch.setattr(finite_topology, "MAX_COUNT_STATES", 4)
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "undecided" and report["verdicts"]["opens"] is None
+    assert report["undecided"] == [
+        "opens not counted: the count stopped at MAX_COUNT_STATES = 4 memoised subproblems"]
 
 
 # -------------------------------------------------------------- continuity
