@@ -87,13 +87,13 @@ def _strip(doc):
 def _cmd_validate(doc, args):
     if "groupoid" in doc or ("objects" in doc and "morphisms" in doc):
         G = parse_groupoid(doc.get("groupoid", doc))
-        rep = validate_groupoid(G)
-        verdicts = {"groupoid-valid": rep.ok, "violations": len(rep.violations)}
-        witnesses = {f"violation[{i}]": f"{v.kind}: {v.witness!r}"
-                     for i, v in enumerate(rep.violations)}
+        violations = validate_groupoid(G)
+        verdicts = {"groupoid-valid": not violations, "violations": len(violations)}
+        witnesses = {f"violation[{i}]": f"{kind}: {witness!r}"
+                     for i, (kind, witness) in enumerate(violations)}
         if args.dot:
             _write_atomic(args.dot, export_dot(G))
-        return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
+        return (REFUTED if violations else PASS), verdicts, witnesses, [], []
     if "points" in doc:
         return _check_family(doc)
     raise DocumentError("document: expected a groupoid or a topology document")
@@ -102,21 +102,21 @@ def _cmd_validate(doc, args):
 def _check_family(doc):
     """The closure axioms on a bare topology document's family."""
     points, fam = parse_topology_family(doc)
-    rep = is_topology(points, fam)
-    verdicts, witnesses = {"topology-valid": rep.ok}, {}
-    if not rep.ok:
-        verdicts["failure"] = rep.kind
-        witnesses["witness"] = _render_value(rep.witness)
-    return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
+    problems = is_topology(points, fam)
+    verdicts, witnesses = {"topology-valid": not problems}, {}
+    for kind, witness in problems:
+        verdicts["failure"] = kind
+        witnesses["witness"] = _render_value(witness)
+    return (REFUTED if problems else PASS), verdicts, witnesses, [], []
 
 
 def _lawful_groupoid(doc, field):
     """Parse a groupoid field whose table must pass the linear checks."""
     G = parse_groupoid(_need(doc, field), where=field)
-    rep = validate_structure(G)
-    if not rep.ok:
-        v = rep.violations[0]
-        raise ValueError(f"document.{field}: {v.kind} at {v.witness!r}")
+    problems = validate_structure(G)
+    if problems:
+        kind, witness = problems[0]
+        raise ValueError(f"document.{field}: {kind} at {witness!r}")
     return G
 
 
@@ -215,12 +215,12 @@ def _cmd_topology_check(doc, args):
         tops = {}
         for field in ("morphism_topology", "object_topology"):
             family = parse_topology_family(_need(doc, field), where=field)
-            rep = is_topology(*family)
-            tops[field] = (*family, rep)
-            verdicts[f"{field}-valid"] = rep.ok
-            if not rep.ok:
-                verdicts[f"{field}-failure"] = rep.kind
-                witnesses[field] = _render_value(rep.witness)
+            problems = is_topology(*family)
+            tops[field] = (*family, problems)
+            verdicts[f"{field}-valid"] = not problems
+            for kind, witness in problems:
+                verdicts[f"{field}-failure"] = kind
+                witnesses[field] = _render_value(witness)
         if witnesses:
             return REFUTED, verdicts, witnesses, [], []
         rep = check_topological_groupoid(G, topology(*tops["morphism_topology"]),
@@ -248,26 +248,26 @@ def _record_certificates(rep, verdicts, witnesses):
 def _cmd_clt_generate(doc, args):
     G = _lawful_groupoid(doc, "groupoid")
     LT = parse_local_trivialization(doc, where="document")
-    rep = validate_clt(G, LT)
-    verdicts = {"clt-valid": rep.ok}
+    problems = validate_clt(G, LT)
+    verdicts = {"clt-valid": not problems}
     witnesses = {f"problem[{i}]": f"{kind}: {_render_value(payload)}"
-                 for i, (kind, payload) in enumerate(rep.problems)}
-    if not rep.ok:
+                 for i, (kind, payload) in enumerate(problems)}
+    if problems:
         return REFUTED, verdicts, witnesses, [], []
     if "carrier" in doc:
         W, M, notes = _monodromy_of(G, doc, args.budget)
-        mrep = clt_on_monodromy(G, LT, W, M, depth=args.window, clt=rep)
+        mrep = clt_on_monodromy(G, LT, W, M, depth=args.window, clt=problems)
         verdicts.update({
             "transported-sections-valid": not mrep.problems,
             "comp-satisfied": len(mrep.comp_satisfied),
             "comp-failed": len(mrep.comp_failed),
-            "subset-composition-closed": mrep.subset_closed,
+            "subset-composition-closed": M.closed,
             "window-depth": mrep.window.depth,
             "window-classes": mrep.window.points,
             "window-opens": mrep.window.opens,
             "window-tokens-exact": mrep.window.tokens_exact,
         })
-        if mrep.subset_closed:
+        if M.closed:
             verdicts["w-tilde-open-in-window"] = mrep.window.w_tilde_open
         refuted = (mrep.problems or mrep.comp_failed or mrep.w_tilde_failures)
         for i, p in enumerate(mrep.problems):
@@ -290,7 +290,7 @@ def _cmd_clt_generate(doc, args):
         if refuted:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
-    T, grep_ = generate_groupoid_topology(G, LT, clt=rep)
+    T, grep_ = generate_groupoid_topology(G, LT, clt=problems)
     verdicts.update({
         "opens": T.open_count,
         "base-compatible": grep_.base_compatible,
@@ -313,10 +313,10 @@ def _cmd_w_open(doc, args):
     LT = parse_local_trivialization(doc, where="document")
     carrier = parse_carrier(doc, G)
     rep = check_w_open(G, LT, carrier)
-    verdicts = {"w-open": rep.is_open, "carrier-size": len(carrier),
+    verdicts = {"w-open": not rep.failures, "carrier-size": len(carrier),
                 "witnessed": len(rep.witnesses)}
     witnesses = {f"no-neighborhood[{i}]": a for i, a in enumerate(rep.failures)}
-    return (PASS if rep.is_open else REFUTED), verdicts, witnesses, [], []
+    return (REFUTED if rep.failures else PASS), verdicts, witnesses, [], []
 
 
 _COMMANDS = {

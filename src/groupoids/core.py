@@ -9,14 +9,15 @@ gives ab: x -> z.
 Nothing is validated on construction.  ``validate_groupoid`` checks every
 axiom exhaustively and returns violations as data, each with a witness that
 can be replayed against the table, so a corrupt candidate is something you
-can inspect rather than an exception.
+can inspect rather than an exception.  Every checker in the package answers
+the same way: a tuple of (kind, payload) pairs, empty when the check passes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -74,28 +75,6 @@ class GroupoidMorphism:
     mor_map: dict
 
 
-@dataclass(frozen=True)
-class NormalSubgroupoid:
-    """Totally disconnected wide subgroupoid, closed under conjugation."""
-
-    carrier: frozenset
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    witness: tuple
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 _REFERENCE_KINDS = ("dangling-reference", "identity-missing", "inverse-missing")
 
 
@@ -106,14 +85,14 @@ def _by_source(G: FiniteGroupoid) -> dict:
     return by_src
 
 
-def validate_structure(G: FiniteGroupoid) -> ValidationReport:
+def validate_structure(G: FiniteGroupoid) -> tuple:
     """The linear part of `validate_groupoid`, which every table lookup
     relies on: reference integrity, identity and inverse endpoints, and
     composition totality, domain and endpoints, in the same order.  The
     tables are scanned again in sorted order only when something is wrong."""
     if not _linear_scan(G, iter):
-        return ValidationReport()
-    return ValidationReport(tuple(_linear_scan(G, sorted)))
+        return ()
+    return tuple(_linear_scan(G, sorted))
 
 
 def _linear_scan(G: FiniteGroupoid, order) -> list:
@@ -124,27 +103,27 @@ def _linear_scan(G: FiniteGroupoid, order) -> list:
     # reference integrity
     for m in order(morphs):
         if G.source[m] not in objects:
-            out.append(Violation("dangling-reference", ("src", m, G.source[m])))
+            out.append(("dangling-reference", ("src", m, G.source[m])))
         if m not in G.target:
-            out.append(Violation("dangling-reference", ("target-missing", m)))
+            out.append(("dangling-reference", ("target-missing", m)))
         elif G.target[m] not in objects:
-            out.append(Violation("dangling-reference", ("tgt", m, G.target[m])))
+            out.append(("dangling-reference", ("tgt", m, G.target[m])))
     for m in order(set(G.target) - morphs):
-        out.append(Violation("dangling-reference", ("target-extra", m)))
+        out.append(("dangling-reference", ("target-extra", m)))
     for x in order(objects):
         if x not in G.identity:
-            out.append(Violation("identity-missing", (x,)))
+            out.append(("identity-missing", (x,)))
         elif G.identity[x] not in morphs:
-            out.append(Violation("dangling-reference", ("identity", x, G.identity[x])))
+            out.append(("dangling-reference", ("identity", x, G.identity[x])))
     for m in order(morphs):
         if m not in G.inverse:
-            out.append(Violation("inverse-missing", (m,)))
+            out.append(("inverse-missing", (m,)))
         elif G.inverse[m] not in morphs:
-            out.append(Violation("dangling-reference", ("inverse", m, G.inverse[m])))
+            out.append(("dangling-reference", ("inverse", m, G.inverse[m])))
     for (a, b), c in order(G.compose.items()):
         for m in (a, b, c):
             if m not in morphs:
-                out.append(Violation("dangling-reference", ("compose", a, b, m)))
+                out.append(("dangling-reference", ("compose", a, b, m)))
     if out:
         return out  # too broken for the table scans below to mean anything
 
@@ -152,27 +131,27 @@ def _linear_scan(G: FiniteGroupoid, order) -> list:
     for x in order(objects):
         e = G.identity[x]
         if src[e] != x or tgt[e] != x:
-            out.append(Violation("identity-endpoint", (x, e)))
+            out.append(("identity-endpoint", (x, e)))
 
     by_src = _by_source(G)
     for a in order(morphs):
         for b in by_src.get(tgt[a], ()):
             if (a, b) not in comp:
-                out.append(Violation("compose-missing", (a, b)))
+                out.append(("compose-missing", (a, b)))
     for (a, b), c in order(comp.items()):
         if tgt[a] != src[b]:
-            out.append(Violation("compose-domain", (a, b)))
+            out.append(("compose-domain", (a, b)))
         elif src[c] != src[a] or tgt[c] != tgt[b]:
-            out.append(Violation("compose-endpoint", (a, b, c)))
+            out.append(("compose-endpoint", (a, b, c)))
 
     for a in order(morphs):
         ai = G.inverse[a]
         if src[ai] != tgt[a] or tgt[ai] != src[a]:
-            out.append(Violation("inverse-endpoint", (a, ai)))
+            out.append(("inverse-endpoint", (a, ai)))
     return out
 
 
-def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
+def validate_groupoid(G: FiniteGroupoid) -> tuple:
     """Exhaustively check the groupoid axioms on a candidate table.
 
     Violations carry replayable witnesses.  Checks are guarded so that one
@@ -180,13 +159,13 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     with bad endpoints is excluded from the associativity and inverse-law
     scans instead of cascading into derived failures.
     """
-    found = validate_structure(G).violations
-    if found and found[0].kind in _REFERENCE_KINDS:
-        return ValidationReport(found)
-    bad_inverse = {v.witness[0]: v for v in found if v.kind == "inverse-endpoint"}
-    out = [v for v in found if v.kind != "inverse-endpoint"]
-    bad_identity_obj = {v.witness[0] for v in out if v.kind == "identity-endpoint"}
-    poisoned = {v.witness[:2] for v in out if v.kind.startswith("compose-")}
+    found = validate_structure(G)
+    if found and found[0][0] in _REFERENCE_KINDS:
+        return found
+    bad_inverse = {w[0]: (k, w) for k, w in found if k == "inverse-endpoint"}
+    out = [(k, w) for k, w in found if k != "inverse-endpoint"]
+    bad_identity_obj = {w[0] for k, w in out if k == "identity-endpoint"}
+    poisoned = {w[:2] for k, w in out if k.startswith("compose-")}
     src, tgt, comp = G.source, G.target, G.compose
     morphs, by_src = set(G.source), _by_source(G)
 
@@ -201,11 +180,11 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         if x not in bad_identity_obj:
             lm = product(G.identity[x], m)
             if lm is not None and lm != m:
-                out.append(Violation("left-identity", (m,)))
+                out.append(("left-identity", (m,)))
         if y not in bad_identity_obj:
             mr = product(m, G.identity[y])
             if mr is not None and mr != m:
-                out.append(Violation("right-identity", (m,)))
+                out.append(("right-identity", (m,)))
 
     # inverse endpoints and laws
     for a in sorted(morphs):
@@ -215,10 +194,10 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         ai = G.inverse[a]
         left = product(a, ai)
         if left is not None and src[a] not in bad_identity_obj and left != G.identity[src[a]]:
-            out.append(Violation("inverse-law", (a, "left")))
+            out.append(("inverse-law", (a, "left")))
         right = product(ai, a)
         if right is not None and tgt[a] not in bad_identity_obj and right != G.identity[tgt[a]]:
-            out.append(Violation("inverse-law", (a, "right")))
+            out.append(("inverse-law", (a, "right")))
 
     # associativity on every composable triple with intact intermediates
     for a in sorted(morphs):
@@ -233,9 +212,9 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                 lhs = product(ab, c)
                 rhs = product(a, bc)
                 if lhs is not None and rhs is not None and lhs != rhs:
-                    out.append(Violation("associativity", (a, b, c)))
+                    out.append(("associativity", (a, b, c)))
 
-    return ValidationReport(tuple(out))
+    return tuple(out)
 
 
 class _PairCompose(Mapping):
@@ -401,8 +380,8 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
     return _closure(G, carrier) == set(G.morphisms)
 
 
-def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
-    """Reasons `carrier` fails to be a wide subgroupoid (empty list = fine).
+def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> tuple:
+    """Reasons `carrier` fails to be a wide subgroupoid (empty = fine).
 
     Composites are looked up only for pairs a, b with tgt(a) = src(b),
     through an index of the carrier by source; on a table that passes
@@ -411,8 +390,7 @@ def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
     carrier = set(carrier)
     problems = []
     if not carrier <= set(G.morphisms):
-        problems.append(("not-a-morphism", sorted(carrier - set(G.morphisms))[0]))
-        return problems
+        return (("not-a-morphism", sorted(carrier - set(G.morphisms))[0]),)
     for x in sorted(G.objects):
         if G.identity[x] not in carrier:
             problems.append(("identity-missing", x))
@@ -427,31 +405,31 @@ def check_wide_subgroupoid(G: FiniteGroupoid, carrier) -> list:
             c = G.compose.get((a, b))
             if c is not None and c not in carrier:
                 problems.append(("composite-escapes", (a, b, c)))
-    return problems
+    return tuple(problems)
 
 
-def check_normal_subgroupoid(G: FiniteGroupoid, carrier) -> list:
+def check_normal_subgroupoid(G: FiniteGroupoid, carrier) -> tuple:
     """Reasons `carrier` fails to be normal: wide, totally disconnected
     (endomorphisms only), and closed under conjugation by every morphism."""
     problems = check_wide_subgroupoid(G, carrier)
     if problems:
         return problems
-    for n in sorted(carrier):
-        if G.source[n] != G.target[n]:
-            problems.append(("not-totally-disconnected", n))
+    problems = [("not-totally-disconnected", n)
+                for n in sorted(carrier) if G.source[n] != G.target[n]]
     if problems:
-        return problems
+        return tuple(problems)
     for n in sorted(carrier):
         x = G.source[n]
         for g in G.costar(x):
             conj = G.mul(g, n, G.inverse[g])
             if conj not in carrier:
                 problems.append(("conjugate-escapes", (g, n, conj)))
-    return problems
+    return tuple(problems)
 
 
-def normal_closure(G: FiniteGroupoid, seeds) -> NormalSubgroupoid:
-    """Smallest normal subgroupoid containing `seeds` (endomorphisms only).
+def normal_closure(G: FiniteGroupoid, seeds) -> frozenset:
+    """The carrier of the smallest normal subgroupoid containing `seeds`
+    (endomorphisms only).
 
     The same semi-naive rounds as `generated_by`, where each new member is
     also conjugated by every morphism into its object, once.
@@ -469,21 +447,20 @@ def normal_closure(G: FiniteGroupoid, seeds) -> NormalSubgroupoid:
     def conjugates(n):
         return [G.mul(g, n, G.inverse[g]) for g in costar.get(G.source[n], ())]
 
-    carrier = _closure(G, {G.identity[x] for x in G.objects} | seeds, conjugates)
-    return NormalSubgroupoid(carrier=frozenset(carrier))
+    return frozenset(_closure(G, {G.identity[x] for x in G.objects} | seeds, conjugates))
 
 
-def quotient(G: FiniteGroupoid, N: NormalSubgroupoid):
-    """Object-preserving quotient by a normal subgroupoid.
+def quotient(G: FiniteGroupoid, N: frozenset):
+    """Object-preserving quotient by the normal subgroupoid with carrier N.
 
     Morphisms of the quotient are cosets; each coset is named by its
     lexicographically smallest member.  Returns (quotient, projection).
     """
-    problems = check_normal_subgroupoid(G, N.carrier)
+    problems = check_normal_subgroupoid(G, N)
     if problems:
         raise ValueError(f"not a normal subgroupoid: {problems[0]!r}")
     n_at = {}
-    for n in N.carrier:
+    for n in N:
         n_at.setdefault(G.source[n], []).append(n)
 
     def coset(a):
@@ -509,35 +486,35 @@ def quotient(G: FiniteGroupoid, N: NormalSubgroupoid):
 
 
 def validate_morphism(dom: FiniteGroupoid, cod: FiniteGroupoid,
-                      f: GroupoidMorphism) -> ValidationReport:
+                      f: GroupoidMorphism) -> tuple:
     """Exhaustive functor check: totality, endpoints, identities,
     composition, inversion."""
     out = []
     for x in sorted(dom.objects):
         if x not in f.obj_map:
-            out.append(Violation("object-unmapped", (x,)))
+            out.append(("object-unmapped", (x,)))
         elif f.obj_map[x] not in cod.objects:
-            out.append(Violation("object-image-unknown", (x, f.obj_map[x])))
+            out.append(("object-image-unknown", (x, f.obj_map[x])))
     for m in sorted(dom.morphisms):
         if m not in f.mor_map:
-            out.append(Violation("morphism-unmapped", (m,)))
+            out.append(("morphism-unmapped", (m,)))
         elif f.mor_map[m] not in cod.morphisms:
-            out.append(Violation("morphism-image-unknown", (m, f.mor_map[m])))
+            out.append(("morphism-image-unknown", (m, f.mor_map[m])))
     if out:
-        return ValidationReport(tuple(out))
+        return tuple(out)
     for m in sorted(dom.morphisms):
         fm = f.mor_map[m]
         if cod.source[fm] != f.obj_map[dom.source[m]]:
-            out.append(Violation("source-not-preserved", (m,)))
+            out.append(("source-not-preserved", (m,)))
         if cod.target[fm] != f.obj_map[dom.target[m]]:
-            out.append(Violation("target-not-preserved", (m,)))
+            out.append(("target-not-preserved", (m,)))
         if f.mor_map[dom.inverse[m]] != cod.inverse[fm]:
-            out.append(Violation("inverse-not-preserved", (m,)))
+            out.append(("inverse-not-preserved", (m,)))
     for x in sorted(dom.objects):
         if f.mor_map[dom.identity[x]] != cod.identity[f.obj_map[x]]:
-            out.append(Violation("identity-not-preserved", (x,)))
+            out.append(("identity-not-preserved", (x,)))
     for (a, b), c in sorted(dom.compose.items()):
         img = cod.compose.get((f.mor_map[a], f.mor_map[b]))
         if img != f.mor_map[c]:
-            out.append(Violation("composition-not-preserved", (a, b)))
-    return ValidationReport(tuple(out))
+            out.append(("composition-not-preserved", (a, b)))
+    return tuple(out)

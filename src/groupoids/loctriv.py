@@ -20,6 +20,11 @@ On finite tables equality is `==` and always decides.  Transported along the
 one-letter embedding into a monodromy groupoid, elements are words and the
 per-component engines answer equality, possibly "undecided" when a budget
 runs out, which the reports here surface rather than hide.
+
+`validate_clt` answers as every checker in the package does, with a tuple
+of (kind, payload) pairs that is empty when the structure is valid, and the
+constructions that need a valid structure take that tuple as `clt` when the
+caller already holds it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .monodromy import (
 from .topology import (
     FiniteTopology,
     TopologicalGroupoidReport,
+    _family_order,
     check_topological_groupoid,
     generate_from_base,
 )
@@ -171,12 +177,11 @@ def _open_search(G, LT, elements, inside):
 
 
 def _require_valid(G, LT, clt=None):
-    """The `validate_clt` report, or `clt` when the caller already made it;
-    raises on an invalid structure."""
-    rep = validate_clt(G, LT) if clt is None else clt
-    if not rep.ok:
-        raise ValueError(f"local trivialization invalid: {rep.problems[0]!r}")
-    return rep
+    """Raises on an invalid structure; `clt` is the `validate_clt` tuple
+    when the caller already made it."""
+    problems = validate_clt(G, LT) if clt is None else clt
+    if problems:
+        raise ValueError(f"local trivialization invalid: {problems[0]!r}")
 
 
 def _require_sections_in(LT, carrier, what):
@@ -184,15 +189,6 @@ def _require_sections_in(LT, carrier, what):
         for u in sorted(LT.sections[key], key=str):
             if LT.sections[key][u] not in carrier:
                 raise ValueError(f"section {key!r} leaves the {what} at {u!r}")
-
-
-@dataclass(frozen=True)
-class CltReport:
-    problems: tuple  # (kind, payload) pairs, deterministic order
-
-    @property
-    def ok(self):
-        return not self.problems
 
 
 def comp_witness(LT: LocalTrivialization, x, i, j):
@@ -203,8 +199,9 @@ def comp_witness(LT: LocalTrivialization, x, i, j):
     return _comp(LT, LT.sections, operator.eq, x, i, j)[1]
 
 
-def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
-    """Check every law of the structure; failures are report content.
+def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
+    """Check every law of the structure: the (kind, payload) pairs of its
+    failures, in a deterministic order, empty when it is valid.
 
     Legs: cover members open, cover a base of the space (some member u
     with p in u inside U_p at every point p; only a cover that is not a
@@ -219,7 +216,7 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
             problems.append(("cover-not-open", i))
     nb = LT.base_space.neighborhoods
     if not all(any(p in u and u <= nb[p] for _, u in LT.cover) for p in nb):
-        for o in sorted(LT.base_space.opens, key=lambda s: (len(s), sorted(map(str, s)))):
+        for o in sorted(LT.base_space.opens, key=_family_order):
             for p in sorted(o, key=str):
                 if not any(p in u and u <= o for _, u in LT.cover):
                     problems.append(("not-a-base", (o, p)))
@@ -232,7 +229,7 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> CltReport:
     for x, i, j in _comp_triples(LT):
         if comp_witness(LT, x, i, j) is None:
             problems.append(("comp", (x, i, j)))
-    return CltReport(problems=tuple(problems))
+    return tuple(problems)
 
 
 def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
@@ -253,23 +250,22 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
 
 @dataclass(frozen=True)
 class GenerationReport:
-    clt: CltReport
     base_compatible: bool         # did the neighborhoods form a true base
     refinement_failures: tuple    # (a, (i,j), (i2,j2), k, l) where shrinking failed
     groupoid: TopologicalGroupoidReport
 
     @property
     def ok(self):
-        return (self.clt.ok and self.base_compatible
-                and not self.refinement_failures and self.groupoid.ok)
+        return (self.base_compatible and not self.refinement_failures
+                and self.groupoid.ok)
 
 
 def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
-                               clt: CltReport = None):
+                               clt: tuple = None):
     """(topology on the morphisms, report).
 
     Refuses to run on an invalid structure; `clt` is the `validate_clt`
-    report on (G, LT) when the caller already has it.  Builds every basic
+    tuple of (G, LT) when the caller already has it.  Builds every basic
     neighborhood once, into a table keyed by (a, i, j), then replays the
     shrinking argument from that table: the Comp witnesses around both
     endpoints, each asked once, give a third neighborhood inside any two
@@ -277,7 +273,7 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
     in the table too.  Generates the topology and certifies all six
     structure maps against it and the base space.
     """
-    rep = _require_valid(G, LT, clt)
+    _require_valid(G, LT, clt)
     witness = functools.cache(functools.partial(comp_witness, LT))
     nbhds, pairs_of = {}, {}
     for a in sorted(G.morphisms):
@@ -298,13 +294,12 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
     gen = generate_from_base(sorted(G.morphisms), nbhds.values())
     greport = check_topological_groupoid(G, gen.topology, LT.base_space)
     return gen.topology, GenerationReport(
-        clt=rep, base_compatible=gen.base_compatible,
+        base_compatible=gen.base_compatible,
         refinement_failures=tuple(failures), groupoid=greport)
 
 
 @dataclass(frozen=True)
 class WOpenReport:
-    is_open: bool
     witnesses: dict = field(default_factory=dict)  # a -> (i, j) with N(a,i,j) inside
     failures: tuple = ()
 
@@ -312,9 +307,9 @@ class WOpenReport:
 def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
     """Is the subgroupoid W open in the generated topology?  Equivalent, and
     checked literally: every element of W keeps some basic neighborhood
-    inside W.  With the stated preconditions (W composition-closed, sections
-    landing in W) a failure is impossible, so a False verdict means an
-    upstream hypothesis was broken."""
+    inside W, and W is open when no element is left in `failures`.  With the
+    stated preconditions (W composition-closed, sections landing in W) a
+    failure is impossible, so one means an upstream hypothesis was broken."""
     W = frozenset(W)
     reasons = check_wide_subgroupoid(G, W)
     if reasons:
@@ -323,8 +318,7 @@ def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
     _require_sections_in(LT, W, "subgroupoid")
     witnesses, _, failures = _open_search(
         G, LT, sorted(W), lambda a, i, j: basic_neighborhood(G, LT, a, i, j) <= W)
-    return WOpenReport(is_open=not failures, witnesses=witnesses,
-                       failures=tuple(failures))
+    return WOpenReport(witnesses=witnesses, failures=tuple(failures))
 
 
 # ---------------------------------------------------- transport to words
@@ -344,12 +338,10 @@ class WindowTopologyReport:
 
 @dataclass(frozen=True)
 class MonodromyCltReport:
-    sections: dict                # transported tables: (x, i) -> {u: Word}
     problems: tuple               # section-law failures at the word level
     comp_satisfied: tuple         # (x, i, j, k) with a working witness
     comp_undecided: tuple         # (x, i, j) the engines could not settle
     comp_failed: tuple            # (x, i, j) refuted
-    subset_closed: bool           # was the generating subset composition-closed
     w_tilde_failures: tuple       # elements with no neighborhood inside i~(W)
     w_tilde_undecided: tuple
     w_tilde_witnesses: dict       # a -> (i, j)
@@ -364,7 +356,7 @@ class MonodromyCltReport:
 
 def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
                      W: PregroupoidSubset, M: MonodromyGroupoid,
-                     depth=6, clt: CltReport = None) -> MonodromyCltReport:
+                     depth=6, clt: tuple = None) -> MonodromyCltReport:
     """Transport a local trivialization along the one-letter embedding.
 
     Sections must land in the generating subset (hard error otherwise);
@@ -375,7 +367,7 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
     elementwise (some transported neighborhood of each i~(a) stays inside
     i~(W)) and against the topology generated from transported neighborhoods
     on the finite window of word classes no longer than `depth`.  `clt` is
-    the `validate_clt` report on (G, LT) when the caller already has it.
+    the `validate_clt` tuple of (G, LT) when the caller already has it.
     """
     _require_valid(G, LT, clt)
     if M.subset.carrier != W.carrier:
@@ -412,9 +404,9 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
             lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
 
     return MonodromyCltReport(
-        sections=trans, problems=tuple(problems),
+        problems=tuple(problems),
         comp_satisfied=tuple(comp[True]), comp_undecided=tuple(comp[None]),
-        comp_failed=tuple(comp[False]), subset_closed=M.closed,
+        comp_failed=tuple(comp[False]),
         w_tilde_failures=tuple(w_fail), w_tilde_undecided=tuple(w_und),
         w_tilde_witnesses=w_wit,
         window=_window_topology(LT, M, depth, neighborhood))
@@ -422,15 +414,17 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
 
 def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
     """Generate the transported-neighborhood topology on the word classes of
-    length <= depth and test openness of i~(W) inside it."""
+    length <= depth and test openness of i~(W) inside it.  A trace keeps the
+    tokens of a neighborhood that are window classes, each looked up in
+    the class table, so no trace walks the whole window."""
     search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
     classes = search.classes
     traces = set()
     for w, _ in classes.values():
         for i in _members_at(LT, w.base):
             for j in _members_at(LT, word_target(M.graph, w)):
-                traces.add(frozenset(M.token(v)[0] for v in neighborhood(w, i, j))
-                           .intersection(classes))
+                tokens = (M.token(v)[0] for v in neighborhood(w, i, j))
+                traces.add(frozenset(t for t in tokens if t in classes))
     gen = generate_from_base(sorted(classes, key=str), traces)
 
     w_open = None

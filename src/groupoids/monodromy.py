@@ -44,7 +44,7 @@ from .words import (
     CosetTable,
     Forest,
     GeneratingGraph,
-    SimplifiedPresentation,
+    Presentation,
     VertexGroupEngine,
     Word,
     build_engine,
@@ -102,7 +102,7 @@ class MonodromyGroupoid:
 
     @cached_property
     def vertex_groups(self) -> tuple:
-        """VertexGroupPresentation per component, collapsed from `relators`."""
+        """Presentation per component, collapsed from `relators`."""
         return collapse_presentation(self.graph, self.relators, self.forest)
 
     @cached_property
@@ -264,8 +264,8 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
         return VertexGroupEngine(presentation=lambda: M.vertex_groups[i], kind="undecided")
     table = CosetTable(generators=generators, size=len(rows),
                        action=action, inverse_action=inverse_action)
-    simp = SimplifiedPresentation(generators=generators, relations=(), eliminations=())
-    return VertexGroupEngine(presentation=simp, kind="finite", table=table)
+    return VertexGroupEngine(presentation=Presentation(generators, ()),
+                             kind="finite", table=table)
 
 
 @dataclass(frozen=True)
@@ -476,8 +476,6 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
 
 @dataclass(frozen=True)
 class Pi1Result:
-    groupoid: FiniteGroupoid
-    subset: PregroupoidSubset
     monodromy: MonodromyGroupoid
     vertices: tuple            # vertices of the working graph, midpoints included
     component_ranks: tuple     # certified free rank per component, None if not free
@@ -531,5 +529,4 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Res
     W = pregroupoid(G, carrier)
     M = build_monodromy(G, W, budget=budget, edge_order=edge_order)
     ranks = tuple(e.rank for e in M.engines)
-    return Pi1Result(groupoid=G, subset=W, monodromy=M,
-                     vertices=tuple(allv), component_ranks=ranks)
+    return Pi1Result(monodromy=M, vertices=tuple(allv), component_ranks=ranks)

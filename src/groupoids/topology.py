@@ -13,7 +13,9 @@ in general (Provan-Ball 1983), so a count gives up, with None, once it has
 memoised MAX_COUNT_STATES subproblems.  Explicit families remain at the
 edges: `is_topology` and `topology` check documents that list their opens,
 and `FiniteTopology.opens` enumerates them on demand for export, stopping
-with `TopologySizeError` past 2**16 sets.
+with `TopologySizeError` past 2**16 sets.  `is_topology` answers as every
+checker in the package does, with a tuple of (kind, witness) pairs that is
+empty when the family is a topology; it holds at most the first failure.
 """
 
 from __future__ import annotations
@@ -192,15 +194,10 @@ def _meets(points, family) -> dict:
     return meet
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    ok: bool
-    kind: str = None      # missing-empty | uncovered-point | missing-intersection | missing-union
-    witness: tuple = None  # a pair of family members, or the offending point
-
-
-def is_topology(points, family) -> TopologyReport:
-    """Decide the closure axioms, with a witness pair on failure.
+def is_topology(points, family) -> tuple:
+    """Decide the closure axioms: () or ((kind, witness),), the kind one of
+    missing-empty, uncovered-point, missing-intersection and missing-union,
+    and the witness a pair of family members or the offending point.
 
     Linear in |family| * |points|: it is enough that the empty set is
     present, every point has a smallest neighborhood inside the family, and
@@ -217,43 +214,43 @@ def is_topology(points, family) -> TopologyReport:
         fam.add(s)
 
     if len(fam) == 1 << len(points):  # the whole powerset, nothing to check
-        return TopologyReport(ok=True)
+        return ()
     if frozenset() not in fam:
-        return TopologyReport(ok=False, kind="missing-empty", witness=(frozenset(),))
+        return (("missing-empty", (frozenset(),)),)
 
     mins = {}
     for p in sorted(points):
         around = sorted((o for o in fam if p in o), key=_family_order)
         if not around:
-            return TopologyReport(ok=False, kind="uncovered-point", witness=(p,))
+            return (("uncovered-point", (p,)),)
         acc = around[0]
         for o in around[1:]:
             nxt = acc & o
             if nxt not in fam:
                 # fold step leaves the family: acc and o are a bad pair
-                return TopologyReport(ok=False, kind="missing-intersection",
-                                      witness=(acc, o))
+                return (("missing-intersection", (acc, o)),)
             acc = nxt
         mins[p] = acc  # every fold step stayed inside, so this is in fam
 
     for a in sorted(fam, key=_family_order):
         for p in sorted(points):
             if a | mins[p] not in fam:
-                return TopologyReport(ok=False, kind="missing-union",
-                                      witness=(a, mins[p]))
-    return TopologyReport(ok=True)
+                return (("missing-union", (a, mins[p])),)
+    return ()
 
 
-def topology(points, opens, report=None) -> FiniteTopology:
+def topology(points, opens, problems=None) -> FiniteTopology:
     """Validated constructor from an explicit family of open sets.  A caller
-    that already holds the `is_topology` report on this family passes it as
-    `report`, and the family is not checked again."""
+    that already holds the `is_topology` problems of this family passes them
+    as `problems`, and the family is not checked again."""
     opens = frozenset(frozenset(o) for o in opens)
     if len(opens) > MAX_OPENS:
         raise TopologySizeError(f"{len(opens)} open sets exceeds the cap of {MAX_OPENS}")
-    rep = is_topology(points, opens) if report is None else report
-    if not rep.ok:
-        raise ValueError(f"not a topology ({rep.kind}): witness {rep.witness!r}")
+    if problems is None:
+        problems = is_topology(points, opens)
+    if problems:
+        kind, witness = problems[0]
+        raise ValueError(f"not a topology ({kind}): witness {witness!r}")
     return FiniteTopology(_meets(points, opens))
 
 
@@ -307,8 +304,6 @@ def difference_pairs(G) -> tuple:
 @dataclass(frozen=True)
 class ContinuityCertificate:
     map_name: str
-    domain: str
-    codomain: str
     continuous: bool
     witness_open: frozenset = None      # codomain open with a bad preimage
     witness_preimage: frozenset = None  # that preimage (plain domains only)
@@ -330,19 +325,17 @@ def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
     return min(bad, key=_family_order, default=None)
 
 
-def continuity(map_name, dom: FiniteTopology, cod: FiniteTopology, fn,
-               dom_label="domain", cod_label="codomain") -> ContinuityCertificate:
+def continuity(map_name, dom: FiniteTopology, cod: FiniteTopology,
+               fn) -> ContinuityCertificate:
     """Continuous iff f(U_p) lies inside V_f(p) at every point p."""
     o = _first_bad_open(dom, cod, fn)
     pre = None if o is None else frozenset(p for p in dom.points if fn(p) in o)
-    return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                 codomain=cod_label, continuous=o is None,
+    return ContinuityCertificate(map_name=map_name, continuous=o is None,
                                  witness_open=o, witness_preimage=pre)
 
 
 def pullback_continuity(map_name, pairs, factor: FiniteTopology,
-                        cod: FiniteTopology, fn, dom_label,
-                        cod_label="codomain") -> ContinuityCertificate:
+                        cod: FiniteTopology, fn) -> ContinuityCertificate:
     """Continuity out of the subspace of factor x factor on `pairs`, whose
     minimal neighbourhoods are (U_a x U_b) & pairs.  A refutation names a
     pair (a, b) mapped into the witness open and the first pair of its
@@ -358,8 +351,7 @@ def pullback_continuity(map_name, pairs, factor: FiniteTopology,
         inside = {ab for ab in pair_set if fn(*ab) in o}
         pair = next((ab, q) for ab in sorted(inside)
                     for q in sorted(dom.neighborhoods[ab]) if q not in inside)
-    return ContinuityCertificate(map_name=map_name, domain=dom_label,
-                                 codomain=cod_label, continuous=o is None,
+    return ContinuityCertificate(map_name=map_name, continuous=o is None,
                                  witness_open=o, witness_pair=pair)
 
 
@@ -397,22 +389,14 @@ def check_topological_groupoid(G, T_G: FiniteTopology,
     if set(T_X.points) != set(G.objects):
         raise ValueError("object topology points differ from the objects")
 
-    alpha = continuity("source", T_G, T_X, lambda m: G.source[m],
-                       dom_label="morphism space", cod_label="object space")
-    beta = continuity("target", T_G, T_X, lambda m: G.target[m],
-                      dom_label="morphism space", cod_label="object space")
-    eps = continuity("identity", T_X, T_G, lambda x: G.identity[x],
-                     dom_label="object space", cod_label="morphism space")
-    inv = continuity("inversion", T_G, T_G, lambda m: G.inverse[m],
-                     dom_label="morphism space", cod_label="morphism space")
-    comp = pullback_continuity(
-        "composition", composable_pairs(G), T_G, T_G,
-        lambda a, b: G.compose[(a, b)],
-        dom_label="pullback(target, source)", cod_label="morphism space")
-    diff = pullback_continuity(
-        "difference", difference_pairs(G), T_G, T_G,
-        lambda a, b: G.compose[(G.inverse[a], b)],
-        dom_label="pullback(source, source)", cod_label="morphism space")
+    alpha = continuity("source", T_G, T_X, lambda m: G.source[m])
+    beta = continuity("target", T_G, T_X, lambda m: G.target[m])
+    eps = continuity("identity", T_X, T_G, lambda x: G.identity[x])
+    inv = continuity("inversion", T_G, T_G, lambda m: G.inverse[m])
+    comp = pullback_continuity("composition", composable_pairs(G), T_G, T_G,
+                               lambda a, b: G.compose[(a, b)])
+    diff = pullback_continuity("difference", difference_pairs(G), T_G, T_G,
+                               lambda a, b: G.compose[(G.inverse[a], b)])
 
     equiv = (comp.continuous and inv.continuous) == diff.continuous
     return TopologicalGroupoidReport(

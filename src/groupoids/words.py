@@ -18,6 +18,10 @@ The word-problem pipeline is:
     -> free normal forms if no relations survive, otherwise coset
        enumeration under an explicit row budget.
 
+One record, `Presentation`, carries a presentation through every stage:
+the collapse gives it with no eliminations, and simplification fills them
+in.
+
 Outcomes are three-valued: trivial, nontrivial with a certificate, or
 undecided when the budget runs out and no free fallback applies.
 """
@@ -141,10 +145,10 @@ def spanning_forest(graph: GeneratingGraph, edge_order=None) -> Forest:
 
 
 @dataclass(frozen=True)
-class VertexGroupPresentation:
-    base: str
-    generators: tuple  # non-tree edge ids, sorted
-    relations: tuple   # letter tuples over the generators
+class Presentation:
+    generators: tuple
+    relations: tuple          # letter tuples over the generators
+    eliminations: tuple = ()  # (gen, replacement letters), in order of application
 
 
 def collapse_letters(forest: Forest, letters):
@@ -171,9 +175,9 @@ def canonical_relator(letters):
 
 
 def collapse_presentation(graph: GeneratingGraph, relators, forest: Forest):
-    """One vertex-group presentation per forest component: its non-tree
-    edges, sorted, and the canonical collapses of the closed relator Words
-    based in it."""
+    """One `Presentation` per forest component, with no eliminations: its
+    non-tree edges, sorted, and the canonical collapses of the closed
+    relator Words based in it."""
     gens = [[] for _ in forest.components]
     for e, (u, _) in sorted(graph.edges.items()):
         if e not in forest.tree_edges:
@@ -183,19 +187,11 @@ def collapse_presentation(graph: GeneratingGraph, relators, forest: Forest):
         w = cyclic_reduce(collapse_letters(forest, r.letters))
         if w:
             rels[forest.vertex_component[r.base]].add(canonical_relator(w))
-    return tuple(VertexGroupPresentation(base=c.base, generators=tuple(g),
-                                         relations=tuple(sorted(r)))
-                 for c, g, r in zip(forest.components, gens, rels))
+    return tuple(Presentation(generators=tuple(g), relations=tuple(sorted(r)))
+                 for g, r in zip(gens, rels))
 
 
 # ------------------------------------------------------------- simplification
-
-@dataclass(frozen=True)
-class SimplifiedPresentation:
-    generators: tuple
-    relations: tuple
-    eliminations: tuple  # (gen, replacement letters), in order of application
-
 
 def _substitute(letters, gen, repl):
     out = []
@@ -213,7 +209,7 @@ def _lone_letter(r):
     return next((i for i, (e, _) in enumerate(r) if counts[e] == 1), None)
 
 
-def simplify_presentation(generators, relations) -> SimplifiedPresentation:
+def simplify_presentation(generators, relations) -> Presentation:
     """Eliminate generators that occur exactly once in some relation.
 
     Solving such a relation for its lone generator is a substitution that
@@ -264,9 +260,8 @@ def simplify_presentation(generators, relations) -> SimplifiedPresentation:
                 add(canonical_relator(cyclic_reduce(_substitute(w, g, repl))))
         gens.remove(g)
         eliminations.append((g, repl))
-    return SimplifiedPresentation(generators=tuple(gens),
-                                  relations=tuple(sorted(rels)),
-                                  eliminations=tuple(eliminations))
+    return Presentation(generators=tuple(gens), relations=tuple(sorted(rels)),
+                        eliminations=tuple(eliminations))
 
 
 def rewrite_through(eliminations, letters):
@@ -410,19 +405,21 @@ class VertexGroupEngine:
     closed carrier shows that it would; tokens are still sound for
     equality but cannot certify inequality).
 
-    `presentation` is the SimplifiedPresentation the tokens are normal
+    `presentation` is the simplified Presentation the tokens are normal
     forms in (a table read off a closed carrier keeps no relations), or a
-    function giving the VertexGroupPresentation that `simplified` builds
-    and simplifies on first use, so a tokenless verdict never does."""
+    function giving the collapsed Presentation that `simplified` builds
+    and simplifies on first use, so a tokenless verdict never does; a
+    presentation is not callable, which is how `simplified` tells them
+    apart."""
 
-    presentation: SimplifiedPresentation | Callable[[], VertexGroupPresentation]
+    presentation: Presentation | Callable[[], Presentation]
     kind: str
     table: CosetTable = None
 
     @cached_property
-    def simplified(self) -> SimplifiedPresentation:
+    def simplified(self) -> Presentation:
         p = self.presentation
-        if isinstance(p, SimplifiedPresentation):
+        if not callable(p):
             return p
         vgp = p()
         return simplify_presentation(vgp.generators, vgp.relations)
@@ -480,7 +477,7 @@ class VertexGroupEngine:
         return False if exact else None
 
 
-def build_engine(vgp: VertexGroupPresentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:
+def build_engine(vgp: Presentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:
     simp = simplify_presentation(vgp.generators, vgp.relations)
     if not simp.relations:
         return VertexGroupEngine(presentation=simp, kind="free")

@@ -12,9 +12,8 @@ from groupoids.monodromy import ClassSearch, WordEvaluator
 from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
 from groupoids.words import (
     CosetTable,
-    SimplifiedPresentation,
+    Presentation,
     VertexGroupEngine,
-    VertexGroupPresentation,
     canonical_relator,
     cyclic_reduce,
     free_reduce,
@@ -310,8 +309,7 @@ def collapse_oracle(G, carrier, forest):
             w = cyclic_reduce(free_reduce(tuple(x for x in r.letters if kept(*x))))
             if w:
                 rels.add(canonical_relator(w))
-        out.append(VertexGroupPresentation(base=comp.base, generators=tuple(gens),
-                                           relations=tuple(sorted(rels))))
+        out.append(Presentation(generators=tuple(gens), relations=tuple(sorted(rels))))
     return tuple(relators), tuple(out)
 
 
@@ -362,9 +360,7 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
             return None
     if len(rows) >= budget:
         return VertexGroupEngine(presentation=lambda: vgp, kind="undecided")
-    simp = SimplifiedPresentation(generators=vgp.generators,
-                                  relations=vgp.relations, eliminations=())
-    return VertexGroupEngine(presentation=simp, kind="finite", table=table)
+    return VertexGroupEngine(presentation=vgp, kind="finite", table=table)
 
 
 # --------------------------------------------------------- class search oracle
@@ -446,7 +442,7 @@ def generation_oracle(G, LT):
 
 def replay_violation(G, v):
     """Re-derive a reported violation directly from the tables."""
-    k, w = v.kind, v.witness
+    k, w = v
     comp, src, tgt = G.compose, G.source, G.target
     if k == "identity-endpoint":
         x, e = w

@@ -21,7 +21,6 @@ from time import perf_counter
 import pytest
 
 from groupoids import (
-    NormalSubgroupoid,
     build_monodromy,
     canonical_morphism,
     check_w_open,
@@ -68,7 +67,7 @@ def test_criterion_1_axiom_suite():
     suite = [pair_groupoid(range(n)) for n in range(1, 7)]
     suite += [group_groupoid(t) for _, t in all_groups_upto8()]
     for G in suite:
-        assert validate_groupoid(G).ok
+        assert not validate_groupoid(G)
     rng = random.Random(0xAC1)
     mutable = [G for G in suite if len(G.morphisms) >= 2]
     for _ in range(50):
@@ -77,8 +76,8 @@ def test_criterion_1_axiom_suite():
         wrong = rng.choice([m for m in sorted(G.morphisms) if m != G.compose[key]])
         mutant = dataclasses.replace(G, compose={**G.compose, key: wrong})
         report = validate_groupoid(mutant)
-        assert report.violations  # every mutation is caught
-        for v in report.violations:
+        assert report  # every mutation is caught
+        for v in report:
             assert replay_violation(mutant, v)  # and each witness replays
     assert perf_counter() - t0 < 5.0
 
@@ -208,7 +207,7 @@ def test_criterion_5_tree_collapse():
         edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
         res = pi1_graph(verts, edges)
         assert res.component_ranks == (0,) and res.rank == 0
-        M, G = res.monodromy, res.groupoid
+        M, G = res.monodromy, res.monodromy.ambient
         for x in sorted(G.objects):
             rep = star_covering_report(M, x, depth=2 * n)
             assert rep.saturated and rep.fiber_counts_exact
@@ -334,11 +333,11 @@ def test_criterion_6_generated_topology_certificates():
     blocks release.  Bound: < 30 s total."""
     t0 = perf_counter()
     for label, G, lt in _clt_instances():
-        assert validate_clt(G, lt).ok, label
+        assert not validate_clt(G, lt), label
         T_G, report = generate_groupoid_topology(G, lt)
         assert report.ok, label
         assert report.base_compatible and not report.refinement_failures, label
-        assert is_topology(T_G.points, T_G.opens).ok, label
+        assert not is_topology(T_G.points, T_G.opens), label
         names = [c.map_name for c in report.groupoid.certificates]
         assert names == ["source", "target", "identity",
                          "inversion", "composition", "difference"]
@@ -356,7 +355,7 @@ def test_criterion_7_section_subgroupoid_is_open():
         for tab in lt.sections.values():
             assert set(tab.values()) <= W, label
         report = check_w_open(G, lt, W)
-        assert report.is_open is True, label
+        assert report.failures == (), label
         assert not report.failures, label
 
 
@@ -477,10 +476,10 @@ def test_criterion_9_quotient_matches_brute_force_cosets():
                  if G.source[m] == G.target[m] and not G.is_identity(m)]
         seeds = rng.sample(endos, min(rng.randint(0, 2), len(endos)))
         N = normal_closure(G, seeds)
-        _assert_normal_brute_force(G, N.carrier)
+        _assert_normal_brute_force(G, N)
 
         Q, proj = quotient(G, N)
-        oracle = _brute_force_cosets(G, N.carrier)
+        oracle = _brute_force_cosets(G, N)
         for a in sorted(G.morphisms):
             assert proj.mor_map[a] == min(oracle[a])  # same class, same name
         assert set(Q.morphisms) == {min(c) for c in oracle.values()}
@@ -491,7 +490,7 @@ def test_criterion_9_quotient_matches_brute_force_cosets():
             for a2, b2 in itertools.product(sorted(oracle[a]), sorted(oracle[b])):
                 assert G.compose[(a2, b2)] in expected  # well-defined classes
             assert Q.compose[(a, b)] == min(expected)
-        assert validate_groupoid(Q).ok
-        assert validate_morphism(G, Q, proj).ok
+        assert not validate_groupoid(Q)
+        assert not validate_morphism(G, Q, proj)
         assert set(proj.mor_map.values()) == set(Q.morphisms)
     assert perf_counter() - t0 < 10.0

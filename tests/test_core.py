@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupoids import (
-    NormalSubgroupoid,
     core,
     components,
     generated_by,
@@ -40,13 +39,13 @@ def test_pair_groupoid_composition_rule():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pair_groupoid_axioms(n):
     G = pair_groupoid([str(i) for i in range(n)])
-    assert validate_groupoid(G).ok
+    assert not validate_groupoid(G)
     assert len(list(G.morphisms)) == n * n
 
 
 @pytest.mark.parametrize("name,table", all_groups_upto8())
 def test_groups_validate(name, table):
-    assert validate_groupoid(group_groupoid(table)).ok
+    assert not validate_groupoid(group_groupoid(table))
 
 
 def test_star_costar():
@@ -72,9 +71,9 @@ def test_injected_endpoint_fault_is_reported_once():
     B = type(G)(objects=G.objects, source=G.source, target=G.target,
                 identity=G.identity, inverse=G.inverse, compose=bad)
     rep = validate_groupoid(B)
-    assert not rep.ok
-    assert [v.witness for v in rep.violations] == [("(0,1)", "(1,2)", "(0,1)")]
-    assert rep.violations[0].kind == "compose-endpoint"
+    assert rep
+    assert [w for _, w in rep] == [("(0,1)", "(1,2)", "(0,1)")]
+    assert rep[0][0] == "compose-endpoint"
 
 
 def test_associativity_fault_in_group_table():
@@ -83,9 +82,9 @@ def test_associativity_fault_in_group_table():
     mul[("2", "3")] = "1"  # should be 0
     G = group_groupoid((names, mul, inv, unit))
     rep = validate_groupoid(G)
-    kinds = {v.kind for v in rep.violations}
+    kinds = {k for k, _ in rep}
     assert "associativity" in kinds or "inverse-law" in kinds
-    for v in rep.violations:
+    for v in rep:
         assert replay_violation(G, v)
 
 
@@ -116,8 +115,8 @@ def test_random_single_entry_mutations_always_caught():
             B = type(G)(objects=G.objects, source=G.source, target=G.target,
                         identity=d, inverse=G.inverse, compose=G.compose)
         rep = validate_groupoid(B)
-        assert not rep.ok
-        for v in rep.violations:
+        assert rep
+        for v in rep:
             assert replay_violation(B, v)
 
 
@@ -169,7 +168,7 @@ def test_normal_closure_matches_the_round_loop(data):
     endos = sorted(m for m in G.morphisms if G.source[m] == G.target[m])
     seeds = {G.identity[x] for x in G.objects}
     seeds |= set(data.draw(st.lists(st.sampled_from(endos), max_size=3)))
-    expected = NormalSubgroupoid(frozenset(normal_closure_oracle(G, seeds)))
+    expected = frozenset(normal_closure_oracle(G, seeds))
     assert normal_closure(G, seeds) == expected
 
 
@@ -198,7 +197,7 @@ def test_wide_subgroupoid_check_matches_the_all_pairs_scan(data):
         for m in data.draw(st.lists(st.sampled_from(morphs), max_size=2, unique=True)):
             inverse[m] = data.draw(st.sampled_from(parallel(G.target[m], G.source[m])))
         G = dataclasses.replace(G, compose=compose, inverse=inverse)
-        assert core.validate_structure(G).ok
+        assert not core.validate_structure(G)
     carrier = set(data.draw(st.lists(st.sampled_from(morphs), max_size=len(morphs))))
     if data.draw(st.booleans()):
         carrier |= set(G.identity.values())
@@ -207,7 +206,7 @@ def test_wide_subgroupoid_check_matches_the_all_pairs_scan(data):
         carrier = closure_oracle(G, carrier)
     elif shape == "stranger":
         carrier.add("not-a-morphism")
-    assert core.check_wide_subgroupoid(G, carrier) == wide_subgroupoid_oracle(G, carrier)
+    assert core.check_wide_subgroupoid(G, carrier) == tuple(wide_subgroupoid_oracle(G, carrier))
 
 
 def test_pair_groupoid_names_each_morphism_once():
@@ -284,7 +283,7 @@ def test_generated_by_shortcut_needs_every_pair_table():
 def test_normal_closure_in_z6():
     G = group_groupoid(cyclic(6))
     N = normal_closure(G, {"2"})
-    assert N.carrier == frozenset({"0", "2", "4"})
+    assert N == frozenset({"0", "2", "4"})
 
 
 def test_normal_closure_transposition_in_s3():
@@ -292,7 +291,7 @@ def test_normal_closure_transposition_in_s3():
     # conjugates of one transposition generate everything
     swap = "102"  # the permutation exchanging 0 and 1
     N = normal_closure(G, {swap})
-    assert len(N.carrier) == 6
+    assert len(N) == 6
 
 
 def test_normal_closure_rejects_non_endomorphism():
@@ -303,10 +302,10 @@ def test_normal_closure_rejects_non_endomorphism():
 
 def test_quotient_z6_by_even():
     G = group_groupoid(cyclic(6))
-    Q, proj = quotient(G, NormalSubgroupoid(frozenset({"0", "2", "4"})))
+    Q, proj = quotient(G, frozenset({"0", "2", "4"}))
     assert len(list(Q.morphisms)) == 2
-    assert validate_groupoid(Q).ok
-    assert not validate_morphism(G, Q, proj).violations
+    assert not validate_groupoid(Q)
+    assert not validate_morphism(G, Q, proj)
 
 
 def test_quotient_kernel_is_n():
@@ -317,7 +316,7 @@ def test_quotient_kernel_is_n():
     Q, proj = quotient(G, N)
     kernel = {m for m in G.morphisms
               if Q.is_identity(proj.mor_map[m])}
-    assert kernel == set(N.carrier)
+    assert kernel == set(N)
 
 
 @given(st.integers(2, 4), st.sampled_from(["Z2", "Z4", "V4", "S3"]))
@@ -330,7 +329,7 @@ def test_quotient_counting_law(k, gname):
                              if G.source[m] == G.target[m] == "o0"))
     N = normal_closure(G, {seed})
     Q, _ = quotient(G, N)
-    n_size = sum(1 for m in N.carrier if G.source[m] == "o0")
+    n_size = sum(1 for m in N if G.source[m] == "o0")
     for x, y in itertools.product(sorted(G.objects), repeat=2):
         g_xy = len(G.hom(x, y))
         q_xy = len(Q.hom(x, y))

@@ -2,6 +2,7 @@
 topologies, openness of generating subgroupoids, and transport along the
 one-letter embedding into a presented groupoid."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -21,6 +22,7 @@ from groupoids.loctriv import (
 )
 from groupoids.monodromy import (
     build_monodromy,
+    enumerate_classes,
     pregroupoid,
     star_covering_report,
 )
@@ -56,7 +58,7 @@ def test_singleton_cover_is_valid():
     """Singleton members leave nothing for Comp to compare."""
     G = pair_groupoid(["a", "b", "c"])
     LT = canonical_lt(discrete(["a", "b", "c"]), singleton_cover(G.objects))
-    assert validate_clt(G, LT).ok
+    assert not validate_clt(G, LT)
 
 
 SUBS7 = [F({0}), F({1}), F({2}), F({0, 1}), F({0, 2}), F({1, 2}), F({0, 1, 2})]
@@ -69,7 +71,7 @@ def all_subsets_instance():
 def test_all_subsets_cover_with_canonical_sections_is_valid():
     G, LT = all_subsets_instance()
     rep = validate_clt(G, LT)
-    assert rep.ok, rep.problems  # one global arrow choice agrees with itself
+    assert not rep, rep  # one global arrow choice agrees with itself
     assert comp_witness(LT, 0, 3, 4) == 0  # {0} is the least-index member in {0,1} n {0,2}
     assert comp_witness(LT, 1, 3, 5) == 1
     assert comp_witness(LT, 2, 6, 6) == 2  # self-pair settles on the singleton
@@ -95,7 +97,7 @@ def comp_violating_instance():
 def test_comp_violation_carries_the_witness():
     G, LT = comp_violating_instance()
     rep = validate_clt(G, LT)
-    assert rep.problems == (("comp", ("o0", 0, 1)),)
+    assert rep == (("comp", ("o0", 0, 1)),)
     assert comp_witness(LT, "o0", 0, 1) is None
     assert comp_witness(LT, "o1", 0, 1) == 0  # the same pair is fine about o1
 
@@ -105,7 +107,7 @@ def test_validate_flags_cover_member_that_is_not_open():
     base = topology([0, 1], [F(), F({0}), F({0, 1})])
     cover = [(0, F({1})), (1, F({0})), (2, F({0, 1}))]
     LT = local_trivialization(base, cover, sections_from_arrows(cover, pair_arrow))
-    assert validate_clt(G, LT).problems == (("cover-not-open", 0),)
+    assert validate_clt(G, LT) == (("cover-not-open", 0),)
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,7 +127,7 @@ def test_base_check_lists_the_opens_the_full_scan_lists(data):
             if not any(p in u and u <= o for u in members):
                 scan.append(("not-a-base", (o, p)))
                 break
-    problems = validate_clt(pair_groupoid(points), LT).problems
+    problems = validate_clt(pair_groupoid(points), LT)
     assert [q for q in problems if q[0] == "not-a-base"] == scan
 
 
@@ -135,10 +137,10 @@ def test_validate_flags_broken_section_tables():
     cover = [(0, F({"a"})), (1, F({"b"}))]
     bad = local_trivialization(base, cover, {("a", 0): {"a": "(a,b)"},
                                              ("b", 1): {"b": "(b,b)"}})
-    kinds = [k for k, _ in validate_clt(G, bad).problems]
+    kinds = [k for k, _ in validate_clt(G, bad)]
     assert kinds == ["section-target", "section-identity"]
     missing = local_trivialization(base, cover, {("b", 1): {"b": "(b,b)"}})
-    assert ("section-missing", ("a", 0)) in validate_clt(G, missing).problems
+    assert ("section-missing", ("a", 0)) in validate_clt(G, missing)
 
 
 def test_duplicate_cover_index_rejected():
@@ -222,7 +224,7 @@ def test_canonical_covers_always_generate_topological_groupoids(extra):
     LT = canonical_lt(discrete([0, 1, 2]), cover)
     T, rep = generate_groupoid_topology(G, LT)
     assert rep.ok
-    assert is_topology(T.points, T.opens).ok
+    assert not is_topology(T.points, T.opens)
     for a in sorted(G.morphisms):  # each neighborhood contains its center
         for i, u in LT.cover:
             for j, v in LT.cover:
@@ -246,7 +248,7 @@ def refuted_refinement_instance():
 
 def test_refuted_refinement_law_is_pinned():
     G, LT = refuted_refinement_instance()
-    assert validate_clt(G, LT).ok
+    assert not validate_clt(G, LT)
     _, rep = generate_groupoid_topology(G, LT)
     shrink = [((0, 2), (1, 2), 1, 0), ((0, 2), (2, 2), 1, 0), ((1, 2), (2, 2), 1, 0),
               ((2, 0), (2, 1), 0, 1), ((2, 0), (2, 2), 0, 1), ((2, 1), (2, 2), 0, 1)]
@@ -296,7 +298,7 @@ def test_generation_matches_the_oracle(data):
     built every neighborhood again (`generation_oracle`), refuted
     refinement laws included."""
     G, LT = _structures(data)
-    if not validate_clt(G, LT).ok:
+    if validate_clt(G, LT):
         with pytest.raises(ValueError, match="local trivialization invalid"):
             generate_groupoid_topology(G, LT)
         return
@@ -335,13 +337,13 @@ def test_whole_groupoid_is_open():
     G = pair_groupoid(["a", "b", "c"])
     LT = canonical_lt(discrete(["a", "b", "c"]), singleton_cover(G.objects))
     rep = check_w_open(G, LT, G.morphisms)
-    assert rep.is_open and set(rep.witnesses) == set(G.morphisms)
+    assert not rep.failures and set(rep.witnesses) == set(G.morphisms)
 
 
 def test_partition_blocks_are_open():
     G, LT, W = partition_instance()
     rep = check_w_open(G, LT, W)
-    assert rep.is_open and rep.failures == ()
+    assert rep.failures == ()
     assert rep.witnesses["(0,1)"] == (0, 0)  # block member on both sides
 
 
@@ -373,7 +375,7 @@ def test_tree_transport_matches_the_ambient_structure():
     T, _ = generate_groupoid_topology(G, LT)
     image = {F(rep.window.values[t] for t in o) for o in rep.window.topology.opens}
     assert image == T.opens
-    assert not rep.subset_closed  # adjacency composites escape, so no openness leg
+    assert not M.closed  # adjacency composites escape, so no openness leg
     assert rep.window.w_tilde_open is None
 
 
@@ -389,7 +391,7 @@ def test_one_object_window_counts_classes_by_displacement():
     assert rep.window.points == 13 and rep.window.opens == 2 ** 13
     fibers = Counter(rep.window.values.values())
     assert fibers == Counter(str(k % 5) for k in range(-6, 7))
-    assert not rep.subset_closed and rep.window.w_tilde_open is None
+    assert not M.closed and rep.window.w_tilde_open is None
 
 
 def test_discrete_window_over_the_listing_cap_is_counted():
@@ -403,6 +405,35 @@ def test_discrete_window_over_the_listing_cap_is_counted():
     assert rep.window.points == 17 and rep.window.opens == 2 ** 17
 
 
+def test_window_traces_look_classes_up_instead_of_walking_them(monkeypatch):
+    """A trace keeps the tokens of a transported neighborhood that are in
+    the class table, so the walks over the whole window stay as many at
+    depth 8 (17 classes) as at depth 4 (9 classes)."""
+    import groupoids.loctriv as loctriv
+
+    class Walked(dict):
+        def __iter__(self):
+            walks.append(len(self))
+            return super().__iter__()
+
+    def counted(M, roots, depth):
+        search = enumerate_classes(M, roots, depth)
+        return dataclasses.replace(search, classes=Walked(search.classes))
+
+    monkeypatch.setattr(loctriv, "enumerate_classes", counted)
+    G = group_groupoid(cyclic(5))
+    W = pregroupoid(G, {"0", "1", "4"})
+    M = build_monodromy(G, W)
+    LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
+    counts, sizes = {}, {}
+    for depth in (4, 8):
+        walks = []
+        rep = clt_on_monodromy(G, LT, W, M, depth=depth)
+        counts[depth], sizes[depth] = len(walks), rep.window.points
+    assert sizes == {4: 9, 8: 17}
+    assert counts[8] == counts[4]
+
+
 def test_triangle_adjacency_image_is_open_upstairs():
     """On the 3-cycle every pair is adjacent: the subset is the whole
     groupoid, its image generates everything, and it is open upstairs."""
@@ -413,7 +444,7 @@ def test_triangle_adjacency_image_is_open_upstairs():
     LT = canonical_lt(discrete(["a", "b", "c"]), cover)
     rep = clt_on_monodromy(G, LT, W, M)
     assert rep.ok, (rep.problems, rep.comp_failed, rep.w_tilde_failures)
-    assert rep.subset_closed
+    assert M.closed
     assert set(rep.w_tilde_witnesses) == set(G.morphisms)
     assert rep.comp_satisfied  # the two-point member overlaps the singletons
     assert rep.window.points == 9 and rep.window.w_tilde_open is True
@@ -467,7 +498,7 @@ def test_transport_agrees_with_the_finite_checks(data):
     LT = canonical_lt(discrete(points), cover)
 
     rep = clt_on_monodromy(G, LT, W, M, depth=3)
-    assert rep.ok and rep.problems == () and rep.subset_closed
+    assert rep.ok and rep.problems == () and M.closed
     triples = [(x, i, j) for x in points
                for i, j in itertools.combinations(
                    sorted(k for k, u in cover if x in u), 2)]

@@ -1,0 +1,113 @@
+"""Every problem checker answers the same way: a tuple of (kind, payload)
+pairs, kind a string, empty exactly when the input is valid.  Each checker
+runs here on valid and broken fixtures from `helpers.py` and `corpus/`."""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from groupoids import (
+    GroupoidMorphism,
+    check_normal_subgroupoid,
+    check_wide_subgroupoid,
+    is_topology,
+    normal_closure,
+    pair_groupoid,
+    validate_clt,
+    validate_groupoid,
+    validate_morphism,
+)
+from groupoids.core import validate_structure
+from groupoids.interchange import (
+    parse_groupoid,
+    parse_local_trivialization,
+    parse_topology_family,
+)
+from helpers import cyclic, group_groupoid, sym3
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _doc(name):
+    return json.loads((CORPUS / f"{name}.json").read_text())
+
+
+def _corpus_groupoid(name):
+    doc = _doc(name)
+    return parse_groupoid(doc.get("groupoid", doc))
+
+
+def _corpus_clt(name):
+    doc = _doc(name)
+    return parse_groupoid(doc["groupoid"]), parse_local_trivialization(doc, where="document")
+
+
+def _missing_composite():
+    """Z/3 with the entry 1.1 taken out of its composition table."""
+    G = group_groupoid(cyclic(3))
+    compose = {k: v for k, v in G.compose.items() if k != ("1", "1")}
+    return (dataclasses.replace(G, compose=compose),)
+
+
+def _relabelled_z4(swap):
+    """Z/4 into itself, as the identity or with 1 and 2 swapped (which
+    preserves no composite 1.1 = 2)."""
+    G = group_groupoid(cyclic(4))
+    image = {"1": "2", "2": "1"} if swap else {}
+    return G, G, GroupoidMorphism(obj_map={"*": "*"},
+                                  mor_map={m: image.get(m, m) for m in G.morphisms})
+
+
+def _s3_transposition(normal):
+    """S3 with the normal closure of the transposition 102, all of S3, or
+    with the subgroup of order 2 it generates, which is not normal."""
+    G = group_groupoid(sym3())
+    swap = "102"
+    return G, (normal_closure(G, {swap}) if normal else frozenset({G.identity["*"], swap}))
+
+
+# (checker, fixture, valid): each fixture builds the checker's arguments
+CASES = [
+    (validate_structure, lambda: (pair_groupoid(["0", "1", "2"]),), True),
+    (validate_structure, lambda: (_corpus_groupoid("pair-groupoid-3"),), True),
+    (validate_structure, _missing_composite, False),
+    (validate_groupoid, lambda: (group_groupoid(sym3()),), True),
+    (validate_groupoid, lambda: (_corpus_groupoid("pair-groupoid-3"),), True),
+    (validate_groupoid, lambda: (_corpus_groupoid("broken-composition"),), False),
+    (validate_morphism, lambda: _relabelled_z4(swap=False), True),
+    (validate_morphism, lambda: _relabelled_z4(swap=True), False),
+    (validate_clt, lambda: _corpus_clt("clt-sierpinski"), True),
+    (validate_clt, lambda: _corpus_clt("clt-monodromy-triangle"), True),
+    (validate_clt, lambda: _corpus_clt("clt-comp-violation"), False),
+    (is_topology, lambda: parse_topology_family(_doc("sierpinski")), True),
+    (is_topology, lambda: parse_topology_family(_doc("missing-union")), False),
+    (check_wide_subgroupoid, lambda: (pair_groupoid("ab"), pair_groupoid("ab").morphisms), True),
+    (check_wide_subgroupoid, lambda: (pair_groupoid("ab"), {"(a,b)"}), False),
+    (check_normal_subgroupoid, lambda: _s3_transposition(normal=True), True),
+    (check_normal_subgroupoid, lambda: _s3_transposition(normal=False), False),
+    (check_normal_subgroupoid,
+     lambda: (group_groupoid(cyclic(6)), normal_closure(group_groupoid(cyclic(6)), {"2"})),
+     True),
+]
+
+
+@pytest.mark.parametrize(
+    "checker, fixture, valid", CASES,
+    ids=[f"{c.__name__}-{'valid' if v else 'broken'}-{i}" for i, (c, _, v) in enumerate(CASES)])
+def test_checker_returns_a_tuple_of_kind_payload_pairs(checker, fixture, valid):
+    problems = checker(*fixture())
+    assert type(problems) is tuple
+    assert all(type(p) is tuple and len(p) == 2 and isinstance(p[0], str)
+               for p in problems)
+    assert (problems == ()) == valid
+
+
+def test_every_checker_is_covered_both_ways():
+    covered = {(c.__name__, v) for c, _, v in CASES}
+    names = {c.__name__ for c, _, _ in CASES}
+    assert names == {"validate_structure", "validate_groupoid", "validate_morphism",
+                     "validate_clt", "is_topology", "check_wide_subgroupoid",
+                     "check_normal_subgroupoid"}
+    assert covered == {(n, v) for n in names for v in (True, False)}

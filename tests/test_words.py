@@ -11,7 +11,7 @@ from groupoids.words import (
     CosetTable,
     Exhausted,
     GeneratingGraph,
-    VertexGroupPresentation,
+    Presentation,
     build_engine,
     collapse_letters,
     collapse_presentation,
@@ -164,8 +164,7 @@ def test_simplify_matches_the_all_relators_loop(data):
 
 
 def vgp(gens, rels):
-    return VertexGroupPresentation(base="*", generators=tuple(gens),
-                                   relations=tuple(rels))
+    return Presentation(generators=tuple(gens), relations=tuple(rels))
 
 
 def replay_table(table: CosetTable, relations):
