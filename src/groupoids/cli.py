@@ -7,7 +7,7 @@ Eight subcommands over the JSON interchange documents:
   pi1             fundamental groupoid of an undirected graph
   star-cover      depth-windowed covering report over one object's star
   globalize       extend a generator map through the presented cover
-  topology-check  is_topology, or the six-certificate topological-groupoid check
+  topology-check  is_topology, or continuity of the six structure maps
   clt-generate    validate a local trivialization and generate its topology
   w-open          openness of a generating subgroupoid in that topology
 
@@ -62,6 +62,7 @@ from .monodromy import (
 )
 from . import topology as finite_topology
 from .topology import (
+    STRUCTURE_MAPS,
     TopologySizeError,
     check_topological_groupoid,
     is_topology,
@@ -75,11 +76,6 @@ _VERDICT = {PASS: "pass", REFUTED: "refuted", UNDECIDED: "undecided"}
 
 def _public(doc):
     return {k: v for k, v in doc.items() if not k.startswith("_")}
-
-
-def _strip(doc):
-    """Drop annotation keys so fingerprints see only content."""
-    return {k: v for k, v in sorted(_public(doc).items())}
 
 
 # ---------------------------------------------------------------- commands
@@ -153,13 +149,14 @@ def _cmd_pi1(doc, args):
     vertices, edges = parse_graph(doc)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # disconnected graphs are fine here
-        res = pi1_graph(vertices, edges, budget=args.budget)
-    verdicts = {"rank": res.rank,
-                "components": len(res.component_ranks)}
-    for comp, r in zip(res.monodromy.forest.components, res.component_ranks):
+        M = pi1_graph(vertices, edges, budget=args.budget)
+    ranks = [e.rank for e in M.engines]  # None for a component not certified free
+    verdicts = {"rank": None if None in ranks else sum(ranks),
+                "components": len(ranks)}
+    for comp, r in zip(M.forest.components, ranks):
         verdicts[f"rank[{comp.base}]"] = r
     if args.dot:
-        _write_atomic(args.dot, export_dot(res))
+        _write_atomic(args.dot, export_dot(M))
     return PASS, verdicts, {}, [], []
 
 
@@ -201,11 +198,11 @@ def _cmd_globalize(doc, args):
     table = _need(doc, "map")
     if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
         raise DocumentError("document.map: expected object of morphism ids")
-    res = globalize(M, dict(table), H)
-    if res.ok:
+    _, obstruction = globalize(M, dict(table), H)
+    if obstruction is None:
         return PASS, {"extends": True}, {}, [], notes
     return (REFUTED, {"extends": False},
-            {"obstruction": _render_value(res.obstruction)}, [], notes)
+            {"obstruction": _render_value(obstruction)}, [], notes)
 
 
 def _cmd_topology_check(doc, args):
@@ -223,26 +220,30 @@ def _cmd_topology_check(doc, args):
                 witnesses[field] = _render_value(witness)
         if witnesses:
             return REFUTED, verdicts, witnesses, [], []
-        rep = check_topological_groupoid(G, topology(*tops["morphism_topology"]),
-                                         topology(*tops["object_topology"]))
-        _record_certificates(rep, verdicts, witnesses)
-        verdicts["difference-equivalence"] = rep.difference_equivalence_holds
-        return (PASS if rep.ok else REFUTED), verdicts, witnesses, [], []
+        problems = check_topological_groupoid(G, topology(*tops["morphism_topology"]),
+                                              topology(*tops["object_topology"]))
+        _record_certificates(problems, verdicts, witnesses)
+        return (REFUTED if problems else PASS), verdicts, witnesses, [], []
     outcome = _check_family(doc)
     outcome[1]["opens"] = len(doc["opens"])  # entries as listed, repeats too
     return outcome
 
 
-def _record_certificates(rep, verdicts, witnesses):
+def _record_certificates(problems, verdicts, witnesses):
     """One verdict per structure map, and for each refuted map its witness
-    open with the preimage, or the offending pair on a pullback."""
-    for cert in rep.certificates:
-        verdicts[f"{cert.map_name}-continuous"] = cert.continuous
-        if not cert.continuous:
-            back = (_render_value(cert.witness_preimage) if cert.witness_pair is None
-                    else "{" + _render_value(cert.witness_pair) + "}")
-            witnesses[cert.map_name] = (
-                f"open {_render_value(cert.witness_open)} pulls back to {back}")
+    open with the preimage, or the offending pair on a pullback; then
+    whether "composition and inversion continuous iff the difference map
+    is" holds.  `problems` are `check_topological_groupoid` pairs."""
+    refuted = dict(problems)
+    for name in STRUCTURE_MAPS:
+        verdicts[f"{name}-continuous"] = name not in refuted
+        if name in refuted:
+            open_, back = refuted[name]
+            back = (_render_value(back) if isinstance(back, frozenset)
+                    else "{" + _render_value(back) + "}")
+            witnesses[name] = f"open {_render_value(open_)} pulls back to {back}"
+    verdicts["difference-equivalence"] = (
+        ("composition" in refuted or "inversion" in refuted) == ("difference" in refuted))
 
 
 def _cmd_clt_generate(doc, args):
@@ -290,20 +291,21 @@ def _cmd_clt_generate(doc, args):
         if refuted:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
-    T, grep_ = generate_groupoid_topology(G, LT, clt=problems)
+    gen, problems = generate_groupoid_topology(G, LT, clt=problems)
+    refinement = [p for kind, p in problems if kind == "refinement"]
+    maps = problems[len(refinement):]
     verdicts.update({
-        "opens": T.open_count,
-        "base-compatible": grep_.base_compatible,
-        "refinement-law": not grep_.refinement_failures,
-        "all-maps-continuous": grep_.groupoid.ok,
-        "difference-equivalence": grep_.groupoid.difference_equivalence_holds,
+        "opens": gen.topology.open_count,
+        "base-compatible": gen.base_compatible,
+        "refinement-law": not refinement,
+        "all-maps-continuous": not maps,
     })
-    for i, fail in enumerate(grep_.refinement_failures):
+    for i, fail in enumerate(refinement):
         witnesses[f"refinement[{i}]"] = _render_value(fail)
-    _record_certificates(grep_.groupoid, verdicts, witnesses)
-    if not grep_.ok:
+    _record_certificates(maps, verdicts, witnesses)
+    if problems or not gen.base_compatible:
         return REFUTED, verdicts, witnesses, [], []
-    if T.open_count is None:
+    if gen.topology.open_count is None:
         return UNDECIDED, verdicts, witnesses, [_count_marker("opens")], []
     return PASS, verdicts, witnesses, [], []
 
@@ -312,11 +314,11 @@ def _cmd_w_open(doc, args):
     G = _lawful_groupoid(doc, "groupoid")
     LT = parse_local_trivialization(doc, where="document")
     carrier = parse_carrier(doc, G)
-    rep = check_w_open(G, LT, carrier)
-    verdicts = {"w-open": not rep.failures, "carrier-size": len(carrier),
-                "witnessed": len(rep.witnesses)}
-    witnesses = {f"no-neighborhood[{i}]": a for i, a in enumerate(rep.failures)}
-    return (REFUTED if rep.failures else PASS), verdicts, witnesses, [], []
+    problems = check_w_open(G, LT, carrier)
+    verdicts = {"w-open": not problems, "carrier-size": len(carrier),
+                "witnessed": len(carrier) - len(problems)}
+    witnesses = {f"{kind}[{i}]": a for i, (kind, a) in enumerate(problems)}
+    return (REFUTED if problems else PASS), verdicts, witnesses, [], []
 
 
 _COMMANDS = {
@@ -458,7 +460,7 @@ def main(argv=None) -> int:
             _public(doc), args)
         report = {
             "command": args.command,
-            "fingerprint": fingerprint(_strip(doc)),
+            "fingerprint": fingerprint(_public(doc)),
             "parameters": {"budget": args.budget, "depth": args.depth,
                            "window": args.window},
             "verdict": _VERDICT[status],

@@ -10,7 +10,7 @@ diffable and hashable.
 from __future__ import annotations
 
 from .core import FiniteGroupoid, components
-from .monodromy import MonodromyGroupoid, Pi1Result
+from .monodromy import MonodromyGroupoid
 
 
 def _quote(s):
@@ -51,9 +51,7 @@ def _paired_edges(edge_ends, inverse, tree):
 
 
 def export_dot(obj) -> str:
-    """DOT text for a groupoid, a presented groupoid, or a graph result."""
-    if isinstance(obj, Pi1Result):
-        obj = obj.monodromy
+    """DOT text for a groupoid or a presented groupoid."""
     if isinstance(obj, MonodromyGroupoid):
         edges = _paired_edges(obj.graph.edges, obj.ambient.inverse, obj.forest.tree_edges)
         label = f"{len(edges)} generators, {len(obj.relators)} relators"

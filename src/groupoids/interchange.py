@@ -197,7 +197,7 @@ def parse_local_trivialization(doc, where="lt") -> LocalTrivialization:
     for i, entry in enumerate(_require(doc, "cover", list, where)):
         spot = f"{where}.cover[{i}]"
         if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], int) and isinstance(entry[1], list)):
+                and type(entry[0]) is int and isinstance(entry[1], list)):
             raise DocumentError(f"{spot}: expected [index, [points]]")
         member = _strings(entry[1], spot)
         for p in member:
@@ -209,7 +209,7 @@ def parse_local_trivialization(doc, where="lt") -> LocalTrivialization:
     for i, entry in enumerate(_require(doc, "sections", list, where)):
         spot = f"{where}.sections[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], str) and isinstance(entry[1], int)
+                and isinstance(entry[0], str) and type(entry[1]) is int
                 and isinstance(entry[2], list)):
             raise DocumentError(f"{spot}: expected [x, index, [[u, morphism]]]")
         x, idx, rows = entry

@@ -21,10 +21,12 @@ one-letter embedding into a monodromy groupoid, elements are words and the
 per-component engines answer equality, possibly "undecided" when a budget
 runs out, which the reports here surface rather than hide.
 
-`validate_clt` answers as every checker in the package does, with a tuple
-of (kind, payload) pairs that is empty when the structure is valid, and the
-constructions that need a valid structure take that tuple as `clt` when the
-caller already holds it.
+`validate_clt` and `check_w_open` answer as every checker in the package
+does, with a tuple of (kind, payload) pairs that is empty when the
+structure is valid or the subgroupoid open, and `generate_groupoid_topology`
+returns the generated topology with such a tuple of what failed.  The
+constructions that need a valid structure take the `validate_clt` tuple as
+`clt` when the caller already holds it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .monodromy import (
 )
 from .topology import (
     FiniteTopology,
-    TopologicalGroupoidReport,
     _family_order,
     check_topological_groupoid,
     generate_from_base,
@@ -248,21 +249,14 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
                                    a, x, y, i, j))
 
 
-@dataclass(frozen=True)
-class GenerationReport:
-    base_compatible: bool         # did the neighborhoods form a true base
-    refinement_failures: tuple    # (a, (i,j), (i2,j2), k, l) where shrinking failed
-    groupoid: TopologicalGroupoidReport
-
-    @property
-    def ok(self):
-        return (self.base_compatible and not self.refinement_failures
-                and self.groupoid.ok)
-
-
 def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
                                clt: tuple = None):
-    """(topology on the morphisms, report).
+    """(gen, problems): the `GeneratedTopology` of the basic neighborhoods,
+    whose `.topology` is on the morphisms and whose `.base_compatible` says
+    whether they form a true base, and the (kind, payload) pairs of what
+    failed, empty when nothing did.  The pairs are
+    ("refinement", (a, (i, j), (i2, j2), k, l)) where shrinking failed, then
+    the `check_topological_groupoid` pairs of the six structure maps.
 
     Refuses to run on an invalid structure; `clt` is the `validate_clt`
     tuple of (G, LT) when the caller already has it.  Builds every basic
@@ -270,8 +264,7 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
     shrinking argument from that table: the Comp witnesses around both
     endpoints, each asked once, give a third neighborhood inside any two
     with the same center.  A witness contains its point, so the third is
-    in the table too.  Generates the topology and certifies all six
-    structure maps against it and the base space.
+    in the table too.
     """
     _require_valid(G, LT, clt)
     witness = functools.cache(functools.partial(comp_witness, LT))
@@ -283,42 +276,36 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
         for i, j in pairs_of[a]:
             nbhds[(a, i, j)] = basic_neighborhood(G, LT, a, i, j)
 
-    failures = []
+    problems = []
     for a in sorted(G.morphisms):
         x, y = G.source[a], G.target[a]
         for (i, j), (i2, j2) in itertools.combinations(pairs_of[a], 2):
             k, l = witness(x, i, i2), witness(y, j, j2)
             if not nbhds[(a, k, l)] <= nbhds[(a, i, j)] & nbhds[(a, i2, j2)]:
-                failures.append((a, (i, j), (i2, j2), k, l))
+                problems.append(("refinement", (a, (i, j), (i2, j2), k, l)))
 
     gen = generate_from_base(sorted(G.morphisms), nbhds.values())
-    greport = check_topological_groupoid(G, gen.topology, LT.base_space)
-    return gen.topology, GenerationReport(
-        base_compatible=gen.base_compatible,
-        refinement_failures=tuple(failures), groupoid=greport)
+    return gen, (*problems, *check_topological_groupoid(G, gen.topology, LT.base_space))
 
 
-@dataclass(frozen=True)
-class WOpenReport:
-    witnesses: dict = field(default_factory=dict)  # a -> (i, j) with N(a,i,j) inside
-    failures: tuple = ()
-
-
-def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> WOpenReport:
+def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> tuple:
     """Is the subgroupoid W open in the generated topology?  Equivalent, and
     checked literally: every element of W keeps some basic neighborhood
-    inside W, and W is open when no element is left in `failures`.  With the
-    stated preconditions (W composition-closed, sections landing in W) a
-    failure is impossible, so one means an upstream hypothesis was broken."""
+    inside W.  Returns (("no-neighborhood", a), ...) for the elements that
+    keep none, empty when W is open; equality of finite tables always
+    decides, so every other element is witnessed.  Under the preconditions
+    (W a wide subgroupoid, sections landing in W) no failure is possible:
+    a basic neighborhood of a in W holds products s^-1 . a . s' of
+    elements of W, so it lies in W.  Broken preconditions raise ValueError."""
     W = frozenset(W)
     reasons = check_wide_subgroupoid(G, W)
     if reasons:
         raise ValueError(f"not a wide subgroupoid: {reasons[0]!r}")
     _require_valid(G, LT)
     _require_sections_in(LT, W, "subgroupoid")
-    witnesses, _, failures = _open_search(
+    _, _, failures = _open_search(
         G, LT, sorted(W), lambda a, i, j: basic_neighborhood(G, LT, a, i, j) <= W)
-    return WOpenReport(witnesses=witnesses, failures=tuple(failures))
+    return tuple(("no-neighborhood", a) for a in failures)
 
 
 # ---------------------------------------------------- transport to words

@@ -17,16 +17,18 @@ simplification are built only on demand: for the DOT export, for
 `build_engine` (a carrier that is not closed, a trivial group, a failed
 certificate), and for the first token asked of an undecided engine.
 
-Two distinguished maps come with the construction: the universal map
-i~ sending each element of W to its one-letter word, and the evaluation
-map p sending a word to its product in G.  `globalize` extends a map
-defined only on W to the whole presented groupoid exactly when the map is
-compatible with every relator, and `star_covering_report` measures how far
-p is from a bijection on stars, depth window by depth window.  That report
-and the transported window in `loctriv` share one breadth-first class
-search, `enumerate_classes`, which stops at MAX_CLASSES classes.  It extends
-each class's token by the image of one more letter, computed once per
-carrier element, instead of rebuilding the token from the whole word.
+Two distinguished maps come with the construction: the universal map i~
+sending each element of W to its one-letter word, and the evaluation map p
+sending a word to its product in G.  `globalize` extends a map defined only
+on W to the whole presented groupoid exactly when the map is compatible
+with every relator, and returns the extension or the first triple it
+breaks.  `star_covering_report` measures how far p is from a bijection on
+stars, depth window by depth window.  `pi1_graph` answers with the monodromy
+groupoid of a subdivided graph, whose engines carry the free ranks.  The
+star report and the transported window in `loctriv` share one breadth-first
+class search, `enumerate_classes`, which stops at MAX_CLASSES classes.  It
+extends each class's token by the image of one more letter, computed once
+per carrier element, instead of rebuilding the token from the whole word.
 """
 
 from __future__ import annotations
@@ -296,23 +298,14 @@ def canonical_morphism(M: MonodromyGroupoid) -> WordEvaluator:
                          gen_map={a: a for a in M.subset.carrier})
 
 
-@dataclass(frozen=True)
-class GlobalizationResult:
-    morphism: WordEvaluator = None
-    obstruction: tuple = None  # (a, b, ab) with f(a)f(b) != f(ab)
-
-    @property
-    def ok(self):
-        return self.obstruction is None
-
-
-def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> GlobalizationResult:
-    """Extend f: W -> H to the whole presented groupoid.
+def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
+    """Extend f: W -> H to the whole presented groupoid: (extension, None),
+    the extension a `WordEvaluator`, or (None, obstruction).
 
     f must already respect sources, targets, identities and inversion on W
     (hard errors otherwise).  The extension exists iff f(a)f(b) = f(ab) for
-    every defining triple; the first failing triple, in sorted order, is
-    returned as the obstruction.  When it exists it is unique, being
+    every defining triple; the first failing triple (a, b, ab), in sorted
+    order, is the obstruction.  When it exists it is unique, being
     determined on the one-letter words.
     """
     G = M.ambient
@@ -339,10 +332,9 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> Globalization
             raise ValueError(f"inversion not preserved at {a!r}")
     for a, b, ab in M.relator_family:
         if H.compose[(f[a], f[b])] != f[ab]:
-            return GlobalizationResult(obstruction=(a, b, ab))
-    return GlobalizationResult(
-        morphism=WordEvaluator(target=H, obj_map=obj_map,
-                               gen_map={a: f[a] for a in carrier}))
+            return None, (a, b, ab)
+    return WordEvaluator(target=H, obj_map=obj_map,
+                         gen_map={a: f[a] for a in carrier}), None
 
 
 MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
@@ -417,11 +409,6 @@ class StarCoverReport:
     engine_kind: str
     capped_at: int = None     # levels searched in full when the class cap hit
 
-    @property
-    def has_undecided(self):
-        return (bool(self.undecided_depth) or bool(self.injectivity_undecided)
-                or not self.fiber_counts_exact or self.capped_at is not None)
-
 
 def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     """How close the evaluation map p (`canonical_morphism`) is to a covering
@@ -474,25 +461,17 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
         engine_kind=engine.kind, capped_at=search.capped_at)
 
 
-@dataclass(frozen=True)
-class Pi1Result:
-    monodromy: MonodromyGroupoid
-    vertices: tuple            # vertices of the working graph, midpoints included
-    component_ranks: tuple     # certified free rank per component, None if not free
-
-    @property
-    def rank(self):
-        return None if None in self.component_ranks else sum(self.component_ranks)
-
-
-def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Result:
-    """Fundamental-group data of a simple graph.
+def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET,
+              edge_order=None) -> MonodromyGroupoid:
+    """Fundamental-group data of a simple graph, as the monodromy groupoid
+    of its subdivision: its objects are the vertices with the midpoints, and
+    the rank of each component's engine is that component's free rank.
 
     Each edge is split at a midpoint before the pair groupoid and its
     adjacency subset are formed; splitting keeps |E| - |V| + #components
     intact and guarantees that no two-step product of adjacency pairs lands
     back in the subset, so the relators are exactly the backtracking ones and
-    the vertex groups come out certified free.
+    the vertex groups come out certified free.  They are decided here.
     """
     vertices = sorted(vertices)
     if len(set(vertices)) != len(vertices):
@@ -528,5 +507,5 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET, edge_order=None) -> Pi1Res
             carrier.add(f"({a},{b})")
     W = pregroupoid(G, carrier)
     M = build_monodromy(G, W, budget=budget, edge_order=edge_order)
-    ranks = tuple(e.rank for e in M.engines)
-    return Pi1Result(monodromy=M, vertices=tuple(allv), component_ranks=ranks)
+    M.engines  # decide every vertex group before returning
+    return M

@@ -13,9 +13,12 @@ in general (Provan-Ball 1983), so a count gives up, with None, once it has
 memoised MAX_COUNT_STATES subproblems.  Explicit families remain at the
 edges: `is_topology` and `topology` check documents that list their opens,
 and `FiniteTopology.opens` enumerates them on demand for export, stopping
-with `TopologySizeError` past 2**16 sets.  `is_topology` answers as every
-checker in the package does, with a tuple of (kind, witness) pairs that is
-empty when the family is a topology; it holds at most the first failure.
+with `TopologySizeError` past 2**16 sets.  `is_topology` and
+`check_topological_groupoid` answer as every checker in the package does,
+with a tuple of (kind, witness) pairs that is empty when the family is a
+topology, or when every structure map is continuous.  `is_topology` holds
+at most the first failure; `check_topological_groupoid` holds one pair per
+refuted map, the kind being the map's name from STRUCTURE_MAPS.
 """
 
 from __future__ import annotations
@@ -301,13 +304,9 @@ def difference_pairs(G) -> tuple:
 
 # ------------------------------------------------------------- continuity
 
-@dataclass(frozen=True)
-class ContinuityCertificate:
-    map_name: str
-    continuous: bool
-    witness_open: frozenset = None      # codomain open with a bad preimage
-    witness_preimage: frozenset = None  # that preimage (plain domains only)
-    witness_pair: tuple = None          # pullback domains: the offending pair
+# the structure maps `check_topological_groupoid` certifies, in report order
+STRUCTURE_MAPS = ("source", "target", "identity", "inversion", "composition",
+                  "difference")
 
 
 def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
@@ -325,81 +324,57 @@ def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
     return min(bad, key=_family_order, default=None)
 
 
-def continuity(map_name, dom: FiniteTopology, cod: FiniteTopology,
-               fn) -> ContinuityCertificate:
-    """Continuous iff f(U_p) lies inside V_f(p) at every point p."""
+def continuity(dom: FiniteTopology, cod: FiniteTopology, fn):
+    """None when f is continuous, which it is iff f(U_p) lies inside V_f(p)
+    at every point p; else (the first bad open, its preimage)."""
     o = _first_bad_open(dom, cod, fn)
-    pre = None if o is None else frozenset(p for p in dom.points if fn(p) in o)
-    return ContinuityCertificate(map_name=map_name, continuous=o is None,
-                                 witness_open=o, witness_preimage=pre)
+    return None if o is None else (o, frozenset(p for p in dom.points if fn(p) in o))
 
 
-def pullback_continuity(map_name, pairs, factor: FiniteTopology,
-                        cod: FiniteTopology, fn) -> ContinuityCertificate:
+def pullback_continuity(pairs, factor: FiniteTopology, cod: FiniteTopology, fn):
     """Continuity out of the subspace of factor x factor on `pairs`, whose
-    minimal neighbourhoods are (U_a x U_b) & pairs.  A refutation names a
-    pair (a, b) mapped into the witness open and the first pair of its
-    neighbourhood that is not."""
+    minimal neighbourhoods are (U_a x U_b) & pairs: None when continuous,
+    else (the first bad open, a pair (a, b) mapped into it with the first
+    pair of its neighbourhood that is not)."""
     pair_set, nb, traces = frozenset(pairs), factor.neighborhoods, {}
     for a, b in pair_set:
         if (nb[a], nb[b]) not in traces:
             traces[nb[a], nb[b]] = frozenset(
                 q for q in itertools.product(nb[a], nb[b]) if q in pair_set)
     dom = FiniteTopology({(a, b): traces[nb[a], nb[b]] for a, b in pair_set})
-    o, pair = _first_bad_open(dom, cod, lambda ab: fn(*ab)), None
-    if o is not None:
-        inside = {ab for ab in pair_set if fn(*ab) in o}
-        pair = next((ab, q) for ab in sorted(inside)
-                    for q in sorted(dom.neighborhoods[ab]) if q not in inside)
-    return ContinuityCertificate(map_name=map_name, continuous=o is None,
-                                 witness_open=o, witness_pair=pair)
+    o = _first_bad_open(dom, cod, lambda ab: fn(*ab))
+    if o is None:
+        return None
+    inside = {ab for ab in pair_set if fn(*ab) in o}
+    return o, next((ab, q) for ab in sorted(inside)
+                   for q in sorted(dom.neighborhoods[ab]) if q not in inside)
 
 
-@dataclass(frozen=True)
-class TopologicalGroupoidReport:
-    source_map: ContinuityCertificate
-    target_map: ContinuityCertificate
-    identity_map: ContinuityCertificate
-    inversion_map: ContinuityCertificate
-    composition_map: ContinuityCertificate
-    difference_map: ContinuityCertificate
-    difference_equivalence_holds: bool
-
-    @property
-    def certificates(self):
-        return (self.source_map, self.target_map, self.identity_map,
-                self.inversion_map, self.composition_map, self.difference_map)
-
-    @property
-    def ok(self):
-        return all(c.continuous for c in self.certificates)
-
-
-def check_topological_groupoid(G, T_G: FiniteTopology,
-                               T_X: FiniteTopology) -> TopologicalGroupoidReport:
-    """Certify or refute every structure map of (G, T_G, T_X).
+def check_topological_groupoid(G, T_G: FiniteTopology, T_X: FiniteTopology) -> tuple:
+    """Certify or refute every structure map of (G, T_G, T_X): one
+    (map name, witness) pair per map that is not continuous, in the order
+    of STRUCTURE_MAPS, so the tuple is empty when all six are.  A witness
+    is what `continuity` or `pullback_continuity` returns.
 
     Composition is checked on the target-source pullback and the difference
-    map (a, b) -> a^-1 b independently on the source-source pullback; the
-    report records whether this instance agrees with the equivalence
-    "composition and inversion continuous iff the difference map is".
+    map (a, b) -> a^-1 b independently on the source-source pullback, so
+    both sides of "composition and inversion continuous iff the difference
+    map is" are decided apart; the CLI reports whether this instance agrees.
     """
     if set(T_G.points) != set(G.morphisms):
         raise ValueError("morphism topology points differ from the morphisms")
     if set(T_X.points) != set(G.objects):
         raise ValueError("object topology points differ from the objects")
 
-    alpha = continuity("source", T_G, T_X, lambda m: G.source[m])
-    beta = continuity("target", T_G, T_X, lambda m: G.target[m])
-    eps = continuity("identity", T_X, T_G, lambda x: G.identity[x])
-    inv = continuity("inversion", T_G, T_G, lambda m: G.inverse[m])
-    comp = pullback_continuity("composition", composable_pairs(G), T_G, T_G,
-                               lambda a, b: G.compose[(a, b)])
-    diff = pullback_continuity("difference", difference_pairs(G), T_G, T_G,
-                               lambda a, b: G.compose[(G.inverse[a], b)])
-
-    equiv = (comp.continuous and inv.continuous) == diff.continuous
-    return TopologicalGroupoidReport(
-        source_map=alpha, target_map=beta, identity_map=eps,
-        inversion_map=inv, composition_map=comp, difference_map=diff,
-        difference_equivalence_holds=equiv)
+    witnesses = (
+        continuity(T_G, T_X, lambda m: G.source[m]),
+        continuity(T_G, T_X, lambda m: G.target[m]),
+        continuity(T_X, T_G, lambda x: G.identity[x]),
+        continuity(T_G, T_G, lambda m: G.inverse[m]),
+        pullback_continuity(composable_pairs(G), T_G, T_G,
+                            lambda a, b: G.compose[(a, b)]),
+        pullback_continuity(difference_pairs(G), T_G, T_G,
+                            lambda a, b: G.compose[(G.inverse[a], b)]),
+    )
+    return tuple((name, w) for name, w in zip(STRUCTURE_MAPS, witnesses)
+                 if w is not None)

@@ -404,7 +404,7 @@ def generation_oracle(G, LT):
     before its neighborhood table: collect every basic neighborhood into a
     set, then replay the shrinking argument by building the three
     neighborhoods of each pair of pairs again and searching Comp again.
-    Returns (topology, base_compatible, refinement failures, groupoid report)."""
+    Returns (generated topology, problems) as the function does."""
     from groupoids.loctriv import basic_neighborhood, comp_witness
     from groupoids.topology import check_topological_groupoid, generate_from_base
 
@@ -431,11 +431,46 @@ def generation_oracle(G, LT):
             outer = (basic_neighborhood(G, LT, a, i, j)
                      & basic_neighborhood(G, LT, a, i2, j2))
             if not inner <= outer:
-                failures.append((a, (i, j), (i2, j2), k, l))
+                failures.append(("refinement", (a, (i, j), (i2, j2), k, l)))
 
     gen = generate_from_base(sorted(G.morphisms), nbhds)
-    return (gen.topology, gen.base_compatible, tuple(failures),
-            check_topological_groupoid(G, gen.topology, LT.base_space))
+    return gen, (*failures, *check_topological_groupoid(G, gen.topology, LT.base_space))
+
+
+def w_open_witnesses(G, LT, W):
+    """a -> the first (i, j), source member then target member in cover
+    order, whose basic neighborhood of a lies inside W, for every a in W
+    that has one: the witnesses `check_w_open` searches for."""
+    from groupoids.loctriv import basic_neighborhood
+
+    found = {}
+    for a in sorted(W):
+        pairs = [(i, j) for i, u in LT.cover if G.source[a] in u
+                 for j, v in LT.cover if G.target[a] in v]
+        for i, j in pairs:
+            if basic_neighborhood(G, LT, a, i, j) <= W:
+                found[a] = (i, j)
+                break
+    return found
+
+
+def difference_equivalence(problems):
+    """Whether `check_topological_groupoid` problems agree with
+    "composition and inversion continuous iff the difference map is"."""
+    refuted = dict(problems)
+    return ("composition" in refuted or "inversion" in refuted) == ("difference" in refuted)
+
+
+def component_ranks(M):
+    """The free rank of each component of a presented groupoid, None where
+    its vertex group is not certified free."""
+    return tuple(e.rank for e in M.engines)
+
+
+def pi1_rank(M):
+    """The sum of `component_ranks`, or None when one of them is."""
+    ranks = component_ranks(M)
+    return None if None in ranks else sum(ranks)
 
 
 # --------------------------------------------------------------- witness replay

@@ -304,6 +304,27 @@ def test_globalize_map_values_must_be_morphism_ids(tmp_path, capsys):
     assert err == "error: document.map: expected object of morphism ids\n"
 
 
+def test_boolean_cover_index_is_an_input_error(tmp_path, capsys):
+    """JSON true is not the cover index 1, though Python's bool is an int."""
+    doc = json.loads((CORPUS / "clt-sierpinski.json").read_text())
+    doc["cover"][1][0] = True
+    for entry in doc["sections"]:
+        if entry[1] == 1:
+            entry[1] = True
+    code, out, err = run(["clt-generate", _write(tmp_path, "true-cover.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: document.cover[1]: expected [index, [points]]\n"
+
+
+def test_boolean_section_index_is_an_input_error(tmp_path, capsys):
+    doc = json.loads((CORPUS / "clt-sierpinski.json").read_text())
+    assert doc["sections"][1][1] == 1
+    doc["sections"][1][1] = True
+    code, out, err = run(["clt-generate", _write(tmp_path, "true-section.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: document.sections[1]: expected [x, index, [[u, morphism]]]\n"
+
+
 def test_pi1_names_colliding_midpoints(tmp_path, capsys):
     doc = {"vertices": ["a", "b,c", "a,b", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
     code, out, err = run(["pi1", _write(tmp_path, "commas.json", doc)], capsys)

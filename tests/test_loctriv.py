@@ -34,7 +34,14 @@ from groupoids.topology import (
     topology,
 )
 
-from helpers import cyclic, generation_oracle, group_groupoid, product_groupoid
+from helpers import (
+    cyclic,
+    difference_equivalence,
+    generation_oracle,
+    group_groupoid,
+    product_groupoid,
+    w_open_witnesses,
+)
 
 F = frozenset
 
@@ -189,23 +196,23 @@ def test_neighborhood_precondition_errors():
 def test_discrete_base_singleton_cover_generates_discrete():
     G = pair_groupoid(["a", "b", "c"])
     LT = canonical_lt(discrete(["a", "b", "c"]), singleton_cover(G.objects))
-    T, rep = generate_groupoid_topology(G, LT)
-    assert T.opens == discrete(G.morphisms).opens  # every {a} is a neighborhood
-    assert rep.ok and rep.base_compatible and rep.refinement_failures == ()
-    assert rep.groupoid.difference_equivalence_holds
+    gen, problems = generate_groupoid_topology(G, LT)
+    assert gen.topology.opens == discrete(G.morphisms).opens  # every {a} is a neighborhood
+    assert problems == () and gen.base_compatible
+    assert difference_equivalence(problems)
 
 
 def test_sierpinski_pair_groupoid_generates_the_product_topology():
     G = pair_groupoid([0, 1])
     base = topology([0, 1], [F(), F({0}), F({0, 1})])
     LT = canonical_lt(base, [(0, {0}), (1, {0, 1})])
-    T, rep = generate_groupoid_topology(G, LT)
-    assert T.opens == {  # open rectangles U x V in morphism-id dress
+    gen, problems = generate_groupoid_topology(G, LT)
+    assert gen.topology.opens == {  # open rectangles U x V in morphism-id dress
         F(), F({"(0,0)"}), F({"(0,0)", "(0,1)"}), F({"(0,0)", "(1,0)"}),
         F({"(0,0)", "(0,1)", "(1,0)"}),
         F({"(0,0)", "(0,1)", "(1,0)", "(1,1)"}),
     }
-    assert rep.ok
+    assert problems == () and gen.base_compatible
 
 
 def test_generation_refused_on_comp_violation():
@@ -222,9 +229,9 @@ def test_canonical_covers_always_generate_topological_groupoids(extra):
     G = pair_groupoid([0, 1, 2])
     cover = list(enumerate(SUBS7[:3] + extra))
     LT = canonical_lt(discrete([0, 1, 2]), cover)
-    T, rep = generate_groupoid_topology(G, LT)
-    assert rep.ok
-    assert not is_topology(T.points, T.opens)
+    gen, problems = generate_groupoid_topology(G, LT)
+    assert problems == () and gen.base_compatible
+    assert not is_topology(gen.topology.points, gen.topology.opens)
     for a in sorted(G.morphisms):  # each neighborhood contains its center
         for i, u in LT.cover:
             for j, v in LT.cover:
@@ -249,15 +256,17 @@ def refuted_refinement_instance():
 def test_refuted_refinement_law_is_pinned():
     G, LT = refuted_refinement_instance()
     assert not validate_clt(G, LT)
-    _, rep = generate_groupoid_topology(G, LT)
+    gen, problems = generate_groupoid_topology(G, LT)
     shrink = [((0, 2), (1, 2), 1, 0), ((0, 2), (2, 2), 1, 0), ((1, 2), (2, 2), 1, 0),
               ((2, 0), (2, 1), 0, 1), ((2, 0), (2, 2), 0, 1), ((2, 1), (2, 2), 0, 1)]
-    assert rep.refinement_failures == (
+    refinement = tuple(p for kind, p in problems if kind == "refinement")
+    assert refinement == (
         *(("o0>o0:0", *f) for f in shrink), *(("o0>o0:1", *f) for f in shrink),
         ("o0>o1:0", (2, 0), (2, 2), 0, 0), ("o0>o1:1", (2, 0), (2, 2), 0, 0),
         ("o1>o0:0", (0, 2), (2, 2), 0, 0), ("o1>o0:1", (0, 2), (2, 2), 0, 0))
-    assert generation_oracle(G, LT)[2] == rep.refinement_failures
-    assert not rep.ok
+    assert problems[:len(refinement)] == tuple(("refinement", f) for f in refinement)
+    assert generation_oracle(G, LT) == (gen, problems)
+    assert problems
 
 
 def _structures(data):
@@ -302,12 +311,11 @@ def test_generation_matches_the_oracle(data):
         with pytest.raises(ValueError, match="local trivialization invalid"):
             generate_groupoid_topology(G, LT)
         return
-    T, rep = generate_groupoid_topology(G, LT)
-    T_old, compatible, failures, groupoid = generation_oracle(G, LT)
-    assert T.neighborhoods == T_old.neighborhoods
-    assert rep.base_compatible == compatible
-    assert rep.refinement_failures == failures
-    assert rep.groupoid == groupoid
+    gen, problems = generate_groupoid_topology(G, LT)
+    gen_old, problems_old = generation_oracle(G, LT)
+    assert gen.topology.neighborhoods == gen_old.topology.neighborhoods
+    assert gen.base_compatible == gen_old.base_compatible
+    assert problems == problems_old
 
 
 @pytest.mark.parametrize("instance", [refuted_refinement_instance, all_subsets_instance])
@@ -336,15 +344,14 @@ def test_generation_asks_each_neighborhood_and_witness_once(instance, monkeypatc
 def test_whole_groupoid_is_open():
     G = pair_groupoid(["a", "b", "c"])
     LT = canonical_lt(discrete(["a", "b", "c"]), singleton_cover(G.objects))
-    rep = check_w_open(G, LT, G.morphisms)
-    assert not rep.failures and set(rep.witnesses) == set(G.morphisms)
+    assert check_w_open(G, LT, G.morphisms) == ()
+    assert set(w_open_witnesses(G, LT, G.morphisms)) == set(G.morphisms)
 
 
 def test_partition_blocks_are_open():
     G, LT, W = partition_instance()
-    rep = check_w_open(G, LT, W)
-    assert rep.failures == ()
-    assert rep.witnesses["(0,1)"] == (0, 0)  # block member on both sides
+    assert check_w_open(G, LT, W) == ()
+    assert w_open_witnesses(G, LT, W)["(0,1)"] == (0, 0)  # block member on both sides
 
 
 def test_identities_only_subgroupoid_breaks_the_hypotheses():
@@ -372,9 +379,9 @@ def test_tree_transport_matches_the_ambient_structure():
     rep = clt_on_monodromy(G, LT, W, M)
     assert rep.problems == () and rep.comp_failed == () and rep.comp_undecided == ()
     assert rep.window.points == 9 and rep.window.tokens_exact
-    T, _ = generate_groupoid_topology(G, LT)
+    gen, _ = generate_groupoid_topology(G, LT)
     image = {F(rep.window.values[t] for t in o) for o in rep.window.topology.opens}
-    assert image == T.opens
+    assert image == gen.topology.opens
     assert not M.closed  # adjacency composites escape, so no openness leg
     assert rep.window.w_tilde_open is None
 
@@ -504,7 +511,8 @@ def test_transport_agrees_with_the_finite_checks(data):
                    sorted(k for k, u in cover if x in u), 2)]
     assert rep.comp_satisfied == tuple((x, i, j, comp_witness(LT, x, i, j))
                                        for x, i, j in triples)
-    assert rep.w_tilde_witnesses == check_w_open(G, LT, G.morphisms).witnesses
+    assert check_w_open(G, LT, G.morphisms) == ()
+    assert rep.w_tilde_witnesses == w_open_witnesses(G, LT, G.morphisms)
     for x in points:
         star = star_covering_report(M, x, 3)
         based = Counter(v for t, v in rep.window.values.items() if t[0] == x)

@@ -39,8 +39,10 @@ from helpers import (
     class_search_oracle,
     closure_oracle,
     collapse_oracle,
+    component_ranks,
     cyclic,
     group_groupoid,
+    pi1_rank,
     product_groupoid,
     sym3,
     table_engine_oracle,
@@ -136,8 +138,7 @@ def test_word_equality_free_case():
 
 
 def test_word_equality_uses_endpoints():
-    r = pi1_graph(["a", "b"], [("a", "b")])
-    M = r.monodromy
+    M = pi1_graph(["a", "b"], [("a", "b")])
     step = Word(((f"(a,mid(a,b))", 1),), "a")
     assert M.equal(step, Word((), "a")) is False  # endpoints differ
     assert M.equal(Word((), "a"), Word((), "b")) is False
@@ -190,14 +191,14 @@ def test_globalize_extends_a_compatible_map():
     M = build_monodromy(G, W)
     H = group_groupoid(sym3())
     f = {"0": "012", "1": "120", "6": "201"}  # send the step to a 3-cycle
-    res = globalize(M, f, H)
-    assert res.ok
+    extension, obstruction = globalize(M, f, H)
+    assert obstruction is None
     for a in sorted(W.carrier):  # the extension restricts back to f
-        assert res.morphism.evaluate(M.i_tilde(a)) == f[a]
+        assert extension.evaluate(M.i_tilde(a)) == f[a]
     seven = Word((("1", 1),) * 7, "*")
     cube = Word((("1", 1),) * 3, "*")
-    assert res.morphism.evaluate(seven) == "120"  # 7 = 1 mod the cycle's order
-    assert res.morphism.evaluate(cube) == "012"
+    assert extension.evaluate(seven) == "120"  # 7 = 1 mod the cycle's order
+    assert extension.evaluate(cube) == "012"
 
 
 def test_globalize_reports_the_first_obstruction():
@@ -206,10 +207,10 @@ def test_globalize_reports_the_first_obstruction():
     M = build_monodromy(G, W)
     H = group_groupoid(sym3())
     f = {"0": "012", "1": "120", "6": "201", "2": "012", "5": "012"}
-    res = globalize(M, f, H)  # f(1)f(1) is a 3-cycle but f(2) is trivial
-    assert not res.ok
-    assert res.morphism is None
-    assert res.obstruction == ("1", "1", "2")
+    extension, obstruction = globalize(M, f, H)  # f(1)f(1) is a 3-cycle but f(2) is trivial
+    assert obstruction is not None
+    assert extension is None
+    assert obstruction == ("1", "1", "2")
 
 
 def test_globalize_precondition_errors():
@@ -236,7 +237,7 @@ def test_globalize_builds_no_engine(monkeypatch):
         monkeypatch.setattr(monodromy, name,
                             lambda *a, _o=original, **k: calls.append(a) or _o(*a, **k))
     M = build_monodromy(G, W)
-    assert globalize(M, {a: a for a in W.carrier}, G).ok
+    assert globalize(M, {a: a for a in W.carrier}, G)[1] is None
     assert calls == [] and "engines" not in vars(M)
 
 
@@ -258,7 +259,8 @@ def test_star_cover_matches_the_integer_line():
         assert rep.surjective_within_depth
         assert not rep.saturated          # free of rank one: always more words
         assert rep.fiber_counts_exact
-        assert not rep.has_undecided
+        assert rep.undecided_depth == () and rep.injectivity_undecided == ()
+        assert rep.capped_at is None
         assert rep.translate_collisions == ()
 
 
@@ -277,7 +279,9 @@ def test_star_cover_shallow_window_leaves_elements_undecided():
     assert rep.undecided_depth == ("2", "3")
     assert not rep.surjective_within_depth
     assert rep.unreachable == ()
-    assert rep.has_undecided
+    assert rep.undecided_depth  # undecided by the window alone
+    assert rep.injectivity_undecided == () and rep.fiber_counts_exact
+    assert rep.capped_at is None
 
 
 def test_star_cover_refutes_unreachable_elements():
@@ -291,7 +295,9 @@ def test_star_cover_refutes_unreachable_elements():
     assert rep.reached == {"0": 1, "2": 1, "4": 1}
     assert rep.saturated
     assert not rep.surjective_within_depth
-    assert not rep.has_undecided  # a refutation is a definite answer
+    # a refutation is a definite answer
+    assert rep.undecided_depth == () and rep.injectivity_undecided == ()
+    assert rep.fiber_counts_exact and rep.capped_at is None
 
 
 def test_star_cover_saturates_on_finite_classes():
@@ -309,33 +315,34 @@ def test_star_cover_undecided_engine_is_flagged():
     M = build_monodromy(G, pregroupoid(G, set(G.morphisms)), budget=3)
     rep = star_covering_report(M, "*", 4)
     assert not rep.fiber_counts_exact
-    assert rep.has_undecided
     assert rep.engine_kind == "undecided"
+    # the engine leaves every pair of distinct one-letter words unseparated
+    assert rep.injectivity_undecided == tuple(itertools.combinations(sorted(G.morphisms), 2))
+    assert rep.undecided_depth == () and rep.capped_at is None
 
 
 # ------------------------------------------------------------------ graphs
 
 def test_tree_has_trivial_vertex_groups_and_a_bijective_cover():
-    r = pi1_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    assert r.component_ranks == (0,)
-    assert r.rank == 0
-    M = r.monodromy
+    M = pi1_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    assert component_ranks(M) == (0,)
+    assert pi1_rank(M) == 0
     rep = star_covering_report(M, "a", 20)
     assert rep.saturated and rep.surjective_within_depth
     assert set(rep.reached.values()) == {1}   # one word class per pair
-    assert len(rep.reached) == len(r.vertices)
+    assert len(rep.reached) == len(M.ambient.objects)
 
 
 def test_triangle_rank_one():
     r = pi1_graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
-    assert r.rank == 1  # 3 - 3 + 1; the chord survives splitting
+    assert pi1_rank(r) == 1  # 3 - 3 + 1; the chord survives splitting
 
 
 def test_complete_graph_rank_three():
     vs = ["0", "1", "2", "3"]
     es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
     r = pi1_graph(vs, es)
-    assert r.rank == 3  # 6 - 4 + 1
+    assert pi1_rank(r) == 3  # 6 - 4 + 1
 
 
 def test_two_components_add_ranks():
@@ -343,17 +350,17 @@ def test_two_components_add_ranks():
     es = [("a", "b"), ("b", "c"), ("a", "c"), ("p", "q"), ("q", "r"), ("p", "r")]
     with pytest.warns(UserWarning):  # pairs across components are unreachable
         r = pi1_graph(vs, es)
-    assert sorted(r.component_ranks) == [1, 1]
-    assert r.rank == 2  # |E| - |V| + #components
+    assert sorted(component_ranks(r)) == [1, 1]
+    assert pi1_rank(r) == 2  # |E| - |V| + #components
 
 
 def test_pi1_rank_ignores_edge_order():
     vs = ["0", "1", "2", "3"]
     es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
     base = pi1_graph(vs, es)
-    mids = sorted(base.monodromy.graph.edges)
+    mids = sorted(base.graph.edges)
     alt = pi1_graph(vs, es, edge_order=list(reversed(mids)))
-    assert alt.rank == base.rank == 3
+    assert pi1_rank(alt) == pi1_rank(base) == 3
 
 
 def test_pi1_input_validation():
@@ -388,7 +395,7 @@ def test_pi1_rank_formula_random(data):
                                 max_size=min(4, len(extra))))
     es = path + chosen
     r = pi1_graph(vs, es)
-    assert r.component_ranks == (len(es) - n + 1,)
+    assert component_ranks(r) == (len(es) - n + 1,)
 
 
 def test_pi1_scales_to_thirty_vertices_and_sixty_edges():
@@ -402,7 +409,7 @@ def test_pi1_scales_to_thirty_vertices_and_sixty_edges():
         es.add(tuple(sorted(rng.sample(vs, 2))))
     start = time.perf_counter()
     r = pi1_graph(vs, sorted(es))
-    assert r.rank == 31
+    assert pi1_rank(r) == 31
     assert time.perf_counter() - start < 15
 
 
@@ -416,7 +423,7 @@ def test_pi1_scales_to_two_hundred_vertices_and_four_hundred_edges():
         es.add(tuple(sorted(rng.sample(vs, 2))))
     start = time.perf_counter()
     r = pi1_graph(vs, sorted(es))
-    assert r.rank == 201
+    assert pi1_rank(r) == 201
     assert time.perf_counter() - start < 15
 
 
@@ -439,7 +446,9 @@ def test_class_search_stops_at_the_cap(monkeypatch):
     assert not capped.saturated
     assert list(capped.classes.items()) == list(whole.classes.items())[:20]
     rep = star_covering_report(M, "*", 3)
-    assert rep.capped_at == 2 and rep.has_undecided
+    assert rep.capped_at == 2
+    assert rep.fiber_counts_exact and rep.injectivity_undecided == ()
+    assert len(rep.undecided_depth) == 25 - len(rep.reached)  # the cap cut them off
     assert sum(rep.reached.values()) == 20
 
 
@@ -914,9 +923,9 @@ def presented_carriers(draw):
         es = draw(st.lists(st.sampled_from(within), unique=True)) if within else []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the graph is disconnected
-            edge_ids = sorted(pi1_graph(vs, es).monodromy.graph.edges)
+            edge_ids = sorted(pi1_graph(vs, es).graph.edges)
             return pi1_graph(vs, es, budget=20,
-                             edge_order=draw(st.permutations(edge_ids))).monodromy
+                             edge_order=draw(st.permutations(edge_ids)))
     if shape == "closed":
         G, W = draw(closed_carriers())
         W = W.carrier

@@ -11,7 +11,11 @@ import pytest
 from groupoids import (
     GroupoidMorphism,
     check_normal_subgroupoid,
+    check_topological_groupoid,
+    check_w_open,
     check_wide_subgroupoid,
+    discrete,
+    indiscrete,
     is_topology,
     normal_closure,
     pair_groupoid,
@@ -21,6 +25,7 @@ from groupoids import (
 )
 from groupoids.core import validate_structure
 from groupoids.interchange import (
+    parse_carrier,
     parse_groupoid,
     parse_local_trivialization,
     parse_topology_family,
@@ -42,6 +47,18 @@ def _corpus_groupoid(name):
 def _corpus_clt(name):
     doc = _doc(name)
     return parse_groupoid(doc["groupoid"]), parse_local_trivialization(doc, where="document")
+
+
+def _corpus_w_open(name):
+    doc = _doc(name)
+    G, LT = _corpus_clt(name)
+    return G, LT, parse_carrier(doc, G)
+
+
+def _topologized(G, morphism_topology):
+    """G with the given topology on its morphisms and the discrete one on
+    its objects."""
+    return G, morphism_topology(G.morphisms), discrete(G.objects)
 
 
 def _missing_composite():
@@ -90,7 +107,19 @@ CASES = [
     (check_normal_subgroupoid,
      lambda: (group_groupoid(cyclic(6)), normal_closure(group_groupoid(cyclic(6)), {"2"})),
      True),
+    (check_topological_groupoid, lambda: _topologized(group_groupoid(cyclic(3)), discrete),
+     True),
+    (check_topological_groupoid, lambda: _topologized(pair_groupoid([0, 1]), indiscrete),
+     False),
+    (check_w_open, lambda: _corpus_w_open("w-open-partition"), True),
 ]
+
+# Checkers with no refuted fixture.  `check_w_open`'s docstring proves that
+# under its preconditions (W a wide subgroupoid holding every section value,
+# on a valid structure) no element can lack a neighborhood inside W, and it
+# raises ValueError when they are broken, so no input makes it return a
+# problem.
+NEVER_REFUTED = {"check_w_open"}
 
 
 @pytest.mark.parametrize(
@@ -109,5 +138,7 @@ def test_every_checker_is_covered_both_ways():
     names = {c.__name__ for c, _, _ in CASES}
     assert names == {"validate_structure", "validate_groupoid", "validate_morphism",
                      "validate_clt", "is_topology", "check_wide_subgroupoid",
-                     "check_normal_subgroupoid"}
-    assert covered == {(n, v) for n in names for v in (True, False)}
+                     "check_normal_subgroupoid", "check_topological_groupoid",
+                     "check_w_open"}
+    assert covered == {(n, v) for n in names for v in (True, False)
+                       if v or n not in NEVER_REFUTED}

@@ -152,7 +152,7 @@ def test_simplify_matches_the_all_relators_loop(data):
                                 unique=True, min_size=1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # disconnected graphs are fine here
-            presentations = pi1_graph(vs, es).monodromy.vertex_groups
+            presentations = pi1_graph(vs, es).vertex_groups
     else:
         letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
         rels = data.draw(st.lists(st.lists(letters, max_size=6).map(tuple), max_size=5))
