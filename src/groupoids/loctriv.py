@@ -13,13 +13,13 @@ on the morphism set under which every structure map is continuous, and a
 composition-closed generating subset with sections landing in it becomes an
 open subset.
 
-Section laws, the Comp search, basic neighborhoods and the openness search
-are written once, each over what it needs of an element: endpoints,
-product, inverse, identity, and an equality answering True, False or None.
-On finite tables equality is `==` and always decides.  Transported along the
-one-letter embedding into a monodromy groupoid, elements are words and the
-per-component engines answer equality, possibly "undecided" when a budget
-runs out, which the reports here surface rather than hide.
+The section laws and Comp are checked on the finite tables only: sections
+lifted along the one-letter embedding into a monodromy groupoid inherit
+both, so `clt_on_monodromy` checks what transport adds.  Basic
+neighborhoods and the openness search are written once, over product,
+inverse and a membership test answering True, False or None.  On words the
+per-component engines answer it, possibly "undecided" when a budget runs
+out, which the reports here surface rather than hide.
 
 `validate_clt` and `check_w_open` answer as every checker in the package
 does, with a tuple of (kind, payload) pairs that is empty when the
@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .core import FiniteGroupoid, check_wide_subgroupoid
 from .monodromy import (
     MonodromyGroupoid,
-    PregroupoidSubset,
     canonical_morphism,
     enumerate_classes,
 )
@@ -49,7 +47,7 @@ from .topology import (
     check_topological_groupoid,
     generate_from_base,
 )
-from .words import Word, concat, invert_word, word_target
+from .words import concat, invert_word, word_target
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,11 @@ def _first(candidates, test):
     return outcome, None
 
 
-def _section_problems(LT, sections, identity, endpoints):
+def _section_problems(G, LT):
     """Laws of the section tables, in report order: one table per incidence,
-    its domain the cover member, every value an element (endpoints(m) is
-    None otherwise) from x to its argument, and the identity at x itself."""
-    cov = dict(LT.cover)
+    its domain the cover member, every value a morphism of G from x to its
+    argument, and the identity at x itself."""
+    cov, sections = dict(LT.cover), LT.sections
     expected = {(x, i) for i, u in LT.cover for x in u}
     problems = [("section-missing", key)
                 for key in sorted(expected - set(sections), key=str)]
@@ -122,15 +120,15 @@ def _section_problems(LT, sections, identity, endpoints):
         if set(tab) != cov[i]:
             problems.append(("section-domain", (x, i)))
         for u in sorted(set(tab) & cov[i], key=str):
-            ends = endpoints(tab[u])
-            if ends is None:
+            m = tab[u]
+            if m not in G.morphisms:
                 problems.append(("section-value", (x, i, u)))
                 continue
-            if ends[0] != x:
+            if G.source[m] != x:
                 problems.append(("section-source", (x, i, u)))
-            if ends[1] != u:
+            if G.target[m] != u:
                 problems.append(("section-target", (x, i, u)))
-        if tab.get(x) != identity(x):
+        if tab.get(x) != G.identity[x]:
             problems.append(("section-identity", (x, i)))
     return problems
 
@@ -141,18 +139,6 @@ def _comp_triples(LT):
         around = sorted(_members_at(LT, x), key=_index_key)
         for i, j in itertools.combinations(around, 2):
             yield x, i, j
-
-
-def _comp(LT, sections, equal, x, i, j):
-    """Comp for s_{x,i}, s_{x,j}: (verdict, k) for the first member k, by
-    index then serialized member, that contains x, sits in the intersection,
-    and on which both tables agree."""
-    cov = dict(LT.cover)
-    si, sj = sections.get((x, i), {}), sections.get((x, j), {})
-    around = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
-                    key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
-    return _first(around, lambda k: _all3(equal(si.get(u), sj.get(u))
-                                          for u in cov[k]))
 
 
 def _neighborhood(cov, sections, inverse, mul, a, x, y, i, j):
@@ -197,7 +183,12 @@ def comp_witness(LT: LocalTrivialization, x, i, j):
     index (then smallest serialized member) whose member contains x, sits in
     the intersection, and on which both section tables agree.  None if Comp
     fails for this triple."""
-    return _comp(LT, LT.sections, operator.eq, x, i, j)[1]
+    cov = dict(LT.cover)
+    si, sj = LT.sections.get((x, i), {}), LT.sections.get((x, j), {})
+    around = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
+                    key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
+    return next((k for k in around if all(si.get(u) == sj.get(u) for u in cov[k])),
+                None)
 
 
 def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
@@ -223,9 +214,7 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
                     problems.append(("not-a-base", (o, p)))
                     break
 
-    problems += _section_problems(
-        LT, LT.sections, lambda x: G.identity[x],
-        lambda m: (G.source[m], G.target[m]) if m in G.morphisms else None)
+    problems += _section_problems(G, LT)
 
     for x, i, j in _comp_triples(LT):
         if comp_witness(LT, x, i, j) is None:
@@ -325,52 +314,37 @@ class WindowTopologyReport:
 
 @dataclass(frozen=True)
 class MonodromyCltReport:
-    problems: tuple               # section-law failures at the word level
-    comp_satisfied: tuple         # (x, i, j, k) with a working witness
-    comp_undecided: tuple         # (x, i, j) the engines could not settle
-    comp_failed: tuple            # (x, i, j) refuted
+    comp_triples: int             # (x, i, j) Comp asks about, all inherited
     w_tilde_failures: tuple       # elements with no neighborhood inside i~(W)
     w_tilde_undecided: tuple
     w_tilde_witnesses: dict       # a -> (i, j)
     window: WindowTopologyReport
 
-    @property
-    def ok(self):
-        return (not self.problems and not self.comp_failed
-                and not self.comp_undecided and not self.w_tilde_failures
-                and not self.w_tilde_undecided)
 
-
-def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
-                     W: PregroupoidSubset, M: MonodromyGroupoid,
+def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,
                      depth=6, clt: tuple = None) -> MonodromyCltReport:
-    """Transport a local trivialization along the one-letter embedding.
+    """Transport a local trivialization of M's ambient groupoid G along the
+    one-letter embedding i~ into M; sections must land in M's generating
+    subset W (hard error otherwise).
 
-    Sections must land in the generating subset (hard error otherwise);
-    transported tables send u to the one-letter word at s(u).  Laws and Comp
-    are then re-checked inside the presented groupoid, where equality is
-    engine-backed and may come back undecided.  When the subset is
-    composition-closed, the openness of its image is checked two ways:
-    elementwise (some transported neighborhood of each i~(a) stays inside
-    i~(W)) and against the topology generated from transported neighborhoods
-    on the finite window of word classes no longer than `depth`.  `clt` is
-    the `validate_clt` tuple of (G, LT) when the caller already has it.
+    The lifted sections u -> i~(s(u)) need no check.  i~(a) runs from the
+    source of a to its target and i~ of an identity is the empty word, so
+    the section laws hold because they hold downstairs; for each Comp
+    triple the finite witness k gives both lifts the same one-letter words
+    on U_k, which M's engines equal at any budget (w . w^-1 collapses to
+    the empty word).  The report counts the triples.  What transport adds
+    is checked: when W is composition-closed, some transported neighborhood
+    of each i~(a) must stay inside i~(W), by engine-backed equality that
+    may come back undecided; and the topology generated from transported
+    neighborhoods on the window of word classes no longer than `depth` is
+    reported, with i~(W) tested open in it.  `clt` is the `validate_clt`
+    tuple of (G, LT) when the caller already has it.
     """
+    G, carrier = M.ambient, M.subset.carrier
     _require_valid(G, LT, clt)
-    if M.subset.carrier != W.carrier:
-        raise ValueError("the monodromy groupoid was built over a different subset")
-    _require_sections_in(LT, W.carrier, "generating subset")
-
+    _require_sections_in(LT, carrier, "generating subset")
     trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
              for key, tab in LT.sections.items()}
-    problems = _section_problems(LT, trans, lambda x: Word((), x),
-                                 lambda w: (w.base, word_target(M.graph, w)))
-
-    comp = {True: [], None: [], False: []}
-    for x, i, j in _comp_triples(LT):
-        verdict, k = _comp(LT, trans, M.equal, x, i, j)
-        comp[verdict].append((x, i, j, k) if verdict else (x, i, j))
-
     cov = dict(LT.cover)
 
     def neighborhood(w, i, j):
@@ -382,18 +356,16 @@ def clt_on_monodromy(G: FiniteGroupoid, LT: LocalTrivialization,
 
     def in_w_tilde(w):
         b = p.evaluate(w)
-        return b in W.carrier and M.equal(w, M.i_tilde(b))
+        return b in carrier and M.equal(w, M.i_tilde(b))
 
     w_wit, w_und, w_fail = {}, [], []
     if M.closed:
         w_wit, w_und, w_fail = _open_search(
-            G, LT, sorted(W.carrier),
+            G, LT, sorted(carrier),
             lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
 
     return MonodromyCltReport(
-        problems=tuple(problems),
-        comp_satisfied=tuple(comp[True]), comp_undecided=tuple(comp[None]),
-        comp_failed=tuple(comp[False]),
+        comp_triples=sum(1 for _ in _comp_triples(LT)),
         w_tilde_failures=tuple(w_fail), w_tilde_undecided=tuple(w_und),
         w_tilde_witnesses=w_wit,
         window=_window_topology(LT, M, depth, neighborhood))

@@ -302,8 +302,11 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
     """Extend f: W -> H to the whole presented groupoid: (extension, None),
     the extension a `WordEvaluator`, or (None, obstruction).
 
-    f must already respect sources, targets, identities and inversion on W
-    (hard errors otherwise).  The extension exists iff f(a)f(b) = f(ab) for
+    f must be given on W and nowhere else, and must respect sources,
+    targets, identities and inversion there (hard errors otherwise).  A key
+    off W has no value to check, even a morphism of G: the extension lives
+    on the presented groupoid, where words with the same product in G may
+    go to different images.  The extension exists iff f(a)f(b) = f(ab) for
     every defining triple; the first failing triple (a, b, ab), in sorted
     order, is the obstruction.  When it exists it is unique, being
     determined on the one-letter words.
@@ -313,6 +316,9 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
     missing = sorted(a for a in carrier if a not in f)
     if missing:
         raise ValueError(f"map not defined on {missing[0]!r}")
+    extra = sorted((k for k in f if k not in carrier), key=str)
+    if extra:
+        raise ValueError(f"map given off the generating subset at {extra[0]!r}")
     obj_map = {}
     for x in sorted(G.objects):
         fe = f[G.identity[x]]

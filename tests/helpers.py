@@ -454,6 +454,58 @@ def w_open_witnesses(G, LT, W):
     return found
 
 
+def transported_checks(LT, M):
+    """The word-level checks `clt_on_monodromy` made before it relied on
+    transport preserving them, on the tables u -> i~(s(u)): the section
+    laws with endpoints read off the words, and the Comp search over the
+    engines' three-valued equality.  Returns (problems, satisfied,
+    undecided, failed): the section-law failures as (kind, payload) pairs,
+    (x, i, j, k) for each Comp triple with a witness k, and (x, i, j) for
+    each triple left undecided or refuted."""
+    cov = dict(LT.cover)
+    trans = {key: {u: M.i_tilde(m) for u, m in tab.items()}
+             for key, tab in LT.sections.items()}
+    expected = {(x, i) for i, u in LT.cover for x in u}
+    problems = [("section-missing", key) for key in sorted(expected - set(trans), key=str)]
+    problems += [("section-unexpected", key)
+                 for key in sorted(set(trans) - expected, key=str)]
+    for x, i in sorted(expected & set(trans), key=str):
+        tab = trans[(x, i)]
+        if set(tab) != cov[i]:
+            problems.append(("section-domain", (x, i)))
+        for u in sorted(set(tab) & cov[i], key=str):
+            if tab[u].base != x:
+                problems.append(("section-source", (x, i, u)))
+            if word_target(M.graph, tab[u]) != u:
+                problems.append(("section-target", (x, i, u)))
+        if tab.get(x) != Word((), x):
+            problems.append(("section-identity", (x, i)))
+
+    def key(i):
+        return (0, i) if isinstance(i, int) else (1, str(i))
+
+    satisfied, undecided, failed = [], [], []
+    for x in sorted(LT.base_space.points, key=str):
+        around = sorted((i for i, u in LT.cover if x in u), key=key)
+        for i, j in itertools.combinations(around, 2):
+            si, sj = trans.get((x, i), {}), trans.get((x, j), {})
+            inside = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
+                            key=lambda k: (key(k), sorted(map(str, cov[k]))))
+            outcome = failed
+            for k in inside:
+                votes = [M.equal(si.get(u), sj.get(u)) for u in cov[k]]
+                if False in votes:
+                    continue
+                if None in votes:
+                    outcome = undecided
+                    continue
+                satisfied.append((x, i, j, k))
+                break
+            else:
+                outcome.append((x, i, j))
+    return tuple(problems), tuple(satisfied), tuple(undecided), tuple(failed)
+
+
 def difference_equivalence(problems):
     """Whether `check_topological_groupoid` problems agree with
     "composition and inversion continuous iff the difference map is"."""

@@ -304,6 +304,46 @@ def test_globalize_map_values_must_be_morphism_ids(tmp_path, capsys):
     assert err == "error: document.map: expected object of morphism ids\n"
 
 
+@pytest.mark.parametrize("key, value", [("3", "120"), ("bogus", "012")])
+def test_globalize_map_keys_off_the_carrier_are_input_errors(key, value, tmp_path, capsys):
+    """A morphism off the carrier, or a key that is no morphism, is named
+    and refused, not ignored."""
+    doc = json.loads((CORPUS / "globalize-z7-s3.json").read_text())
+    doc["map"][key] = value
+    code, out, err = run(["globalize", _write(tmp_path, "off-carrier.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == ("error: precondition violated: "
+                   f"map given off the generating subset at '{key}'\n")
+
+
+def test_starved_transport_keeps_the_inherited_verdicts(tmp_path, capsys):
+    """Two whole-space members over the indiscrete two-point base of the
+    product groupoid over Z/2, every morphism in the carrier: at budget 2
+    the engines are starved and the run is undecided, yet the transported
+    section laws and both Comp triples are inherited, so no Comp marker
+    appears."""
+    from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
+    from groupoids.loctriv import local_trivialization, sections_from_arrows
+    from groupoids.topology import indiscrete
+    from helpers import cyclic, product_groupoid
+
+    G = product_groupoid(2, cyclic(2))
+    cover = [(0, frozenset({"o0", "o1"})), (1, frozenset({"o0", "o1"}))]
+    LT = local_trivialization(indiscrete(["o0", "o1"]), cover,
+                              sections_from_arrows(cover, lambda x, u: f"{x}>{u}:0"))
+    doc = {"groupoid": serialize_groupoid(G), "carrier": sorted(G.morphisms),
+           **serialize_local_trivialization(LT)}
+    code, out, _ = run(["clt-generate", _write(tmp_path, "starved.json", doc),
+                        "--budget", "2", "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert code == 2 and report["verdict"] == "undecided"
+    assert report["verdicts"]["transported-sections-valid"] is True
+    assert report["verdicts"]["comp-failed"] == 0
+    assert report["verdicts"]["comp-satisfied"] == 2  # (o0, 0, 1) and (o1, 0, 1)
+    assert report["undecided"]
+    assert not [m for m in report["undecided"] if m.startswith("comp undecided")]
+
+
 def test_boolean_cover_index_is_an_input_error(tmp_path, capsys):
     """JSON true is not the cover index 1, though Python's bool is an int."""
     doc = json.loads((CORPUS / "clt-sierpinski.json").read_text())

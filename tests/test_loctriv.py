@@ -4,10 +4,11 @@ one-letter embedding into a presented groupoid."""
 
 import dataclasses
 import itertools
+import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupoids.core import pair_groupoid
 from groupoids.loctriv import (
@@ -33,13 +34,16 @@ from groupoids.topology import (
     is_topology,
     topology,
 )
+from groupoids.words import DEFAULT_BUDGET
 
 from helpers import (
+    closure_oracle,
     cyclic,
     difference_equivalence,
     generation_oracle,
     group_groupoid,
     product_groupoid,
+    transported_checks,
     w_open_witnesses,
 )
 
@@ -376,8 +380,8 @@ def test_tree_transport_matches_the_ambient_structure():
     """Over a tree the evaluation map is a bijection, so the windowed
     topology upstairs is carried onto the generated one downstairs."""
     G, LT, W, M = tree_instance()
-    rep = clt_on_monodromy(G, LT, W, M)
-    assert rep.problems == () and rep.comp_failed == () and rep.comp_undecided == ()
+    rep = clt_on_monodromy(LT, M)
+    assert rep.comp_triples == 5  # a: (0, 3); b: (1, 3), (1, 4), (3, 4); c: (2, 4)
     assert rep.window.points == 9 and rep.window.tokens_exact
     gen, _ = generate_groupoid_topology(G, LT)
     image = {F(rep.window.values[t] for t in o) for o in rep.window.topology.opens}
@@ -394,7 +398,7 @@ def test_one_object_window_counts_classes_by_displacement():
     W = pregroupoid(G, {"0", "1", "4"})
     M = build_monodromy(G, W)
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
-    rep = clt_on_monodromy(G, LT, W, M, depth=6)
+    rep = clt_on_monodromy(LT, M, depth=6)
     assert rep.window.points == 13 and rep.window.opens == 2 ** 13
     fibers = Counter(rep.window.values.values())
     assert fibers == Counter(str(k % 5) for k in range(-6, 7))
@@ -408,7 +412,7 @@ def test_discrete_window_over_the_listing_cap_is_counted():
     G = group_groupoid(cyclic(5))
     W = pregroupoid(G, {"0", "1", "4"})
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
-    rep = clt_on_monodromy(G, LT, W, build_monodromy(G, W), depth=8)
+    rep = clt_on_monodromy(LT, build_monodromy(G, W), depth=8)
     assert rep.window.points == 17 and rep.window.opens == 2 ** 17
 
 
@@ -435,7 +439,7 @@ def test_window_traces_look_classes_up_instead_of_walking_them(monkeypatch):
     counts, sizes = {}, {}
     for depth in (4, 8):
         walks = []
-        rep = clt_on_monodromy(G, LT, W, M, depth=depth)
+        rep = clt_on_monodromy(LT, M, depth=depth)
         counts[depth], sizes[depth] = len(walks), rep.window.points
     assert sizes == {4: 9, 8: 17}
     assert counts[8] == counts[4]
@@ -449,11 +453,11 @@ def test_triangle_adjacency_image_is_open_upstairs():
     M = build_monodromy(G, W)
     cover = singleton_cover(G.objects) + [(3, {"a", "b"})]
     LT = canonical_lt(discrete(["a", "b", "c"]), cover)
-    rep = clt_on_monodromy(G, LT, W, M)
-    assert rep.ok, (rep.problems, rep.comp_failed, rep.w_tilde_failures)
+    rep = clt_on_monodromy(LT, M)
+    assert rep.w_tilde_failures == () and rep.w_tilde_undecided == ()
     assert M.closed
     assert set(rep.w_tilde_witnesses) == set(G.morphisms)
-    assert rep.comp_satisfied  # the two-point member overlaps the singletons
+    assert rep.comp_triples == 2  # the two-point member overlaps the singletons
     assert rep.window.points == 9 and rep.window.w_tilde_open is True
 
 
@@ -463,25 +467,23 @@ def test_starved_budget_reports_undecided_not_false():
     cover = [(0, F({"o0", "o1"}))]
     sections = sections_from_arrows(cover, lambda x, u: f"{x}>{u}:0")
     LT = local_trivialization(indiscrete(["o0", "o1"]), cover, sections)
-    starved = clt_on_monodromy(G, LT, W, build_monodromy(G, W, budget=2), depth=2)
-    assert not starved.ok and starved.w_tilde_failures == ()
+    starved = clt_on_monodromy(LT, build_monodromy(G, W, budget=2), depth=2)
+    assert starved.w_tilde_failures == ()
     assert set(starved.w_tilde_undecided) == {"o0>o0:1", "o0>o1:1",
                                               "o1>o0:1", "o1>o1:1"}
     assert not starved.window.tokens_exact  # classes may be split, says so
-    resolved = clt_on_monodromy(G, LT, W, build_monodromy(G, W, budget=500), depth=2)
-    assert resolved.ok and resolved.window.points == 8
+    resolved = clt_on_monodromy(LT, build_monodromy(G, W, budget=500), depth=2)
+    assert resolved.w_tilde_failures == () and resolved.w_tilde_undecided == ()
+    assert resolved.window.points == 8
     assert resolved.window.w_tilde_open is True
 
 
 def test_transport_preconditions():
-    G, LT, W, M = tree_instance()
+    *_, M = tree_instance()
     leaky = canonical_lt(discrete(["a", "b", "c"]),
                          [(0, {"a"}), (1, {"b"}), (2, {"c"}), (3, {"a", "c"})])
     with pytest.raises(ValueError, match="leaves the generating subset"):
-        clt_on_monodromy(G, leaky, W, M)  # (a,c) is not an adjacency arrow
-    other = pregroupoid(G, G.morphisms)
-    with pytest.raises(ValueError, match="different subset"):
-        clt_on_monodromy(G, LT, other, M)
+        clt_on_monodromy(leaky, M)  # (a,c) is not an adjacency arrow
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,9 +491,9 @@ def test_transport_preconditions():
 def test_transport_agrees_with_the_finite_checks(data):
     """With every morphism of a pair groupoid as the subset, the presented
     groupoid is that pair groupoid again, so the transported checks must
-    repeat the finite ones: no problems, the same Comp witnesses, the same
-    openness witnesses, and star classes that are the window classes based
-    at the same point."""
+    repeat the finite ones: the word-level oracle finds no problems and the
+    same Comp witnesses, the openness witnesses are the same, and star
+    classes are the window classes based at the same point."""
     points = ["a", "b", "c"][:data.draw(st.integers(2, 3), label="points")]
     shapes = [F(s) for r in (1, 2, 3) for s in itertools.combinations(points, r)]
     members = [F({p}) for p in points] + data.draw(
@@ -504,16 +506,47 @@ def test_transport_agrees_with_the_finite_checks(data):
     M = build_monodromy(G, W)
     LT = canonical_lt(discrete(points), cover)
 
-    rep = clt_on_monodromy(G, LT, W, M, depth=3)
-    assert rep.ok and rep.problems == () and M.closed
+    rep = clt_on_monodromy(LT, M, depth=3)
+    assert rep.w_tilde_failures == () and rep.w_tilde_undecided == () and M.closed
     triples = [(x, i, j) for x in points
                for i, j in itertools.combinations(
                    sorted(k for k, u in cover if x in u), 2)]
-    assert rep.comp_satisfied == tuple((x, i, j, comp_witness(LT, x, i, j))
-                                       for x, i, j in triples)
+    problems, satisfied, undecided, failed = transported_checks(LT, M)
+    assert problems == () and undecided == () and failed == ()
+    assert satisfied == tuple((x, i, j, comp_witness(LT, x, i, j)) for x, i, j in triples)
+    assert rep.comp_triples == len(triples)
     assert check_w_open(G, LT, G.morphisms) == ()
     assert rep.w_tilde_witnesses == w_open_witnesses(G, LT, G.morphisms)
     for x in points:
         star = star_covering_report(M, x, 3)
         based = Counter(v for t, v in rep.window.values.items() if t[0] == x)
         assert star.reached == based
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_transport_inherits_the_section_laws_and_comp(data):
+    """On valid structures drawn like `_structures`, over the full carrier,
+    the closure of the section values and that closure with one more
+    element and its inverse, at starved and default budgets: the
+    word-level oracle finds no section problem and no refuted or undecided
+    Comp triple, and it counts the triples the report counts."""
+    G, LT = _structures(data)
+    assume(not validate_clt(G, LT))
+    values = {m for tab in LT.sections.values() for m in tab.values()}
+    closure = closure_oracle(G, values | {G.identity[x] for x in G.objects})
+    carriers = [G.morphisms, closure]
+    outside = sorted(G.morphisms - closure)
+    if outside:
+        a = data.draw(st.sampled_from(outside), label="extra element")
+        carriers.append(closure | {a, G.inverse[a]})
+    for carrier in carriers:
+        W = pregroupoid(G, carrier)
+        for budget in (2, 3, DEFAULT_BUDGET):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a small carrier need not generate G
+                M = build_monodromy(G, W, budget=budget)
+            rep = clt_on_monodromy(LT, M, depth=1)
+            problems, satisfied, undecided, failed = transported_checks(LT, M)
+            assert problems == () and undecided == () and failed == ()
+            assert len(satisfied) == rep.comp_triples

@@ -225,6 +225,23 @@ def test_globalize_precondition_errors():
         globalize(M, {"0": "012", "1": "120", "6": "120"}, H)
 
 
+def test_globalize_rejects_map_keys_off_the_carrier():
+    """A value stated off W has nothing to be checked against: the extension
+    lives on the presented groupoid, where 1.1.1 and 6.6.6.6 both evaluate
+    to 3 in Z/7 but go to 012 and 201.  So any key off W, a morphism of G
+    or not, is a precondition error naming it."""
+    G, W = zmod(7)
+    M = build_monodromy(G, W)
+    H = group_groupoid(sym3())
+    f = {"0": "012", "1": "120", "6": "201"}
+    extension, _ = globalize(M, f, H)
+    assert extension.evaluate(Word((("1", 1),) * 3, "*")) == "012"
+    assert extension.evaluate(Word((("6", 1),) * 4, "*")) == "201"
+    for key in ("3", "bogus"):
+        with pytest.raises(ValueError, match=f"off the generating subset at '{key}'"):
+            globalize(M, {**f, key: "120"}, H)
+
+
 def test_globalize_builds_no_engine(monkeypatch):
     """`globalize` reads only the defining triples.  On the full carrier of
     Z/48 less {2, 46}, whose engine would take Tietze elimination and coset
