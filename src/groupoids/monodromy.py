@@ -23,17 +23,18 @@ sending a word to its product in G.  `globalize` extends a map defined only
 on W to the whole presented groupoid exactly when the map is compatible
 with every relator, and returns the extension or the first triple it
 breaks.  `star_covering_report` measures how far p is from a bijection on
-stars, depth window by depth window.  `pi1_graph` answers with the monodromy
-groupoid of a subdivided graph, whose engines carry the free ranks.  The
-star report and the transported window in `loctriv` share one breadth-first
-class search, `enumerate_classes`, which stops at MAX_CLASSES classes.  It
-extends each class's token by the image of one more letter, computed once
-per carrier element, instead of rebuilding the token from the whole word.
+stars, depth window by depth window, by the word classes over each star
+element; distinct one-letter words need no search, as p(i~(a)) = a.
+`pi1_graph` answers with the monodromy groupoid of a subdivided graph,
+whose engines carry the free ranks.  The star report and the transported
+window in `loctriv` share one breadth-first class search,
+`enumerate_classes`, which stops at MAX_CLASSES classes.  It extends each
+class's token by the image of one more letter, computed once per carrier
+element, instead of rebuilding the token from the whole word.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -410,8 +411,6 @@ class StarCoverReport:
     unreachable: tuple        # not a product of subset elements at all
     saturated: bool           # breadth-first search closed before the window ended
     fiber_counts_exact: bool  # False when the engine is undecided
-    translate_collisions: tuple   # pairs a != b in W with i~(a) = i~(b)
-    injectivity_undecided: tuple  # pairs the engine could not separate
     engine_kind: str
     capped_at: int = None     # levels searched in full when the class cap hit
 
@@ -420,10 +419,11 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     """How close the evaluation map p (`canonical_morphism`) is to a covering
     over the star at x, within a depth window.
 
-    Counts distinct word classes over every reached star element, separates
-    "not reached yet" (deeper window needed, undecided) from "never reachable"
-    (refutation), and checks that distinct subset elements stay distinct as
-    one-letter words, which is what injectivity of p on translates amounts to.
+    Counts distinct word classes over every reached star element, and
+    separates "not reached yet" (deeper window needed, undecided) from
+    "never reachable" (refutation).  Injectivity of p on translates needs no
+    search: distinct a, b in W stay distinct as one-letter words because
+    p(i~(a)) = a differs from p(i~(b)) = b, whatever the engine decides.
     """
     G = M.ambient
     if x not in G.objects:
@@ -443,27 +443,12 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     unreachable = tuple(sorted(star - closure))
     undecided_depth = tuple(sorted((star & closure) - set(reached)))
 
-    collisions, inj_undecided = [], []
-    comp = M.component_of(x)
-    members = [a for a in sorted(carrier)
-               if M.component_of(G.source[a]) == comp]
-    for a, b in itertools.combinations(members, 2):
-        if G.source[a] != G.source[b] or G.target[a] != G.target[b]:
-            continue
-        eq = M.equal(M.i_tilde(a), M.i_tilde(b))
-        if eq is True:
-            collisions.append((a, b))
-        elif eq is None:
-            inj_undecided.append((a, b))
-
     return StarCoverReport(
         object=x, depth=depth, reached=reached,
         surjective_within_depth=not undecided_depth and not unreachable,
         undecided_depth=undecided_depth, unreachable=unreachable,
         saturated=search.saturated,
         fiber_counts_exact=engine.kind != "undecided",
-        translate_collisions=tuple(collisions),
-        injectivity_undecided=tuple(inj_undecided),
         engine_kind=engine.kind, capped_at=search.capped_at)
 
 

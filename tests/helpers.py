@@ -506,6 +506,131 @@ def transported_checks(LT, M):
     return tuple(problems), tuple(satisfied), tuple(undecided), tuple(failed)
 
 
+def _transported_neighborhood(LT, M):
+    """(w, i, j) -> the words i~(s_{x,i}(u))^-1 . w . i~(s_{y,j}(v)) over
+    u in U_i and v in U_j, x and y the ends of w, as `clt_on_monodromy`
+    builds them."""
+    from groupoids.words import concat, invert_word
+
+    cov = dict(LT.cover)
+    trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
+             for key, tab in LT.sections.items()}
+
+    def neighborhood(w, i, j):
+        si, sj = trans[(w.base, i)], trans[(word_target(M.graph, w), j)]
+        return [concat(M.graph, concat(M.graph, invert_word(M.graph, si[u]), w), sj[v])
+                for u in cov[i] for v in cov[j]]
+    return neighborhood
+
+
+def _members_at(LT, p):
+    return [i for i, u in LT.cover if p in u]
+
+
+def translate_collisions_oracle(M, x):
+    """The search `star_covering_report` made for failures of injectivity
+    of evaluation on translates: (collisions, undecided), the pairs a < b
+    of the carrier in x's component with the same endpoints whose
+    one-letter words the engine equates, or cannot separate."""
+    G = M.ambient
+    collisions, inj_undecided = [], []
+    comp = M.component_of(x)
+    members = [a for a in sorted(M.subset.carrier)
+               if M.component_of(G.source[a]) == comp]
+    for a, b in itertools.combinations(members, 2):
+        if G.source[a] != G.source[b] or G.target[a] != G.target[b]:
+            continue
+        eq = M.equal(M.i_tilde(a), M.i_tilde(b))
+        if eq is True:
+            collisions.append((a, b))
+        elif eq is None:
+            inj_undecided.append((a, b))
+    return tuple(collisions), tuple(inj_undecided)
+
+
+def _all3(votes):
+    """Three-valued conjunction: False beats None (undecided) beats True."""
+    votes = list(votes)
+    return False if False in votes else None if None in votes else True
+
+
+def _first(candidates, test):
+    """(True, c) for the first candidate whose three-valued test holds; else
+    (None, None) if some test was undecided, or (False, None)."""
+    outcome = False
+    for c in candidates:
+        v = test(c)
+        if v is True:
+            return True, c
+        if v is None:
+            outcome = None
+    return outcome, None
+
+
+def _open_search(G, LT, elements, inside):
+    """For each element a, the first (i, j) around its endpoints whose basic
+    neighborhood is inside the subset by `inside(a, i, j)`:
+    (witnesses, undecided, failures)."""
+    witnesses, unwitnessed = {}, {None: [], False: []}
+    for a in elements:
+        pairs = [(i, j) for i in _members_at(LT, G.source[a])
+                 for j in _members_at(LT, G.target[a])]
+        verdict, ij = _first(pairs, lambda ij: inside(a, *ij))
+        if verdict:
+            witnesses[a] = ij
+        else:
+            unwitnessed[verdict].append(a)
+    return witnesses, unwitnessed[None], unwitnessed[False]
+
+
+def transported_openness_oracle(LT, M):
+    """The elementwise search `clt_on_monodromy` made for a transported
+    neighborhood of each i~(a) inside i~(W), W composition-closed, by the
+    engines' three-valued equality: (witnesses, undecided, failures), the
+    witnesses a -> the first (i, j) whose neighborhood is inside, the rest
+    the elements with none, undecided when some vote was.  All empty when
+    W is not closed."""
+    from groupoids.monodromy import canonical_morphism
+
+    G, carrier = M.ambient, M.subset.carrier
+    neighborhood = _transported_neighborhood(LT, M)
+    p = canonical_morphism(M)
+
+    def in_w_tilde(w):
+        b = p.evaluate(w)
+        return b in carrier and M.equal(w, M.i_tilde(b))
+
+    w_wit, w_und, w_fail = {}, [], []
+    if M.closed:
+        w_wit, w_und, w_fail = _open_search(
+            G, LT, sorted(carrier),
+            lambda a, i, j: _all3(map(in_w_tilde, neighborhood(M.i_tilde(a), i, j))))
+    return w_wit, tuple(w_und), tuple(w_fail)
+
+
+def window_openness_oracle(LT, M, depth):
+    """The openness test `clt_on_monodromy` made in its window: the
+    topology the transported traces generate on the word classes of
+    length <= depth, and whether the classes of i~(W) are open in it;
+    None when W is not composition-closed."""
+    from groupoids.monodromy import enumerate_classes
+    from groupoids.topology import generate_from_base
+
+    if not M.closed:
+        return None
+    neighborhood = _transported_neighborhood(LT, M)
+    classes = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth).classes
+    traces = set()
+    for w, _ in classes.values():
+        for i in _members_at(LT, w.base):
+            for j in _members_at(LT, word_target(M.graph, w)):
+                tokens = (M.token(v)[0] for v in neighborhood(w, i, j))
+                traces.add(frozenset(t for t in tokens if t in classes))
+    gen = generate_from_base(sorted(classes, key=str), traces)
+    image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
+    return gen.topology.is_open(image.intersection(classes))
+
+
 def difference_equivalence(problems):
     """Whether `check_topological_groupoid` problems agree with
     "composition and inversion continuous iff the difference map is"."""

@@ -57,6 +57,7 @@ from helpers import (
     quaternion,
     replay_violation,
     sym3,
+    translate_collisions_oracle,
     w_open_witnesses,
 )
 
@@ -114,7 +115,7 @@ def _rank_one_covering_case(n):
     report = star_covering_report(M, "*", depth=3 * n)
     assert report.surjective_within_depth
     assert not report.unreachable and not report.undecided_depth
-    assert not report.translate_collisions and not report.injectivity_undecided
+    assert translate_collisions_oracle(M, "*") == ((), ())  # injective on translates
     assert report.fiber_counts_exact
     assert report.reached == _line_fibers(n, 3 * n)  # every star element
     assert perf_counter() - t0 < 2.0
@@ -142,7 +143,7 @@ def test_criterion_2_smallest_cyclic_true_behaviour():
     report = star_covering_report(M, "*", depth=9)
     assert report.surjective_within_depth and report.saturated
     assert report.reached == {"0": 1, "1": 1, "2": 1}  # one class per element
-    assert not report.translate_collisions and not report.injectivity_undecided
+    assert translate_collisions_oracle(M, "*") == ((), ())
 
 
 # --------------------------------------------------------------- criterion 3
@@ -218,7 +219,7 @@ def test_criterion_5_tree_collapse():
             assert rep.surjective_within_depth and not rep.unreachable
             assert set(rep.reached) == set(G.star(x))
             assert all(count == 1 for count in rep.reached.values())
-            assert not rep.translate_collisions and not rep.injectivity_undecided
+            assert translate_collisions_oracle(M, x) == ((), ())
 
 
 # ------------------------------------------------------------ criteria 6 & 7

@@ -316,12 +316,9 @@ def test_globalize_map_keys_off_the_carrier_are_input_errors(key, value, tmp_pat
                    f"map given off the generating subset at '{key}'\n")
 
 
-def test_starved_transport_keeps_the_inherited_verdicts(tmp_path, capsys):
+def _starved_transport_document(tmp_path):
     """Two whole-space members over the indiscrete two-point base of the
-    product groupoid over Z/2, every morphism in the carrier: at budget 2
-    the engines are starved and the run is undecided, yet the transported
-    section laws and both Comp triples are inherited, so no Comp marker
-    appears."""
+    product groupoid over Z/2, every morphism in the carrier."""
     from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
     from groupoids.loctriv import local_trivialization, sections_from_arrows
     from groupoids.topology import indiscrete
@@ -333,7 +330,14 @@ def test_starved_transport_keeps_the_inherited_verdicts(tmp_path, capsys):
                               sections_from_arrows(cover, lambda x, u: f"{x}>{u}:0"))
     doc = {"groupoid": serialize_groupoid(G), "carrier": sorted(G.morphisms),
            **serialize_local_trivialization(LT)}
-    code, out, _ = run(["clt-generate", _write(tmp_path, "starved.json", doc),
+    return _write(tmp_path, "starved.json", doc)
+
+
+def test_starved_transport_keeps_the_inherited_verdicts(tmp_path, capsys):
+    """At budget 2 the engines are starved and the run is undecided, yet the
+    transported section laws and both Comp triples are inherited, so no
+    Comp marker appears."""
+    code, out, _ = run(["clt-generate", _starved_transport_document(tmp_path),
                         "--budget", "2", "--format", "machine"], capsys)
     report = json.loads(out)
     assert code == 2 and report["verdict"] == "undecided"
@@ -342,6 +346,24 @@ def test_starved_transport_keeps_the_inherited_verdicts(tmp_path, capsys):
     assert report["verdicts"]["comp-satisfied"] == 2  # (o0, 0, 1) and (o1, 0, 1)
     assert report["undecided"]
     assert not [m for m in report["undecided"] if m.startswith("comp undecided")]
+
+
+@pytest.mark.parametrize("budget, code, w_open, undecided", [
+    (2, 2, None, ["window classes inexact at budget 2"]),
+    (500, 0, True, []),
+])
+def test_starved_window_leaves_openness_undecided(tmp_path, capsys, budget, code,
+                                                  w_open, undecided):
+    """A starved engine splits the window's classes, so openness of i~(W)
+    in the window is undecided there, not refuted; the one marker says
+    why.  A budget that decides the engine makes it true."""
+    got, out, _ = run(["clt-generate", _starved_transport_document(tmp_path),
+                       "--window", "2", "--budget", str(budget), "--format", "machine"],
+                      capsys)
+    report = json.loads(out)
+    assert got == code
+    assert report["verdicts"]["w-tilde-open-in-window"] is w_open
+    assert report["undecided"] == undecided
 
 
 def test_boolean_cover_index_is_an_input_error(tmp_path, capsys):

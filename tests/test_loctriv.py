@@ -44,7 +44,9 @@ from helpers import (
     group_groupoid,
     product_groupoid,
     transported_checks,
+    transported_openness_oracle,
     w_open_witnesses,
+    window_openness_oracle,
 )
 
 F = frozenset
@@ -454,11 +456,13 @@ def test_triangle_adjacency_image_is_open_upstairs():
     cover = singleton_cover(G.objects) + [(3, {"a", "b"})]
     LT = canonical_lt(discrete(["a", "b", "c"]), cover)
     rep = clt_on_monodromy(LT, M)
-    assert rep.w_tilde_failures == () and rep.w_tilde_undecided == ()
+    witnesses, undecided, failures = transported_openness_oracle(LT, M)
+    assert failures == () and undecided == ()
     assert M.closed
-    assert set(rep.w_tilde_witnesses) == set(G.morphisms)
+    assert set(witnesses) == set(G.morphisms)
     assert rep.comp_triples == 2  # the two-point member overlaps the singletons
     assert rep.window.points == 9 and rep.window.w_tilde_open is True
+    assert window_openness_oracle(LT, M, 6) is True
 
 
 def test_starved_budget_reports_undecided_not_false():
@@ -467,15 +471,18 @@ def test_starved_budget_reports_undecided_not_false():
     cover = [(0, F({"o0", "o1"}))]
     sections = sections_from_arrows(cover, lambda x, u: f"{x}>{u}:0")
     LT = local_trivialization(indiscrete(["o0", "o1"]), cover, sections)
-    starved = clt_on_monodromy(LT, build_monodromy(G, W, budget=2), depth=2)
-    assert starved.w_tilde_failures == ()
-    assert set(starved.w_tilde_undecided) == {"o0>o0:1", "o0>o1:1",
-                                              "o1>o0:1", "o1>o1:1"}
+    M = build_monodromy(G, W, budget=2)
+    starved = clt_on_monodromy(LT, M, depth=2)
+    _, undecided, failures = transported_openness_oracle(LT, M)
+    assert failures == ()
+    assert set(undecided) == {"o0>o0:1", "o0>o1:1", "o1>o0:1", "o1>o1:1"}
     assert not starved.window.tokens_exact  # classes may be split, says so
-    resolved = clt_on_monodromy(LT, build_monodromy(G, W, budget=500), depth=2)
-    assert resolved.w_tilde_failures == () and resolved.w_tilde_undecided == ()
+    assert starved.window.w_tilde_open is None
+    M = build_monodromy(G, W, budget=500)
+    resolved = clt_on_monodromy(LT, M, depth=2)
+    assert transported_openness_oracle(LT, M)[1:] == ((), ())
     assert resolved.window.points == 8
-    assert resolved.window.w_tilde_open is True
+    assert resolved.window.w_tilde_open is True and window_openness_oracle(LT, M, 2) is True
 
 
 def test_transport_preconditions():
@@ -507,7 +514,9 @@ def test_transport_agrees_with_the_finite_checks(data):
     LT = canonical_lt(discrete(points), cover)
 
     rep = clt_on_monodromy(LT, M, depth=3)
-    assert rep.w_tilde_failures == () and rep.w_tilde_undecided == () and M.closed
+    witnesses, undecided, failures = transported_openness_oracle(LT, M)
+    assert failures == () and undecided == () and M.closed
+    assert rep.window.w_tilde_open is True and window_openness_oracle(LT, M, 3) is True
     triples = [(x, i, j) for x in points
                for i, j in itertools.combinations(
                    sorted(k for k, u in cover if x in u), 2)]
@@ -516,7 +525,7 @@ def test_transport_agrees_with_the_finite_checks(data):
     assert satisfied == tuple((x, i, j, comp_witness(LT, x, i, j)) for x, i, j in triples)
     assert rep.comp_triples == len(triples)
     assert check_w_open(G, LT, G.morphisms) == ()
-    assert rep.w_tilde_witnesses == w_open_witnesses(G, LT, G.morphisms)
+    assert witnesses == w_open_witnesses(G, LT, G.morphisms)
     for x in points:
         star = star_covering_report(M, x, 3)
         based = Counter(v for t, v in rep.window.values.items() if t[0] == x)
@@ -550,3 +559,38 @@ def test_transport_inherits_the_section_laws_and_comp(data):
             problems, satisfied, undecided, failed = transported_checks(LT, M)
             assert problems == () and undecided == () and failed == ()
             assert len(satisfied) == rep.comp_triples
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_transported_openness_needs_no_search(data):
+    """On valid structures drawn like `_structures`, over the full carrier
+    and the closure of the section values, both composition-closed, at
+    starved and default budgets: the elementwise search the transport once
+    made finds no failure, and each element it leaves undecided has every
+    basic neighborhood inside W downstairs, which is where evaluation takes
+    its transported ones.  The window's openness field is what the
+    openness test on its classes gives when the tokens are exact, and
+    None when they are not."""
+    G, LT = _structures(data)
+    assume(not validate_clt(G, LT))
+    values = {m for tab in LT.sections.values() for m in tab.values()}
+    closure = closure_oracle(G, values | {G.identity[x] for x in G.objects})
+    for carrier in (G.morphisms, closure):
+        W = pregroupoid(G, carrier)
+        for budget in (2, 3, DEFAULT_BUDGET):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a small carrier need not generate G
+                M = build_monodromy(G, W, budget=budget)
+            assert M.closed
+            rep = clt_on_monodromy(LT, M, depth=2)
+            _, undecided, failures = transported_openness_oracle(LT, M)
+            assert failures == ()
+            for a in undecided:
+                assert all(basic_neighborhood(G, LT, a, i, j) <= carrier
+                           for i, u in LT.cover if G.source[a] in u
+                           for j, v in LT.cover if G.target[a] in v)
+            if rep.window.tokens_exact:
+                assert rep.window.w_tilde_open == window_openness_oracle(LT, M, 2)
+            else:
+                assert rep.window.w_tilde_open is None

@@ -46,6 +46,7 @@ from helpers import (
     product_groupoid,
     sym3,
     table_engine_oracle,
+    translate_collisions_oracle,
 )
 
 
@@ -276,9 +277,8 @@ def test_star_cover_matches_the_integer_line():
         assert rep.surjective_within_depth
         assert not rep.saturated          # free of rank one: always more words
         assert rep.fiber_counts_exact
-        assert rep.undecided_depth == () and rep.injectivity_undecided == ()
-        assert rep.capped_at is None
-        assert rep.translate_collisions == ()
+        assert rep.undecided_depth == () and rep.capped_at is None
+        assert translate_collisions_oracle(M, "*") == ((), ())
 
 
 def test_star_cover_equal_fibers_in_a_balanced_window():
@@ -297,7 +297,7 @@ def test_star_cover_shallow_window_leaves_elements_undecided():
     assert not rep.surjective_within_depth
     assert rep.unreachable == ()
     assert rep.undecided_depth  # undecided by the window alone
-    assert rep.injectivity_undecided == () and rep.fiber_counts_exact
+    assert translate_collisions_oracle(M, "*") == ((), ()) and rep.fiber_counts_exact
     assert rep.capped_at is None
 
 
@@ -313,7 +313,8 @@ def test_star_cover_refutes_unreachable_elements():
     assert rep.saturated
     assert not rep.surjective_within_depth
     # a refutation is a definite answer
-    assert rep.undecided_depth == () and rep.injectivity_undecided == ()
+    assert rep.undecided_depth == ()
+    assert translate_collisions_oracle(M, "*") == ((), ())
     assert rep.fiber_counts_exact and rep.capped_at is None
 
 
@@ -333,9 +334,57 @@ def test_star_cover_undecided_engine_is_flagged():
     rep = star_covering_report(M, "*", 4)
     assert not rep.fiber_counts_exact
     assert rep.engine_kind == "undecided"
-    # the engine leaves every pair of distinct one-letter words unseparated
-    assert rep.injectivity_undecided == tuple(itertools.combinations(sorted(G.morphisms), 2))
+    # the engine leaves every pair of distinct one-letter words unseparated,
+    # which the inexact fiber counts already say; evaluation separates them
+    pairs = tuple(itertools.combinations(sorted(G.morphisms), 2))
+    assert translate_collisions_oracle(M, "*") == ((), pairs) and len(pairs) == 15
+    assert all(canonical_morphism(M).evaluate(M.i_tilde(a)) == a for a in G.morphisms)
     assert rep.undecided_depth == () and rep.capped_at is None
+
+
+def assert_translates_stay_apart(M, x):
+    """Evaluation separates distinct one-letter words, so the pair search
+    `star_covering_report` once made finds no collision, and any pair the
+    engine leaves unseparated comes with inexact fiber counts.  Returns
+    how many pairs were left unseparated."""
+    collisions, undecided = translate_collisions_oracle(M, x)
+    assert collisions == ()
+    if undecided:
+        assert not star_covering_report(M, x, 1).fiber_counts_exact
+    return len(undecided)
+
+
+@pytest.mark.parametrize("budget, unseparated", [(2, 217), (3, 216), (DEFAULT_BUDGET, 0)])
+def test_full_carriers_keep_translates_apart(budget, unseparated):
+    """Every group of order <= 8 with its full carrier: a starved budget
+    leaves the pairs of each group of order >= budget unseparated, which
+    its fiber counts flag."""
+    total = 0
+    for _, table in all_groups_upto8():
+        G = group_groupoid(table)
+        M = build_monodromy(G, pregroupoid(G, G.morphisms), budget=budget)
+        total += assert_translates_stay_apart(M, "*")
+    assert total == unseparated
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_carriers_keep_translates_apart(data):
+    """Random inversion-closed carriers in a group or product groupoid on
+    1-3 objects over a group of order <= 8, at budgets 2, 3 and the
+    default, from every object."""
+    _, table = data.draw(st.sampled_from(all_groups_upto8()), label="group")
+    n = data.draw(st.integers(1, 3), label="objects")
+    G = group_groupoid(table) if n == 1 else product_groupoid(n, table)
+    moves = sorted(m for m in G.morphisms if not G.is_identity(m))
+    picks = data.draw(st.lists(st.sampled_from(moves), max_size=5), label="picks") if moves else []
+    W = pregroupoid(G, {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)})
+    budget = data.draw(st.sampled_from([2, 3, DEFAULT_BUDGET]), label="budget")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # carriers that do not generate G
+        M = build_monodromy(G, W, budget=budget)
+    for x in sorted(G.objects):
+        assert_translates_stay_apart(M, x)
 
 
 # ------------------------------------------------------------------ graphs
@@ -464,7 +513,7 @@ def test_class_search_stops_at_the_cap(monkeypatch):
     assert list(capped.classes.items()) == list(whole.classes.items())[:20]
     rep = star_covering_report(M, "*", 3)
     assert rep.capped_at == 2
-    assert rep.fiber_counts_exact and rep.injectivity_undecided == ()
+    assert rep.fiber_counts_exact and translate_collisions_oracle(M, "*") == ((), ())
     assert len(rep.undecided_depth) == 25 - len(rep.reached)  # the cap cut them off
     assert sum(rep.reached.values()) == 20
 

@@ -30,7 +30,7 @@ RUNS = [
     ("star-cover", "z5-star", _PRESENTED | {"words.eliminations", "monodromy.star_classes"}),
     ("globalize", "globalize-z7-s3", _PRESENTED),
     ("topology-check", "discrete-pair-topology", {"core.compose_entries"}),
-    ("w-open", "w-open-partition", {"core.compose_entries", "loctriv.neighborhoods"}),
+    ("w-open", "w-open-partition", {"core.compose_entries"}),
     ("clt-generate", "clt-sierpinski",
      {"core.compose_entries", "loctriv.neighborhoods", "topology.opens"}),
     ("clt-generate", "clt-monodromy-triangle",
