@@ -75,7 +75,7 @@ def _strings(items, where):
 # ------------------------------------------------------------- groupoids
 
 def parse_groupoid(doc, where="groupoid") -> FiniteGroupoid:
-    objects = _strings(_require(doc, "objects", list, where), f"{where}.objects")
+    objects = set(_strings(_require(doc, "objects", list, where), f"{where}.objects"))
     morphisms = _require(doc, "morphisms", list, where)
     source, target = {}, {}
     for i, m in enumerate(morphisms):

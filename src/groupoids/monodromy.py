@@ -28,9 +28,12 @@ element; distinct one-letter words need no search, as p(i~(a)) = a.
 `pi1_graph` answers with the monodromy groupoid of a subdivided graph,
 whose engines carry the free ranks.  The star report and the transported
 window in `loctriv` share one breadth-first class search,
-`enumerate_classes`, which stops at MAX_CLASSES classes.  It extends each
-class's token by the image of one more letter, computed once per carrier
-element, instead of rebuilding the token from the whole word.
+`enumerate_classes`, which stops at MAX_CLASSES classes.  It interns each
+token (a coset-table row, or a `TokenTrie` node for a reduced word) and
+steps it on by the image of one more letter, computed once per carrier
+element, so a candidate costs one probe on a small key.  A class keeps
+only its value, its parent class and the letter that reached it; words
+and tokens are spelled from these back-pointers when they are read.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .words import (
     Forest,
     GeneratingGraph,
     Presentation,
+    TokenTrie,
     VertexGroupEngine,
     Word,
     build_engine,
@@ -349,56 +353,85 @@ MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
 
 @dataclass(frozen=True)
 class ClassSearch:
-    classes: dict     # class token -> (first word found, its ambient value)
+    found: dict       # (base, target, node) -> (parent's key, carrier letter, ambient value)
+    trie: TokenTrie   # spells the nodes of bases outside `rows`
+    rows: frozenset   # bases whose node is a coset-table row
     exact: bool       # every token computed was decided
     saturated: bool   # the search closed before the window ended
     capped_at: int    # levels searched in full when MAX_CLASSES stopped it, else None
+
+    @cached_property
+    def classes(self) -> dict:
+        """class token -> (first word found, its ambient value), in the
+        order found; each word is its parent class's word and one letter."""
+        spelled = self.trie.spelled()
+        words, out = {}, {}
+        for key, (up, a, val) in self.found.items():
+            base, y, node = key
+            w = words[key] = Word(() if up is None else words[up].letters + ((a, 1),), base)
+            out[base, y, node if base in self.rows else spelled[node]] = w, val
+        return out
 
 
 def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     """Breadth-first search of the word classes within `depth` one-letter
     steps along the subset from the empty words at `roots`.
 
-    Each class keeps the first word that reached it and that word's product
-    in the ambient groupoid.  A word's token is never rebuilt from its
-    letters: each carrier element's image under its engine is computed
-    once, and a new word's token extends the token of the word it grows
-    from by that image (`VertexGroupEngine.extend`).  The search stops,
-    capped, when a new class turns up once MAX_CLASSES are known.
+    A class is keyed by (base, target, node), its token interned: on a
+    "finite" engine the node is the token, a coset-table row, and on the
+    others a `TokenTrie` node standing for the token, a reduced word.
+    Each carrier element's normal image is computed once, and a candidate
+    steps on from its parent's node by that image, so no token is rebuilt
+    from a word.  Tokens are homomorphic images of words, which is why
+    that step is sound: a free or undecided token is the reduced image
+    under the recorded eliminations, a substitution followed by free
+    reduction is a homomorphism of free groups, and the trie reduces as
+    it walks; a finite table's inverse columns undo its columns (a
+    completed enumeration traces g g^-1 from every row, and a table read
+    off the carrier is certified to), so following a word from a row
+    gives the row its free reduction gives.  Each class keeps its parent
+    class, the carrier letter that reached it and its product in the
+    ambient groupoid; `ClassSearch.classes` spells the words and tokens
+    only when read.  The search stops, capped, when a new class turns up
+    once MAX_CLASSES are known.
     """
     G = M.ambient
     comps = {M.component_of(x) for x in roots}
-    steps = {}  # object -> (a, its target, normal letters of i~(a)), a ascending
+    trie = TokenTrie()
+    steps = {}  # object -> (a, its target, normal image of i~(a), how a node takes it)
     for a in sorted(M.subset.carrier):
         x = G.source[a]
         comp = M.component_of(x)
         if not G.is_identity(a) and comp in comps:
-            image = collapse_letters(M.forest, ((a, 1),))
-            steps.setdefault(x, []).append(
-                (a, G.target[a], M.engines[comp].normal_letters(image)))
-    classes, frontier, exact = {}, [], True
-    for x in roots:
-        w = Word((), x)
-        t, ok = M.token(w)
-        exact &= ok  # every later word lies in its root's component, same engine
-        classes.setdefault(t, (w, G.identity[x]))
-        frontier.append((w, G.identity[x], x, t[2], M.engines[M.component_of(x)]))
+            engine = M.engines[comp]
+            image = engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
+            advance = engine.table.follow if engine.kind == "finite" else trie.walk
+            steps.setdefault(x, []).append((a, G.target[a], image, advance))
+    kinds = {x: M.engines[M.component_of(x)].kind for x in roots}
+    rows = frozenset(x for x, kind in kinds.items() if kind == "finite")
+    exact = "undecided" not in kinds.values()
+    compose, found, frontier = G.compose, {}, []
+    for x in roots:  # node 0 is the empty word's: row 0, or the trie's root
+        key = (x, x, 0)
+        found.setdefault(key, (None, None, G.identity[x]))
+        frontier.append((key, G.identity[x]))
     levels = 0
     while frontier and levels < depth:
         fresh = []
-        for w, val, at, state, engine in frontier:
-            for a, y, image in steps.get(at, ()):
-                t2 = (w.base, y, engine.extend(state, image))
-                if t2 in classes:
+        for key, val in frontier:
+            base, at, node = key
+            for a, y, image, advance in steps.get(at, ()):
+                k2 = (base, y, advance(image, node))
+                if k2 in found:
                     continue
-                if len(classes) >= MAX_CLASSES:
-                    return ClassSearch(classes, exact, False, levels)
-                w2, val2 = Word(w.letters + ((a, 1),), w.base), G.compose[(val, a)]
-                classes[t2] = (w2, val2)
-                fresh.append((w2, val2, y, t2[2], engine))
+                if len(found) >= MAX_CLASSES:
+                    return ClassSearch(found, trie, rows, exact, False, levels)
+                val2 = compose[(val, a)]
+                found[k2] = (key, a, val2)
+                fresh.append((k2, val2))
         frontier = fresh
         levels += 1
-    return ClassSearch(classes, exact, not frontier, None)
+    return ClassSearch(found, trie, rows, exact, not frontier, None)
 
 
 @dataclass(frozen=True)
@@ -432,7 +465,7 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     engine = M.engines[M.component_of(x)]
     search = enumerate_classes(M, [x], depth)
 
-    reached = dict(Counter(val for _, val in search.classes.values()))
+    reached = dict(Counter(val for _, _, val in search.found.values()))
 
     star = set(G.star(x))
     closure, frontier = set(), {G.identity[x]}

@@ -293,6 +293,44 @@ class CosetTable:
         return c
 
 
+class TokenTrie:
+    """Freely reduced words interned as ints, for one search.
+
+    Node 0 is the empty word, and every other node is a reduced word, kept
+    as its parent (the word less its last letter) and that last letter.
+    A letter either cancels the node's last letter, which moves to the
+    parent, or moves to the child that a (node, letter) dict gives, made
+    on first use.  Nodes and reduced words therefore correspond one to
+    one, and a node is one int to hash where its word is a tuple as long
+    as itself."""
+
+    def __init__(self):
+        self.parent, self.last, self.child = [0], [None], {}
+
+    def walk(self, letters, node):
+        """The node of the free reduction of node's word followed by
+        letters, in the argument order of `CosetTable.follow`."""
+        parent, last, child = self.parent, self.last, self.child
+        for letter in letters:
+            if last[node] == (letter[0], -letter[1]):
+                node = parent[node]
+                continue
+            nxt = child.get((node, letter))
+            if nxt is None:
+                nxt = child[node, letter] = len(parent)
+                parent.append(node)
+                last.append(letter)
+            node = nxt
+        return node
+
+    def spelled(self) -> list:
+        """Every node's reduced word, by node."""
+        out = [()]
+        for up, letter in zip(self.parent[1:], self.last[1:]):  # parents come first
+            out.append(out[up] + (letter,))
+        return out
+
+
 class _Budget(Exception):
     pass
 
@@ -442,33 +480,14 @@ class VertexGroupEngine:
     def normal_letters(self, letters):
         return rewrite_through(self.simplified.eliminations, letters)
 
-    def extend(self, state, letters):
-        """The token of w.u, given state, the token of w, and letters, the
-        normal letters of u.
-
-        Tokens are homomorphic images of words, which is why one letter can
-        be traced on from the state already held.  For "free" and
-        "undecided" engines a token is the freely reduced image under the
-        recorded eliminations, and a substitution followed by free
-        reduction is a homomorphism of free groups, so the image of w.u is
-        the reduced image of w joined to the reduced image of u; only the
-        junction of those two reduced words can cancel.  For "finite"
-        engines a token is the row reached from row 0, and each inverse
-        column undoes its column (a completed enumeration traces g g^-1
-        from every row, and a table read off the carrier is certified to),
-        so following a word from a row gives the row its free reduction
-        gives: following u from the row of w is the row of w.u."""
-        if self.kind == "finite":
-            return self.table.follow(letters, state)
-        i, n = 0, min(len(state), len(letters))
-        while i < n and state[-1 - i] == (letters[i][0], -letters[i][1]):
-            i += 1
-        return state[:len(state) - i] + letters[i:]
-
     def token(self, letters):
         """(token, exact).  Equal tokens always mean equal elements; when
-        exact is False, distinct tokens prove nothing."""
-        return self.extend(self.unit, self.normal_letters(letters)), self.kind != "undecided"
+        exact is False, distinct tokens prove nothing.  A "finite" token is
+        the row the normal letters reach from row 0; any other token is the
+        normal letters themselves."""
+        normal = self.normal_letters(letters)
+        tok = self.table.follow(normal) if self.kind == "finite" else normal
+        return tok, self.kind != "undecided"
 
     def is_trivial(self, letters):
         tok, exact = self.token(letters)

@@ -6,9 +6,10 @@ axiom checker, the enumeration engine, and the quotient construction.
 """
 
 import itertools
+from collections import namedtuple
 
 from groupoids import FiniteGroupoid, Word
-from groupoids.monodromy import ClassSearch, WordEvaluator
+from groupoids.monodromy import WordEvaluator
 from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
 from groupoids.words import (
     CosetTable,
@@ -365,9 +366,13 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
 
 # --------------------------------------------------------- class search oracle
 
+OracleSearch = namedtuple("OracleSearch", "classes exact saturated capped_at")
+
+
 def class_search_oracle(M, roots, depth, max_classes):
     """`monodromy.enumerate_classes` by the loop that rebuilds every new
-    word's token from all of its letters (`M.token`)."""
+    word's token from all of its letters (`M.token`), with the fields of
+    a `ClassSearch` that the tests compare."""
     G = M.ambient
     gens = [a for a in sorted(M.subset.carrier) if not G.is_identity(a)]
     classes, frontier, exact = {}, [], True
@@ -391,12 +396,12 @@ def class_search_oracle(M, roots, depth, max_classes):
                 if t2 in classes:
                     continue
                 if len(classes) >= max_classes:
-                    return ClassSearch(classes, exact, False, levels)
+                    return OracleSearch(classes, exact, False, levels)
                 classes[t2] = (w2, G.compose[(val, a)])
                 fresh.append(classes[t2])
         frontier = fresh
         levels += 1
-    return ClassSearch(classes, exact, not frontier, None)
+    return OracleSearch(classes, exact, not frontier, None)
 
 
 def generation_oracle(G, LT):

@@ -78,6 +78,10 @@ def test_parse_errors_carry_field_paths():
         ({}, "missing field 'objects'"),
         ({**good, "morphisms": [{"id": "m", "src": "a", "tgt": "zzz"}]},
          "tgt 'zzz' is not a declared object"),
+        ({**good, "morphisms": [{"id": "m", "src": "yyy", "tgt": "zzz"}]},
+         "^groupoid.morphisms\\[0\\]: src 'yyy' is not a declared object$"),
+        ({**good, "identities": {"a": "(a,a)", "c": "(b,b)"}},
+         "^groupoid.identities: unknown object 'c'$"),
         ({**good, "compose": [["(a,a)", "(a,b)"]]}, "expected \\[a, b, ab\\]"),
         ({**good, "identities": {"a": "nope", "b": "(b,b)"}}, "unknown morphism"),
     ]

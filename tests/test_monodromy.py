@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 import warnings
 from collections import Counter
@@ -29,6 +30,7 @@ from groupoids.dot import export_dot
 from groupoids.words import (
     DEFAULT_BUDGET,
     Exhausted,
+    TokenTrie,
     build_engine,
     collapse_letters,
     coset_enumeration,
@@ -702,6 +704,18 @@ def test_closed_carriers_decide_only_below_the_budget():
     assert M.vertex_group_info(0) == ("free", 0)
 
 
+def stepped(engine, head, tail):
+    """The token of head.tail, stepped on from head's token as
+    `enumerate_classes` steps a class: the table followed from head's row,
+    or a `TokenTrie` walked on from head's node."""
+    tok, normal = engine.token(head)[0], engine.normal_letters(tail)
+    if engine.kind == "finite":
+        return engine.table.follow(normal, tok)
+    trie = TokenTrie()
+    node = trie.walk(normal, trie.walk(tok, 0))
+    return trie.spelled()[node]
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_closed_carriers_at_the_order_budget_match_build_engine(data):
@@ -709,9 +723,9 @@ def test_closed_carriers_at_the_order_budget_match_build_engine(data):
     budgets n - 1, n and n + 1 for the order n of a drawn component, 2 and
     the default.  Wherever a component's order n is 1 or at least the
     budget, its kind, order and rank are `build_engine`'s, and so are the
-    normal letters, tokens and token extensions of random words; an
-    undecided engine read off W simplifies only when a token is first asked
-    for.  Below the budget the table decides "finite order n", where coset
+    normal letters, tokens and tokens stepped on (`stepped`) of random
+    words; an undecided engine read off W simplifies only when a token is
+    first asked for.  Below the budget the table decides "finite order n", where coset
     enumeration agrees or runs out (HLT can waste more than one row: V4 and
     S3 at budget n + 1), and where both decide, they agree on triviality."""
     G, W = data.draw(closed_carriers())
@@ -740,12 +754,11 @@ def test_closed_carriers_at_the_order_budget_match_build_engine(data):
                              (w.letters, w.letters[:cut], w.letters[cut:]))
         i = M.component_of(base)
         new, ref = M.engines[i], old[i]
-        assert new.extend(new.token(head)[0], new.normal_letters(tail)) == new.token(whole)[0]
+        assert stepped(new, head, tail) == new.token(whole)[0]
         if new.kind != "finite":
             assert new.normal_letters(whole) == ref.normal_letters(whole)
             assert new.token(whole) == ref.token(whole)
-            assert (ref.extend(ref.token(head)[0], ref.normal_letters(tail))
-                    == new.token(whole)[0])
+            assert stepped(ref, head, tail) == new.token(whole)[0]
         elif ref.kind == "finite":
             assert new.is_trivial(whole) == ref.is_trivial(whole)
 
@@ -759,8 +772,8 @@ def test_triple_certificate_matches_the_relator_certificate(data):
     from every row, at budgets n - 1, n and n + 1 for the order n of a
     drawn component and the default.  Both accept or both turn the table
     down; then `M.engines` matches the oracle's engine, or `build_engine`'s
-    where both turn it down, on kind, order, tokens and token extensions of
-    random words."""
+    where both turn it down, on kind, order, tokens and tokens stepped on
+    (`stepped`) of random words."""
     G, W = data.draw(closed_carriers())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # several blocks do not generate G
@@ -785,9 +798,7 @@ def test_triple_certificate_matches_the_relator_certificate(data):
                              (w.letters, w.letters[:cut], w.letters[cut:]))
         new, ref = M.engines[M.component_of(base)], refs[M.component_of(base)]
         assert new.token(whole) == ref.token(whole)
-        assert (new.extend(new.token(head)[0], new.normal_letters(tail))
-                == ref.extend(ref.token(head)[0], ref.normal_letters(tail))
-                == ref.token(whole)[0])
+        assert stepped(new, head, tail) == stepped(ref, head, tail) == ref.token(whole)[0]
 
 
 @st.composite
@@ -922,16 +933,26 @@ def assert_same_search(new, old):
                                                          old.capped_at)
 
 
-S3, Z6 = group_groupoid(sym3()), group_groupoid(cyclic(6))
+S3, Z6, Z7 = group_groupoid(sym3()), group_groupoid(cyclic(6)), group_groupoid(cyclic(7))
+# free of rank 1, where the normal images of 2 and 5 have two letters each
+TWO_LETTER_IMAGES = search_instance(Z7, {"0", "1", "6", "2", "5"}, DEFAULT_BUDGET, ["*"], 4)
 
 
 def test_class_search_matches_the_whole_word_oracle():
-    """Extending each class's token by a letter's image gives the classes,
-    in the same order, and the flags that rebuilding every token from its
-    whole word gives, on every engine kind.  The explicit examples are one
-    of each kind: Z/6 over its unit window (free), all of Z/6 (read off
-    W), S3 less a transposition (coset enumeration) and all of S3 at
-    budget 3 (undecided)."""
+    """Stepping each class's interned token on by a letter's image gives
+    the classes, in the same order, and the flags that rebuilding every
+    token from its whole word gives, on every engine kind.  The explicit
+    examples are one of each kind: Z/6 over its unit window (free), all of
+    Z/6 (read off W), S3 less a transposition (coset enumeration) and all
+    of S3 at budget 3 (undecided); and Z/7 over {0, +-1, +-2}, free of
+    rank 1, where an image of two letters starts with the inverse of a
+    node's last letter, so the trie walks up before it walks down."""
+    M = TWO_LETTER_IMAGES[0]
+    assert M.vertex_group_info(0) == ("free", 1)
+    images = [M.engines[0].normal_letters(collapse_letters(M.forest, ((a, 1),)))
+              for a in ("1", "2", "5", "6")]
+    assert any(len(image) >= 2 and (image[0][0], -image[0][1]) == other[-1]
+               for image in images for other in images)
     labels = Counter()
 
     @given(search_instances())
@@ -939,6 +960,7 @@ def test_class_search_matches_the_whole_word_oracle():
     @example(search_instance(Z6, set(Z6.morphisms), DEFAULT_BUDGET, ["*"], 3))
     @example(search_instance(S3, set(S3.morphisms) - {"021"}, 20, ["*"], 4))
     @example(search_instance(S3, set(S3.morphisms), 3, ["*", "*"], 3))
+    @example(TWO_LETTER_IMAGES)
     @settings(max_examples=150, deadline=None)
     def check(instance):
         M, roots, depth = instance
@@ -948,6 +970,25 @@ def test_class_search_matches_the_whole_word_oracle():
 
     check()
     assert set(labels) == {"free", "undecided", "table", "coset"}, labels
+
+
+def test_class_search_runs_deeper_than_the_recursion_limit():
+    """Z/5 over {0, 1, 4}, free of rank 1, at depth 2,000: the 4,001
+    classes 1^k for |k| <= 2,000, whose view spells a deepest word of
+    2,000 letters without recursing, and whose values count each residue
+    as often as [-2,000, 2,000] holds it."""
+    depth = 2000
+    assert depth > sys.getrecursionlimit()
+    M = build_monodromy(*zmod(5))
+    assert M.vertex_group_info(0) == ("free", 1)
+    search = monodromy.enumerate_classes(M, ["*"], depth)
+    assert (len(search.found), search.saturated, search.capped_at) == (2 * depth + 1, False, None)
+    classes = search.classes
+    assert len(classes) == 2 * depth + 1
+    assert max(len(w.letters) for w, _ in classes.values()) == depth
+    residues = Counter(str(k % 5) for k in range(-depth, depth + 1))
+    assert Counter(val for _, val in classes.values()) == residues
+    assert star_covering_report(M, "*", depth).reached == residues
 
 
 def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):

@@ -12,6 +12,7 @@ from groupoids.words import (
     Exhausted,
     GeneratingGraph,
     Presentation,
+    TokenTrie,
     build_engine,
     collapse_letters,
     collapse_presentation,
@@ -39,6 +40,22 @@ def test_free_reduce_idempotent(ls):
 @settings(max_examples=100)
 def test_reduction_kills_inverse(ls):
     assert free_reduce(ls + inv_letters(ls)) == ()
+
+
+@given(st.lists(letters_strategy, max_size=6))
+@settings(max_examples=100)
+def test_token_trie_interns_reduced_words(pieces):
+    """Walking a word piece by piece, each piece from the node the last one
+    reached, gives the node of its free reduction: nodes spell as the
+    reductions, and two prefixes share a node exactly when their
+    reductions are equal."""
+    trie, node, word, seen = TokenTrie(), 0, (), {(): 0}
+    for piece in pieces:
+        node, word = trie.walk(piece, node), word + piece
+        assert seen.setdefault(free_reduce(word), node) == node
+        assert trie.spelled()[node] == free_reduce(word)
+    spelled = trie.spelled()
+    assert len(set(spelled)) == len(spelled)
 
 
 def test_forest_deterministic_and_lexicographic():
