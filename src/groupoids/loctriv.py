@@ -9,9 +9,11 @@ it.
 
 Out of a valid structure, every morphism a: x -> y acquires basic
 neighborhoods s_{x,i}(U_i)^-1 . a . s_{y,j}(U_j); these generate a topology
-on the morphism set under which every structure map is continuous, and a
-composition-closed generating subset with sections landing in it becomes an
-open subset.
+on the morphism set, and a composition-closed generating subset with
+sections landing in it becomes an open subset.  Whether the neighborhoods
+form a base and the six structure maps are continuous is checked, not
+assumed: a valid structure may fail either.  The shrinking law inside two
+neighborhoods of a is never checked, because Comp proves it.
 
 The section laws and Comp are checked on the finite tables only: sections
 lifted along the one-letter embedding into a monodromy groupoid inherit
@@ -26,7 +28,8 @@ classes an "undecided" engine may split, which its report says.
 `validate_clt` and `check_w_open` answer as every checker in the package
 does, with a tuple of (kind, payload) pairs that is empty when the
 structure is valid or the subgroupoid open, and `generate_groupoid_topology`
-returns the generated topology with such a tuple of what failed.  The
+returns the generated topology with such a tuple of the structure maps
+that are not continuous.  The
 constructions that need a valid structure take the `validate_clt` tuple as
 `clt` when the caller already holds it.
 """
@@ -141,19 +144,6 @@ def _require_sections_in(LT, carrier, what):
                 raise ValueError(f"section {key!r} leaves the {what} at {u!r}")
 
 
-def comp_witness(LT: LocalTrivialization, x, i, j):
-    """The cover index Comp provides for sections s_{x,i}, s_{x,j}: smallest
-    index (then smallest serialized member) whose member contains x, sits in
-    the intersection, and on which both section tables agree.  None if Comp
-    fails for this triple."""
-    cov = dict(LT.cover)
-    si, sj = LT.sections.get((x, i), {}), LT.sections.get((x, j), {})
-    around = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
-                    key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
-    return next((k for k in around if all(si.get(u) == sj.get(u) for u in cov[k])),
-                None)
-
-
 def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
     """Check every law of the structure: the (kind, payload) pairs of its
     failures, in a deterministic order, empty when it is valid.
@@ -179,8 +169,11 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
 
     problems += _section_problems(G, LT)
 
+    cov, sections = dict(LT.cover), LT.sections
     for x, i, j in _comp_triples(LT):
-        if comp_witness(LT, x, i, j) is None:
+        si, sj = sections.get((x, i), {}), sections.get((x, j), {})
+        if not any(x in uk and uk <= cov[i] & cov[j]
+                   and all(si.get(u) == sj.get(u) for u in uk) for _, uk in LT.cover):
             problems.append(("comp", (x, i, j)))
     return tuple(problems)
 
@@ -205,39 +198,23 @@ def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
                                clt: tuple = None):
     """(gen, problems): the `GeneratedTopology` of the basic neighborhoods,
     whose `.topology` is on the morphisms and whose `.base_compatible` says
-    whether they form a true base, and the (kind, payload) pairs of what
-    failed, empty when nothing did.  The pairs are
-    ("refinement", (a, (i, j), (i2, j2), k, l)) where shrinking failed, then
-    the `check_topological_groupoid` pairs of the six structure maps.
+    whether they form a true base, and the `check_topological_groupoid`
+    pairs of the six structure maps, empty when all are continuous.
 
     Refuses to run on an invalid structure; `clt` is the `validate_clt`
-    tuple of (G, LT) when the caller already has it.  Builds every basic
-    neighborhood once, into a table keyed by (a, i, j), then replays the
-    shrinking argument from that table: the Comp witnesses around both
-    endpoints, each asked once, give a third neighborhood inside any two
-    with the same center.  A witness contains its point, so the third is
-    in the table too.
+    tuple of (G, LT) when the caller already has it.  Each basic
+    neighborhood is built once, for every morphism and pair of members
+    around its ends.  The shrinking law needs no replay: if Comp's member
+    k makes s_{x,i} and s_{x,i2} agree on U_k, and l does the same for
+    s_{y,j} and s_{y,j2}, then s_{x,i}|U_k^-1 . a . s_{y,j}|U_l lies in
+    the neighborhoods of (i, j) and (i2, j2) alike.  Whether the
+    neighborhoods form a base is what `base_compatible` decides.
     """
     _require_valid(G, LT, clt)
-    witness = functools.cache(functools.partial(comp_witness, LT))
-    nbhds, pairs_of = {}, {}
-    for a in sorted(G.morphisms):
-        at = [(i, j) for i in _members_at(LT, G.source[a])
-              for j in _members_at(LT, G.target[a])]
-        pairs_of[a] = sorted(at, key=lambda ij: (_index_key(ij[0]), _index_key(ij[1])))
-        for i, j in pairs_of[a]:
-            nbhds[(a, i, j)] = basic_neighborhood(G, LT, a, i, j)
-
-    problems = []
-    for a in sorted(G.morphisms):
-        x, y = G.source[a], G.target[a]
-        for (i, j), (i2, j2) in itertools.combinations(pairs_of[a], 2):
-            k, l = witness(x, i, i2), witness(y, j, j2)
-            if not nbhds[(a, k, l)] <= nbhds[(a, i, j)] & nbhds[(a, i2, j2)]:
-                problems.append(("refinement", (a, (i, j), (i2, j2), k, l)))
-
-    gen = generate_from_base(sorted(G.morphisms), nbhds.values())
-    return gen, (*problems, *check_topological_groupoid(G, gen.topology, LT.base_space))
+    nbhds = [basic_neighborhood(G, LT, a, i, j) for a in sorted(G.morphisms)
+             for i in _members_at(LT, G.source[a]) for j in _members_at(LT, G.target[a])]
+    gen = generate_from_base(sorted(G.morphisms), nbhds)
+    return gen, check_topological_groupoid(G, gen.topology, LT.base_space)
 
 
 def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> tuple:

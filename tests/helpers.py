@@ -404,32 +404,49 @@ def class_search_oracle(M, roots, depth, max_classes):
     return OracleSearch(classes, exact, not frontier, None)
 
 
+def _index_key(i):
+    return (0, i) if isinstance(i, int) else (1, str(i))
+
+
+def comp_witness(LT, x, i, j):
+    """The cover index Comp provides for sections s_{x,i}, s_{x,j}: smallest
+    index (then smallest serialized member) whose member contains x, sits in
+    the intersection, and on which both section tables agree.  None if Comp
+    fails for this triple."""
+    cov = dict(LT.cover)
+    si, sj = LT.sections.get((x, i), {}), LT.sections.get((x, j), {})
+    around = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
+                    key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
+    return next((k for k in around if all(si.get(u) == sj.get(u) for u in cov[k])),
+                None)
+
+
+def _neighborhood_pairs(G, LT, a):
+    """The (i, j) around the ends of a, in index order."""
+    at = [(i, j) for i in _members_at(LT, G.source[a]) for j in _members_at(LT, G.target[a])]
+    return sorted(at, key=lambda ij: (_index_key(ij[0]), _index_key(ij[1])))
+
+
 def generation_oracle(G, LT):
     """`generate_groupoid_topology` on a valid structure as it was written
     before its neighborhood table: collect every basic neighborhood into a
-    set, then replay the shrinking argument by building the three
-    neighborhoods of each pair of pairs again and searching Comp again.
-    Returns (generated topology, problems) as the function does."""
-    from groupoids.loctriv import basic_neighborhood, comp_witness
+    set, then replay the shrinking argument with the Comp witnesses' own
+    sections, building the three neighborhoods of each pair of pairs again
+    and searching Comp again.  Comp does not make s_{x,k} agree with
+    s_{x,i}, so this replay can refute a true topological groupoid; its
+    "refinement" entries come first in the problems, then the
+    `check_topological_groupoid` pairs.  Returns (generated topology,
+    problems)."""
+    from groupoids.loctriv import basic_neighborhood
     from groupoids.topology import check_topological_groupoid, generate_from_base
 
-    def key(i):
-        return (0, i) if isinstance(i, int) else (1, str(i))
-
-    def members(p):
-        return [i for i, u in LT.cover if p in u]
-
-    nbhds, pairs_of = set(), {}
+    nbhds, failures = set(), []
     for a in sorted(G.morphisms):
-        at = [(i, j) for i in members(G.source[a]) for j in members(G.target[a])]
-        pairs_of[a] = sorted(at, key=lambda ij: (key(ij[0]), key(ij[1])))
-        for i, j in pairs_of[a]:
+        for i, j in _neighborhood_pairs(G, LT, a):
             nbhds.add(basic_neighborhood(G, LT, a, i, j))
-
-    failures = []
     for a in sorted(G.morphisms):
         x, y = G.source[a], G.target[a]
-        for (i, j), (i2, j2) in itertools.combinations(pairs_of[a], 2):
+        for (i, j), (i2, j2) in itertools.combinations(_neighborhood_pairs(G, LT, a), 2):
             k = comp_witness(LT, x, i, i2)
             l = comp_witness(LT, y, j, j2)
             inner = basic_neighborhood(G, LT, a, k, l)
@@ -440,6 +457,29 @@ def generation_oracle(G, LT):
 
     gen = generate_from_base(sorted(G.morphisms), nbhds)
     return gen, (*failures, *check_topological_groupoid(G, gen.topology, LT.base_space))
+
+
+def shrink_oracle(G, LT):
+    """The shrinking law read with the sections Comp relates: for each a and
+    two pairs (i, j), (i2, j2) around its ends, with k and l the Comp
+    witnesses of (x, i, i2) and (y, j, j2), the set
+    s_{x,i}(u)^-1 . a . s_{y,j}(v) over u in U_k and v in U_l lies in both
+    basic neighborhoods.  Returns the (a, (i, j), (i2, j2), k, l) where it
+    does not, which on a valid structure is never."""
+    from groupoids.loctriv import basic_neighborhood
+
+    cov, failures = dict(LT.cover), []
+    for a in sorted(G.morphisms):
+        x, y = G.source[a], G.target[a]
+        for (i, j), (i2, j2) in itertools.combinations(_neighborhood_pairs(G, LT, a), 2):
+            k = comp_witness(LT, x, i, i2)
+            l = comp_witness(LT, y, j, j2)
+            si, sj = LT.sections[(x, i)], LT.sections[(y, j)]
+            inner = {G.mul(G.inverse[si[u]], a, sj[v]) for u in cov[k] for v in cov[l]}
+            if not inner <= (basic_neighborhood(G, LT, a, i, j)
+                             & basic_neighborhood(G, LT, a, i2, j2)):
+                failures.append((a, (i, j), (i2, j2), k, l))
+    return failures
 
 
 def w_open_witnesses(G, LT, W):
@@ -486,16 +526,13 @@ def transported_checks(LT, M):
         if tab.get(x) != Word((), x):
             problems.append(("section-identity", (x, i)))
 
-    def key(i):
-        return (0, i) if isinstance(i, int) else (1, str(i))
-
     satisfied, undecided, failed = [], [], []
     for x in sorted(LT.base_space.points, key=str):
-        around = sorted((i for i, u in LT.cover if x in u), key=key)
+        around = sorted((i for i, u in LT.cover if x in u), key=_index_key)
         for i, j in itertools.combinations(around, 2):
             si, sj = trans.get((x, i), {}), trans.get((x, j), {})
             inside = sorted((k for k, uk in LT.cover if x in uk and uk <= cov[i] & cov[j]),
-                            key=lambda k: (key(k), sorted(map(str, cov[k]))))
+                            key=lambda k: (_index_key(k), sorted(map(str, cov[k]))))
             outcome = failed
             for k in inside:
                 votes = [M.equal(si.get(u), sj.get(u)) for u in cov[k]]

@@ -153,20 +153,41 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
-def test_refuted_refinement_law_is_refuted_with_witness(tmp_path, capsys):
-    """A valid structure whose shrinking argument fails exits 1 and names
-    the first failure."""
+def _clt_report(tmp_path, capsys, instance):
     from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
-    from test_loctriv import refuted_refinement_instance
 
-    G, LT = refuted_refinement_instance()
+    G, LT = instance()
     doc = {"groupoid": serialize_groupoid(G), **serialize_local_trivialization(LT)}
-    code, out, _ = run(["clt-generate", _write(tmp_path, "refuted.json", doc),
+    code, out, _ = run(["clt-generate", _write(tmp_path, "clt.json", doc),
                         "--format", "machine"], capsys)
-    report = json.loads(out)
-    assert code == 1 and report["verdicts"]["clt-valid"] is True
-    assert report["verdicts"]["refinement-law"] is False
-    assert report["witnesses"]["refinement[0]"] == "(o0>o0:0, (0, 2), (1, 2), 1, 0)"
+    return code, json.loads(out)
+
+
+def test_valid_structure_that_is_no_base_is_refuted(tmp_path, capsys):
+    """A valid structure whose neighborhoods are no base exits 1 through the
+    identity map, and the shrinking law is no part of the refutation."""
+    from test_loctriv import sierpinski_non_base_instance
+
+    code, report = _clt_report(tmp_path, capsys, sierpinski_non_base_instance)
+    verdicts = report["verdicts"]
+    assert code == 1 and verdicts["clt-valid"] is True
+    assert verdicts["identity-continuous"] is False
+    assert verdicts["base-compatible"] is False
+    assert verdicts["refinement-law"] is True
+    assert not any(key.startswith("refinement") for key in report["witnesses"])
+
+
+def test_true_topological_groupoid_passes(tmp_path, capsys):
+    """A valid structure the old shrinking replay refuted generates the
+    discrete topology with every structure map continuous: exit 0."""
+    from test_loctriv import discrete_refinement_instance
+
+    code, report = _clt_report(tmp_path, capsys, discrete_refinement_instance)
+    verdicts = report["verdicts"]
+    assert code == 0 and verdicts["clt-valid"] is True
+    assert verdicts["refinement-law"] is True and verdicts["base-compatible"] is True
+    assert verdicts["all-maps-continuous"] is True and verdicts["opens"] == 256
+    assert report["witnesses"] == {}
 
 
 def test_unlawful_tables_are_precondition_errors(tmp_path, capsys):

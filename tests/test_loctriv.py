@@ -14,7 +14,6 @@ from groupoids.loctriv import (
     basic_neighborhood,
     check_w_open,
     clt_on_monodromy,
-    comp_witness,
     generate_groupoid_topology,
     local_trivialization,
     sections_from_arrows,
@@ -37,11 +36,13 @@ from groupoids.words import DEFAULT_BUDGET
 
 from helpers import (
     closure_oracle,
+    comp_witness,
     cyclic,
     difference_equivalence,
     generation_oracle,
     group_groupoid,
     product_groupoid,
+    shrink_oracle,
     transported_checks,
     transported_openness_oracle,
     w_open_witnesses,
@@ -112,6 +113,20 @@ def test_comp_violation_carries_the_witness():
     assert rep == (("comp", ("o0", 0, 1)),)
     assert comp_witness(LT, "o0", 0, 1) is None
     assert comp_witness(LT, "o1", 0, 1) == 0  # the same pair is fine about o1
+
+
+def test_comp_member_must_hold_the_point():
+    """Sections about o0 that agree only on {o1}, a member that misses o0,
+    violate Comp."""
+    G = product_groupoid(3, cyclic(2))
+    X = F({"o0", "o1", "o2"})
+    cover = [(0, X), (1, X), (2, F({"o1"}))]
+    sections = {(x, i): {u: f"{x}>{u}:0" for u in member}
+                for i, member in cover for x in member}
+    sections[("o0", 1)]["o2"] = "o0>o2:1"
+    LT = local_trivialization(topology(sorted(X), [F(), F({"o1"}), X]), cover, sections)
+    assert validate_clt(G, LT) == (("comp", ("o0", 0, 1)),)
+    assert comp_witness(LT, "o0", 0, 1) is None
 
 
 def test_validate_flags_cover_member_that_is_not_open():
@@ -244,11 +259,11 @@ def test_canonical_covers_always_generate_topological_groupoids(extra):
                     assert a in basic_neighborhood(G, LT, a, i, j)
 
 
-def refuted_refinement_instance():
-    """A valid structure whose refinement law fails: over Sierpinski space
-    the whole-space members 0 and 2 share a point, and s_{o0,0} alone sends
-    o1 to the non-trivial arrow.  The self pair (2, 2) is witnessed by member
-    0, whose section is not the one of member 2."""
+def sierpinski_non_base_instance():
+    """A valid structure that is not a topological groupoid: over Sierpinski
+    space the whole-space members 0 and 2 share a point, and s_{o0,0} alone
+    sends o1 to the non-trivial arrow.  Its neighborhoods are no base, and
+    the identity map is not continuous."""
     G = product_groupoid(2, cyclic(2))
     base = topology(["o0", "o1"], [F(), F({"o0"}), F({"o0", "o1"})])
     cover = [(0, F({"o0", "o1"})), (1, F({"o0"})), (2, F({"o0", "o1"}))]
@@ -258,20 +273,44 @@ def refuted_refinement_instance():
     return G, local_trivialization(base, cover, sections)
 
 
-def test_refuted_refinement_law_is_pinned():
-    G, LT = refuted_refinement_instance()
+def test_sierpinski_non_base_is_refuted_by_the_identity_map():
+    G, LT = sierpinski_non_base_instance()
     assert not validate_clt(G, LT)
     gen, problems = generate_groupoid_topology(G, LT)
-    shrink = [((0, 2), (1, 2), 1, 0), ((0, 2), (2, 2), 1, 0), ((1, 2), (2, 2), 1, 0),
-              ((2, 0), (2, 1), 0, 1), ((2, 0), (2, 2), 0, 1), ((2, 1), (2, 2), 0, 1)]
-    refinement = tuple(p for kind, p in problems if kind == "refinement")
-    assert refinement == (
-        *(("o0>o0:0", *f) for f in shrink), *(("o0>o0:1", *f) for f in shrink),
-        ("o0>o1:0", (2, 0), (2, 2), 0, 0), ("o0>o1:1", (2, 0), (2, 2), 0, 0),
-        ("o1>o0:0", (0, 2), (2, 2), 0, 0), ("o1>o0:1", (0, 2), (2, 2), 0, 0))
-    assert problems[:len(refinement)] == tuple(("refinement", f) for f in refinement)
-    assert generation_oracle(G, LT) == (gen, problems)
-    assert problems
+    assert not gen.base_compatible
+    assert problems == (("identity", (F({"o1>o1:0"}), F({"o1"}))),)
+    assert shrink_oracle(G, LT) == []
+    old_gen, old_problems = generation_oracle(G, LT)
+    assert old_gen == gen
+    assert old_problems[-1:] == problems  # 16 replay refutations came first
+    assert len(old_problems) == 17
+
+
+def discrete_refinement_instance():
+    """A valid structure the shrinking replay with the witnesses' own
+    sections refuted, though it is a topological groupoid: over the discrete
+    space on {o0, o1}, s_{o1,0} alone sends o0 to the non-trivial arrow.
+    The witness of (o0, 0, 9) is member 4, whose section differs from
+    s_{o1,0} on {o0}; yet s_{o0,0} and s_{o0,9} agree there."""
+    G = product_groupoid(2, cyclic(2))
+    cover = [(4, F({"o0"})), (7, F({"o1"})), (9, F({"o0", "o1"})), (5, F({"o0"})),
+             (0, F({"o0", "o1"}))]
+    sections = {(x, i): {u: f"{x}>{u}:0" for u in member}
+                for i, member in cover for x in member}
+    sections[("o1", 0)]["o0"] = "o1>o0:1"
+    return G, local_trivialization(discrete(["o0", "o1"]), cover, sections)
+
+
+def test_true_topological_groupoid_is_not_refuted():
+    G, LT = discrete_refinement_instance()
+    assert not validate_clt(G, LT)
+    gen, problems = generate_groupoid_topology(G, LT)
+    assert problems == () and gen.base_compatible
+    assert gen.topology.open_count == 2 ** len(G.morphisms) == 256  # discrete
+    assert shrink_oracle(G, LT) == []
+    _, old_problems = generation_oracle(G, LT)
+    assert len(old_problems) == 36
+    assert {kind for kind, _ in old_problems} == {"refinement"}
 
 
 def _structures(data):
@@ -307,41 +346,43 @@ def _structures(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_generation_matches_the_oracle(data):
-    """The neighborhood table gives the topology, base compatibility,
-    refinement failures in order and groupoid report of the loops that
-    built every neighborhood again (`generation_oracle`), refuted
-    refinement laws included."""
+    """On every valid structure the shrinking law, read with the sections
+    Comp relates, holds (`shrink_oracle`), and generation gives the
+    topology, base compatibility and structure-map report of the loops
+    that built every neighborhood again (`generation_oracle`), its replay
+    refutations aside."""
     G, LT = _structures(data)
     if validate_clt(G, LT):
         with pytest.raises(ValueError, match="local trivialization invalid"):
             generate_groupoid_topology(G, LT)
         return
+    assert shrink_oracle(G, LT) == []
     gen, problems = generate_groupoid_topology(G, LT)
     gen_old, problems_old = generation_oracle(G, LT)
     assert gen.topology.neighborhoods == gen_old.topology.neighborhoods
     assert gen.base_compatible == gen_old.base_compatible
-    assert problems == problems_old
+    assert problems == tuple(p for p in problems_old if p[0] != "refinement")
 
 
-@pytest.mark.parametrize("instance", [refuted_refinement_instance, all_subsets_instance])
-def test_generation_asks_each_neighborhood_and_witness_once(instance, monkeypatch):
-    """`basic_neighborhood` runs once per distinct (a, i, j), and
-    `comp_witness` at most once per distinct argument triple."""
+@pytest.mark.parametrize("instance", [sierpinski_non_base_instance, all_subsets_instance])
+def test_generation_asks_each_neighborhood_once_and_no_comp_witness(instance, monkeypatch):
+    """`basic_neighborhood` runs once per distinct (a, i, j), and with the
+    `validate_clt` tuple given no Comp triple is visited."""
     import groupoids.loctriv as loctriv
 
     G, LT = instance()
     clt = validate_clt(G, LT)
-    calls = {"basic_neighborhood": [], "comp_witness": []}
+    calls = {"basic_neighborhood": [], "_comp_triples": []}
     for name, log in calls.items():
         original = getattr(loctriv, name)
         monkeypatch.setattr(loctriv, name,
                             lambda *a, _o=original, _log=log: _log.append(a[-3:]) or _o(*a))
     generate_groupoid_topology(G, LT, clt=clt)
-    nbhds, witnesses = calls["basic_neighborhood"], calls["comp_witness"]
+    nbhds = calls["basic_neighborhood"]
     assert len(nbhds) == len(set(nbhds)) == sum(
         len([i for i, u in LT.cover if G.source[a] in u])
         * len([j for j, v in LT.cover if G.target[a] in v]) for a in G.morphisms)
-    assert witnesses and len(witnesses) == len(set(witnesses))
+    assert calls["_comp_triples"] == [] and not hasattr(loctriv, "comp_witness")
 
 
 # ----------------------------------------------------------------- openness

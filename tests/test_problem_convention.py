@@ -15,6 +15,7 @@ from groupoids import (
     check_w_open,
     check_wide_subgroupoid,
     discrete,
+    generate_groupoid_topology,
     indiscrete,
     is_topology,
     normal_closure,
@@ -30,7 +31,9 @@ from groupoids.interchange import (
     parse_local_trivialization,
     parse_topology_family,
 )
+from groupoids.topology import STRUCTURE_MAPS
 from helpers import cyclic, group_groupoid, sym3
+from test_loctriv import discrete_refinement_instance, sierpinski_non_base_instance
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -142,3 +145,23 @@ def test_every_checker_is_covered_both_ways():
                      "check_w_open"}
     assert covered == {(n, v) for n in names for v in (True, False)
                        if v or n not in NEVER_REFUTED}
+
+
+# (fixture, continuous): valid structures, with whether all six maps pass
+GENERATION_CASES = [
+    (lambda: _corpus_clt("clt-sierpinski"), True),
+    (lambda: _corpus_clt("clt-monodromy-triangle"), True),
+    (lambda: _corpus_clt("w-open-partition"), True),
+    (discrete_refinement_instance, True),
+    (sierpinski_non_base_instance, False),
+]
+
+
+@pytest.mark.parametrize("fixture, continuous", GENERATION_CASES,
+                         ids=[str(i) for i in range(len(GENERATION_CASES))])
+def test_generation_reports_only_structure_maps(fixture, continuous):
+    """`generate_groupoid_topology` answers with `check_topological_groupoid`
+    pairs only: every kind it returns names a structure map."""
+    _, problems = generate_groupoid_topology(*fixture())
+    assert type(problems) is tuple and (problems == ()) == continuous
+    assert all(kind in STRUCTURE_MAPS for kind, _ in problems)
