@@ -113,6 +113,8 @@ def parse_groupoid(doc, where="groupoid") -> FiniteGroupoid:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise DocumentError(f"{spot}: expected [a, b, ab]")
         a, b, ab = (known(m, spot) for m in triple)
+        if (a, b) in compose:
+            raise DocumentError(f"{spot}: duplicate pair ({a!r}, {b!r})")
         compose[(a, b)] = ab
     return FiniteGroupoid(objects=frozenset(objects), source=source,
                           target=target, identity=identity, inverse=inverse,
@@ -224,7 +226,12 @@ def parse_local_trivialization(doc, where="lt") -> LocalTrivialization:
             if not (isinstance(row, list) and len(row) == 2
                     and all(isinstance(s, str) for s in row)):
                 raise DocumentError(f"{spot}[{j}]: expected [u, morphism id]")
-            table[row[0]] = row[1]
+            u = row[0]
+            if u not in points:
+                raise DocumentError(f"{spot}[{j}]: unknown point {u!r}")
+            if u in table:
+                raise DocumentError(f"{spot}[{j}]: duplicate point {u!r}")
+            table[u] = row[1]
         sections[(x, idx)] = table
     try:
         return local_trivialization(base, cover, sections)

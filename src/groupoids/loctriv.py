@@ -21,9 +21,9 @@ both.  Openness is never searched for, because it cannot fail: a basic
 neighborhood of a in W is made of products s^-1 . a . s' of elements of
 W, so it lies in W when W is closed under composition, and upstairs each
 i~(s)^-1 . i~(a) . i~(s') is i~(s^-1 a s') by the defining relators.
-Basic neighborhoods are written once, over product and inverse, for
-tables and for words; what transport adds is the window topology, whose
-classes an "undecided" engine may split, which its report says.
+What transport adds is the window topology, whose classes an "undecided"
+engine may split, which its report says; its neighborhood elements are
+stepped from their classes' keys, and no word is built.
 
 `validate_clt` and `check_w_open` answer as every checker in the package
 does, with a tuple of (kind, payload) pairs that is empty when the
@@ -36,7 +36,6 @@ constructions that need a valid structure take the `validate_clt` tuple as
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ from .topology import (
     check_topological_groupoid,
     generate_from_base,
 )
-from .words import concat, invert_word, word_target
+from .words import inv_letters
 
 
 @dataclass(frozen=True)
@@ -123,12 +122,6 @@ def _comp_triples(LT):
             yield x, i, j
 
 
-def _neighborhood(cov, sections, inverse, mul, a, x, y, i, j):
-    """s_{x,i}(u)^-1 . a . s_{y,j}(v) for every u in U_i and v in U_j."""
-    si, sj = sections[(x, i)], sections[(y, j)]
-    return [mul(inverse(si[u]), a, sj[v]) for u in cov[i] for v in cov[j]]
-
-
 def _require_valid(G, LT, clt=None):
     """Raises on an invalid structure; `clt` is the `validate_clt` tuple
     when the caller already made it."""
@@ -190,8 +183,8 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
         raise ValueError(f"source {x!r} not in cover member {i!r}")
     if y not in cov[j]:
         raise ValueError(f"target {y!r} not in cover member {j!r}")
-    return frozenset(_neighborhood(cov, LT.sections, G.inverse.__getitem__, G.mul,
-                                   a, x, y, i, j))
+    si, sj = LT.sections[(x, i)], LT.sections[(y, j)]
+    return frozenset(G.mul(G.inverse[si[u]], a, sj[v]) for u in cov[i] for v in cov[j])
 
 
 def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,
@@ -246,8 +239,8 @@ class WindowTopologyReport:
     tokens_exact: bool            # False if any engine was undecided
     opens: int                    # None when the count stopped at its bound
     w_tilde_open: bool = None     # None unless W is closed and tokens exact
-    topology: FiniteTopology = None     # on the window's class tokens
-    values: dict = field(default_factory=dict)  # token -> image morphism
+    topology: FiniteTopology = None     # on the window's class keys
+    values: dict = field(default_factory=dict)  # class key -> image morphism
     capped_at: int = None         # levels searched in full when the class cap hit
 
 
@@ -272,31 +265,28 @@ def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,
     to be open when W is composition-closed: every defining triple
     (a, b, ab) is then a relator, so each transported neighborhood element
     i~(s)^-1 . i~(a) . i~(s') is i~(s^-1 a s'), which lies in i~(W).  What
-    transport adds is the topology generated from transported
-    neighborhoods on the window of word classes no longer than `depth`,
-    which is reported.  `clt` is the `validate_clt` tuple of (G, LT) when
-    the caller already has it.
+    transport adds is the topology the transported neighborhoods generate
+    on the window of word classes no longer than `depth`
+    (`_window_topology`).  `clt` is the `validate_clt` tuple of (G, LT)
+    when the caller already has it.
     """
     _require_valid(M.ambient, LT, clt)
     _require_sections_in(LT, M.subset.carrier, "generating subset")
-    trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
-             for key, tab in LT.sections.items()}
-    cov = dict(LT.cover)
-
-    def neighborhood(w, i, j):
-        return _neighborhood(cov, trans, functools.partial(invert_word, M.graph),
-                             lambda s, a, t: concat(M.graph, concat(M.graph, s, a), t),
-                             w, w.base, word_target(M.graph, w), i, j)
-
     return MonodromyCltReport(comp_triples=sum(1 for _ in _comp_triples(LT)),
-                              window=_window_topology(LT, M, depth, neighborhood))
+                              window=_window_topology(LT, M, depth))
 
 
-def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
-    """Generate the transported-neighborhood topology on the word classes of
-    length <= depth.  A trace keeps the tokens of a neighborhood that are
-    window classes, each looked up in the class table, so no trace walks
-    the whole window.
+def _window_topology(LT, M, depth) -> WindowTopologyReport:
+    """Generate the transported-neighborhood topology on the keys of the
+    word classes of length <= depth, building no word.
+
+    Classes come parents first, so the key of i~(s)^-1 . w, for each
+    section value s at w's base, is its parent's such key stepped by w's
+    last letter, or at an empty word s's inverted image walked from node
+    0.  One more step, by the image of s', gives the key of
+    i~(s)^-1 . w . i~(s'), as tokens are homomorphic images of words
+    (`enumerate_classes`).  A trace keeps the keys that are classes, so
+    each class costs the same at every depth.
 
     i~(W) is open in the window whenever W is composition-closed and the
     tokens are exact: each class of i~(W) has a trace that contains the
@@ -304,20 +294,31 @@ def _window_topology(LT, M, depth, neighborhood) -> WindowTopologyReport:
     i~(W) (`clt_on_monodromy`), so i~(W) is the union of those traces.
     With inexact tokens one element may show as several classes, and
     openness is left undecided."""
-    search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
-    classes = search.classes
-    traces = set()
-    for w, _ in classes.values():
-        for i in _members_at(LT, w.base):
-            for j in _members_at(LT, word_target(M.graph, w)):
-                tokens = (M.token(v)[0] for v in neighborhood(w, i, j))
-                traces.add(frozenset(t for t in tokens if t in classes))
-    gen = generate_from_base(sorted(classes, key=str), traces)
-    return WindowTopologyReport(depth=depth, points=len(classes),
+    G = M.ambient
+    search = enumerate_classes(M, sorted(G.objects, key=str), depth)
+    found, moves, sections = search.found, search.moves, LT.sections
+
+    def step(a, node, sign=1):  # node stepped by i~(a), or by its inverse
+        image, advance = moves[a]
+        return advance(image if sign > 0 else inv_letters(image), node)
+
+    left, traces = {}, set()  # left: class key -> {s: key of i~(s)^-1 . w}
+    for key, (up, a, _) in found.items():
+        x, y, node = key
+        left[key] = ({s: (G.target[s], x, step(s, node, -1))
+                      for i in _members_at(LT, x) for s in sections[(x, i)].values()}
+                     if up is None else  # the empty word at x
+                     {s: (u, y, step(a, n)) for s, (u, _, n) in left[up].items()})
+        for i, j in itertools.product(_members_at(LT, x), _members_at(LT, y)):
+            starts = [left[key][s] for s in sections[(x, i)].values()]
+            keys = ((u, v, step(s, n)) for v, s in sections[(y, j)].items() for u, _, n in starts)
+            traces.add(frozenset(k for k in keys if k in found))
+    gen = generate_from_base(found, traces)
+    return WindowTopologyReport(depth=depth, points=len(found),
                                 base_compatible=gen.base_compatible,
                                 tokens_exact=search.exact,
                                 opens=gen.topology.open_count,
                                 w_tilde_open=True if M.closed and search.exact else None,
                                 topology=gen.topology,
-                                values={t: val for t, (_, val) in classes.items()},
+                                values={k: val for k, (_, _, val) in found.items()},
                                 capped_at=search.capped_at)

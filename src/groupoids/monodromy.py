@@ -351,6 +351,7 @@ MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
 @dataclass(frozen=True)
 class ClassSearch:
     found: dict       # (base, target, node) -> (parent's key, carrier letter, ambient value)
+    moves: dict       # carrier element -> (normal image, how a node takes it)
     trie: TokenTrie   # spells the nodes of bases outside `rows`
     rows: frozenset   # bases whose node is a coset-table row
     exact: bool       # every token computed was decided
@@ -376,34 +377,34 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
 
     A class is keyed by (base, target, node), its token interned: on a
     "finite" engine the node is the token, a coset-table row, and on the
-    others a `TokenTrie` node standing for the token, a reduced word.
-    Each carrier element's normal image is computed once, and a candidate
-    steps on from its parent's node by that image, so no token is rebuilt
-    from a word.  Tokens are homomorphic images of words, which is why
-    that step is sound: a free or undecided token is the reduced image
-    under the recorded eliminations, a substitution followed by free
-    reduction is a homomorphism of free groups, and the trie reduces as
-    it walks; a finite table's inverse columns undo its columns (a
-    completed enumeration traces g g^-1 from every row, and a table read
-    off the carrier is certified to), so following a word from a row
-    gives the row its free reduction gives.  Each class keeps its parent
-    class, the carrier letter that reached it and its product in the
-    ambient groupoid; `ClassSearch.classes` spells the words and tokens
-    only when read.  The search stops, capped, when a new class turns up
-    once MAX_CLASSES are known.
+    others a `TokenTrie` node standing for the token, a reduced word.  Each
+    carrier element's normal image is computed once, and kept in `moves`
+    with the function that steps a node by it (an identity's image is
+    empty); a candidate steps on from its parent's node by its letter's
+    image, so no token is rebuilt from a word.  Tokens are homomorphic
+    images of words, which is why that step is sound, here and in the
+    transported window: a free or undecided token is the reduced image under
+    the recorded eliminations, a substitution followed by free reduction is
+    a homomorphism of free groups, and the trie reduces as it walks; a
+    finite table's inverse columns undo its columns (a completed enumeration
+    traces g g^-1 from every row, and a table read off the carrier is
+    certified to), so following a word from a row gives the row its free
+    reduction gives.  Each class keeps its parent class, the carrier letter
+    that reached it and its product in the ambient groupoid;
+    `ClassSearch.classes` spells the words and tokens only when read.  The
+    search stops, capped, when a new class turns up once MAX_CLASSES are
+    known.
     """
     G = M.ambient
     comps = {M.component_of(x) for x in roots}
     trie = TokenTrie()
-    steps = {}  # object -> (a, its target, normal image of i~(a), how a node takes it)
-    for a in sorted(M.subset.carrier):
-        x = G.source[a]
-        comp = M.component_of(x)
-        if not G.is_identity(a) and comp in comps:
-            engine = M.engines[comp]
-            image = engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
-            advance = engine.table.follow if engine.kind == "finite" else trie.walk
-            steps.setdefault(x, []).append((a, G.target[a], image, advance))
+    moves, steps = {}, {}  # steps: object -> (a, its target, a's move)
+    for a in sorted(a for a in M.subset.carrier if M.component_of(G.source[a]) in comps):
+        engine, identity = M.engines[M.component_of(G.source[a])], G.is_identity(a)
+        image = () if identity else engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
+        moves[a] = image, engine.table.follow if engine.kind == "finite" else trie.walk
+        if not identity:
+            steps.setdefault(G.source[a], []).append((a, G.target[a], *moves[a]))
     kinds = {x: M.engines[M.component_of(x)].kind for x in roots}
     rows = frozenset(x for x, kind in kinds.items() if kind == "finite")
     exact = "undecided" not in kinds.values()
@@ -422,13 +423,13 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
                 if k2 in found:
                     continue
                 if len(found) >= MAX_CLASSES:
-                    return ClassSearch(found, trie, rows, exact, False, levels)
+                    return ClassSearch(found, moves, trie, rows, exact, False, levels)
                 val2 = compose[(val, a)]
                 found[k2] = (key, a, val2)
                 fresh.append((k2, val2))
         frontier = fresh
         levels += 1
-    return ClassSearch(found, trie, rows, exact, not frontier, None)
+    return ClassSearch(found, moves, trie, rows, exact, not frontier, None)
 
 
 @dataclass(frozen=True)

@@ -75,16 +75,6 @@ def word_target(graph: GeneratingGraph, w: Word):
     return graph.letter_ends(w.letters[-1])[1] if w.letters else w.base
 
 
-def invert_word(graph: GeneratingGraph, w: Word) -> Word:
-    return Word(inv_letters(w.letters), word_target(graph, w))
-
-
-def concat(graph: GeneratingGraph, a: Word, b: Word) -> Word:
-    if word_target(graph, a) != b.base:
-        raise ValueError("words do not chain")
-    return Word(free_reduce(a.letters + b.letters), a.base)
-
-
 @dataclass(frozen=True)
 class ForestComponent:
     base: str

@@ -551,16 +551,14 @@ def transported_checks(LT, M):
 def _transported_neighborhood(LT, M):
     """(w, i, j) -> the words i~(s_{x,i}(u))^-1 . w . i~(s_{y,j}(v)) over
     u in U_i and v in U_j, x and y the ends of w, as `clt_on_monodromy`
-    builds them."""
-    from groupoids.words import concat, invert_word
-
+    once built them."""
     cov = dict(LT.cover)
     trans = {key: {u: M.i_tilde(tab[u]) for u in tab}
              for key, tab in LT.sections.items()}
 
     def neighborhood(w, i, j):
         si, sj = trans[(w.base, i)], trans[(word_target(M.graph, w), j)]
-        return [concat(M.graph, concat(M.graph, invert_word(M.graph, si[u]), w), sj[v])
+        return [Word(free_reduce(inv_letters(si[u].letters) + w.letters + sj[v].letters), u)
                 for u in cov[i] for v in cov[j]]
     return neighborhood
 
@@ -650,16 +648,16 @@ def transported_openness_oracle(LT, M):
     return w_wit, tuple(w_und), tuple(w_fail)
 
 
-def window_openness_oracle(LT, M, depth):
-    """The openness test `clt_on_monodromy` made in its window: the
-    topology the transported traces generate on the word classes of
-    length <= depth, and whether the classes of i~(W) are open in it;
-    None when W is not composition-closed."""
+def window_oracle(LT, M, depth):
+    """The window `clt_on_monodromy` once built from words: every
+    transported neighborhood element a word, each tokenized whole, on
+    the spelled class tokens of `ClassSearch.classes`.  A dict of the
+    report's fields (points, opens, base_compatible, topology, values)
+    and w_tilde_open, the openness test of the classes of i~(W), None
+    when W is not composition-closed."""
     from groupoids.monodromy import enumerate_classes
     from groupoids.topology import generate_from_base
 
-    if not M.closed:
-        return None
     neighborhood = _transported_neighborhood(LT, M)
     classes = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth).classes
     traces = set()
@@ -670,7 +668,17 @@ def window_openness_oracle(LT, M, depth):
                 traces.add(frozenset(t for t in tokens if t in classes))
     gen = generate_from_base(sorted(classes, key=str), traces)
     image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
-    return gen.topology.is_open(image.intersection(classes))
+    w_open = gen.topology.is_open(image.intersection(classes)) if M.closed else None
+    return {"points": len(classes), "opens": gen.topology.open_count,
+            "base_compatible": gen.base_compatible, "topology": gen.topology,
+            "values": {t: val for t, (_, val) in classes.items()}, "w_tilde_open": w_open}
+
+
+def spelled_keys(search):
+    """class key -> its token as `ClassSearch.classes` spells it."""
+    spelled = search.trie.spelled()
+    return {k: (k[0], k[1], k[2] if k[0] in search.rows else spelled[k[2]])
+            for k in search.found}
 
 
 def difference_equivalence(problems):

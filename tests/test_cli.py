@@ -408,6 +408,34 @@ def test_boolean_section_index_is_an_input_error(tmp_path, capsys):
     assert err == "error: document.sections[1]: expected [x, index, [[u, morphism]]]\n"
 
 
+def test_repeated_compose_pair_is_an_input_error(tmp_path, capsys):
+    """Z/2 stating 1 . 1 twice, wrongly first: the later triple no longer
+    overwrites the earlier one, so the document does not parse."""
+    from groupoids.interchange import serialize_groupoid
+    from helpers import cyclic, group_groupoid
+
+    doc = serialize_groupoid(group_groupoid(cyclic(2)))
+    at = doc["compose"].index(["1", "1", "0"])
+    doc["compose"].insert(at, ["1", "1", "1"])
+    code, out, err = run(["validate", _write(tmp_path, "z2.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: groupoid.compose[{at + 1}]: duplicate pair ('1', '1')\n"
+
+
+@pytest.mark.parametrize("row, at, bad, message", [
+    (["0", "NOPE"], 0, 1, "duplicate point '0'"),  # once overwritten by the real row
+    (["7", "(0,1)"], 2, 2, "unknown point '7'"),   # once refuted as section-domain
+])
+def test_section_row_faults_are_input_errors(tmp_path, capsys, row, at, bad, message):
+    """Rows the parser let through: a point repeated, the later row winning
+    (exit 0), and a point the base space does not declare (exit 1)."""
+    doc = json.loads((CORPUS / "clt-sierpinski.json").read_text())
+    doc["sections"][1][2].insert(at, row)
+    code, out, err = run(["clt-generate", _write(tmp_path, "rows.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: document.sections[1][{bad}]: {message}\n"
+
+
 def test_pi1_names_colliding_midpoints(tmp_path, capsys):
     doc = {"vertices": ["a", "b,c", "a,b", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
     code, out, err = run(["pi1", _write(tmp_path, "commas.json", doc)], capsys)

@@ -103,6 +103,37 @@ def test_duplicate_morphism_id_rejected():
         parse_groupoid(doc)
 
 
+def test_repeated_compose_pair_rejected():
+    """A compose list states one product per pair: a later triple may not
+    replace an earlier one, whatever its product."""
+    doc = serialize_groupoid(group_groupoid(cyclic(2)))
+    at = doc["compose"].index(["1", "1", "0"])
+    doc["compose"].insert(at, ["1", "1", "1"])
+    with pytest.raises(DocumentError,
+                       match=rf"^groupoid.compose\[{at + 1}\]: duplicate pair \('1', '1'\)$"):
+        parse_groupoid(doc)
+    doc["compose"][at] = ["1", "1", "0"]  # the same product twice is a repeat too
+    with pytest.raises(DocumentError, match="duplicate pair"):
+        parse_groupoid(doc)
+
+
+@pytest.mark.parametrize("row, at, message", [
+    (["0", "NOPE"], 1, "duplicate point '0'"),  # the real row would replace it
+    (["2", "(0,1)"], 0, "unknown point '2'"),
+])
+def test_section_rows_name_declared_points_once(row, at, message):
+    """A section row must name a point of the base space, and no point
+    twice in one section."""
+    base = topology(["0", "1"], [F(), F({"0"}), F({"0", "1"})])
+    cover = [(0, F({"0", "1"}))]
+    LT = local_trivialization(base, cover,
+                              sections_from_arrows(cover, lambda x, u: f"({x},{u})"))
+    doc = serialize_local_trivialization(LT)
+    doc["sections"][0][2].insert(0, row)
+    with pytest.raises(DocumentError, match=rf"^lt.sections\[0\]\[{at}\]: {message}$"):
+        parse_local_trivialization(doc)
+
+
 # ---------------------------------------------------------------------- DOT
 
 def test_triangle_presentation_dot_shape():

@@ -20,6 +20,7 @@ from groupoids.loctriv import (
     validate_clt,
 )
 from groupoids.monodromy import (
+    MonodromyGroupoid,
     build_monodromy,
     enumerate_classes,
     pregroupoid,
@@ -43,10 +44,11 @@ from helpers import (
     group_groupoid,
     product_groupoid,
     shrink_oracle,
+    spelled_keys,
     transported_checks,
     transported_openness_oracle,
     w_open_witnesses,
-    window_openness_oracle,
+    window_oracle,
 )
 
 F = frozenset
@@ -458,32 +460,34 @@ def test_discrete_window_over_the_listing_cap_is_counted():
     assert rep.window.points == 17 and rep.window.opens == 2 ** 17
 
 
-def test_window_traces_look_classes_up_instead_of_walking_them(monkeypatch):
-    """A trace keeps the tokens of a transported neighborhood that are in
-    the class table, so the walks over the whole window stay as many at
-    depth 8 (17 classes) as at depth 4 (9 classes)."""
-    import groupoids.loctriv as loctriv
+def test_window_steps_class_keys_instead_of_reducing_words(monkeypatch):
+    """Each transported neighborhood element is stepped from its class's
+    key by the images the class search computed once per carrier element,
+    so on an M whose engines are built the window makes as many free
+    reductions at depth 8 (17 classes) as at depth 4 (9 classes), and asks
+    M for no word's token."""
+    import groupoids.words as words
 
-    class Walked(dict):
-        def __iter__(self):
-            walks.append(len(self))
-            return super().__iter__()
-
-    def counted(M, roots, depth):
-        search = enumerate_classes(M, roots, depth)
-        vars(search)["classes"] = Walked(search.classes)  # the cached view
-        return search
-
-    monkeypatch.setattr(loctriv, "enumerate_classes", counted)
     G = group_groupoid(cyclic(5))
-    W = pregroupoid(G, {"0", "1", "4"})
-    M = build_monodromy(G, W)
+    M = build_monodromy(G, pregroupoid(G, {"0", "1", "4"}))
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
+    assert M.engines[0].kind == "free"
+    reduce = words.free_reduce
+
+    def counted(letters):
+        calls.append(letters)
+        return reduce(letters)
+
+    def token(self, w):
+        raise AssertionError(f"token asked of {w!r}")
+
+    monkeypatch.setattr(words, "free_reduce", counted)
+    monkeypatch.setattr(MonodromyGroupoid, "token", token)
     counts, sizes = {}, {}
     for depth in (4, 8):
-        walks = []
+        calls = []
         rep = clt_on_monodromy(LT, M, depth=depth)
-        counts[depth], sizes[depth] = len(walks), rep.window.points
+        counts[depth], sizes[depth] = len(calls), rep.window.points
     assert sizes == {4: 9, 8: 17}
     assert counts[8] == counts[4]
 
@@ -503,7 +507,7 @@ def test_triangle_adjacency_image_is_open_upstairs():
     assert set(witnesses) == set(G.morphisms)
     assert rep.comp_triples == 2  # the two-point member overlaps the singletons
     assert rep.window.points == 9 and rep.window.w_tilde_open is True
-    assert window_openness_oracle(LT, M, 6) is True
+    assert window_oracle(LT, M, 6)["w_tilde_open"] is True
 
 
 def test_starved_budget_reports_undecided_not_false():
@@ -523,7 +527,8 @@ def test_starved_budget_reports_undecided_not_false():
     resolved = clt_on_monodromy(LT, M, depth=2)
     assert transported_openness_oracle(LT, M)[1:] == ((), ())
     assert resolved.window.points == 8
-    assert resolved.window.w_tilde_open is True and window_openness_oracle(LT, M, 2) is True
+    assert resolved.window.w_tilde_open is True
+    assert window_oracle(LT, M, 2)["w_tilde_open"] is True
 
 
 def test_transport_preconditions():
@@ -557,7 +562,7 @@ def test_transport_agrees_with_the_finite_checks(data):
     rep = clt_on_monodromy(LT, M, depth=3)
     witnesses, undecided, failures = transported_openness_oracle(LT, M)
     assert failures == () and undecided == () and M.closed
-    assert rep.window.w_tilde_open is True and window_openness_oracle(LT, M, 3) is True
+    assert rep.window.w_tilde_open is True and window_oracle(LT, M, 3)["w_tilde_open"] is True
     triples = [(x, i, j) for x in points
                for i, j in itertools.combinations(
                    sorted(k for k, u in cover if x in u), 2)]
@@ -573,14 +578,11 @@ def test_transport_agrees_with_the_finite_checks(data):
         assert star.reached == based
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_transport_inherits_the_section_laws_and_comp(data):
-    """On valid structures drawn like `_structures`, over the full carrier,
-    the closure of the section values and that closure with one more
-    element and its inverse, at starved and default budgets: the
-    word-level oracle finds no section problem and no refuted or undecided
-    Comp triple, and it counts the triples the report counts."""
+def _transports(data):
+    """(LT, M) for a valid structure drawn like `_structures`, over the full
+    carrier, the closure of the section values and that closure with one
+    more element and its inverse, each at starved and default budgets:
+    finite, free and undecided engines."""
     G, LT = _structures(data)
     assume(not validate_clt(G, LT))
     values = {m for tab in LT.sections.values() for m in tab.values()}
@@ -595,11 +597,80 @@ def test_transport_inherits_the_section_laws_and_comp(data):
         for budget in (2, 3, DEFAULT_BUDGET):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a small carrier need not generate G
-                M = build_monodromy(G, W, budget=budget)
-            rep = clt_on_monodromy(LT, M, depth=1)
-            problems, satisfied, undecided, failed = transported_checks(LT, M)
-            assert problems == () and undecided == () and failed == ()
-            assert len(satisfied) == rep.comp_triples
+                yield LT, build_monodromy(G, W, budget=budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_transport_inherits_the_section_laws_and_comp(data):
+    """On the drawn transports (`_transports`) the word-level oracle finds
+    no section problem and no refuted or undecided Comp triple, and it
+    counts the triples the report counts."""
+    for LT, M in _transports(data):
+        rep = clt_on_monodromy(LT, M, depth=1)
+        problems, satisfied, undecided, failed = transported_checks(LT, M)
+        assert problems == () and undecided == () and failed == ()
+        assert len(satisfied) == rep.comp_triples
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_window_on_class_keys_is_the_word_paths(data):
+    """On the drawn transports (`_transports`) the window stepped on class
+    keys is the one that tokenizing every neighborhood word gives
+    (`window_oracle`): the same classes and ambient values, open count,
+    base compatibility and topology once each key is spelled as
+    `ClassSearch.classes` spells it, and the same openness of i~(W) when
+    the tokens are exact."""
+    depth = 3
+    for LT, M in _transports(data):
+        win = clt_on_monodromy(LT, M, depth=depth).window
+        search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
+        assert list(win.values) == list(search.found)  # the keys, in order
+        spell = spelled_keys(search)
+        oracle = window_oracle(LT, M, depth)
+        assert (win.points, win.opens, win.base_compatible) == (
+            oracle["points"], oracle["opens"], oracle["base_compatible"])
+        assert {spell[k]: val for k, val in win.values.items()} == oracle["values"]
+        assert ({spell[p]: F(map(spell.get, u)) for p, u in win.topology.neighborhoods.items()}
+                == oracle["topology"].neighborhoods)
+        if win.tokens_exact:
+            assert win.w_tilde_open == oracle["w_tilde_open"]
+
+
+def test_deep_cycle_window_counts_classes_by_winding():
+    """The pair groupoid on a 4-cycle with the cycle's arrows as the carrier
+    presents Z at each point, so the depth-d window holds one class per
+    base point and winding t with |t| <= d: 4 (2d + 1), 1,604 at d = 200.
+    The traces are the winding model's: i~(s)^-1 . w . i~(s') winds t less
+    the displacement of s plus that of s'."""
+    pts, depth = ["c0", "c1", "c2", "c3"], 200
+    G = pair_groupoid(pts)
+    carrier = {G.identity[x] for x in pts} | {
+        pair_arrow(a, b) for j in range(4) for a, b in itertools.permutations(
+            (pts[j], pts[(j + 1) % 4]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the cycle's arrows do not generate G
+        M = build_monodromy(G, pregroupoid(G, carrier))
+    cover = [(0, F(pts[:2])), (1, F(pts[2:]))]
+    LT = canonical_lt(topology(pts, [F(), *(u for _, u in cover), F(pts)]), cover)
+    win = clt_on_monodromy(LT, M, depth=depth).window
+    assert win.points == 4 * (2 * depth + 1) == 1604 and win.tokens_exact
+
+    def shift(x, u):  # the displacement of the section arrow x -> u
+        return {0: 0, 1: 1, 3: -1}[(pts.index(u) - pts.index(x)) % 4]
+
+    classes = [(x, t) for x in pts for t in range(-depth, depth + 1)]
+    traces = []
+    for x, t in classes:
+        y = pts[(pts.index(x) + t) % 4]
+        for (_, ui), (_, uj) in itertools.product(cover, cover):
+            if x in ui and y in uj:
+                trace = {(u, t - shift(x, u) + shift(y, v)) for u in ui for v in uj}
+                traces.append(F(c for c in trace if abs(c[1]) <= depth))
+    model = generate_from_base(classes, traces)
+    assert (win.opens, win.base_compatible) == (model.topology.open_count,
+                                                model.base_compatible)
 
 
 @settings(max_examples=40, deadline=None)
@@ -632,6 +703,6 @@ def test_transported_openness_needs_no_search(data):
                            for i, u in LT.cover if G.source[a] in u
                            for j, v in LT.cover if G.target[a] in v)
             if rep.window.tokens_exact:
-                assert rep.window.w_tilde_open == window_openness_oracle(LT, M, 2)
+                assert rep.window.w_tilde_open == window_oracle(LT, M, 2)["w_tilde_open"]
             else:
                 assert rep.window.w_tilde_open is None
