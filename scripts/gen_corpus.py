@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from groupoids import pair_groupoid  # noqa: E402
+from groupoids.core import pair_groupoid  # noqa: E402
 from groupoids.interchange import (  # noqa: E402
     serialize_groupoid,
     serialize_local_trivialization,

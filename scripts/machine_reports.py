@@ -6,6 +6,12 @@ Runs `groupoids.cli.main` in this process on
   - every corpus document under each of the eight commands, with the
     document's own flags, in both the human and the machine format, and
     `--dot` for the commands that export DOT;
+  - three carriers that are not composition-closed, so their vertex groups
+    go through simplification and coset enumeration (no corpus document
+    reaches that path): the full carriers of Z/10 and Z/12 without
+    {2, n - 2}, under `monodromy` and `star-cover --depth 4`, and S3 over
+    its transpositions and the identity, under `monodromy --budget 200`,
+    where it stays undecided;
   - every perfbench document of the four workloads at each `--seed`, under
     its own command and flags.
 
@@ -30,7 +36,6 @@ import io
 import json
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,9 +51,7 @@ FORMATS = ("human", "machine")
 def run(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("always")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -95,6 +98,29 @@ def corpus_records():
                     yield row
 
 
+def enumeration_records():
+    """The carriers that are not composition-closed, each under its runs."""
+    from perfbench.tables import cyclic, group_groupoid, groupoid_doc, sym3
+
+    docs = [(f"punctured-Z{n}",
+             {"groupoid": groupoid_doc(group_groupoid(cyclic(n))), "object": "*",
+              "carrier": [str(i) for i in range(n) if i not in (2, n - 2)]},
+             [("monodromy",), ("star-cover", "--depth", "4")]) for n in (10, 12)]
+    docs.append(("S3-transpositions",
+                 {"groupoid": groupoid_doc(group_groupoid(sym3())),
+                  "carrier": ["012", "021", "102", "210"]},
+                 [("monodromy", "--budget", "200")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        hidden = [(tmp, "<docs>"), (str(ROOT), "<root>")]
+        for name, body, runs in docs:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            for command, *flags in runs:
+                yield record(f"enumeration/{name}",
+                             [command, str(path), *flags, "--format", "machine"],
+                             "machine", hidden)
+
+
 def perfbench_records(seed):
     from perfbench import workloads
 
@@ -114,7 +140,7 @@ def main(argv=None):
                    help="also run the perfbench documents of this seed (repeatable)")
     p.add_argument("--out", help="write here instead of standard output")
     args = p.parse_args(argv)
-    lines = [canonical(r) for r in corpus_records()]
+    lines = [canonical(r) for r in (*corpus_records(), *enumeration_records())]
     for seed in args.seed:
         lines += [canonical(r) for r in perfbench_records(seed)]
     text = "\n".join(lines) + "\n"

@@ -1,125 +1,7 @@
-"""Finite groupoids, presentations of their covers, and finite topologies."""
+"""Finite groupoids, presentations of their covers, and finite topologies.
 
-from .core import (
-    FiniteGroupoid,
-    GroupoidMorphism,
-    check_normal_subgroupoid,
-    check_wide_subgroupoid,
-    components,
-    generated_by,
-    normal_closure,
-    pair_groupoid,
-    quotient,
-    validate_groupoid,
-    validate_morphism,
-)
-from .monodromy import (
-    MonodromyGroupoid,
-    PregroupoidSubset,
-    StarCoverReport,
-    WordEvaluator,
-    build_monodromy,
-    canonical_morphism,
-    globalize,
-    pi1_graph,
-    pregroupoid,
-    star_covering_report,
-)
-from .topology import (
-    FiniteTopology,
-    GeneratedTopology,
-    MAX_OPENS,
-    TopologySizeError,
-    check_topological_groupoid,
-    composable_pairs,
-    continuity,
-    difference_pairs,
-    discrete,
-    generate_from_base,
-    indiscrete,
-    is_topology,
-)
-from .loctriv import (
-    LocalTrivialization,
-    MonodromyCltReport,
-    WindowTopologyReport,
-    basic_neighborhood,
-    check_w_open,
-    clt_on_monodromy,
-    generate_groupoid_topology,
-    local_trivialization,
-    sections_from_arrows,
-    validate_clt,
-)
-from .words import (
-    DEFAULT_BUDGET,
-    Exhausted,
-    Forest,
-    GeneratingGraph,
-    Presentation,
-    VertexGroupEngine,
-    Word,
-    build_engine,
-    coset_enumeration,
-    collapse_presentation,
-    simplify_presentation,
-    spanning_forest,
-)
-
-__all__ = [
-    "DEFAULT_BUDGET",
-    "Exhausted",
-    "FiniteGroupoid",
-    "FiniteTopology",
-    "Forest",
-    "GeneratedTopology",
-    "GeneratingGraph",
-    "GroupoidMorphism",
-    "LocalTrivialization",
-    "MAX_OPENS",
-    "MonodromyCltReport",
-    "MonodromyGroupoid",
-    "PregroupoidSubset",
-    "Presentation",
-    "StarCoverReport",
-    "TopologySizeError",
-    "VertexGroupEngine",
-    "WindowTopologyReport",
-    "Word",
-    "WordEvaluator",
-    "basic_neighborhood",
-    "build_engine",
-    "build_monodromy",
-    "canonical_morphism",
-    "check_normal_subgroupoid",
-    "check_topological_groupoid",
-    "check_w_open",
-    "check_wide_subgroupoid",
-    "clt_on_monodromy",
-    "collapse_presentation",
-    "components",
-    "composable_pairs",
-    "continuity",
-    "coset_enumeration",
-    "difference_pairs",
-    "discrete",
-    "generate_from_base",
-    "generate_groupoid_topology",
-    "generated_by",
-    "globalize",
-    "indiscrete",
-    "is_topology",
-    "local_trivialization",
-    "normal_closure",
-    "pair_groupoid",
-    "pi1_graph",
-    "pregroupoid",
-    "quotient",
-    "sections_from_arrows",
-    "simplify_presentation",
-    "spanning_forest",
-    "star_covering_report",
-    "validate_clt",
-    "validate_groupoid",
-    "validate_morphism",
-]
+The package root exports nothing: import each name from the module that
+defines it (`groupoids.core`, `groupoids.words`, `groupoids.monodromy`,
+`groupoids.topology`, `groupoids.loctriv`, `groupoids.interchange`,
+`groupoids.dot`), or run the checks through `groupoids.cli`.
+"""

@@ -8,7 +8,8 @@ Eight subcommands over the JSON interchange documents:
   star-cover      depth-windowed covering report over one object's star
   globalize       extend a generator map through the presented cover
   topology-check  is_topology, or continuity of the six structure maps
-  clt-generate    validate a local trivialization and generate its topology
+  clt-generate    validate a local trivialization and generate its topology,
+                  with a carrier also the transported window
   w-open          openness of a generating subgroupoid in that topology
 
 Exit status: 0 every check passed; 1 a check was refuted (report carries the
@@ -32,7 +33,6 @@ import os
 import sys
 import tempfile
 import time
-import warnings
 
 from .core import validate_groupoid, validate_structure
 from .dot import export_dot
@@ -117,12 +117,12 @@ def _lawful_groupoid(doc, field):
 
 
 def _monodromy_of(G, doc, budget):
-    """(M, notes): the presentation over the document's carrier, and the
-    warnings raised while building it."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        M = build_monodromy(G, pregroupoid(G, parse_carrier(doc, G)), budget=budget)
-    return M, [str(w.message) for w in caught]
+    """(M, notes): the presentation over the document's carrier, and a note
+    when the carrier does not generate G."""
+    M = build_monodromy(G, pregroupoid(G, parse_carrier(doc, G)), budget=budget)
+    return M, [] if M.generates_ambient else [
+        "generating subset does not reach every morphism; "
+        "the evaluation map cannot be star-surjective"]
 
 
 def _cmd_monodromy(doc, args):
@@ -146,9 +146,7 @@ def _cmd_monodromy(doc, args):
 
 def _cmd_pi1(doc, args):
     vertices, edges = parse_graph(doc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # disconnected graphs are fine here
-        M = pi1_graph(vertices, edges, budget=args.budget)
+    M = pi1_graph(vertices, edges, budget=args.budget)
     ranks = [e.rank for e in M.engines]  # None for a component not certified free
     verdicts = {"rank": None if None in ranks else sum(ranks),
                 "components": len(ranks)}
@@ -249,30 +247,6 @@ def _cmd_clt_generate(doc, args):
                  for i, (kind, payload) in enumerate(problems)}
     if problems:
         return REFUTED, verdicts, witnesses, [], []
-    if "carrier" in doc:
-        M, notes = _monodromy_of(G, doc, args.budget)
-        mrep = clt_on_monodromy(LT, M, depth=args.window, clt=problems)
-        verdicts.update({  # the transported laws and Comp are inherited
-            "transported-sections-valid": True,
-            "comp-satisfied": mrep.comp_triples,
-            "comp-failed": 0,
-            "subset-composition-closed": M.closed,
-            "window-depth": mrep.window.depth,
-            "window-classes": mrep.window.points,
-            "window-opens": mrep.window.opens,
-            "window-tokens-exact": mrep.window.tokens_exact,
-        })
-        if M.closed:
-            verdicts["w-tilde-open-in-window"] = mrep.window.w_tilde_open
-        undecided = []
-        if not mrep.window.tokens_exact:
-            undecided.append(f"window classes inexact at budget {M.budget}")
-        if mrep.window.capped_at is not None:
-            undecided.append(_cap_marker(mrep.window.points, mrep.window.capped_at,
-                                         mrep.window.depth))
-        if mrep.window.opens is None:
-            undecided.append(_count_marker("window-opens"))
-        return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
     gen, maps = generate_groupoid_topology(G, LT, clt=problems)
     verdicts.update({
         "opens": gen.topology.open_count,
@@ -281,11 +255,36 @@ def _cmd_clt_generate(doc, args):
         "all-maps-continuous": not maps,
     })
     _record_certificates(maps, verdicts, witnesses)
-    if maps or not gen.base_compatible:
-        return REFUTED, verdicts, witnesses, [], []
+    undecided, notes = [], []
     if gen.topology.open_count is None:
-        return UNDECIDED, verdicts, witnesses, [_count_marker("opens")], []
-    return PASS, verdicts, witnesses, [], []
+        undecided.append(_count_marker("opens"))
+    if "carrier" in doc:  # the same structure, transported into M(G, W)
+        M, notes = _monodromy_of(G, doc, args.budget)
+        mrep = clt_on_monodromy(LT, M, depth=args.window, clt=problems)
+        window = mrep.window
+        verdicts.update({  # the transported laws and Comp are inherited
+            "transported-sections-valid": True,
+            "comp-satisfied": mrep.comp_triples,
+            "comp-failed": 0,
+            "subset-composition-closed": M.closed,
+            "window-depth": window.depth,
+            "window-classes": window.points,
+            "window-opens": window.opens,
+            "window-tokens-exact": window.tokens_exact,
+            # inexact tokens can split a class, so this is never a refutation
+            "window-base-compatible": window.base_compatible,
+        })
+        if M.closed:
+            verdicts["w-tilde-open-in-window"] = window.w_tilde_open
+        if not window.tokens_exact:
+            undecided.append(f"window classes inexact at budget {M.budget}")
+        if window.capped_at is not None:
+            undecided.append(_cap_marker(window.points, window.capped_at, window.depth))
+        if window.opens is None:
+            undecided.append(_count_marker("window-opens"))
+    if maps or not gen.base_compatible:
+        return REFUTED, verdicts, witnesses, [], notes
+    return (UNDECIDED if undecided else PASS), verdicts, witnesses, undecided, notes
 
 
 def _cmd_w_open(doc, args):

@@ -30,9 +30,17 @@ class DocumentError(Exception):
 
 
 def load_document(path) -> dict:
+    def unique(pairs):  # JSON would keep the last of a repeated key, unnoticed
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise DocumentError(f"{path}: repeated key {key!r}")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:

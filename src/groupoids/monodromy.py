@@ -38,7 +38,6 @@ and tokens are spelled from these back-pointers when they are read.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -180,14 +179,9 @@ def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
 
     # a closed carrier holds every inverse and product of its members: its own closure
     generates = carrier == G.morphisms if closed else generated_by(G, carrier)
-    if not generates:
-        warnings.warn("generating subset does not reach every morphism; "
-                      "the evaluation map cannot be star-surjective",
-                      stacklevel=2)
-    M = MonodromyGroupoid(ambient=G, subset=W, graph=graph, relator_family=tuple(family),
-                          forest=forest, generates_ambient=generates, closed=closed,
-                          budget=budget)
-    return M
+    return MonodromyGroupoid(ambient=G, subset=W, graph=graph, relator_family=tuple(family),
+                             forest=forest, generates_ambient=generates, closed=closed,
+                             budget=budget)
 
 
 def _table_engine(M: MonodromyGroupoid, i, triples):

@@ -291,11 +291,6 @@ def generate_from_base(points, base) -> GeneratedTopology:
                              base_compatible=all(u in base for u in meets.values()))
 
 
-def composable_pairs(G) -> tuple:
-    return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
-                        if G.target[a] == G.source[b]))
-
-
 def difference_pairs(G) -> tuple:
     """Pairs with a common source: the domain of (a, b) -> a^-1 b."""
     return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
@@ -360,6 +355,8 @@ def check_topological_groupoid(G, T_G: FiniteTopology, T_X: FiniteTopology) -> t
     map (a, b) -> a^-1 b independently on the source-source pullback, so
     both sides of "composition and inversion continuous iff the difference
     map is" are decided apart; the CLI reports whether this instance agrees.
+    The composable pairs are the keys of `G.compose`, which they are
+    exactly once `validate_structure` passes on G.
     """
     if set(T_G.points) != set(G.morphisms):
         raise ValueError("morphism topology points differ from the morphisms")
@@ -371,7 +368,7 @@ def check_topological_groupoid(G, T_G: FiniteTopology, T_X: FiniteTopology) -> t
         continuity(T_G, T_X, lambda m: G.target[m]),
         continuity(T_X, T_G, lambda x: G.identity[x]),
         continuity(T_G, T_G, lambda m: G.inverse[m]),
-        pullback_continuity(composable_pairs(G), T_G, T_G,
+        pullback_continuity(G.compose.keys(), T_G, T_G,
                             lambda a, b: G.compose[(a, b)]),
         pullback_continuity(difference_pairs(G), T_G, T_G,
                             lambda a, b: G.compose[(G.inverse[a], b)]),

@@ -8,13 +8,14 @@ axiom checker, the enumeration engine, and the quotient construction.
 import itertools
 from collections import namedtuple
 
-from groupoids import FiniteGroupoid, Word
+from groupoids.core import FiniteGroupoid
 from groupoids.monodromy import WordEvaluator
-from groupoids.topology import FiniteTopology, composable_pairs, difference_pairs
+from groupoids.topology import FiniteTopology, difference_pairs
 from groupoids.words import (
     CosetTable,
     Presentation,
     VertexGroupEngine,
+    Word,
     canonical_relator,
     cyclic_reduce,
     free_reduce,
@@ -757,6 +758,13 @@ def subspace_topology(T, subset):
     if not subset <= set(T.points):
         raise ValueError(f"subset not contained in the points: {sorted(subset - set(T.points))[0]!r}")
     return FiniteTopology({p: T.neighborhoods[p] & subset for p in subset})
+
+
+def composable_pairs(G) -> tuple:
+    """Every pair (a, b) with target(a) = source(b), from the endpoint
+    tables alone: the composition pullback's points."""
+    return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
+                        if G.target[a] == G.source[b]))
 
 
 def pullback_space(G, T_G, kind="composable"):

@@ -20,28 +20,29 @@ from time import perf_counter
 
 import pytest
 
-from groupoids import (
-    build_monodromy,
-    canonical_morphism,
-    check_w_open,
-    discrete,
-    generate_groupoid_topology,
-    globalize,
-    indiscrete,
-    is_topology,
-    local_trivialization,
+from groupoids.core import (
     normal_closure,
     pair_groupoid,
-    pi1_graph,
-    pregroupoid,
     quotient,
-    sections_from_arrows,
-    star_covering_report,
-    validate_clt,
     validate_groupoid,
     validate_morphism,
 )
-from groupoids.topology import STRUCTURE_MAPS, topology
+from groupoids.loctriv import (
+    check_w_open,
+    generate_groupoid_topology,
+    local_trivialization,
+    sections_from_arrows,
+    validate_clt,
+)
+from groupoids.monodromy import (
+    build_monodromy,
+    canonical_morphism,
+    globalize,
+    pi1_graph,
+    pregroupoid,
+    star_covering_report,
+)
+from groupoids.topology import STRUCTURE_MAPS, discrete, indiscrete, is_topology, topology
 from groupoids.words import Word
 
 from helpers import (

@@ -4,6 +4,8 @@ file outputs."""
 import importlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -175,6 +177,27 @@ def test_valid_structure_that_is_no_base_is_refuted(tmp_path, capsys):
     assert verdicts["base-compatible"] is False
     assert verdicts["refinement-law"] is True
     assert not any(key.startswith("refinement") for key in report["witnesses"])
+
+
+def test_transported_structure_that_is_no_base_is_refuted(tmp_path, capsys):
+    """The same structure with a carrier of every morphism is refuted by the
+    same generation, witness included; the window is reported beside it,
+    and its own base compatibility is a verdict, never the refutation."""
+    from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
+    from test_loctriv import sierpinski_non_base_instance
+
+    G, LT = sierpinski_non_base_instance()
+    doc = {"groupoid": serialize_groupoid(G), **serialize_local_trivialization(LT),
+           "carrier": sorted(G.morphisms)}
+    code, out, _ = run(["clt-generate", _write(tmp_path, "clt.json", doc),
+                        "--window", "4", "--format", "machine"], capsys)
+    report = json.loads(out)
+    verdicts = report["verdicts"]
+    assert code == 1 and verdicts["clt-valid"] is True
+    assert verdicts["identity-continuous"] is False and verdicts["base-compatible"] is False
+    assert report["witnesses"] == {"identity": "open {o1>o1:0} pulls back to {o1}"}
+    assert verdicts["window-classes"] == 8 and verdicts["window-opens"] == 256
+    assert verdicts["window-base-compatible"] is False
 
 
 def test_true_topological_groupoid_passes(tmp_path, capsys):
@@ -422,6 +445,27 @@ def test_repeated_compose_pair_is_an_input_error(tmp_path, capsys):
     assert err == f"error: groupoid.compose[{at + 1}]: duplicate pair ('1', '1')\n"
 
 
+@pytest.mark.parametrize("where", ["inverses", "top level"])
+def test_repeated_json_key_is_an_input_error(tmp_path, capsys, where):
+    """JSON keeps the last of a repeated key: Z/2 stating the inverse of 1
+    as 0 and then as 1 would pass.  A key repeated in any object, the
+    document's own included, does not parse."""
+    from groupoids.interchange import serialize_groupoid
+    from helpers import cyclic, group_groupoid
+
+    text = json.dumps(serialize_groupoid(group_groupoid(cyclic(2))))
+    if where == "inverses":
+        old, new, key = '"1": "1"}', '"1": "0", "1": "1"}', "1"
+    else:
+        old, new, key = '{"objects"', '{"objects": ["*"], "objects"', "objects"
+    assert text.count(old) == 1
+    path = tmp_path / "z2.json"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: repeated key {key!r}\n"
+
+
 @pytest.mark.parametrize("row, at, bad, message", [
     (["0", "NOPE"], 0, 1, "duplicate point '0'"),  # once overwritten by the real row
     (["7", "(0,1)"], 2, 2, "unknown point '7'"),   # once refuted as section-domain
@@ -627,3 +671,22 @@ def test_a_count_past_the_digit_limit_is_rendered_whole(monkeypatch, capsys):
     code, out, err = run(["clt-generate", path], capsys)
     assert code == 0 and err == "" and f"\nopens: {digits}\n" in out
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_package_root_loads_no_module_and_cli_loads_every_module():
+    """`import groupoids` loads none of its modules: the package root
+    exports nothing.  `import groupoids.cli` loads all of them, so every
+    name the CLI calls is bound before the first command runs."""
+    package = pathlib.Path(sys.modules[main.__module__].__file__).resolve().parent
+    probe = ("import json, sys\n"
+             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('groupoids.'))\n"
+             "import groupoids\n"
+             "root = loaded()\n"
+             "import groupoids.cli\n"
+             "print(json.dumps([root, loaded()]))\n")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=package.parent,
+                          capture_output=True, text=True, check=True)
+    root, cli = json.loads(done.stdout)
+    assert root == []
+    assert cli == sorted(f"groupoids.{p.stem}" for p in package.glob("*.py")
+                         if p.stem != "__init__")

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoids import (
-    core,
+from groupoids import core
+from groupoids.core import (
     components,
     generated_by,
     normal_closure,

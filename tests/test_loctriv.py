@@ -2,14 +2,20 @@
 topologies, openness of generating subgroupoids, and transport along the
 one-letter embedding into a presented groupoid."""
 
+import contextlib
+import io
 import itertools
-import warnings
+import json
+import os
+import tempfile
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import groupoids.cli as cli
 from groupoids.core import pair_groupoid
+from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
 from groupoids.loctriv import (
     basic_neighborhood,
     check_w_open,
@@ -595,9 +601,7 @@ def _transports(data):
     for carrier in carriers:
         W = pregroupoid(G, carrier)
         for budget in (2, 3, DEFAULT_BUDGET):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a small carrier need not generate G
-                yield LT, build_monodromy(G, W, budget=budget)
+            yield LT, build_monodromy(G, W, budget=budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,6 +615,31 @@ def test_transport_inherits_the_section_laws_and_comp(data):
         problems, satisfied, undecided, failed = transported_checks(LT, M)
         assert problems == () and undecided == () and failed == ()
         assert len(satisfied) == rep.comp_triples
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transport_refutes_exactly_when_generation_does(data):
+    """`clt-generate` on a drawn transport (`_transports`), the carrier and
+    budget given in the document and on the command line, refutes exactly
+    when it refutes the structure alone: the window never refutes, and the
+    finite generation runs either way."""
+    runs = list(_transports(data))
+    LT, G = runs[0][0], runs[0][1].ambient
+    body = {"groupoid": serialize_groupoid(G), **serialize_local_trivialization(LT)}
+    with tempfile.TemporaryDirectory() as tmp:
+        def exit_code(doc, *flags):
+            path = os.path.join(tmp, "clt.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(["clt-generate", path, "--window", "1", *flags])
+
+        refuted = exit_code(body) == 1
+        for _, M in runs:
+            code = exit_code({**body, "carrier": sorted(M.subset.carrier)},
+                             "--budget", str(M.budget))
+            assert code in (0, 1, 2) and (code == 1) == refuted
 
 
 @settings(max_examples=40, deadline=None)
@@ -649,9 +678,7 @@ def test_deep_cycle_window_counts_classes_by_winding():
     carrier = {G.identity[x] for x in pts} | {
         pair_arrow(a, b) for j in range(4) for a, b in itertools.permutations(
             (pts[j], pts[(j + 1) % 4]))}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the cycle's arrows do not generate G
-        M = build_monodromy(G, pregroupoid(G, carrier))
+    M = build_monodromy(G, pregroupoid(G, carrier))
     cover = [(0, F(pts[:2])), (1, F(pts[2:]))]
     LT = canonical_lt(topology(pts, [F(), *(u for _, u in cover), F(pts)]), cover)
     win = clt_on_monodromy(LT, M, depth=depth).window
@@ -691,9 +718,7 @@ def test_transported_openness_needs_no_search(data):
     for carrier in (G.morphisms, closure):
         W = pregroupoid(G, carrier)
         for budget in (2, 3, DEFAULT_BUDGET):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a small carrier need not generate G
-                M = build_monodromy(G, W, budget=budget)
+            M = build_monodromy(G, W, budget=budget)
             assert M.closed
             rep = clt_on_monodromy(LT, M, depth=2)
             _, undecided, failures = transported_openness_oracle(LT, M)

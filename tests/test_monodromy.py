@@ -4,33 +4,34 @@ import itertools
 import random
 import sys
 import time
-import warnings
 from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import groupoids.monodromy as monodromy
-from groupoids import (
+from groupoids.core import (
     FiniteGroupoid,
-    Word,
-    build_monodromy,
-    canonical_morphism,
     check_wide_subgroupoid,
     generated_by,
-    globalize,
     pair_groupoid,
+    validate_groupoid,
+    validate_structure,
+)
+from groupoids.monodromy import (
+    build_monodromy,
+    canonical_morphism,
+    globalize,
     pi1_graph,
     pregroupoid,
     star_covering_report,
-    validate_groupoid,
 )
-from groupoids.core import validate_structure
 from groupoids.dot import export_dot
 from groupoids.words import (
     DEFAULT_BUDGET,
     Exhausted,
     TokenTrie,
+    Word,
     build_engine,
     collapse_letters,
     coset_enumeration,
@@ -108,11 +109,10 @@ def test_full_subset_recovers_the_group():
     assert M.vertex_group_info(0) == ("finite", 6)
 
 
-def test_non_generating_subset_warns():
+def test_non_generating_subset_is_recorded():
     G = group_groupoid(cyclic(6))
     W = pregroupoid(G, {"0", "2", "4"})
-    with pytest.warns(UserWarning, match="does not reach"):
-        M = build_monodromy(G, W)
+    M = build_monodromy(G, W)
     assert not M.generates_ambient
     assert M.vertex_group_info(0) == ("finite", 3)  # the even subgroup
 
@@ -306,8 +306,8 @@ def test_star_cover_shallow_window_leaves_elements_undecided():
 def test_star_cover_refutes_unreachable_elements():
     G = group_groupoid(cyclic(6))
     W = pregroupoid(G, {"0", "2", "4"})
-    with pytest.warns(UserWarning):
-        M = build_monodromy(G, W)
+    M = build_monodromy(G, W)
+    assert not M.generates_ambient
     rep = star_covering_report(M, "*", 10)
     assert rep.unreachable == ("1", "3", "5")  # odd elements refuted outright
     assert rep.undecided_depth == ()
@@ -382,9 +382,7 @@ def test_random_carriers_keep_translates_apart(data):
     picks = data.draw(st.lists(st.sampled_from(moves), max_size=5), label="picks") if moves else []
     W = pregroupoid(G, {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)})
     budget = data.draw(st.sampled_from([2, 3, DEFAULT_BUDGET]), label="budget")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # carriers that do not generate G
-        M = build_monodromy(G, W, budget=budget)
+    M = build_monodromy(G, W, budget=budget)
     for x in sorted(G.objects):
         assert_translates_stay_apart(M, x)
 
@@ -416,8 +414,8 @@ def test_complete_graph_rank_three():
 def test_two_components_add_ranks():
     vs = ["a", "b", "c", "p", "q", "r"]
     es = [("a", "b"), ("b", "c"), ("a", "c"), ("p", "q"), ("q", "r"), ("p", "r")]
-    with pytest.warns(UserWarning):  # pairs across components are unreachable
-        r = pi1_graph(vs, es)
+    r = pi1_graph(vs, es)
+    assert not r.generates_ambient  # pairs across components are unreachable
     assert sorted(component_ranks(r)) == [1, 1]
     assert pi1_rank(r) == 2  # |E| - |V| + #components
 
@@ -588,9 +586,7 @@ def test_closed_carriers_agree_with_coset_enumeration(data):
     n_max = max(sum(1 for a in W.carrier if G.source[a] == x == G.target[a])
                 for x in G.objects)
     budget = data.draw(st.integers(1, n_max + 40) | st.just(DEFAULT_BUDGET))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # several blocks do not generate G
-        M = build_monodromy(G, W, budget=budget)
+    M = build_monodromy(G, W, budget=budget)
     for i, (comp, vgp) in enumerate(zip(M.forest.components, M.vertex_groups)):
         old, new = build_engine(vgp, budget=budget), M.engines[i]
         n = sum(1 for a in W.carrier if G.source[a] == comp.base == G.target[a])
@@ -729,14 +725,12 @@ def test_closed_carriers_at_the_order_budget_match_build_engine(data):
     enumeration agrees or runs out (HLT can waste more than one row: V4 and
     S3 at budget n + 1), and where both decide, they agree on triviality."""
     G, W = data.draw(closed_carriers())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # several blocks do not generate G
-        forest = build_monodromy(G, W).forest
-        orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
-                  for c in forest.components]
-        n = data.draw(st.sampled_from(orders))
-        budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, 2, DEFAULT_BUDGET]))
-        M = build_monodromy(G, W, budget=budget)
+    forest = build_monodromy(G, W).forest
+    orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+              for c in forest.components]
+    n = data.draw(st.sampled_from(orders))
+    budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, 2, DEFAULT_BUDGET]))
+    M = build_monodromy(G, W, budget=budget)
     old = [build_engine(vgp, budget=budget) for vgp in M.vertex_groups]
     for order, new, ref in zip(orders, M.engines, old):
         if order == 1 or order >= budget:
@@ -775,14 +769,12 @@ def test_triple_certificate_matches_the_relator_certificate(data):
     where both turn it down, on kind, order, tokens and tokens stepped on
     (`stepped`) of random words."""
     G, W = data.draw(closed_carriers())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # several blocks do not generate G
-        forest = build_monodromy(G, W).forest
-        orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
-                  for c in forest.components]
-        n = data.draw(st.sampled_from(orders))
-        budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, DEFAULT_BUDGET]))
-        M = build_monodromy(G, W, budget=budget)
+    forest = build_monodromy(G, W).forest
+    orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+              for c in forest.components]
+    n = data.draw(st.sampled_from(orders))
+    budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, DEFAULT_BUDGET]))
+    M = build_monodromy(G, W, budget=budget)
     refs = []
     for i in range(len(M.forest.components)):
         new, old = table_engines(M, i)
@@ -837,8 +829,7 @@ def test_closed_carriers_generate_exactly_when_they_are_everything(GW):
     linear checks."""
     G, W = GW
     calls = []
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # carriers that do not generate G
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monodromy, "generated_by", lambda *a: calls.append(a))
         M = build_monodromy(G, W, budget=20)
     assert M.closed and not calls
@@ -880,9 +871,7 @@ def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
 # ------------------------------------------- class search against its oracle
 
 def search_instance(G, carrier, budget, roots, depth):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # carriers that do not generate G
-        return build_monodromy(G, pregroupoid(G, carrier), budget=budget), roots, depth
+    return build_monodromy(G, pregroupoid(G, carrier), budget=budget), roots, depth
 
 
 @st.composite
@@ -998,9 +987,8 @@ def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):
     its first new class."""
     G = product_groupoid(2, cyclic(5))
     W = pregroupoid(G, {*G.identity.values(), "o0>o0:1", "o0>o0:4", "o1>o1:2", "o1>o1:3"})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # W does not reach o0 -> o1
-        M = build_monodromy(G, W)
+    M = build_monodromy(G, W)
+    assert not M.generates_ambient  # W does not reach o0 -> o1
     assert [M.vertex_group_info(i) for i in range(2)] == [("free", 1)] * 2
     monkeypatch.setattr(monodromy, "MAX_CLASSES", 7)
     capped = monodromy.enumerate_classes(M, ["o0", "o1"], 3)
@@ -1028,11 +1016,8 @@ def presented_carriers(draw):
         within = [(u, v) for u, v in itertools.combinations(vs, 2)
                   if (u in vs[:cut]) == (v in vs[:cut])]
         es = draw(st.lists(st.sampled_from(within), unique=True)) if within else []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the graph is disconnected
-            edge_ids = sorted(pi1_graph(vs, es).graph.edges)
-            return pi1_graph(vs, es, budget=20,
-                             edge_order=draw(st.permutations(edge_ids)))
+        edge_ids = sorted(pi1_graph(vs, es).graph.edges)
+        return pi1_graph(vs, es, budget=20, edge_order=draw(st.permutations(edge_ids)))
     if shape == "closed":
         G, W = draw(closed_carriers())
         W = W.carrier
@@ -1054,10 +1039,8 @@ def presented_carriers(draw):
         W = {*G.identity.values(), *(f"({u},{v})" for u, v in picks),
              *(f"({v},{u})" for u, v in picks)}
     moves = sorted(a for a in W if not G.is_identity(a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # carriers that do not generate G
-        return build_monodromy(G, pregroupoid(G, W), budget=20,
-                               edge_order=draw(st.permutations(moves)))
+    return build_monodromy(G, pregroupoid(G, W), budget=20,
+                           edge_order=draw(st.permutations(moves)))
 
 
 @given(presented_carriers())

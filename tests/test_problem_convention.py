@@ -8,30 +8,30 @@ import pathlib
 
 import pytest
 
-from groupoids import (
+from groupoids.core import (
     GroupoidMorphism,
     check_normal_subgroupoid,
-    check_topological_groupoid,
-    check_w_open,
     check_wide_subgroupoid,
-    discrete,
-    generate_groupoid_topology,
-    indiscrete,
-    is_topology,
     normal_closure,
     pair_groupoid,
-    validate_clt,
     validate_groupoid,
     validate_morphism,
+    validate_structure,
 )
-from groupoids.core import validate_structure
 from groupoids.interchange import (
     parse_carrier,
     parse_groupoid,
     parse_local_trivialization,
     parse_topology_family,
 )
-from groupoids.topology import STRUCTURE_MAPS
+from groupoids.loctriv import check_w_open, generate_groupoid_topology, validate_clt
+from groupoids.topology import (
+    STRUCTURE_MAPS,
+    check_topological_groupoid,
+    discrete,
+    indiscrete,
+    is_topology,
+)
 from helpers import cyclic, group_groupoid, sym3
 from test_loctriv import discrete_refinement_instance, sierpinski_non_base_instance
 

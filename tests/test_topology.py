@@ -6,14 +6,13 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoids import FiniteGroupoid, pair_groupoid
-from groupoids import topology as finite_topology
+import groupoids.topology as finite_topology
+from groupoids.core import FiniteGroupoid, pair_groupoid
 from groupoids.topology import (
     STRUCTURE_MAPS,
     FiniteTopology,
     TopologySizeError,
     check_topological_groupoid,
-    composable_pairs,
     difference_pairs,
     discrete,
     generate_from_base,
@@ -22,6 +21,7 @@ from groupoids.topology import (
     topology,
 )
 from helpers import (
+    composable_pairs,
     cyclic,
     difference_equivalence,
     explicit_pullback,

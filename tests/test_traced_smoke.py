@@ -34,7 +34,8 @@ RUNS = [
     ("clt-generate", "clt-sierpinski",
      {"core.compose_entries", "loctriv.neighborhoods", "topology.opens"}),
     ("clt-generate", "clt-monodromy-triangle",
-     _PRESENTED | {"words.eliminations", "topology.opens", "loctriv.window_classes"}),
+     _PRESENTED | {"words.eliminations", "loctriv.neighborhoods", "topology.opens",
+                   "loctriv.window_classes"}),
 ]
 
 
