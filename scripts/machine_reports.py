@@ -12,6 +12,9 @@ Runs `groupoids.cli.main` in this process on
     {2, n - 2}, under `monodromy` and `star-cover --depth 4`, and S3 over
     its transpositions and the identity, under `monodromy --budget 200`,
     where it stays undecided;
+  - five structures whose base space is not the groupoid's object space,
+    cut from corpus documents (`mismatched_base_documents`), under
+    `clt-generate` and `w-open`;
   - every perfbench document of the four workloads at each `--seed`, under
     its own command and flags.
 
@@ -121,6 +124,58 @@ def enumeration_records():
                              "machine", hidden)
 
 
+def mismatched_base_documents():
+    """(name, body) of structures whose base points are not the objects:
+    w-open-partition with its base cut to the points {0, 1}, one cover
+    member and the sections over it; w-open-partition and clt-sierpinski
+    with every point p renamed pX; and clt-sierpinski with a point zz added
+    to the whole-space open, once alone and once with a cover member over
+    all three points and a section at zz.  The Sierpinski documents carry
+    the full carrier, so that `w-open` reaches the structure too."""
+    def load(stem):
+        body = json.loads((ROOT / "corpus" / f"{stem}.json").read_text(encoding="utf-8"))
+        body.pop("_expect")
+        body.setdefault("carrier", [m["id"] for m in body["groupoid"]["morphisms"]])
+        return body
+
+    def renamed(body):
+        def x(p):
+            return p + "X"
+
+        space = body["base_space"]
+        return {**body,
+                "base_space": {"points": [x(p) for p in space["points"]],
+                               "opens": [[x(p) for p in o] for o in space["opens"]]},
+                "cover": [[i, [x(p) for p in u]] for i, u in body["cover"]],
+                "sections": [[x(p), i, [[x(u), m] for u, m in rows]]
+                             for p, i, rows in body["sections"]]}
+
+    cut = load("w-open-partition")
+    cut.update(base_space={"points": ["0", "1"], "opens": [[], ["0", "1"]]},
+               cover=cut["cover"][:1], sections=cut["sections"][:2])
+    extra = load("clt-sierpinski")
+    extra["base_space"] = {"points": ["0", "1", "zz"], "opens": [[], ["0"], ["0", "1", "zz"]]}
+    covered = {**extra, "cover": [*extra["cover"], [2, ["0", "1", "zz"]]],
+               "sections": [*extra["sections"],
+                            ["zz", 2, [["0", "(0,0)"], ["1", "(0,1)"], ["zz", "(0,0)"]]]]}
+    return [("cut-partition", cut),
+            ("renamed-partition", renamed(load("w-open-partition"))),
+            ("renamed-sierpinski", renamed(load("clt-sierpinski"))),
+            ("extra-point-sierpinski", extra),
+            ("extra-covered-sierpinski", covered)]
+
+
+def mismatched_base_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        hidden = [(tmp, "<docs>"), (str(ROOT), "<root>")]
+        for name, body in mismatched_base_documents():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            for command in ("clt-generate", "w-open"):
+                yield record(f"mismatched-base/{name}",
+                             [command, str(path), "--format", "machine"], "machine", hidden)
+
+
 def perfbench_records(seed):
     from perfbench import workloads
 
@@ -140,7 +195,8 @@ def main(argv=None):
                    help="also run the perfbench documents of this seed (repeatable)")
     p.add_argument("--out", help="write here instead of standard output")
     args = p.parse_args(argv)
-    lines = [canonical(r) for r in (*corpus_records(), *enumeration_records())]
+    lines = [canonical(r) for r in (*corpus_records(), *enumeration_records(),
+                                    *mismatched_base_records())]
     for seed in args.seed:
         lines += [canonical(r) for r in perfbench_records(seed)]
     text = "\n".join(lines) + "\n"

@@ -57,7 +57,6 @@ from .monodromy import (
     build_monodromy,
     globalize,
     pi1_graph,
-    pregroupoid,
     star_covering_report,
 )
 from . import topology as finite_topology
@@ -119,7 +118,7 @@ def _lawful_groupoid(doc, field):
 def _monodromy_of(G, doc, budget):
     """(M, notes): the presentation over the document's carrier, and a note
     when the carrier does not generate G."""
-    M = build_monodromy(G, pregroupoid(G, parse_carrier(doc, G)), budget=budget)
+    M = build_monodromy(G, parse_carrier(doc, G), budget=budget)
     return M, [] if M.generates_ambient else [
         "generating subset does not reach every morphism; "
         "the evaluation map cannot be star-surjective"]

@@ -146,8 +146,12 @@ def validate_clt(G: FiniteGroupoid, LT: LocalTrivialization) -> tuple:
     base lists the opens, to name each open it fails in), section tables
     present/total/lawful (target back to the argument, source pinned at x,
     identity at x itself), and Comp for every point and pair of members
-    around it.
+    around it.  Raises ValueError when the base space's points are not
+    G's objects, naming the first point of the difference.
     """
+    stray = sorted(set(LT.base_space.points) ^ set(G.objects), key=str)
+    if stray:
+        raise ValueError(f"base space points differ from the objects at {stray[0]!r}")
     problems = []
     for i, u in LT.cover:
         if not LT.base_space.is_open(u):
@@ -271,7 +275,7 @@ def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,
     when the caller already has it.
     """
     _require_valid(M.ambient, LT, clt)
-    _require_sections_in(LT, M.subset.carrier, "generating subset")
+    _require_sections_in(LT, M.carrier, "generating subset")
     return MonodromyCltReport(comp_triples=sum(1 for _ in _comp_triples(LT)),
                               window=_window_topology(LT, M, depth))
 

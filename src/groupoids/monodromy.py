@@ -64,31 +64,9 @@ from .words import (
 
 
 @dataclass(frozen=True)
-class PregroupoidSubset:
-    """Inversion-closed subset of a groupoid containing all identities."""
-
-    ambient: FiniteGroupoid
-    carrier: frozenset
-
-
-def pregroupoid(G: FiniteGroupoid, carrier) -> PregroupoidSubset:
-    carrier = frozenset(carrier)
-    unknown = [m for m in carrier if m not in G.source]
-    if unknown:
-        raise ValueError(f"not a morphism: {min(unknown)!r}")
-    for x in sorted(G.objects):
-        if G.identity[x] not in carrier:
-            raise ValueError(f"carrier misses the identity at {x!r}")
-    for a in sorted(carrier):
-        if G.inverse[a] not in carrier:
-            raise ValueError(f"carrier not inversion-closed at {a!r}")
-    return PregroupoidSubset(ambient=G, carrier=carrier)
-
-
-@dataclass(frozen=True)
 class MonodromyGroupoid:
     ambient: FiniteGroupoid
-    subset: PregroupoidSubset
+    carrier: frozenset         # W: inversion-closed, every identity in it
     graph: GeneratingGraph
     relator_family: tuple      # (a, b, ab) triples, the defining family
     forest: Forest
@@ -101,7 +79,7 @@ class MonodromyGroupoid:
         """Closed Words a.b.(ab)^-1 that do not reduce away, identity letters
         erased, one per triple in order; built on first use."""
         G = self.ambient
-        one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.subset.carrier}
+        one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.carrier}
         words = (Word(free_reduce(one[a] + one[b] + inv_letters(one[ab])), G.source[a])
                  for a, b, ab in self.relator_family)
         return tuple(w for w in words if w.letters)
@@ -127,7 +105,7 @@ class MonodromyGroupoid:
 
     def i_tilde(self, a) -> Word:
         """Universal map: one-letter word for a, empty word for an identity."""
-        if a not in self.subset.carrier:
+        if a not in self.carrier:
             raise ValueError(f"not in the generating subset: {a!r}")
         return Word(() if self.ambient.is_identity(a) else ((a, 1),), self.ambient.source[a])
 
@@ -155,33 +133,41 @@ class MonodromyGroupoid:
         return ("undecided", self.budget)
 
 
-def build_monodromy(G: FiniteGroupoid, W: PregroupoidSubset,
-                    budget=DEFAULT_BUDGET, edge_order=None) -> MonodromyGroupoid:
-    if W.ambient is not G:
-        raise ValueError("subset belongs to a different groupoid")
-    carrier = W.carrier
-    edges = {a: (G.source[a], G.target[a])
-             for a in sorted(carrier) if not G.is_identity(a)}
+def build_monodromy(G: FiniteGroupoid, carrier, budget=DEFAULT_BUDGET) -> MonodromyGroupoid:
+    """M(G, W) for W the carrier, which must be a set of morphisms holding
+    every identity and closed under inverses (hard errors otherwise)."""
+    carrier = frozenset(carrier)
+    unknown = [m for m in carrier if m not in G.source]
+    if unknown:
+        raise ValueError(f"not a morphism: {min(unknown)!r}")
+    for x in sorted(G.objects):
+        if G.identity[x] not in carrier:
+            raise ValueError(f"carrier misses the identity at {x!r}")
+    ordered = sorted(carrier)
+    for a in ordered:
+        if G.inverse[a] not in carrier:
+            raise ValueError(f"carrier not inversion-closed at {a!r}")
+    edges = {a: (G.source[a], G.target[a]) for a in ordered if not G.is_identity(a)}
     graph = GeneratingGraph(vertices=frozenset(G.objects), edges=edges)
 
     by_src = {}
-    for b in sorted(carrier):
+    for b in ordered:
         by_src.setdefault(G.source[b], []).append(b)
     family, closed = [], True
-    for a in sorted(carrier):
+    for a in ordered:
         for b in by_src.get(G.target[a], ()):
             ab = G.compose[(a, b)]
             if ab in carrier:
                 family.append((a, b, ab))
             else:
                 closed = False
-    forest = spanning_forest(graph, edge_order=edge_order)
+    forest = spanning_forest(graph)
 
     # a closed carrier holds every inverse and product of its members: its own closure
     generates = carrier == G.morphisms if closed else generated_by(G, carrier)
-    return MonodromyGroupoid(ambient=G, subset=W, graph=graph, relator_family=tuple(family),
-                             forest=forest, generates_ambient=generates, closed=closed,
-                             budget=budget)
+    return MonodromyGroupoid(ambient=G, carrier=carrier, graph=graph,
+                             relator_family=tuple(family), forest=forest,
+                             generates_ambient=generates, closed=closed, budget=budget)
 
 
 def _table_engine(M: MonodromyGroupoid, i, triples):
@@ -227,7 +213,7 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     """
     G, comp = M.ambient, M.forest.components[i]
     x = comp.base
-    members = {a for a in M.subset.carrier if G.source[a] == x == G.target[a]}
+    members = {a for a in M.carrier if G.source[a] == x == G.target[a]}
     if len(members) < 2:
         return None
     generators = tuple(sorted(e for e, (u, _) in M.graph.edges.items()
@@ -291,7 +277,7 @@ def canonical_morphism(M: MonodromyGroupoid) -> WordEvaluator:
     letters, so i~(a) goes back to a."""
     G = M.ambient
     return WordEvaluator(target=G, obj_map={x: x for x in G.objects},
-                         gen_map={a: a for a in M.subset.carrier})
+                         gen_map={a: a for a in M.carrier})
 
 
 def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
@@ -308,7 +294,7 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
     determined on the one-letter words.
     """
     G = M.ambient
-    carrier = M.subset.carrier
+    carrier = M.carrier
     missing = sorted(a for a in carrier if a not in f)
     if missing:
         raise ValueError(f"map not defined on {missing[0]!r}")
@@ -393,7 +379,7 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     comps = {M.component_of(x) for x in roots}
     trie = TokenTrie()
     moves, steps = {}, {}  # steps: object -> (a, its target, a's move)
-    for a in sorted(a for a in M.subset.carrier if M.component_of(G.source[a]) in comps):
+    for a in sorted(a for a in M.carrier if M.component_of(G.source[a]) in comps):
         engine, identity = M.engines[M.component_of(G.source[a])], G.is_identity(a)
         image = () if identity else engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
         moves[a] = image, engine.table.follow if engine.kind == "finite" else trie.walk
@@ -453,7 +439,7 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     G = M.ambient
     if x not in G.objects:
         raise ValueError(f"unknown object: {x!r}")
-    carrier = M.subset.carrier
+    carrier = M.carrier
     engine = M.engines[M.component_of(x)]
     search = enumerate_classes(M, [x], depth)
 
@@ -477,8 +463,7 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
         engine_kind=engine.kind, capped_at=search.capped_at)
 
 
-def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET,
-              edge_order=None) -> MonodromyGroupoid:
+def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET) -> MonodromyGroupoid:
     """Fundamental-group data of a simple graph, as the monodromy groupoid
     of its subdivision: its objects are the vertices with the midpoints, and
     the rank of each component's engine is that component's free rank.
@@ -521,7 +506,6 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET,
     for m, (u, v) in mids.items():
         for a, b in ((u, m), (m, u), (v, m), (m, v)):
             carrier.add(f"({a},{b})")
-    W = pregroupoid(G, carrier)
-    M = build_monodromy(G, W, budget=budget, edge_order=edge_order)
+    M = build_monodromy(G, carrier, budget=budget)
     M.engines  # decide every vertex group before returning
     return M

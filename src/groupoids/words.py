@@ -90,24 +90,18 @@ class Forest:
     tree_edges: frozenset  # union of the components' tree edges
 
 
-def spanning_forest(graph: GeneratingGraph, edge_order=None) -> Forest:
+def spanning_forest(graph: GeneratingGraph) -> Forest:
     """Breadth-first spanning forest.
 
     Deterministic: components rooted at their smallest vertex, neighbors
-    explored by edge order (default lexicographic), forward direction before
-    backward.  `edge_order` overrides the edge ranking, which is enough to
-    exercise order-invariance of downstream ranks.
+    explored in edge-id order, forward direction before backward.
     """
-    order = {e: i for i, e in enumerate(sorted(graph.edges) if edge_order is None
-                                        else list(edge_order))}
-    if set(order) != set(graph.edges):
-        raise ValueError("edge_order must be a permutation of the edge ids")
     incidence = {v: [] for v in graph.vertices}
     for e, (u, v) in graph.edges.items():
         incidence[u].append((e, 1))
         incidence[v].append((e, -1))
     for v in incidence:
-        incidence[v].sort(key=lambda l: (order[l[0]], 0 if l[1] > 0 else 1))
+        incidence[v].sort(key=lambda l: (l[0], l[1] < 0))
 
     comps, vertex_component = [], {}
     for root in sorted(graph.vertices):

@@ -9,7 +9,7 @@ import itertools
 from collections import namedtuple
 
 from groupoids.core import FiniteGroupoid
-from groupoids.monodromy import WordEvaluator
+from groupoids.monodromy import WordEvaluator, enumerate_classes, pi1_graph
 from groupoids.topology import FiniteTopology, difference_pairs
 from groupoids.words import (
     CosetTable,
@@ -136,6 +136,20 @@ def product_groupoid(n_objects, table):
             compose[(mid(x, y, g), mid(y, z, h))] = mid(x, z, mul[(g, h)])
     return FiniteGroupoid(objects=frozenset(objs), source=source, target=target,
                           identity=identity, inverse=inverse, compose=compose)
+
+
+def relabel(G, name):
+    """The copy of G with each morphism m renamed name[m] (a one-to-one
+    mapping); objects keep their names.  Renaming reorders the morphism
+    ids, and with them the edges the spanning forest explores first."""
+    return FiniteGroupoid(
+        objects=G.objects,
+        source={name[m]: x for m, x in G.source.items()},
+        target={name[m]: y for m, y in G.target.items()},
+        identity={x: name[m] for x, m in G.identity.items()},
+        inverse={name[m]: name[i] for m, i in G.inverse.items()},
+        compose={(name[a], name[b]): name[ab] for (a, b), ab in G.compose.items()},
+    )
 
 
 def pair_compose_table(points):
@@ -375,7 +389,7 @@ def class_search_oracle(M, roots, depth, max_classes):
     word's token from all of its letters (`M.token`), with the fields of
     a `ClassSearch` that the tests compare."""
     G = M.ambient
-    gens = [a for a in sorted(M.subset.carrier) if not G.is_identity(a)]
+    gens = [a for a in sorted(M.carrier) if not G.is_identity(a)]
     classes, frontier, exact = {}, [], True
     for x in roots:
         w = Word((), x)
@@ -576,7 +590,7 @@ def translate_collisions_oracle(M, x):
     G = M.ambient
     collisions, inj_undecided = [], []
     comp = M.component_of(x)
-    members = [a for a in sorted(M.subset.carrier)
+    members = [a for a in sorted(M.carrier)
                if M.component_of(G.source[a]) == comp]
     for a, b in itertools.combinations(members, 2):
         if G.source[a] != G.source[b] or G.target[a] != G.target[b]:
@@ -633,7 +647,7 @@ def transported_openness_oracle(LT, M):
     W is not closed."""
     from groupoids.monodromy import canonical_morphism
 
-    G, carrier = M.ambient, M.subset.carrier
+    G, carrier = M.ambient, M.carrier
     neighborhood = _transported_neighborhood(LT, M)
     p = canonical_morphism(M)
 
@@ -668,11 +682,50 @@ def window_oracle(LT, M, depth):
                 tokens = (M.token(v)[0] for v in neighborhood(w, i, j))
                 traces.add(frozenset(t for t in tokens if t in classes))
     gen = generate_from_base(sorted(classes, key=str), traces)
-    image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.subset.carrier))
+    image = frozenset(M.token(M.i_tilde(b))[0] for b in sorted(M.carrier))
     w_open = gen.topology.is_open(image.intersection(classes)) if M.closed else None
     return {"points": len(classes), "opens": gen.topology.open_count,
             "base_compatible": gen.base_compatible, "topology": gen.topology,
             "values": {t: val for t, (_, val) in classes.items()}, "w_tilde_open": w_open}
+
+
+def monodromy_on_keys(M, depth):
+    """M as a `FiniteGroupoid` on the keys of a class search over every
+    object to `depth`, which must close with exact tokens (so its keys are
+    all of M, one per element).  The identity at x is (x, x, 0); k1 . k2
+    steps k2's carrier path, read off the back-pointers, from k1's node;
+    the inverse of k steps k's path reversed and inverted from node 0 at
+    k's target.  No word is built, so this is M as the window sees it."""
+    search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
+    if not (search.saturated and search.exact):
+        raise ValueError("the class search must close with exact tokens")
+    found, moves = search.found, search.moves
+
+    def path(key):  # carrier letters from the empty word to the class
+        out = []
+        while found[key][0] is not None:
+            key, a = found[key][:2]
+            out.append(a)
+        return out[::-1]
+
+    def walk(node, letters, sign=1):
+        for a in letters:
+            image, advance = moves[a]
+            node = advance(image if sign > 0 else inv_letters(image), node)
+        return node
+
+    paths = {k: path(k) for k in found}
+    by_src = {}
+    for k in found:
+        by_src.setdefault(k[0], []).append(k)
+    compose = {(k1, k2): (k1[0], k2[1], walk(k1[2], paths[k2]))
+               for k1 in found for k2 in by_src[k1[1]]}
+    return FiniteGroupoid(
+        objects=frozenset(M.ambient.objects),
+        source={k: k[0] for k in found}, target={k: k[1] for k in found},
+        identity={x: (x, x, 0) for x in M.ambient.objects},
+        inverse={k: (k[1], k[0], walk(0, paths[k][::-1], -1)) for k in found},
+        compose=compose)
 
 
 def spelled_keys(search):
@@ -699,6 +752,24 @@ def pi1_rank(M):
     """The sum of `component_ranks`, or None when one of them is."""
     ranks = component_ranks(M)
     return None if None in ranks else sum(ranks)
+
+
+def pi1_renamed(vertices, edges, name, **kw):
+    """(M, back): `pi1_graph` of the graph with each vertex v renamed
+    name[v], and the map taking M's objects, vertices and midpoints, back
+    to the names of the graph as given."""
+    M = pi1_graph([name[v] for v in vertices], [(name[u], name[v]) for u, v in edges], **kw)
+    back, mid = {name[v]: v for v in vertices}, "mid({},{})".format
+    for u, v in edges:
+        back[mid(*sorted((name[u], name[v])))] = mid(*sorted((u, v)))
+    return M, back
+
+
+def tree_links(M, back=None):
+    """The spanning forest's tree edges as unordered pairs of objects, each
+    object taken through `back` when it is given."""
+    back = back or {}
+    return {frozenset(back.get(x, x) for x in M.graph.edges[e]) for e in M.forest.tree_edges}
 
 
 # --------------------------------------------------------------- witness replay

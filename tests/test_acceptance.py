@@ -39,7 +39,6 @@ from groupoids.monodromy import (
     canonical_morphism,
     globalize,
     pi1_graph,
-    pregroupoid,
     star_covering_report,
 )
 from groupoids.topology import STRUCTURE_MAPS, discrete, indiscrete, is_topology, topology
@@ -54,11 +53,14 @@ from helpers import (
     direct,
     group_groupoid,
     pi1_rank,
+    pi1_renamed,
     product_groupoid,
     quaternion,
+    relabel,
     replay_violation,
     sym3,
     translate_collisions_oracle,
+    tree_links,
     w_open_witnesses,
 )
 
@@ -105,7 +107,7 @@ def _line_fibers(n, depth):
 
 def _unit_window(n):
     G = group_groupoid(cyclic(n))
-    W = pregroupoid(G, {"0", "1", str(n - 1)})
+    W = {"0", "1", str(n - 1)}
     return G, W, build_monodromy(G, W)
 
 
@@ -156,7 +158,7 @@ def test_criterion_3_full_window_recovers_the_group():
     for label, table in all_groups_upto8():
         names = table[0]
         G = group_groupoid(table)
-        M = build_monodromy(G, pregroupoid(G, set(G.morphisms)))
+        M = build_monodromy(G, G.morphisms)
         engine = M.engines[0]
         if len(names) == 1:
             # the trivial group presents with no generators: certified free
@@ -186,17 +188,22 @@ def _random_connected_graph(rng, n):
 
 def test_criterion_4_graph_rank_law():
     """For 30 random connected simple graphs with at most 8 vertices the
-    certified free rank equals |E| - |V| + 1 and survives reversing the
-    edge-id order fed to the spanning forest.  Exact; < 5 s total."""
+    certified free rank equals |E| - |V| + 1 and survives renaming the
+    vertices in reverse order, which moves the root and the edge-id order
+    of the spanning forest; on some of the graphs the tree changes with
+    them.  Exact; < 5 s total."""
     t0 = perf_counter()
     rng = random.Random(0xAC4)
+    moved = 0
     for _ in range(30):
         verts, edges = _random_connected_graph(rng, rng.randint(2, 8))
         M = pi1_graph(verts, edges)
         assert pi1_rank(M) == len(edges) - len(verts) + 1
-        reversed_order = sorted(M.graph.edges, reverse=True)
-        M2 = pi1_graph(verts, edges, edge_order=reversed_order)
+        name = {v: f"w{len(verts) - i}" for i, v in enumerate(verts)}
+        M2, back = pi1_renamed(verts, edges, name)
         assert pi1_rank(M2) == pi1_rank(M)
+        moved += tree_links(M2, back) != tree_links(M)
+    assert moved
     assert perf_counter() - t0 < 5.0
 
 
@@ -395,12 +402,15 @@ def test_criterion_8_globalization_principle():
     """For each Z/n unit-window instance and 20 random maps into groups of
     order <= 12: globalize succeeds iff an independent relator-compatibility
     scan predicts it; failures return a replayable obstruction; successes
-    restrict back to the given map and agree with a second globalization
-    (built over a reversed spanning forest) on all words up to depth 8.
-    Exact."""
+    restrict back to the given map and agree, through the renaming, with
+    the globalization over a copy of Z/n whose morphism ids run in reverse
+    order, on all words up to depth 8.  Z/n has one object, so every edge
+    is a loop and the spanning forest has no tree edge to vary: what this
+    checks is independence from names.  Exact."""
     for n in (3, 4, 5, 6, 7):
         G, W, M = _unit_window(n)
-        M2 = build_monodromy(G, W, edge_order=sorted(M.graph.edges, reverse=True))
+        name = {m: f"g{n - 1 - i:02d}" for i, m in enumerate(sorted(G.morphisms))}
+        M2 = build_monodromy(relabel(G, name), {name[w] for w in W})
         carrier_ints = {0, 1, n - 1}
         rng = random.Random(0xAC8 + n)
         cases = [("Z3", cyclic(3), "1")]  # always-compatible designated case
@@ -423,14 +433,16 @@ def test_criterion_8_globalization_principle():
                 assert (a, b, ab) in M.relator_family
                 assert H.compose[(f[a], f[b])] != f[ab]  # obstruction replays
                 continue
-            for w in sorted(W.carrier):
+            for w in sorted(W):
                 assert ev.evaluate(M.i_tilde(w)) == f[w]  # restricts to f
-            ev2, _ = globalize(M2, f, H)
-            assert ev2.gen_map == ev.gen_map and ev2.obj_map == ev.obj_map
+            ev2, _ = globalize(M2, {name[a]: h for a, h in f.items()}, H)
+            assert ev2.gen_map == {name[a]: h for a, h in ev.gen_map.items()}
+            assert ev2.obj_map == ev.obj_map
             if case_no == 0:  # full word-by-word agreement, depth 8
                 letters = [(e, s) for e in ("1", str(n - 1)) for s in (1, -1)]
                 for word in _reduced_words(letters, 8, "*"):
-                    assert ev.evaluate(word) == ev2.evaluate(word)
+                    renamed = Word(tuple((name[e], s) for e, s in word.letters), "*")
+                    assert ev.evaluate(word) == ev2.evaluate(renamed)
 
 
 # --------------------------------------------------------------- criterion 9

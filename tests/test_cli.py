@@ -582,7 +582,7 @@ def test_monodromy_on_full_carriers_builds_no_words(n, budget, verdict, tmp_path
     dot = tmp_path / "zn.dot"
     assert run([*argv, "--dot", str(dot)], capsys)[0] == code
     M = built[1]
-    relators, _ = collapse_oracle(G, M.subset.carrier, M.forest)
+    relators, _ = collapse_oracle(G, M.carrier, M.forest)
     pairs = {frozenset({a, G.inverse[a]}) for a in G.morphisms if not G.is_identity(a)}
     assert (dot.read_text().splitlines()[1]
             == f'  label="{len(pairs)} generators, {len(relators)} relators";')

@@ -19,7 +19,7 @@ from groupoids.interchange import (
     serialize_topology,
 )
 from groupoids.loctriv import local_trivialization, sections_from_arrows
-from groupoids.monodromy import build_monodromy, pi1_graph, pregroupoid
+from groupoids.monodromy import build_monodromy, pi1_graph
 from groupoids.topology import discrete, topology
 
 from helpers import cyclic, group_groupoid, sym3
@@ -140,7 +140,7 @@ def test_section_rows_name_declared_points_once(row, at, message):
 def test_triangle_presentation_dot_shape():
     """Spanning tree of the 3-cycle: three drawn generator pairs, two dashed."""
     G = pair_groupoid(["a", "b", "c"])
-    M = build_monodromy(G, pregroupoid(G, G.morphisms))
+    M = build_monodromy(G, G.morphisms)
     dot = export_dot(M)
     assert dot.count("->") == 3 and dot.count("style=dashed") == 2
     assert '"3 generators, 12 relators"' in dot  # label carries the relator count
@@ -149,7 +149,7 @@ def test_triangle_presentation_dot_shape():
 
 def test_single_object_no_generators():
     G = group_groupoid(cyclic(1))
-    dot = export_dot(build_monodromy(G, pregroupoid(G, {"0"})))
+    dot = export_dot(build_monodromy(G, {"0"}))
     assert dot.count("->") == 0 and '"*"' in dot
     assert "0 generators, 0 relators" in dot
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import groupoids.cli as cli
-from groupoids.core import pair_groupoid
+from groupoids.core import pair_groupoid, validate_groupoid
 from groupoids.interchange import serialize_groupoid, serialize_local_trivialization
 from groupoids.loctriv import (
     basic_neighborhood,
@@ -29,10 +29,10 @@ from groupoids.monodromy import (
     MonodromyGroupoid,
     build_monodromy,
     enumerate_classes,
-    pregroupoid,
     star_covering_report,
 )
 from groupoids.topology import (
+    check_topological_groupoid,
     discrete,
     generate_from_base,
     indiscrete,
@@ -48,6 +48,7 @@ from helpers import (
     difference_equivalence,
     generation_oracle,
     group_groupoid,
+    monodromy_on_keys,
     product_groupoid,
     shrink_oracle,
     spelled_keys,
@@ -80,6 +81,33 @@ def test_singleton_cover_is_valid():
     G = pair_groupoid(["a", "b", "c"])
     LT = canonical_lt(discrete(["a", "b", "c"]), singleton_cover(G.objects))
     assert not validate_clt(G, LT)
+
+
+def test_base_space_must_be_the_object_space():
+    """A base space whose points are not G's objects is refused by
+    `validate_clt` and by every construction that needs a valid structure,
+    the message naming the least point, by `str`, in one set and not the
+    other: a base cut to two of four objects, renamed points, and an
+    extra point, alone or with a member and a section over it."""
+    four, two = pair_groupoid(["0", "1", "2", "3"]), pair_groupoid(["0", "1"])
+    pts = ["0", "1", "zz"]
+    extra = topology(pts, [F(), F({"0"}), F(pts)])
+    cases = [
+        (four, canonical_lt(topology(["0", "1"], [F(), F({"0", "1"})]), [(0, {"0", "1"})]), "2"),
+        (two, canonical_lt(topology(["0X", "1X"], [F(), F({"0X"}), F({"0X", "1X"})]),
+                           [(0, {"0X"}), (1, {"0X", "1X"})]), "0"),
+        (two, canonical_lt(extra, [(0, {"0"}), (1, {"0", "1"})]), "zz"),
+        (two, canonical_lt(extra, [(0, {"0"}), (1, {"0", "1"}), (2, pts)]), "zz"),
+    ]
+    for G, LT, point in cases:
+        message = f"^base space points differ from the objects at '{point}'$"
+        M = build_monodromy(G, G.morphisms)
+        for check in (lambda: validate_clt(G, LT),
+                      lambda: generate_groupoid_topology(G, LT),
+                      lambda: check_w_open(G, LT, G.morphisms),
+                      lambda: clt_on_monodromy(LT, M)):
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 SUBS7 = [F({0}), F({1}), F({2}), F({0, 1}), F({0, 2}), F({1, 2}), F({0, 1, 2})]
@@ -419,7 +447,7 @@ def test_identities_only_subgroupoid_breaks_the_hypotheses():
 def tree_instance():
     G = pair_groupoid(["a", "b", "c"])
     ids = {G.identity[x] for x in G.objects}
-    W = pregroupoid(G, ids | {"(a,b)", "(b,a)", "(b,c)", "(c,b)"})
+    W = ids | {"(a,b)", "(b,a)", "(b,c)", "(c,b)"}
     M = build_monodromy(G, W)
     cover = [(0, {"a"}), (1, {"b"}), (2, {"c"}), (3, {"a", "b"}), (4, {"b", "c"})]
     LT = canonical_lt(discrete(["a", "b", "c"]), cover)
@@ -445,7 +473,7 @@ def test_one_object_window_counts_classes_by_displacement():
     per displacement, and the whole-space cover transports to the discrete
     topology on them."""
     G = group_groupoid(cyclic(5))
-    W = pregroupoid(G, {"0", "1", "4"})
+    W = {"0", "1", "4"}
     M = build_monodromy(G, W)
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
     rep = clt_on_monodromy(LT, M, depth=6)
@@ -460,7 +488,7 @@ def test_discrete_window_over_the_listing_cap_is_counted():
     has 2**17 opens, over the 2**16 cap on listing them; the count needs no
     list."""
     G = group_groupoid(cyclic(5))
-    W = pregroupoid(G, {"0", "1", "4"})
+    W = {"0", "1", "4"}
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
     rep = clt_on_monodromy(LT, build_monodromy(G, W), depth=8)
     assert rep.window.points == 17 and rep.window.opens == 2 ** 17
@@ -475,7 +503,7 @@ def test_window_steps_class_keys_instead_of_reducing_words(monkeypatch):
     import groupoids.words as words
 
     G = group_groupoid(cyclic(5))
-    M = build_monodromy(G, pregroupoid(G, {"0", "1", "4"}))
+    M = build_monodromy(G, {"0", "1", "4"})
     LT = local_trivialization(indiscrete(["*"]), [(0, {"*"})], {("*", 0): {"*": "0"}})
     assert M.engines[0].kind == "free"
     reduce = words.free_reduce
@@ -502,7 +530,7 @@ def test_triangle_adjacency_image_is_open_upstairs():
     """On the 3-cycle every pair is adjacent: the subset is the whole
     groupoid, its image generates everything, and it is open upstairs."""
     G = pair_groupoid(["a", "b", "c"])
-    W = pregroupoid(G, G.morphisms)
+    W = G.morphisms
     M = build_monodromy(G, W)
     cover = singleton_cover(G.objects) + [(3, {"a", "b"})]
     LT = canonical_lt(discrete(["a", "b", "c"]), cover)
@@ -518,7 +546,7 @@ def test_triangle_adjacency_image_is_open_upstairs():
 
 def test_starved_budget_reports_undecided_not_false():
     G = product_groupoid(2, cyclic(2))
-    W = pregroupoid(G, G.morphisms)
+    W = G.morphisms
     cover = [(0, F({"o0", "o1"}))]
     sections = sections_from_arrows(cover, lambda x, u: f"{x}>{u}:0")
     LT = local_trivialization(indiscrete(["o0", "o1"]), cover, sections)
@@ -561,7 +589,7 @@ def test_transport_agrees_with_the_finite_checks(data):
                                  max_size=len(members)), label="indices")
     cover = list(zip(indices, members))
     G = pair_groupoid(points)
-    W = pregroupoid(G, G.morphisms)
+    W = G.morphisms
     M = build_monodromy(G, W)
     LT = canonical_lt(discrete(points), cover)
 
@@ -599,9 +627,8 @@ def _transports(data):
         a = data.draw(st.sampled_from(outside), label="extra element")
         carriers.append(closure | {a, G.inverse[a]})
     for carrier in carriers:
-        W = pregroupoid(G, carrier)
         for budget in (2, 3, DEFAULT_BUDGET):
-            yield LT, build_monodromy(G, W, budget=budget)
+            yield LT, build_monodromy(G, carrier, budget=budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -637,7 +664,7 @@ def test_transport_refutes_exactly_when_generation_does(data):
 
         refuted = exit_code(body) == 1
         for _, M in runs:
-            code = exit_code({**body, "carrier": sorted(M.subset.carrier)},
+            code = exit_code({**body, "carrier": sorted(M.carrier)},
                              "--budget", str(M.budget))
             assert code in (0, 1, 2) and (code == 1) == refuted
 
@@ -667,6 +694,29 @@ def test_window_on_class_keys_is_the_word_paths(data):
             assert win.w_tilde_open == oracle["w_tilde_open"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_monodromy_on_keys_is_topological_exactly_when_g_is(data):
+    """The paper's theorem as an oracle.  On the drawn transports
+    (`_transports`) whose class search closes with exact tokens, M built
+    on the class keys (`monodromy_on_keys`) is a groupoid, and the window
+    topology makes it a topological groupoid over the base space exactly
+    when the structure's generated topology makes G one (the six maps
+    continuous and the neighborhoods a base)."""
+    depth = 3
+    for LT, M in _transports(data):
+        G = M.ambient
+        search = enumerate_classes(M, sorted(G.objects, key=str), depth)
+        if not (search.saturated and search.exact):
+            continue
+        MK = monodromy_on_keys(M, depth)
+        assert validate_groupoid(MK) == ()
+        window = clt_on_monodromy(LT, M, depth=depth).window
+        gen, maps = generate_groupoid_topology(G, LT)
+        upstairs = check_topological_groupoid(MK, window.topology, LT.base_space)
+        assert (upstairs == ()) == (maps == () and gen.base_compatible)
+
+
 def test_deep_cycle_window_counts_classes_by_winding():
     """The pair groupoid on a 4-cycle with the cycle's arrows as the carrier
     presents Z at each point, so the depth-d window holds one class per
@@ -678,7 +728,7 @@ def test_deep_cycle_window_counts_classes_by_winding():
     carrier = {G.identity[x] for x in pts} | {
         pair_arrow(a, b) for j in range(4) for a, b in itertools.permutations(
             (pts[j], pts[(j + 1) % 4]))}
-    M = build_monodromy(G, pregroupoid(G, carrier))
+    M = build_monodromy(G, carrier)
     cover = [(0, F(pts[:2])), (1, F(pts[2:]))]
     LT = canonical_lt(topology(pts, [F(), *(u for _, u in cover), F(pts)]), cover)
     win = clt_on_monodromy(LT, M, depth=depth).window
@@ -716,9 +766,8 @@ def test_transported_openness_needs_no_search(data):
     values = {m for tab in LT.sections.values() for m in tab.values()}
     closure = closure_oracle(G, values | {G.identity[x] for x in G.objects})
     for carrier in (G.morphisms, closure):
-        W = pregroupoid(G, carrier)
         for budget in (2, 3, DEFAULT_BUDGET):
-            M = build_monodromy(G, W, budget=budget)
+            M = build_monodromy(G, carrier, budget=budget)
             assert M.closed
             rep = clt_on_monodromy(LT, M, depth=2)
             _, undecided, failures = transported_openness_oracle(LT, M)

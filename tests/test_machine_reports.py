@@ -11,11 +11,16 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
 
-def test_corpus_rows_are_complete_untimed_and_stable():
+def _harness():
     spec = importlib.util.spec_from_file_location(
         "machine_reports", ROOT / "scripts" / "machine_reports.py")
     harness = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(harness)
+    return harness
+
+
+def test_corpus_rows_are_complete_untimed_and_stable():
+    harness = _harness()
     rows = list(harness.corpus_records())
     docs = sorted(CORPUS.glob("*.json"))
     assert len(rows) == len(docs) * len(harness.cli._COMMANDS) * len(harness.FORMATS)
@@ -36,10 +41,7 @@ def test_corpus_rows_are_complete_untimed_and_stable():
 def test_enumeration_rows_reach_their_verdicts():
     """The carriers that are not composition-closed: Z/10 and Z/12 without
     {2, n - 2} are decided, S3 over its transpositions stays undecided."""
-    spec = importlib.util.spec_from_file_location(
-        "machine_reports", ROOT / "scripts" / "machine_reports.py")
-    harness = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(harness)
+    harness = _harness()
     rows = list(harness.enumeration_records())
     assert [(r["name"], r["argv"][0], r["exit"]) for r in rows] == [
         ("enumeration/punctured-Z10", "monodromy", 0),
@@ -49,3 +51,21 @@ def test_enumeration_rows_reach_their_verdicts():
         ("enumeration/S3-transpositions", "monodromy", 2)]
     assert rows[4]["report"]["undecided"] == ["vertex-group[*]: budget 200 exhausted"]
     assert not [r for r in rows if str(ROOT) in json.dumps(r)]
+
+
+def test_mismatched_base_rows_are_precondition_errors():
+    """A structure whose base points are not the groupoid's objects exits 3
+    under `clt-generate` and `w-open` alike, naming the first point, by
+    `str`, of the difference, and never as an internal error."""
+    harness = _harness()
+    rows = list(harness.mismatched_base_records())
+    points = {"cut-partition": "2", "renamed-partition": "0", "renamed-sierpinski": "0",
+              "extra-point-sierpinski": "zz", "extra-covered-sierpinski": "zz"}
+    assert [(r["name"], r["argv"][0]) for r in rows] == [
+        (f"mismatched-base/{name}", command)
+        for name in points for command in ("clt-generate", "w-open")]
+    for r in rows:
+        point = points[r["name"].split("/")[1]]
+        assert (r["exit"], r["report"]) == (3, None)
+        assert r["stderr"] == ("error: precondition violated: base space points differ "
+                               f"from the objects at '{point}'\n")

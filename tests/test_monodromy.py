@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -23,7 +24,6 @@ from groupoids.monodromy import (
     canonical_morphism,
     globalize,
     pi1_graph,
-    pregroupoid,
     star_covering_report,
 )
 from groupoids.dot import export_dot
@@ -46,30 +46,43 @@ from helpers import (
     cyclic,
     group_groupoid,
     pi1_rank,
+    pi1_renamed,
     product_groupoid,
+    relabel,
     sym3,
     table_engine_oracle,
     translate_collisions_oracle,
+    tree_links,
 )
 
 
 def zmod(n, window=(0, 1, -1)):
     """Cyclic group groupoid with the subset {0, +1, -1} (by default)."""
     G = group_groupoid(cyclic(n))
-    W = pregroupoid(G, {str(k % n) for k in window})
+    W = {str(k % n) for k in window}
     return G, W
 
 
 # ---------------------------------------------------------------- building
 
-def test_pregroupoid_rejects_bad_carriers():
-    G = group_groupoid(cyclic(5))
-    with pytest.raises(ValueError):
-        pregroupoid(G, {"1", "4"})  # no identity
-    with pytest.raises(ValueError):
-        pregroupoid(G, {"0", "1"})  # inverse of 1 missing
-    with pytest.raises(ValueError):
-        pregroupoid(G, {"0", "9"})  # not a morphism
+def test_build_monodromy_rejects_bad_carriers():
+    """A carrier that is not an inversion-closed set of morphisms holding
+    every identity is refused, the first fault named in a fixed order: a
+    stranger (the least), then the identity at the least object without
+    one, then the least element whose inverse is missing."""
+    G, P = group_groupoid(cyclic(5)), pair_groupoid(["a", "b", "c"])
+    cases = [(G, {"1", "4"}, "carrier misses the identity at '*'"),
+             (G, {"0", "1"}, "carrier not inversion-closed at '1'"),
+             (G, ["0", "9", "9"], "not a morphism: '9'"),
+             (G, {"2", "9", "8"}, "not a morphism: '8'"),
+             (G, {"1", "2"}, "carrier misses the identity at '*'"),
+             (G, {"0", "2", "1", "4"}, "carrier not inversion-closed at '2'"),
+             (P, {"(a,a)", "(c,c)", "(a,b)"}, "carrier misses the identity at 'b'"),
+             (P, {"(a,a)", "(b,b)", "(c,c)", "(b,c)", "(a,b)"},
+              "carrier not inversion-closed at '(a,b)'")]
+    for H, carrier, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_monodromy(H, carrier)
 
 
 def test_relator_family_mod5():
@@ -105,13 +118,13 @@ def test_mod3_window_is_the_whole_group():
 def test_full_subset_recovers_the_group():
     table, _ = sym3(), None
     G = group_groupoid(sym3())
-    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)))
+    M = build_monodromy(G, G.morphisms)
     assert M.vertex_group_info(0) == ("finite", 6)
 
 
 def test_non_generating_subset_is_recorded():
     G = group_groupoid(cyclic(6))
-    W = pregroupoid(G, {"0", "2", "4"})
+    W = {"0", "2", "4"}
     M = build_monodromy(G, W)
     assert not M.generates_ambient
     assert M.vertex_group_info(0) == ("finite", 3)  # the even subgroup
@@ -149,11 +162,11 @@ def test_word_equality_uses_endpoints():
 
 def test_undecided_engine_reports_none():
     G = group_groupoid(sym3())
-    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)), budget=3)
+    M = build_monodromy(G, G.morphisms, budget=3)
     assert M.vertex_group_info(0) == ("undecided", 3)
     undecided = [M.equal(M.i_tilde(a), M.i_tilde(b))
-                 for a in sorted(M.subset.carrier)
-                 for b in sorted(M.subset.carrier) if a < b]
+                 for a in sorted(M.carrier)
+                 for b in sorted(M.carrier) if a < b]
     assert None in undecided  # some pair the budget cannot separate
     assert True not in undecided  # p(i~(a)) = a keeps distinct elements apart
     _, exact = M.token(M.i_tilde("120"))
@@ -167,12 +180,12 @@ def test_canonical_morphism_splits_i_tilde():
         G, W = zmod(n)
         M = build_monodromy(G, W)
         p = canonical_morphism(M)
-        for a in sorted(W.carrier):
+        for a in sorted(W):
             assert p.evaluate(M.i_tilde(a)) == a
     G = group_groupoid(sym3())
-    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)))
+    M = build_monodromy(G, G.morphisms)
     p = canonical_morphism(M)
-    assert all(p.evaluate(M.i_tilde(a)) == a for a in sorted(M.subset.carrier))
+    assert all(p.evaluate(M.i_tilde(a)) == a for a in sorted(M.carrier))
 
 
 def test_canonical_morphism_kills_relators():
@@ -196,7 +209,7 @@ def test_globalize_extends_a_compatible_map():
     f = {"0": "012", "1": "120", "6": "201"}  # send the step to a 3-cycle
     extension, obstruction = globalize(M, f, H)
     assert obstruction is None
-    for a in sorted(W.carrier):  # the extension restricts back to f
+    for a in sorted(W):  # the extension restricts back to f
         assert extension.evaluate(M.i_tilde(a)) == f[a]
     seven = Word((("1", 1),) * 7, "*")
     cube = Word((("1", 1),) * 3, "*")
@@ -206,7 +219,7 @@ def test_globalize_extends_a_compatible_map():
 
 def test_globalize_reports_the_first_obstruction():
     G = group_groupoid(cyclic(7))
-    W = pregroupoid(G, {"0", "1", "2", "5", "6"})
+    W = {"0", "1", "2", "5", "6"}
     M = build_monodromy(G, W)
     H = group_groupoid(sym3())
     f = {"0": "012", "1": "120", "6": "201", "2": "012", "5": "012"}
@@ -250,14 +263,14 @@ def test_globalize_builds_no_engine(monkeypatch):
     Z/48 less {2, 46}, whose engine would take Tietze elimination and coset
     enumeration, neither `build_engine` nor `_table_engine` is called."""
     G = group_groupoid(cyclic(48))
-    W = pregroupoid(G, G.morphisms - {"2", "46"})
+    W = G.morphisms - {"2", "46"}
     calls = []
     for name in ("build_engine", "_table_engine"):
         original = getattr(monodromy, name)
         monkeypatch.setattr(monodromy, name,
                             lambda *a, _o=original, **k: calls.append(a) or _o(*a, **k))
     M = build_monodromy(G, W)
-    assert globalize(M, {a: a for a in W.carrier}, G)[1] is None
+    assert globalize(M, {a: a for a in W}, G)[1] is None
     assert calls == [] and "engines" not in vars(M)
 
 
@@ -305,7 +318,7 @@ def test_star_cover_shallow_window_leaves_elements_undecided():
 
 def test_star_cover_refutes_unreachable_elements():
     G = group_groupoid(cyclic(6))
-    W = pregroupoid(G, {"0", "2", "4"})
+    W = {"0", "2", "4"}
     M = build_monodromy(G, W)
     assert not M.generates_ambient
     rep = star_covering_report(M, "*", 10)
@@ -332,7 +345,7 @@ def test_star_cover_saturates_on_finite_classes():
 
 def test_star_cover_undecided_engine_is_flagged():
     G = group_groupoid(sym3())
-    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)), budget=3)
+    M = build_monodromy(G, G.morphisms, budget=3)
     rep = star_covering_report(M, "*", 4)
     assert not rep.fiber_counts_exact
     assert rep.engine_kind == "undecided"
@@ -364,7 +377,7 @@ def test_full_carriers_keep_translates_apart(budget, unseparated):
     total = 0
     for _, table in all_groups_upto8():
         G = group_groupoid(table)
-        M = build_monodromy(G, pregroupoid(G, G.morphisms), budget=budget)
+        M = build_monodromy(G, G.morphisms, budget=budget)
         total += assert_translates_stay_apart(M, "*")
     assert total == unseparated
 
@@ -380,7 +393,7 @@ def test_random_carriers_keep_translates_apart(data):
     G = group_groupoid(table) if n == 1 else product_groupoid(n, table)
     moves = sorted(m for m in G.morphisms if not G.is_identity(m))
     picks = data.draw(st.lists(st.sampled_from(moves), max_size=5), label="picks") if moves else []
-    W = pregroupoid(G, {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)})
+    W = {*G.identity.values(), *picks, *(G.inverse[m] for m in picks)}
     budget = data.draw(st.sampled_from([2, 3, DEFAULT_BUDGET]), label="budget")
     M = build_monodromy(G, W, budget=budget)
     for x in sorted(G.objects):
@@ -420,12 +433,14 @@ def test_two_components_add_ranks():
     assert pi1_rank(r) == 2  # |E| - |V| + #components
 
 
-def test_pi1_rank_ignores_edge_order():
+def test_pi1_rank_ignores_vertex_names():
+    """Renaming K4's vertices in reverse moves the root and the edge-id
+    order, so the spanning tree changes; the rank does not."""
     vs = ["0", "1", "2", "3"]
     es = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
     base = pi1_graph(vs, es)
-    mids = sorted(base.graph.edges)
-    alt = pi1_graph(vs, es, edge_order=list(reversed(mids)))
+    alt, back = pi1_renamed(vs, es, dict(zip(vs, "dcba")))
+    assert tree_links(alt, back) != tree_links(base)
     assert pi1_rank(alt) == pi1_rank(base) == 3
 
 
@@ -503,7 +518,7 @@ def test_class_search_stops_at_the_cap(monkeypatch):
     from helpers import direct
 
     G = group_groupoid(direct(cyclic(5), cyclic(5)))
-    M = build_monodromy(G, pregroupoid(G, {"0.0", "1.0", "4.0", "0.1", "0.4"}))
+    M = build_monodromy(G, {"0.0", "1.0", "4.0", "0.1", "0.4"})
     whole = monodromy.enumerate_classes(M, ["*"], 3)
     assert len(whole.classes) == 53 and whole.capped_at is None
     monkeypatch.setattr(monodromy, "MAX_CLASSES", 20)
@@ -549,13 +564,13 @@ def closed_carriers(draw):
     W = {m for m in G.morphisms
          if block[G.source[m]] == block[G.target[m]]
          and m.split(":")[1] in groups[block[G.source[m]]]}
-    return G, pregroupoid(G, W)
+    return G, W
 
 
 def random_word(draw, G, W, base, length):
     """A chain of carrier letters from `base`, one random step at a time."""
     letters, at = [], base
-    steps = sorted((a, s) for a in W.carrier if not G.is_identity(a) for s in (1, -1))
+    steps = sorted((a, s) for a in W if not G.is_identity(a) for s in (1, -1))
     for _ in range(length):
         options = [(a, s) for a, s in steps
                    if (G.source[a] if s > 0 else G.target[a]) == at]
@@ -583,13 +598,13 @@ def test_closed_carriers_agree_with_coset_enumeration(data):
     true order |W(x,x)|, below the budget.  Word equality is equality of
     ambient products, which is exact for a closed carrier."""
     G, W = data.draw(closed_carriers())
-    n_max = max(sum(1 for a in W.carrier if G.source[a] == x == G.target[a])
+    n_max = max(sum(1 for a in W if G.source[a] == x == G.target[a])
                 for x in G.objects)
     budget = data.draw(st.integers(1, n_max + 40) | st.just(DEFAULT_BUDGET))
     M = build_monodromy(G, W, budget=budget)
     for i, (comp, vgp) in enumerate(zip(M.forest.components, M.vertex_groups)):
         old, new = build_engine(vgp, budget=budget), M.engines[i]
-        n = sum(1 for a in W.carrier if G.source[a] == comp.base == G.target[a])
+        n = sum(1 for a in W if G.source[a] == comp.base == G.target[a])
         if old.kind != "undecided":
             assert (new.kind, new.order, new.rank) == (old.kind, old.order, old.rank)
         else:
@@ -600,7 +615,7 @@ def test_closed_carriers_agree_with_coset_enumeration(data):
         w1, end1 = random_word(data.draw, G, W, base, data.draw(st.integers(0, 6)))
         w2, end2 = random_word(data.draw, G, W, base, data.draw(st.integers(0, 6)))
         if end2 != end1:  # close w2 up to w1's end, within the block
-            link = min(a for a in W.carrier if G.source[a] == end2 and G.target[a] == end1)
+            link = min(a for a in W if G.source[a] == end2 and G.target[a] == end1)
             w2 = Word(w2.letters + ((link, 1),), base)
         eq = M.equal(w1, w2)
         if M.engines[M.component_of(base)].kind != "undecided":
@@ -626,7 +641,7 @@ def table_engines(M, i):
     G = M.ambient
     triples = [t for t in M.relator_family if M.component_of(G.source[t[0]]) == i]
     new = monodromy._table_engine(M, i, triples)
-    old = table_engine_oracle(G, M.subset.carrier, M.graph, M.forest.components[i],
+    old = table_engine_oracle(G, M.carrier, M.graph, M.forest.components[i],
                               M.vertex_groups[i], M.budget)
     return new, old
 
@@ -634,7 +649,7 @@ def table_engines(M, i):
 def certificate(G):
     """The table engine of the full carrier of a one-object G, or None; the
     relator certificate of `table_engine_oracle` must agree."""
-    W = pregroupoid(G, set(G.morphisms))
+    W = G.morphisms
     M = build_monodromy(G, W)
     new, old = table_engines(M, 0)
     assert (new is None) == (old is None)
@@ -692,11 +707,11 @@ def test_closed_carriers_decide_only_below_the_budget():
     (as in corpus/monodromy-starved.json) and budget 3 decides.  A trivial
     vertex group keeps its "free rank 0"."""
     G = product_groupoid(2, cyclic(2))
-    W = pregroupoid(G, set(G.morphisms))
+    W = G.morphisms
     assert build_monodromy(G, W, budget=2).vertex_group_info(0) == ("undecided", 2)
     assert build_monodromy(G, W, budget=3).vertex_group_info(0) == ("finite", 2)
     P = pair_groupoid(["a", "b", "c"])
-    M = build_monodromy(P, pregroupoid(P, set(P.morphisms)))
+    M = build_monodromy(P, P.morphisms)
     assert M.vertex_group_info(0) == ("free", 0)
 
 
@@ -726,7 +741,7 @@ def test_closed_carriers_at_the_order_budget_match_build_engine(data):
     S3 at budget n + 1), and where both decide, they agree on triviality."""
     G, W = data.draw(closed_carriers())
     forest = build_monodromy(G, W).forest
-    orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+    orders = [sum(1 for a in W if G.source[a] == c.base == G.target[a])
               for c in forest.components]
     n = data.draw(st.sampled_from(orders))
     budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, 2, DEFAULT_BUDGET]))
@@ -770,7 +785,7 @@ def test_triple_certificate_matches_the_relator_certificate(data):
     (`stepped`) of random words."""
     G, W = data.draw(closed_carriers())
     forest = build_monodromy(G, W).forest
-    orders = [sum(1 for a in W.carrier if G.source[a] == c.base == G.target[a])
+    orders = [sum(1 for a in W if G.source[a] == c.base == G.target[a])
               for c in forest.components]
     n = data.draw(st.sampled_from(orders))
     budget = data.draw(st.sampled_from([max(n - 1, 1), n, n + 1, DEFAULT_BUDGET]))
@@ -817,7 +832,7 @@ def closed_carriers_in_any_table(draw):
                            identity=G.identity, inverse=inverse, compose=compose)
         assert not validate_structure(G)
     picks = draw(st.lists(st.sampled_from(morphs), max_size=3))
-    return G, pregroupoid(G, closure_oracle(G, {*G.identity.values(), *picks}))
+    return G, closure_oracle(G, {*G.identity.values(), *picks})
 
 
 @given(closed_carriers_in_any_table())
@@ -833,7 +848,7 @@ def test_closed_carriers_generate_exactly_when_they_are_everything(GW):
         mp.setattr(monodromy, "generated_by", lambda *a: calls.append(a))
         M = build_monodromy(G, W, budget=20)
     assert M.closed and not calls
-    assert M.generates_ambient == generated_by(G, W.carrier)
+    assert M.generates_ambient == generated_by(G, W)
 
 
 @pytest.mark.parametrize("name, table", [
@@ -845,7 +860,7 @@ def test_coset_enumeration_wastes_a_row_on_full_carriers(name, table):
     simplified, runs out of a budget of n rows, and completes with n rows
     at the default budget."""
     G = group_groupoid(table)
-    vgp = build_monodromy(G, pregroupoid(G, set(G.morphisms))).vertex_groups[0]
+    vgp = build_monodromy(G, G.morphisms).vertex_groups[0]
     simp = simplify_presentation(vgp.generators, vgp.relations)
     n = len(table[0])
     assert coset_enumeration(simp, budget=n) == Exhausted(budget=n, rows_used=n)
@@ -859,7 +874,7 @@ def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
     default budget."""
     G = group_groupoid(cyclic(n))
     start = time.perf_counter()
-    M = build_monodromy(G, pregroupoid(G, set(G.morphisms)))
+    M = build_monodromy(G, G.morphisms)
     assert M.vertex_group_info(0) == ("finite", n)
     assert M.equal(Word((("1", 1),) * n, "*"), Word((), "*")) is True
     assert M.equal(Word((("1", 1),) * (n - 1), "*"), Word((("1", -1),), "*")) is True
@@ -871,7 +886,7 @@ def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
 # ------------------------------------------- class search against its oracle
 
 def search_instance(G, carrier, budget, roots, depth):
-    return build_monodromy(G, pregroupoid(G, carrier), budget=budget), roots, depth
+    return build_monodromy(G, carrier, budget=budget), roots, depth
 
 
 @st.composite
@@ -884,10 +899,10 @@ def search_instances(draw):
     shape = draw(st.sampled_from(["closed", "punctured", "random"]))
     if shape != "random":
         G, W = draw(closed_carriers())
-        moves = sorted(a for a in W.carrier if not G.is_identity(a))
+        moves = sorted(a for a in W if not G.is_identity(a))
         drop = (draw(st.lists(st.sampled_from(moves), min_size=1, max_size=2))
                 if shape == "punctured" and moves else [])
-        W = W.carrier - {*drop, *(G.inverse[a] for a in drop)}
+        W = W - {*drop, *(G.inverse[a] for a in drop)}
     else:
         _, table = draw(st.sampled_from(all_groups_upto8()))
         n = draw(st.integers(1, 3))
@@ -907,7 +922,7 @@ def search_instances(draw):
 def engine_label(M, component):
     """free, undecided, or finite split by where its table came from: read
     off a composition-closed carrier, or by coset enumeration."""
-    engine, G, W = M.engines[component], M.ambient, M.subset.carrier
+    engine, G, W = M.engines[component], M.ambient, M.carrier
     if engine.kind != "finite":
         return engine.kind
     closed = all(ab in W for a, b, ab in
@@ -986,7 +1001,7 @@ def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):
     2, 4 and 4 new classes at depths 0-2, so a cap of 7 stops level 2 after
     its first new class."""
     G = product_groupoid(2, cyclic(5))
-    W = pregroupoid(G, {*G.identity.values(), "o0>o0:1", "o0>o0:4", "o1>o1:2", "o1>o1:3"})
+    W = {*G.identity.values(), "o0>o0:1", "o0>o0:4", "o1>o1:2", "o1>o1:3"}
     M = build_monodromy(G, W)
     assert not M.generates_ambient  # W does not reach o0 -> o1
     assert [M.vertex_group_info(i) for i in range(2)] == [("free", 1)] * 2
@@ -1006,8 +1021,9 @@ def presented_carriers(draw):
     on 2-7 points whose carrier links points only within two or three
     blocks, the first point and the last in different ones, so it has
     several components; or `pi1` of a graph with two vertex blocks and no
-    edge between them.  The spanning forest follows a random edge
-    order."""
+    edge between them.  Morphism names, or the graph's vertex names, are
+    a random permutation of the plain ones, which varies the spanning
+    forest."""
     shape = draw(st.sampled_from(["closed", "random", "pairs", "pi1"]))
     if shape == "pi1":
         n = draw(st.integers(2, 7))
@@ -1016,11 +1032,10 @@ def presented_carriers(draw):
         within = [(u, v) for u, v in itertools.combinations(vs, 2)
                   if (u in vs[:cut]) == (v in vs[:cut])]
         es = draw(st.lists(st.sampled_from(within), unique=True)) if within else []
-        edge_ids = sorted(pi1_graph(vs, es).graph.edges)
-        return pi1_graph(vs, es, budget=20, edge_order=draw(st.permutations(edge_ids)))
+        M, _ = pi1_renamed(vs, es, dict(zip(vs, draw(st.permutations(vs)))), budget=20)
+        return M
     if shape == "closed":
         G, W = draw(closed_carriers())
-        W = W.carrier
     elif shape == "random":
         _, table = draw(st.sampled_from(all_groups_upto8()))
         n = draw(st.integers(1, 3))
@@ -1038,9 +1053,8 @@ def presented_carriers(draw):
         picks = draw(st.lists(st.sampled_from(links), unique=True)) if links else []
         W = {*G.identity.values(), *(f"({u},{v})" for u, v in picks),
              *(f"({v},{u})" for u, v in picks)}
-    moves = sorted(a for a in W if not G.is_identity(a))
-    return build_monodromy(G, pregroupoid(G, W), budget=20,
-                           edge_order=draw(st.permutations(moves)))
+    name = dict(zip(sorted(G.morphisms), draw(st.permutations(sorted(G.morphisms)))))
+    return build_monodromy(relabel(G, name), {name[a] for a in W}, budget=20)
 
 
 @given(presented_carriers())
@@ -1050,7 +1064,7 @@ def test_relators_and_collapse_match_the_word_pipeline(M):
     base's component, gives the relators, the vertex-group presentations
     (base, generators, relations, in order) and the DOT label that
     re-walking every relator and collapsing it per component gives."""
-    G, W = M.ambient, M.subset.carrier
+    G, W = M.ambient, M.carrier
     relators, vertex_groups = collapse_oracle(G, W, M.forest)
     assert M.relators == relators
     assert M.vertex_groups == vertex_groups
@@ -1062,4 +1076,4 @@ def test_relators_and_collapse_match_the_word_pipeline(M):
 @given(presented_carriers())
 @settings(max_examples=100, deadline=None)
 def test_closed_flag_is_wide_subgroupoid_membership(M):
-    assert M.closed == (not check_wide_subgroupoid(M.ambient, M.subset.carrier))
+    assert M.closed == (not check_wide_subgroupoid(M.ambient, M.carrier))

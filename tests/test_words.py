@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoids.monodromy import build_monodromy, pi1_graph, pregroupoid
+from groupoids.monodromy import build_monodromy, pi1_graph
 from groupoids.words import (
     CosetTable,
     Exhausted,
@@ -100,12 +100,21 @@ def test_collapse_rank_is_edges_minus_vertices_plus_one():
         assert vgp.relations == ()
 
 
-def test_collapse_independent_of_edge_order():
+def test_collapse_independent_of_names():
+    """Renaming the vertices and the edges so that both orders reverse
+    moves the root and the exploration order: another spanning tree, and
+    the same rank."""
     rng = random.Random(3)
     g = random_connected_graph(rng, 6, 4)
-    r1 = collapse_presentation(g, (), spanning_forest(g))
-    r2 = collapse_presentation(g, (), spanning_forest(g, edge_order=sorted(g.edges, reverse=True)))
-    assert len(r1[0].generators) == len(r2[0].generators)  # rank is order-invariant
+    ids = sorted(g.edges)
+    name = {e: f"r{len(ids) - i:02d}" for i, e in enumerate(ids)}
+    vname = {f"v{i}": f"u{5 - i}" for i in range(6)}
+    g2 = GeneratingGraph(vertices=frozenset(vname.values()),
+                         edges={name[e]: (vname[u], vname[v]) for e, (u, v) in g.edges.items()})
+    f1, f2 = spanning_forest(g), spanning_forest(g2)
+    assert {name[e] for e in f1.tree_edges} != f2.tree_edges
+    r1, r2 = collapse_presentation(g, (), f1), collapse_presentation(g2, (), f2)
+    assert len(r1[0].generators) == len(r2[0].generators)  # rank is name-invariant
 
 
 def test_collapse_deletes_tree_letters():
@@ -148,7 +157,7 @@ def collapsed_full_carriers():
     out = []
     for _, table in all_groups_upto8():
         for G in (group_groupoid(table), product_groupoid(2, table)):
-            out.extend(build_monodromy(G, pregroupoid(G, G.morphisms)).vertex_groups)
+            out.extend(build_monodromy(G, G.morphisms).vertex_groups)
     return out
 
 
