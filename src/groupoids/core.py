@@ -17,11 +17,46 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class Record:
+    """Base of the package's records: a subclass lists its fields as
+    annotations and writes an `__init__` that stores them in `self.__dict__`.
+
+    Records compare and hash field by field, only within one class, and
+    print as ``Name(field=value, ...)``.  Setting or deleting an attribute
+    raises AttributeError; `cached_property` still works, because it writes
+    `__dict__` directly.  The methods are written once, here, so importing
+    the package generates and compiles none of them."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self):
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteGroupoid(Record):
     """Lookup tables; `compose` is a dict, or for `pair_groupoid` a mapping
     that computes its entries.  Treated as immutable after construction."""
 
@@ -31,6 +66,10 @@ class FiniteGroupoid:
     identity: dict       # object -> morphism id
     inverse: dict        # morphism id -> morphism id
     compose: dict        # (a, b) -> ab, for tgt(a) == src(b)
+
+    def __init__(self, objects, source, target, identity, inverse, compose):
+        self.__dict__.update(objects=objects, source=source, target=target,
+                             identity=identity, inverse=inverse, compose=compose)
 
     @property
     def morphisms(self):
@@ -67,12 +106,14 @@ class FiniteGroupoid:
         return acc
 
 
-@dataclass(frozen=True)
-class GroupoidMorphism:
+class GroupoidMorphism(Record):
     """A functor between finite groupoids, stored as explicit maps."""
 
     obj_map: dict
     mor_map: dict
+
+    def __init__(self, obj_map, mor_map):
+        self.__dict__.update(obj_map=obj_map, mor_map=mor_map)
 
 
 _REFERENCE_KINDS = ("dangling-reference", "identity-missing", "inverse-missing")

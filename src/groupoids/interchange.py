@@ -153,13 +153,14 @@ def parse_carrier(doc, G: FiniteGroupoid, where="document") -> frozenset:
 def parse_topology_family(doc, where="topology"):
     """(points, family) without deciding whether the family is a topology."""
     points = _strings(_require(doc, "points", list, where), f"{where}.points")
+    known = set(points)
     opens = []
     for i, o in enumerate(_require(doc, "opens", list, where)):
         spot = f"{where}.opens[{i}]"
         if not isinstance(o, list):
             raise DocumentError(f"{spot}: expected list of points")
         for p in _strings(o, spot):
-            if p not in points:
+            if p not in known:
                 raise DocumentError(f"{spot}: unknown point {p!r}")
         opens.append(frozenset(o))
     return points, opens
@@ -184,6 +185,7 @@ def serialize_topology(T: FiniteTopology) -> dict:
 def parse_graph(doc, where="graph"):
     """(vertices, edges) for a fundamental-groupoid run."""
     vertices = _strings(_require(doc, "vertices", list, where), f"{where}.vertices")
+    known = set(vertices)
     edges = []
     for i, e in enumerate(_require(doc, "edges", list, where)):
         spot = f"{where}.edges[{i}]"
@@ -191,7 +193,7 @@ def parse_graph(doc, where="graph"):
             raise DocumentError(f"{spot}: expected [u, v]")
         u, v = _strings(e, spot)
         for p in (u, v):
-            if p not in vertices:
+            if p not in known:
                 raise DocumentError(f"{spot}: unknown vertex {p!r}")
         edges.append((u, v))
     return vertices, edges

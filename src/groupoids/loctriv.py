@@ -37,9 +37,8 @@ constructions that need a valid structure take the `validate_clt` tuple as
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .core import FiniteGroupoid, check_wide_subgroupoid
+from .core import FiniteGroupoid, Record, check_wide_subgroupoid
 from .monodromy import MonodromyGroupoid, enumerate_classes
 from .topology import (
     FiniteTopology,
@@ -50,11 +49,13 @@ from .topology import (
 from .words import inv_letters
 
 
-@dataclass(frozen=True)
-class LocalTrivialization:
+class LocalTrivialization(Record):
     base_space: FiniteTopology
     cover: tuple    # ((index, frozenset of points), ...)
     sections: dict  # (point, index) -> {point in the member: morphism id}
+
+    def __init__(self, base_space, cover, sections):
+        self.__dict__.update(base_space=base_space, cover=cover, sections=sections)
 
 
 def local_trivialization(base_space, cover, sections) -> LocalTrivialization:
@@ -235,23 +236,31 @@ def check_w_open(G: FiniteGroupoid, LT: LocalTrivialization, W) -> tuple:
 
 # ---------------------------------------------------- transport to words
 
-@dataclass(frozen=True)
-class WindowTopologyReport:
+class WindowTopologyReport(Record):
     depth: int
     points: int                   # distinct word classes in the window
     base_compatible: bool
     tokens_exact: bool            # False if any engine was undecided
     opens: int                    # None when the count stopped at its bound
-    w_tilde_open: bool = None     # None unless W is closed and tokens exact
-    topology: FiniteTopology = None     # on the window's class keys
-    values: dict = field(default_factory=dict)  # class key -> image morphism
-    capped_at: int = None         # levels searched in full when the class cap hit
+    w_tilde_open: bool            # None unless W is closed and tokens exact
+    topology: FiniteTopology      # on the window's class keys
+    values: dict                  # class key -> image morphism
+    capped_at: int                # levels searched in full when the class cap hit
+
+    def __init__(self, depth, points, base_compatible, tokens_exact, opens,
+                 w_tilde_open=None, topology=None, values=None, capped_at=None):
+        self.__dict__.update(depth=depth, points=points, base_compatible=base_compatible,
+                             tokens_exact=tokens_exact, opens=opens,
+                             w_tilde_open=w_tilde_open, topology=topology,
+                             values={} if values is None else values, capped_at=capped_at)
 
 
-@dataclass(frozen=True)
-class MonodromyCltReport:
+class MonodromyCltReport(Record):
     comp_triples: int             # (x, i, j) Comp asks about, all inherited
     window: WindowTopologyReport
+
+    def __init__(self, comp_triples, window):
+        self.__dict__.update(comp_triples=comp_triples, window=window)
 
 
 def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,

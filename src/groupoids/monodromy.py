@@ -39,11 +39,10 @@ and tokens are spelled from these back-pointers when they are read.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .core import FiniteGroupoid, generated_by, pair_groupoid
+from .core import FiniteGroupoid, Record, generated_by, pair_groupoid
 from .words import (
     DEFAULT_BUDGET,
     CosetTable,
@@ -63,8 +62,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class MonodromyGroupoid:
+class MonodromyGroupoid(Record):
     ambient: FiniteGroupoid
     carrier: frozenset         # W: inversion-closed, every identity in it
     graph: GeneratingGraph
@@ -73,6 +71,13 @@ class MonodromyGroupoid:
     generates_ambient: bool
     closed: bool               # no product of composable carrier elements leaves W
     budget: int
+
+    def __init__(self, ambient, carrier, graph, relator_family, forest,
+                 generates_ambient, closed, budget):
+        self.__dict__.update(ambient=ambient, carrier=carrier, graph=graph,
+                             relator_family=relator_family, forest=forest,
+                             generates_ambient=generates_ambient, closed=closed,
+                             budget=budget)
 
     @cached_property
     def relators(self) -> tuple:
@@ -255,13 +260,15 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
                              kind="finite", table=table)
 
 
-@dataclass(frozen=True)
-class WordEvaluator:
+class WordEvaluator(Record):
     """A morphism out of the presented groupoid, tabulated on generators."""
 
     target: FiniteGroupoid
     obj_map: dict
     gen_map: dict  # carrier element -> target morphism
+
+    def __init__(self, target, obj_map, gen_map):
+        self.__dict__.update(target=target, obj_map=obj_map, gen_map=gen_map)
 
     def evaluate(self, w: Word):
         H = self.target
@@ -328,8 +335,7 @@ def globalize(M: MonodromyGroupoid, f: dict, H: FiniteGroupoid) -> tuple:
 MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
 
 
-@dataclass(frozen=True)
-class ClassSearch:
+class ClassSearch(Record):
     found: dict       # (base, target, node) -> (parent's key, carrier letter, ambient value)
     moves: dict       # carrier element -> (normal image, how a node takes it)
     trie: TokenTrie   # spells the nodes of bases outside `rows`
@@ -337,6 +343,10 @@ class ClassSearch:
     exact: bool       # every token computed was decided
     saturated: bool   # the search closed before the window ended
     capped_at: int    # levels searched in full when MAX_CLASSES stopped it, else None
+
+    def __init__(self, found, moves, trie, rows, exact, saturated, capped_at):
+        self.__dict__.update(found=found, moves=moves, trie=trie, rows=rows, exact=exact,
+                             saturated=saturated, capped_at=capped_at)
 
     @cached_property
     def classes(self) -> dict:
@@ -412,8 +422,7 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     return ClassSearch(found, moves, trie, rows, exact, not frontier, None)
 
 
-@dataclass(frozen=True)
-class StarCoverReport:
+class StarCoverReport(Record):
     object: str
     depth: int
     reached: dict             # ambient star element -> distinct classes over it
@@ -423,7 +432,15 @@ class StarCoverReport:
     saturated: bool           # breadth-first search closed before the window ended
     fiber_counts_exact: bool  # False when the engine is undecided
     engine_kind: str
-    capped_at: int = None     # levels searched in full when the class cap hit
+    capped_at: int            # levels searched in full when the class cap hit
+
+    def __init__(self, object, depth, reached, surjective_within_depth, undecided_depth,
+                 unreachable, saturated, fiber_counts_exact, engine_kind, capped_at=None):
+        self.__dict__.update(object=object, depth=depth, reached=reached,
+                             surjective_within_depth=surjective_within_depth,
+                             undecided_depth=undecided_depth, unreachable=unreachable,
+                             saturated=saturated, fiber_counts_exact=fiber_counts_exact,
+                             engine_kind=engine_kind, capped_at=capped_at)
 
 
 def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+
+from .core import Record
 
 MAX_OPENS = 1 << 16
 MAX_COUNT_STATES = 1 << 16  # subproblems one open count may memoise
@@ -41,9 +42,11 @@ def _family_order(s):
     return (len(s), sorted(map(str, s)))
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     neighborhoods: dict  # point -> its minimal open set U_p
+
+    def __init__(self, neighborhoods):
+        self.__dict__.update(neighborhoods=neighborhoods)
 
     @cached_property
     def points(self) -> tuple:
@@ -266,10 +269,12 @@ def indiscrete(points) -> FiniteTopology:
     return FiniteTopology(dict.fromkeys(pts, pts))
 
 
-@dataclass(frozen=True)
-class GeneratedTopology:
+class GeneratedTopology(Record):
     topology: FiniteTopology
     base_compatible: bool  # False: the family is only a subbase
+
+    def __init__(self, topology, base_compatible):
+        self.__dict__.update(topology=topology, base_compatible=base_compatible)
 
 
 def generate_from_base(points, base) -> GeneratedTopology:

@@ -32,18 +32,21 @@ import heapq
 import itertools
 from collections import Counter, deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
+
+from .core import Record
 
 DEFAULT_BUDGET = 10000
 
 Letter = tuple  # (edge id, +1 | -1)
 
 
-@dataclass(frozen=True)
-class GeneratingGraph:
+class GeneratingGraph(Record):
     vertices: frozenset
     edges: dict  # edge id -> (src, tgt)
+
+    def __init__(self, vertices, edges):
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     def letter_ends(self, letter):
         e, s = letter
@@ -51,10 +54,12 @@ class GeneratingGraph:
         return (u, v) if s > 0 else (v, u)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     letters: tuple
     base: str  # source vertex
+
+    def __init__(self, letters, base):
+        self.__dict__.update(letters=letters, base=base)
 
 
 def inv_letters(letters):
@@ -75,19 +80,25 @@ def word_target(graph: GeneratingGraph, w: Word):
     return graph.letter_ends(w.letters[-1])[1] if w.letters else w.base
 
 
-@dataclass(frozen=True)
-class ForestComponent:
+class ForestComponent(Record):
     base: str
     vertices: frozenset
     tree_edges: frozenset
     paths: dict  # vertex -> Word from base
 
+    def __init__(self, base, vertices, tree_edges, paths):
+        self.__dict__.update(base=base, vertices=vertices, tree_edges=tree_edges,
+                             paths=paths)
 
-@dataclass(frozen=True)
-class Forest:
+
+class Forest(Record):
     components: tuple
     vertex_component: dict
     tree_edges: frozenset  # union of the components' tree edges
+
+    def __init__(self, components, vertex_component, tree_edges):
+        self.__dict__.update(components=components, vertex_component=vertex_component,
+                             tree_edges=tree_edges)
 
 
 def spanning_forest(graph: GeneratingGraph) -> Forest:
@@ -128,11 +139,14 @@ def spanning_forest(graph: GeneratingGraph) -> Forest:
                   tree_edges=frozenset().union(*(c.tree_edges for c in comps)))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     generators: tuple
     relations: tuple          # letter tuples over the generators
-    eliminations: tuple = ()  # (gen, replacement letters), in order of application
+    eliminations: tuple       # (gen, replacement letters), in order of application
+
+    def __init__(self, generators, relations, eliminations=()):
+        self.__dict__.update(generators=generators, relations=relations,
+                             eliminations=eliminations)
 
 
 def collapse_letters(forest: Forest, letters):
@@ -257,18 +271,23 @@ def rewrite_through(eliminations, letters):
 
 # ---------------------------------------------------------- coset enumeration
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(Record):
     budget: int
     rows_used: int
 
+    def __init__(self, budget, rows_used):
+        self.__dict__.update(budget=budget, rows_used=rows_used)
 
-@dataclass(frozen=True)
-class CosetTable:
+
+class CosetTable(Record):
     generators: tuple
     size: int
     action: dict          # gen -> tuple of images, the right action
     inverse_action: dict
+
+    def __init__(self, generators, size, action, inverse_action):
+        self.__dict__.update(generators=generators, size=size, action=action,
+                             inverse_action=inverse_action)
 
     def follow(self, letters, start=0):
         c = start
@@ -417,8 +436,7 @@ def coset_enumeration(gp, budget=DEFAULT_BUDGET):
 
 # ------------------------------------------------------------------- verdicts
 
-@dataclass(frozen=True)
-class VertexGroupEngine:
+class VertexGroupEngine(Record):
     """Normal forms for one collapsed vertex group.
 
     kind is "free" (no relations survived simplification; tokens are free
@@ -436,7 +454,10 @@ class VertexGroupEngine:
 
     presentation: Presentation | Callable[[], Presentation]
     kind: str
-    table: CosetTable = None
+    table: CosetTable
+
+    def __init__(self, presentation, kind, table=None):
+        self.__dict__.update(presentation=presentation, kind=kind, table=table)
 
     @cached_property
     def simplified(self) -> Presentation:

@@ -138,6 +138,14 @@ def product_groupoid(n_objects, table):
                           identity=identity, inverse=inverse, compose=compose)
 
 
+def with_tables(G, **tables):
+    """A new FiniteGroupoid with the named tables swapped in and the others
+    shared with G, the same objects included."""
+    return FiniteGroupoid(**{"objects": G.objects, "source": G.source, "target": G.target,
+                             "identity": G.identity, "inverse": G.inverse,
+                             "compose": G.compose, **tables})
+
+
 def relabel(G, name):
     """The copy of G with each morphism m renamed name[m] (a one-to-one
     mapping); objects keep their names.  Renaming reorders the morphism

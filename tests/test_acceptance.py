@@ -12,7 +12,6 @@ group is finite of order 3 and the blanket "free of rank 1" claim cannot
 hold there.  The companion test pins the true behaviour.
 """
 
-import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -62,6 +61,7 @@ from helpers import (
     translate_collisions_oracle,
     tree_links,
     w_open_witnesses,
+    with_tables,
 )
 
 
@@ -82,7 +82,7 @@ def test_criterion_1_axiom_suite():
         G = rng.choice(mutable)
         key = rng.choice(sorted(G.compose))
         wrong = rng.choice([m for m in sorted(G.morphisms) if m != G.compose[key]])
-        mutant = dataclasses.replace(G, compose={**G.compose, key: wrong})
+        mutant = with_tables(G, compose={**G.compose, key: wrong})
         report = validate_groupoid(mutant)
         assert report  # every mutation is caught
         for v in report:

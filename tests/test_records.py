@@ -1,0 +1,152 @@
+"""The package's records are plain classes: immutable after construction,
+compared and hashed field by field within one class.  Importing the CLI
+loads neither `dataclasses` nor the `inspect` module it pulls in."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from groupoids.core import normal_closure, pair_groupoid, quotient
+from groupoids.loctriv import (
+    WindowTopologyReport,
+    clt_on_monodromy,
+    local_trivialization,
+    sections_from_arrows,
+)
+from groupoids.monodromy import (
+    build_monodromy,
+    canonical_morphism,
+    enumerate_classes,
+    star_covering_report,
+)
+from groupoids.topology import generate_from_base, indiscrete
+from groupoids.words import Presentation, build_engine, coset_enumeration
+
+from helpers import cyclic, group_groupoid
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A fresh interpreter, without site packages, so only the package's
+    own imports count."""
+    probe = ("import sys, groupoids.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
+
+
+def _z4():
+    return build_monodromy(group_groupoid(cyclic(4)), {"0", "1", "2", "3"})
+
+
+def _z3_presentation():
+    return Presentation(generators=("a",), relations=((("a", 1),) * 3,))
+
+
+def _pair_clt():
+    G = pair_groupoid(["0", "1"])
+    cover = ((0, frozenset(G.objects)),)
+    LT = local_trivialization(indiscrete(G.objects), cover,
+                              sections_from_arrows(cover, lambda x, u: f"({x},{u})"))
+    return LT, build_monodromy(G, G.morphisms)
+
+
+def _quotient_morphism():
+    G = group_groupoid(cyclic(4))
+    return quotient(G, normal_closure(G, {"2"}))[1]
+
+
+BUILDERS = {
+    "FiniteGroupoid": lambda: group_groupoid(cyclic(3)),
+    "GroupoidMorphism": _quotient_morphism,
+    "GeneratingGraph": lambda: _z4().graph,
+    "Word": lambda: _z4().i_tilde("1"),
+    "ForestComponent": lambda: _z4().forest.components[0],
+    "Forest": lambda: _z4().forest,
+    "Presentation": _z3_presentation,
+    "Exhausted": lambda: coset_enumeration(_z3_presentation(), budget=2),
+    "CosetTable": lambda: coset_enumeration(_z3_presentation()),
+    "VertexGroupEngine": lambda: build_engine(_z3_presentation()),
+    "MonodromyGroupoid": _z4,
+    "WordEvaluator": lambda: canonical_morphism(_z4()),
+    "ClassSearch": lambda: enumerate_classes(_z4(), ["*"], 2),
+    "StarCoverReport": lambda: star_covering_report(_z4(), "*", 2),
+    "FiniteTopology": lambda: indiscrete(["a", "b"]),
+    "GeneratedTopology": lambda: generate_from_base(["a", "b"], [{"a"}, {"a", "b"}]),
+    "LocalTrivialization": lambda: _pair_clt()[0],
+    "WindowTopologyReport": lambda: clt_on_monodromy(*_pair_clt(), depth=2).window,
+    "MonodromyCltReport": lambda: clt_on_monodromy(*_pair_clt(), depth=2),
+}
+RECORDS = {name: build() for name, build in BUILDERS.items()}
+
+
+def _fields(r):
+    return list(vars(type(r))["__annotations__"])
+
+
+def _hash(r):
+    try:
+        return hash(r)
+    except TypeError:
+        return TypeError
+
+
+def test_every_record_class_is_covered():
+    assert sorted(type(r).__name__ for r in RECORDS.values()) == sorted(BUILDERS)
+    assert len(BUILDERS) == 19
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    r = RECORDS[name]
+    for f in _fields(r):
+        before = getattr(r, f)
+        with pytest.raises(AttributeError):
+            setattr(r, f, None)
+        with pytest.raises(AttributeError):
+            delattr(r, f)
+        assert getattr(r, f) is before
+    with pytest.raises(AttributeError):
+        r.unlisted = 1
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_rebuilt_records_compare_and_hash_equal(name):
+    r = RECORDS[name]
+    values = {f: getattr(r, f) for f in _fields(r)}
+    again = type(r)(**values)  # every field is a keyword of __init__
+    assert again is not r and again == r and not again != r
+    assert _hash(again) == _hash(r)
+    hashable = all(_hash(v) is not TypeError for v in values.values())
+    assert (_hash(r) is not TypeError) == hashable  # a dict field makes hash raise
+    if name != "ClassSearch":  # its TokenTrie compares by identity
+        assert BUILDERS[name]() == r
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_records_of_different_classes_never_compare_equal(name):
+    r = RECORDS[name]
+    values = [getattr(r, f) for f in _fields(r)]
+    for other in RECORDS.values():
+        if type(other) is type(r):
+            continue
+        assert r != other and other != r
+        if len(_fields(other)) == len(values):  # the same values, another class
+            twin = type(other)(*values)
+            assert r != twin and twin != r
+
+
+def test_repr_names_the_class_and_its_fields():
+    assert repr(RECORDS["Exhausted"]) == "Exhausted(budget=2, rows_used=2)"
+
+
+def test_window_reports_without_values_get_distinct_dicts():
+    a, b = (WindowTopologyReport(depth=0, points=0, base_compatible=True,
+                                 tokens_exact=True, opens=1) for _ in range(2))
+    assert a.values == {} and b.values == {} and a.values is not b.values
+    assert a == b
