@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Time two source trees against each other, whole passes in one process.
+
+    python3 scripts/ab_pass.py PARENT_TREE CHANGE_TREE --workload clt-topology --seed 3
+
+Each tree's `src/groupoids` is copied into a temporary directory under a
+package name of its own (`groupoids_parent`, `groupoids_change`), so both
+import side by side; the package's own imports are relative.  One pass of
+documents comes from this tree's `perfbench.workloads` and is written to
+the same temporary directory.  Every document is first run once on each
+side, and the outputs must agree apart from `timing`.  Then whole passes of
+the two sides alternate, the side that goes first swapping every pair, and
+the script prints each side's median pass time and median per-document
+time, with the quartiles of the pass times and the pairs each side won.
+Timing both sides in one process keeps the machine's drift between
+processes out of the comparison.  perfbench is only read.
+"""
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.measure import call_main  # noqa: E402
+from perfbench.workloads import WORKLOADS, build, write_documents  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load_side(tree, name, into):
+    """`groupoids.cli.main` of `tree`, imported as `groupoids_<name>`."""
+    package = f"groupoids_{name}"
+    shutil.copytree(Path(tree) / "src" / "groupoids", into / package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{package}.cli").main
+
+
+def one_pass(main, docs):
+    """(pass seconds, seconds per document, outcomes)."""
+    outcomes = [call_main(main, doc.argv()) for doc in docs]
+    return sum(o.seconds for o in outcomes), [o.seconds for o in outcomes], outcomes
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", help="source tree of the parent commit")
+    p.add_argument("change", help="source tree of the change")
+    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pairs", type=int, default=10, help="timed pass pairs (default 10)")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        mains = {side: load_side(tree, side, tmp)
+                 for side, tree in zip(SIDES, (args.parent, args.change))}
+        docs = build(args.workload, args.seed, ROOT)
+        write_documents(docs, tmp / "docs")
+
+        first = {side: one_pass(mains[side], docs)[2] for side in SIDES}
+        differ = [doc.name for doc, a, b in zip(docs, first["parent"], first["change"])
+                  if a.stable_text() != b.stable_text() or a.err != b.err]
+        if differ:
+            print(f"error: the sides answer {len(differ)} of {len(docs)} documents "
+                  f"differently, first {differ[0]}", file=sys.stderr)
+            return 1
+
+        pass_s = {side: [] for side in SIDES}
+        doc_s = {side: [] for side in SIDES}
+        for k in range(args.pairs):
+            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                seconds, per_doc, _ = one_pass(mains[side], docs)
+                pass_s[side].append(seconds)
+                doc_s[side].append(per_doc)
+
+    wins = sum(new < old for old, new in zip(pass_s["parent"], pass_s["change"]))
+    print(f"{args.workload} seed {args.seed}: {len(docs)} documents, "
+          f"{args.pairs} alternating pass pairs, outputs agree")
+    for side in SIDES:
+        q1, med, q3 = statistics.quantiles(pass_s[side], n=4)
+        per_doc = statistics.median(statistics.median(times)
+                                    for times in zip(*doc_s[side]))
+        print(f"  {side:6s} pass median {med * 1e3:9.3f} ms "
+              f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), "
+              f"per-document median {per_doc * 1e3:.4f} ms")
+    base, new = (statistics.median(pass_s[side]) for side in SIDES)
+    print(f"  change/parent {new / base:.3f}; change faster in {wins} of {args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,8 +16,9 @@ Exit status: 0 every check passed; 1 a check was refuted (report carries the
 witness); 2 at least one verdict is undecided at the given budget/depth/
 window (the report names the exhausted parameter); 3 the input did not parse
 or violated a documented precondition, including a groupoid table that
-fails the linear checks of `validate_structure`; an unexpected internal
-error also exits 3, with a one-line message and no traceback.
+fails the linear checks of `validate_structure`, or an output file could
+not be written; an unexpected internal error also exits 3, with a one-line
+message and no traceback.
 
 Reports echo the command, the input's canonical fingerprint, and the
 parameters used; --format picks the human or machine rendering and --out
@@ -343,16 +344,23 @@ def _jsonable(v):
     return v
 
 
+class OutputError(Exception):
+    """An output file could not be written; the message names it."""
+
+
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OutputError(f"cannot write {path!r}: {e.strerror or e}") from e
         raise
 
 
@@ -451,7 +459,7 @@ def main(argv=None) -> int:
             _write_atomic(args.out, rendered)
         else:
             sys.stdout.write(rendered)
-    except DocumentError as e:
+    except (DocumentError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, TopologySizeError) as e:

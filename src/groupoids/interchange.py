@@ -8,6 +8,13 @@ being topologies, section tables being compatible — are left to the
 checkers, so a well-shaped document describing a broken structure parses
 fine and fails its check with a witness instead.
 
+Each parser decides a well-formed document in bulk: comprehensions build
+its tables, and type-set and set-containment tests stand for the checks of
+every entry.  Only when a bulk test fails does the per-entry loop run, and
+it raises on the first fault with its field path, so the messages are the
+loop's.  A document the bulk tests are unsure of (a subclass of str, say)
+goes the loop's way too, and comes out the same.
+
 Keys beginning with an underscore are reserved for annotations and ignored
 (corpus files use "_expect" to pin their exit status).
 
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 from .core import FiniteGroupoid
 from .loctriv import LocalTrivialization, local_trivialization
@@ -41,6 +49,8 @@ def load_document(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=unique)
+    except RecursionError as e:
+        raise DocumentError(f"{path}: nested too deeply") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
@@ -80,10 +90,75 @@ def _strings(items, where):
     return out
 
 
+def _distinct(items, where, what):
+    """The strings of `items` as a set; a repeated one is named."""
+    seen = set()
+    for i, s in enumerate(_strings(items, where)):
+        if s in seen:
+            raise DocumentError(f"{where}[{i}]: duplicate {what} {s!r}")
+        seen.add(s)
+    return seen
+
+
+def _all_are(items, kind) -> bool:
+    """Is every item of exactly this type?  One C-level pass."""
+    return set(map(type, items)) <= {kind}
+
+
+def _name_set(items):
+    """`items` as a set when it is a list of distinct strings, else None."""
+    if type(items) is list and _all_are(items, str):
+        names = frozenset(items)
+        if len(names) == len(items):
+            return names
+    return None
+
+
 # ------------------------------------------------------------- groupoids
 
 def parse_groupoid(doc, where="groupoid") -> FiniteGroupoid:
-    objects = set(_strings(_require(doc, "objects", list, where), f"{where}.objects"))
+    G = _groupoid_in_bulk(doc)
+    return G if G is not None else _groupoid_by_entry(doc, where)
+
+
+def _groupoid_in_bulk(doc):
+    """The groupoid of a well-formed document, or None when a bulk test
+    fails.  A list of compose triples must be lists of length 3 before
+    they are unpacked, or the string "abc" would pass as one."""
+    if type(doc) is not dict:
+        return None
+    objects = _name_set(doc.get("objects"))
+    morphisms, identities, inverses, triples = (
+        doc.get(k) for k in ("morphisms", "identities", "inverses", "compose"))
+    if not (objects is not None and type(morphisms) is list and type(identities) is dict
+            and type(inverses) is dict and type(triples) is list
+            and _all_are(morphisms, dict) and _all_are(triples, list)
+            and set(map(len, triples)) <= {3}):
+        return None
+    try:
+        source = {m["id"]: m["src"] for m in morphisms}
+        target = {m["id"]: m["tgt"] for m in morphisms}
+        compose = {(a, b): ab for a, b, ab in triples}
+        known = source.keys()
+        if not (len(source) == len(morphisms) and _all_are(source, str)
+                and objects.issuperset(source.values())
+                and objects.issuperset(target.values())
+                and identities.keys() <= objects and known >= set(identities.values())
+                and known >= inverses.keys() and known >= set(inverses.values())
+                and len(compose) == len(triples)
+                and known >= set(chain.from_iterable(triples))):
+            return None
+    except (KeyError, TypeError):  # a missing field, or an unhashable name
+        return None
+    return FiniteGroupoid(objects=objects, source=source, target=target,
+                          identity=dict(identities), inverse=dict(inverses),
+                          compose=compose)
+
+
+def _groupoid_by_entry(doc, where):
+    """The groupoid, checking one entry at a time; raises on the first
+    fault with its field path."""
+    objects = _distinct(_require(doc, "objects", list, where), f"{where}.objects", "object")
     morphisms = _require(doc, "morphisms", list, where)
     source, target = {}, {}
     for i, m in enumerate(morphisms):
@@ -152,8 +227,28 @@ def parse_carrier(doc, G: FiniteGroupoid, where="document") -> frozenset:
 
 def parse_topology_family(doc, where="topology"):
     """(points, family) without deciding whether the family is a topology."""
-    points = _strings(_require(doc, "points", list, where), f"{where}.points")
-    known = set(points)
+    family = _family_in_bulk(doc)
+    return family if family is not None else _family_by_entry(doc, where)
+
+
+def _family_in_bulk(doc):
+    """(points, family) of a well-formed document, or None when a bulk test
+    fails.  An open must be a list, or the string "01" would pass as one."""
+    if type(doc) is not dict:
+        return None
+    known, opens = _name_set(doc.get("points")), doc.get("opens")
+    if not (known is not None and type(opens) is list and _all_are(opens, list)
+            and _all_are(chain.from_iterable(opens), str)
+            and known.issuperset(chain.from_iterable(opens))):
+        return None
+    return list(doc["points"]), [frozenset(o) for o in opens]
+
+
+def _family_by_entry(doc, where):
+    """(points, family), checking one entry at a time; raises on the first
+    fault with its field path."""
+    points = _require(doc, "points", list, where)
+    known = _distinct(points, f"{where}.points", "point")
     opens = []
     for i, o in enumerate(_require(doc, "opens", list, where)):
         spot = f"{where}.opens[{i}]"
@@ -163,7 +258,7 @@ def parse_topology_family(doc, where="topology"):
             if p not in known:
                 raise DocumentError(f"{spot}: unknown point {p!r}")
         opens.append(frozenset(o))
-    return points, opens
+    return list(points), opens
 
 
 def parse_topology(doc, where="topology") -> FiniteTopology:
@@ -205,6 +300,48 @@ def parse_local_trivialization(doc, where="lt") -> LocalTrivialization:
     base = parse_topology(_require(doc, "base_space", dict, where),
                           f"{where}.base_space")
     points = set(map(str, base.points))
+    tables = _trivialization_in_bulk(doc, points)
+    cover, sections = (tables if tables is not None
+                       else _trivialization_by_entry(doc, points, where))
+    try:
+        return local_trivialization(base, cover, sections)
+    except ValueError as e:
+        raise DocumentError(f"{where}: {e}") from e
+
+
+def _trivialization_in_bulk(doc, points):
+    """(cover, sections) of a well-formed document, or None when a bulk test
+    fails.  A cover index is an int and never a bool, which would equal 0
+    or 1 in a set test, so its type is tested first."""
+    cover, sections = doc.get("cover"), doc.get("sections")
+    if not (type(cover) is list and _all_are(cover, list) and set(map(len, cover)) <= {2}
+            and type(sections) is list and _all_are(sections, list)
+            and set(map(len, sections)) <= {3}):
+        return None
+    indices, members = [i for i, _ in cover], [u for _, u in cover]
+    tables = [t for _, _, t in sections]
+    if not (_all_are(indices, int) and _all_are(members, list)
+            and _all_are(chain.from_iterable(members), str)
+            and points.issuperset(chain.from_iterable(members))
+            and _all_are([x for x, _, _ in sections], str)
+            and _all_are([i for _, i, _ in sections], int) and _all_are(tables, list)):
+        return None
+    rows = list(chain.from_iterable(tables))
+    if not (_all_are(rows, list) and set(map(len, rows)) <= {2}
+            and _all_are(chain.from_iterable(rows), str)):
+        return None
+    by_key = {(x, i): dict(t) for x, i, t in sections}
+    if not (len(by_key) == len(sections) and points.issuperset(x for x, _ in by_key)
+            and set(indices).issuperset(i for _, i in by_key)
+            and all(len(table) == len(t) and points.issuperset(table)
+                    for table, t in zip(by_key.values(), tables))):
+        return None
+    return [(i, frozenset(u)) for i, u in cover], by_key
+
+
+def _trivialization_by_entry(doc, points, where):
+    """(cover, sections), checking one entry at a time; raises on the first
+    fault with its field path."""
     cover = []
     for i, entry in enumerate(_require(doc, "cover", list, where)):
         spot = f"{where}.cover[{i}]"
@@ -243,10 +380,7 @@ def parse_local_trivialization(doc, where="lt") -> LocalTrivialization:
                 raise DocumentError(f"{spot}[{j}]: duplicate point {u!r}")
             table[u] = row[1]
         sections[(x, idx)] = table
-    try:
-        return local_trivialization(base, cover, sections)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}") from e
+    return cover, sections
 
 
 def serialize_local_trivialization(LT: LocalTrivialization) -> dict:

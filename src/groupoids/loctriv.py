@@ -189,7 +189,12 @@ def basic_neighborhood(G: FiniteGroupoid, LT: LocalTrivialization,
     if y not in cov[j]:
         raise ValueError(f"target {y!r} not in cover member {j!r}")
     si, sj = LT.sections[(x, i)], LT.sections[(y, j)]
-    return frozenset(G.mul(G.inverse[si[u]], a, sj[v]) for u in cov[i] for v in cov[j])
+    compose, inverse = G.compose, G.inverse
+    try:
+        left = [compose[inverse[si[u]], a] for u in cov[i]]
+        return frozenset([compose[c, sj[v]] for c in left for v in cov[j]])
+    except KeyError:  # a gap in the table: `mul` names it
+        return frozenset(G.mul(G.inverse[si[u]], a, sj[v]) for u in cov[i] for v in cov[j])
 
 
 def generate_groupoid_topology(G: FiniteGroupoid, LT: LocalTrivialization,

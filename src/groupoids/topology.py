@@ -298,8 +298,10 @@ def generate_from_base(points, base) -> GeneratedTopology:
 
 def difference_pairs(G) -> tuple:
     """Pairs with a common source: the domain of (a, b) -> a^-1 b."""
-    return tuple(sorted((a, b) for a in G.morphisms for b in G.morphisms
-                        if G.source[a] == G.source[b]))
+    star = {}
+    for m in G.morphisms:
+        star.setdefault(G.source[m], []).append(m)
+    return tuple(sorted((a, b) for ms in star.values() for a in ms for b in ms))
 
 
 # ------------------------------------------------------------- continuity
@@ -335,7 +337,29 @@ def pullback_continuity(pairs, factor: FiniteTopology, cod: FiniteTopology, fn):
     """Continuity out of the subspace of factor x factor on `pairs`, whose
     minimal neighbourhoods are (U_a x U_b) & pairs: None when continuous,
     else (the first bad open, a pair (a, b) mapped into it with the first
-    pair of its neighbourhood that is not)."""
+    pair of its neighbourhood that is not).
+
+    Pairs sharing (U_a, U_b) share a neighbourhood, whose image is read
+    off a row per a of its partners b and their values; the map is
+    continuous when each such image lies inside V_f(a, b) for every pair
+    of the class.  Only a map that fails there is searched again, by
+    `_pullback_witness`, for its first bad open and pair."""
+    nb, cod_nb, rows, classes = factor.neighborhoods, cod.neighborhoods, {}, {}
+    for a, b in pairs:
+        v = fn(a, b)
+        rows.setdefault(a, {})[b] = v
+        classes.setdefault((nb[a], nb[b]), set()).add(cod_nb[v])
+    for (ua, ub), around in classes.items():
+        image = {v for a in ua if a in rows for b, v in rows[a].items() if b in ub}
+        if not all(image <= v for v in around):  # `pairs` may be a spent iterator
+            return _pullback_witness([(a, b) for a, row in rows.items() for b in row],
+                                     factor, cod, fn)
+    return None
+
+
+def _pullback_witness(pairs, factor, cod, fn):
+    """`pullback_continuity` by the pullback's own neighbourhoods, for a
+    map that is not continuous: the first bad open and its pair."""
     pair_set, nb, traces = frozenset(pairs), factor.neighborhoods, {}
     for a, b in pair_set:
         if (nb[a], nb[b]) not in traces:

@@ -91,6 +91,16 @@ def test_dot_flag_writes_a_graph(tmp_path, capsys):
     assert text.count("style=dashed") == 5  # spanning tree of the subdivision
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_unwritable_output_names_the_path_not_a_temp_file(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(["validate", str(CORPUS / "pair-groupoid-3.json"),
+                          flag, str(target)], capsys)
+    assert code == 3
+    assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_refuted_validate_carries_the_violation_witness(capsys):
     code, out, _ = run(["validate", str(CORPUS / "broken-composition.json")],
                        capsys)

@@ -1,19 +1,24 @@
 """Document round-trips, canonical fingerprints, parse diagnostics, and the
 DOT rendering."""
 
+import copy
 import json
+import pathlib
 
 import pytest
 
+import groupoids.interchange as interchange
 from groupoids.core import pair_groupoid
 from groupoids.dot import export_dot
 from groupoids.interchange import (
     DocumentError,
     canonical,
     fingerprint,
+    load_document,
     parse_groupoid,
     parse_local_trivialization,
     parse_topology,
+    parse_topology_family,
     serialize_groupoid,
     serialize_local_trivialization,
     serialize_topology,
@@ -25,6 +30,7 @@ from groupoids.topology import discrete, topology
 from helpers import cyclic, group_groupoid, sym3
 
 F = frozenset
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 # --------------------------------------------------------------- round-trips
@@ -133,6 +139,169 @@ def test_section_rows_name_declared_points_once(row, at, message):
     doc["sections"][0][2].insert(0, row)
     with pytest.raises(DocumentError, match=rf"^lt.sections\[0\]\[{at}\]: {message}$"):
         parse_local_trivialization(doc)
+
+
+def test_deeply_nested_document_is_a_document_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(DocumentError) as caught:
+        load_document(path)
+    assert str(caught.value) == f"{path}: nested too deeply"
+
+
+# ------------------------------------- bulk decisions against the entry loop
+
+BULK = ("_groupoid_in_bulk", "_family_in_bulk", "_trivialization_in_bulk")
+
+
+def _outcome(parse, doc):
+    """The error text, or the result with the order of every table."""
+    try:
+        result = parse(doc)
+    except DocumentError as e:
+        return str(e)
+    if isinstance(result, tuple):  # (points, family)
+        return result
+    tables = {k: v for k, v in vars(result).items() if isinstance(v, dict)}
+    orders = {k: [(key, list(v.items()) if isinstance(v, dict) else v)
+                  for key, v in t.items()] for k, t in tables.items()}
+    return result, orders
+
+
+def _both_ways(parse, doc, monkeypatch):
+    """(bulk outcome, entry-loop outcome) of one document."""
+    bulk = _outcome(parse, copy.deepcopy(doc))
+    with monkeypatch.context() as m:
+        for name in BULK:
+            m.setattr(interchange, name, lambda *args: None)
+        by_entry = _outcome(parse, copy.deepcopy(doc))
+    return bulk, by_entry
+
+
+def _corpus(name):
+    doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+    doc.pop("_expect")
+    return doc
+
+
+def _set(path, value):
+    """A corruption that puts `value` at `path` (keys and indices)."""
+    def corrupt(doc):
+        *head, last = path
+        for step in head:
+            doc = doc[step]
+        doc[last] = value
+    return corrupt
+
+
+def _append(path, value):
+    def corrupt(doc):
+        for step in path:
+            doc = doc[step]
+        doc.append(value)
+    return corrupt
+
+
+GROUPOID_CASES = [  # (name, corruption, a fragment of the error, None if valid)
+    ("valid", lambda doc: None, None),
+    ("extra-key", _set(["note"], "ignored"), None),
+    ("non-object-document", None, "expected object"),
+    ("repeated-object", _append(["objects"], "a"), "objects[3]: duplicate object 'a'"),
+    ("non-string-object", _set(["objects", 1], 2), "expected string"),
+    ("non-object-morphism", _set(["morphisms", 1], ["(a,b)"]), "expected object"),
+    ("non-string-id", _set(["morphisms", 1, "id"], 7), "expected str"),
+    ("list-id", _set(["morphisms", 1, "id"], ["(a,b)"]), "expected str"),
+    ("missing-src", lambda doc: doc["morphisms"][0].pop("src"), "missing field 'src'"),
+    ("unknown-src", _set(["morphisms", 2, "src"], "zz"), "src 'zz' is not a declared"),
+    ("unknown-tgt", _set(["morphisms", 2, "tgt"], "zz"), "tgt 'zz' is not a declared"),
+    ("repeated-id", _append(["morphisms"], {"id": "(a,a)", "src": "a", "tgt": "a"}),
+     "duplicate morphism id"),
+    ("triple-of-2", _set(["compose", 3], ["(a,b)", "(b,a)"]), "expected [a, b, ab]"),
+    ("triple-of-4", _set(["compose", 3], ["(a,b)", "(b,a)", "(a,a)", "(a,a)"]),
+     "expected [a, b, ab]"),
+    ("compose-string", _set(["compose", 5], "abc"), "expected [a, b, ab]"),
+    ("unknown-id-in-triple", _set(["compose", 4, 2], "nope"), "unknown morphism 'nope'"),
+    ("list-in-triple", _set(["compose", 4, 0], ["(a,a)"]), "expected string"),
+    ("repeated-pair", _append(["compose"], ["(a,a)", "(a,a)", "(a,a)"]), "duplicate pair"),
+    ("identity-unknown-object", _set(["identities", "zz"], "(a,a)"), "unknown object 'zz'"),
+    ("identity-unknown-morphism", _set(["identities", "a"], "nope"), "unknown morphism"),
+    ("non-string-inverse", _set(["inverses", "(a,b)"], ["(b,a)"]), "expected string"),
+    ("unknown-inverse-key", _set(["inverses", "nope"], "(a,a)"), "unknown morphism"),
+    ("inverses-a-list", _set(["inverses"], []), "expected dict"),
+    ("missing-compose", lambda doc: doc.pop("compose"), "missing field 'compose'"),
+]
+
+
+@pytest.mark.parametrize("name, corrupt, message", GROUPOID_CASES,
+                         ids=[c[0] for c in GROUPOID_CASES])
+def test_bulk_groupoid_parse_is_the_entry_loop(name, corrupt, message, monkeypatch):
+    doc = _corpus("pair-groupoid-3.json")
+    if corrupt is None:
+        doc = ["not", "an", "object"]
+    else:
+        corrupt(doc)
+    bulk, by_entry = _both_ways(parse_groupoid, doc, monkeypatch)
+    assert bulk == by_entry
+    if message is None:
+        assert not isinstance(bulk, str)
+    else:
+        assert message in bulk
+
+
+TOPOLOGY_CASES = [
+    ("valid", lambda doc: None, None),
+    ("non-object-document", None, "expected object"),
+    ("repeated-point", _append(["points"], "0"), "points[2]: duplicate point '0'"),
+    ("non-string-point", _set(["points", 0], 0), "expected string"),
+    ("open-a-string", _set(["opens", 1], "01"), "expected list of points"),
+    ("unknown-point", _set(["opens", 1], ["0", "2"]), "unknown point '2'"),
+    ("list-in-open", _set(["opens", 1], [["0"]]), "expected string"),
+]
+
+
+@pytest.mark.parametrize("name, corrupt, message", TOPOLOGY_CASES,
+                         ids=[c[0] for c in TOPOLOGY_CASES])
+def test_bulk_family_parse_is_the_entry_loop(name, corrupt, message, monkeypatch):
+    doc = _corpus("sierpinski.json")
+    if corrupt is None:
+        doc = "points"
+    else:
+        corrupt(doc)
+    bulk, by_entry = _both_ways(parse_topology_family, doc, monkeypatch)
+    assert bulk == by_entry
+    assert (not isinstance(bulk, str)) if message is None else message in bulk
+
+
+CLT_CASES = [
+    ("valid", lambda doc: None, None),
+    ("repeated-base-point", _append(["base_space", "points"], "1"), "duplicate point '1'"),
+    ("cover-entry-of-3", _set(["cover", 0], [0, ["0"], 1]), "expected [index, [points]]"),
+    ("cover-index-bool", _set(["cover", 0, 0], False), "expected [index, [points]]"),
+    ("cover-index-list", _set(["cover", 0, 0], [0]), "expected [index, [points]]"),
+    ("cover-member-string", _set(["cover", 1, 1], "01"), "expected [index, [points]]"),
+    ("cover-unknown-point", _set(["cover", 1, 1], ["0", "9"]), "unknown point '9'"),
+    ("cover-repeated-index", _append(["cover"], [0, ["0"]]), "duplicate cover index"),
+    ("section-a-string", _set(["sections", 1], "abc"), "expected [x, index"),
+    ("section-index-bool", _set(["sections", 0, 1], False), "expected [x, index"),
+    ("section-unknown-point", _set(["sections", 0, 0], "9"), "unknown point '9'"),
+    ("section-unknown-index", _set(["sections", 0, 1], 5), "unknown cover index 5"),
+    ("repeated-section", _append(["sections"], ["0", 0, [["0", "(0,0)"]]]),
+     "duplicate section ('0', 0)"),
+    ("row-of-3", _set(["sections", 1, 2, 0], ["0", "(0,0)", "x"]), "expected [u, morphism id]"),
+    ("row-a-string", _set(["sections", 1, 2, 0], "ab"), "expected [u, morphism id]"),
+    ("row-non-string-morphism", _set(["sections", 1, 2, 1, 1], 4), "expected [u, morphism id]"),
+    ("row-unknown-point", _set(["sections", 1, 2, 1, 0], "9"), "unknown point '9'"),
+    ("row-repeated-point", _append(["sections", 1, 2], ["0", "(0,0)"]), "duplicate point '0'"),
+]
+
+
+@pytest.mark.parametrize("name, corrupt, message", CLT_CASES, ids=[c[0] for c in CLT_CASES])
+def test_bulk_trivialization_parse_is_the_entry_loop(name, corrupt, message, monkeypatch):
+    doc = _corpus("clt-sierpinski.json")
+    corrupt(doc)
+    bulk, by_entry = _both_ways(parse_local_trivialization, doc, monkeypatch)
+    assert bulk == by_entry
+    assert (not isinstance(bulk, str)) if message is None else message in bulk
 
 
 # ---------------------------------------------------------------------- DOT

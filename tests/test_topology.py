@@ -18,6 +18,7 @@ from groupoids.topology import (
     generate_from_base,
     indiscrete,
     is_topology,
+    pullback_continuity,
     topology,
 )
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     explicit_pullback,
     explicit_topology,
     group_groupoid,
+    product_groupoid,
     product_topology,
     pullback_space,
     scan_continuity,
@@ -381,6 +383,33 @@ def test_certificates_match_the_explicit_family_scan(data):
         found = scan_pullback_continuity(pairs, explicit_pullback(opens_g, pairs),
                                          opens_g, fn)
         assert refuted.get(name) == found, name
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pullback_continuity_is_the_explicit_scan(data):
+    """The bulk decision, and the witness search it falls back to, give what
+    an exhaustive preimage scan of the explicit pullback family gives, on
+    composition and on the difference map.  Random subbases refute often;
+    discrete and indiscrete topologies never do.  The explicit family grows
+    fast, so the larger groupoids are checked against the search alone."""
+    small = [pair_groupoid([0, 1]), group_groupoid(cyclic(3))]
+    G = data.draw(st.sampled_from(small + [group_groupoid(cyclic(4)), pair_groupoid([0, 1, 2]),
+                                           product_groupoid(2, cyclic(2))]))
+    ms = sorted(G.morphisms)
+    subs = st.frozensets(st.sampled_from(ms), min_size=1)
+    subbase = data.draw(st.one_of(st.lists(subs, max_size=3),
+                                  st.sampled_from([[], [F({m}) for m in ms]])))
+    T = generate_from_base(ms, subbase + [F(ms)]).topology
+    for pairs, fn in ((composable_pairs(G), lambda a, b: G.compose[(a, b)]),
+                      (difference_pairs(G), lambda a, b: G.compose[(G.inverse[a], b)])):
+        found = pullback_continuity(pairs, T, T, fn)
+        assert found == finite_topology._pullback_witness(pairs, T, T, fn)
+        assert pullback_continuity(iter(pairs), T, T, fn) == found  # read once
+        if G in small:
+            opens = T.opens
+            assert found == scan_pullback_continuity(
+                pairs, explicit_pullback(opens, pairs), opens, lambda ab: fn(*ab))
 
 
 def test_the_package_attribute_is_the_module():
