@@ -21,16 +21,38 @@ from collections.abc import Mapping
 
 class Record:
     """Base of the package's records: a subclass lists its fields as
-    annotations and writes an `__init__` that stores them in `self.__dict__`.
+    annotations, a class-attribute value giving a field its default.
 
-    Records compare and hash field by field, only within one class, and
-    print as ``Name(field=value, ...)``.  Setting or deleting an attribute
-    raises AttributeError; `cached_property` still works, because it writes
+    The one `__init__` takes fields by position or keyword, and raises
+    TypeError as a written-out signature would.  Records compare and hash
+    field by field, only within one class, and print as
+    ``Name(field=value, ...)``.  Setting or deleting an attribute raises
+    AttributeError; `cached_property` still works, because it writes
     `__dict__` directly.  The methods are written once, here, so importing
     the package generates and compiles none of them."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._names = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        d, fields, cls = self.__dict__, self._fields, self.__class__
+        d.update(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) == len(d) == len(fields) and kwargs.keys() <= self._names:
+            return
+        name = cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for k in kwargs:
+            if k not in self._names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {k!r}")
+            if fields.index(k) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {k!r}")
+        for f in fields:
+            if f not in d:
+                if f not in cls.__dict__:
+                    raise TypeError(f"{name}() missing required argument {f!r}")
+                d[f] = cls.__dict__[f]
 
     def _values(self):
         d = self.__dict__
@@ -66,10 +88,6 @@ class FiniteGroupoid(Record):
     identity: dict       # object -> morphism id
     inverse: dict        # morphism id -> morphism id
     compose: dict        # (a, b) -> ab, for tgt(a) == src(b)
-
-    def __init__(self, objects, source, target, identity, inverse, compose):
-        self.__dict__.update(objects=objects, source=source, target=target,
-                             identity=identity, inverse=inverse, compose=compose)
 
     @property
     def morphisms(self):
@@ -111,9 +129,6 @@ class GroupoidMorphism(Record):
 
     obj_map: dict
     mor_map: dict
-
-    def __init__(self, obj_map, mor_map):
-        self.__dict__.update(obj_map=obj_map, mor_map=mor_map)
 
 
 _REFERENCE_KINDS = ("dangling-reference", "identity-missing", "inverse-missing")

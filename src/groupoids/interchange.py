@@ -53,6 +53,8 @@ def load_document(path) -> dict:
         raise DocumentError(f"{path}: nested too deeply") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"{path}: not UTF-8 at byte {e.start}") from e
     except json.JSONDecodeError as e:
         raise DocumentError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
@@ -279,8 +281,7 @@ def serialize_topology(T: FiniteTopology) -> dict:
 
 def parse_graph(doc, where="graph"):
     """(vertices, edges) for a fundamental-groupoid run."""
-    vertices = _strings(_require(doc, "vertices", list, where), f"{where}.vertices")
-    known = set(vertices)
+    vertices = _distinct(_require(doc, "vertices", list, where), f"{where}.vertices", "vertex")
     edges = []
     for i, e in enumerate(_require(doc, "edges", list, where)):
         spot = f"{where}.edges[{i}]"
@@ -288,7 +289,7 @@ def parse_graph(doc, where="graph"):
             raise DocumentError(f"{spot}: expected [u, v]")
         u, v = _strings(e, spot)
         for p in (u, v):
-            if p not in known:
+            if p not in vertices:
                 raise DocumentError(f"{spot}: unknown vertex {p!r}")
         edges.append((u, v))
     return vertices, edges

@@ -54,9 +54,6 @@ class LocalTrivialization(Record):
     cover: tuple    # ((index, frozenset of points), ...)
     sections: dict  # (point, index) -> {point in the member: morphism id}
 
-    def __init__(self, base_space, cover, sections):
-        self.__dict__.update(base_space=base_space, cover=cover, sections=sections)
-
 
 def local_trivialization(base_space, cover, sections) -> LocalTrivialization:
     cov = tuple((i, frozenset(u)) for i, u in cover)
@@ -252,20 +249,10 @@ class WindowTopologyReport(Record):
     values: dict                  # class key -> image morphism
     capped_at: int                # levels searched in full when the class cap hit
 
-    def __init__(self, depth, points, base_compatible, tokens_exact, opens,
-                 w_tilde_open=None, topology=None, values=None, capped_at=None):
-        self.__dict__.update(depth=depth, points=points, base_compatible=base_compatible,
-                             tokens_exact=tokens_exact, opens=opens,
-                             w_tilde_open=w_tilde_open, topology=topology,
-                             values={} if values is None else values, capped_at=capped_at)
-
 
 class MonodromyCltReport(Record):
     comp_triples: int             # (x, i, j) Comp asks about, all inherited
     window: WindowTopologyReport
-
-    def __init__(self, comp_triples, window):
-        self.__dict__.update(comp_triples=comp_triples, window=window)
 
 
 def clt_on_monodromy(LT: LocalTrivialization, M: MonodromyGroupoid,

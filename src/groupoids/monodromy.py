@@ -12,10 +12,11 @@ a subgroupoid), the relators are W's own multiplication table and the vertex
 group at a component's base x is W(x,x).  Such a component is decided from
 its defining triples (a, b, ab) alone, by a coset table read off W and
 certified triple by triple (`_table_engine`): "finite order n" below the
-budget, "undecided" at or above it.  Relator words, their collapse and any
-simplification are built only on demand: for the DOT export, for
+budget, "undecided" at or above it.  The collapse, read off each defining
+triple's letters, and any simplification are built only on demand: for
 `build_engine` (a carrier that is not closed, a trivial group, a failed
 certificate), and for the first token asked of an undecided engine.
+Relator Words are built only for the DOT export.
 
 Two distinguished maps come with the construction: the universal map i~
 sending each element of W to its one-letter word, and the evaluation map p
@@ -72,27 +73,24 @@ class MonodromyGroupoid(Record):
     closed: bool               # no product of composable carrier elements leaves W
     budget: int
 
-    def __init__(self, ambient, carrier, graph, relator_family, forest,
-                 generates_ambient, closed, budget):
-        self.__dict__.update(ambient=ambient, carrier=carrier, graph=graph,
-                             relator_family=relator_family, forest=forest,
-                             generates_ambient=generates_ambient, closed=closed,
-                             budget=budget)
+    def _relator_letters(self):
+        """(base, letters of a.b.(ab)^-1) per triple, identity letters erased, unreduced."""
+        G = self.ambient
+        one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.carrier}
+        inv = {a: inv_letters(w) for a, w in one.items()}
+        return ((G.source[a], one[a] + one[b] + inv[ab]) for a, b, ab in self.relator_family)
 
     @cached_property
     def relators(self) -> tuple:
-        """Closed Words a.b.(ab)^-1 that do not reduce away, identity letters
-        erased, one per triple in order; built on first use."""
-        G = self.ambient
-        one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.carrier}
-        words = (Word(free_reduce(one[a] + one[b] + inv_letters(one[ab])), G.source[a])
-                 for a, b, ab in self.relator_family)
-        return tuple(w for w in words if w.letters)
+        """Closed Words a.b.(ab)^-1 that do not reduce away, one per triple
+        in order; built on first use, for the DOT export."""
+        words = ((base, free_reduce(letters)) for base, letters in self._relator_letters())
+        return tuple(Word(w, base) for base, w in words if w)
 
     @cached_property
     def vertex_groups(self) -> tuple:
-        """Presentation per component, collapsed from `relators`."""
-        return collapse_presentation(self.graph, self.relators, self.forest)
+        """Presentation per component, collapsed from `_relator_letters`."""
+        return collapse_presentation(self.graph, self._relator_letters(), self.forest)
 
     @cached_property
     def engines(self) -> tuple:
@@ -267,9 +265,6 @@ class WordEvaluator(Record):
     obj_map: dict
     gen_map: dict  # carrier element -> target morphism
 
-    def __init__(self, target, obj_map, gen_map):
-        self.__dict__.update(target=target, obj_map=obj_map, gen_map=gen_map)
-
     def evaluate(self, w: Word):
         H = self.target
         acc = H.identity[self.obj_map[w.base]]
@@ -343,10 +338,6 @@ class ClassSearch(Record):
     exact: bool       # every token computed was decided
     saturated: bool   # the search closed before the window ended
     capped_at: int    # levels searched in full when MAX_CLASSES stopped it, else None
-
-    def __init__(self, found, moves, trie, rows, exact, saturated, capped_at):
-        self.__dict__.update(found=found, moves=moves, trie=trie, rows=rows, exact=exact,
-                             saturated=saturated, capped_at=capped_at)
 
     @cached_property
     def classes(self) -> dict:
@@ -432,15 +423,7 @@ class StarCoverReport(Record):
     saturated: bool           # breadth-first search closed before the window ended
     fiber_counts_exact: bool  # False when the engine is undecided
     engine_kind: str
-    capped_at: int            # levels searched in full when the class cap hit
-
-    def __init__(self, object, depth, reached, surjective_within_depth, undecided_depth,
-                 unreachable, saturated, fiber_counts_exact, engine_kind, capped_at=None):
-        self.__dict__.update(object=object, depth=depth, reached=reached,
-                             surjective_within_depth=surjective_within_depth,
-                             undecided_depth=undecided_depth, unreachable=unreachable,
-                             saturated=saturated, fiber_counts_exact=fiber_counts_exact,
-                             engine_kind=engine_kind, capped_at=capped_at)
+    capped_at: int = None     # levels searched in full when the class cap hit
 
 
 def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:

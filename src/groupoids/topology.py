@@ -45,9 +45,6 @@ def _family_order(s):
 class FiniteTopology(Record):
     neighborhoods: dict  # point -> its minimal open set U_p
 
-    def __init__(self, neighborhoods):
-        self.__dict__.update(neighborhoods=neighborhoods)
-
     @cached_property
     def points(self) -> tuple:
         return tuple(sorted(self.neighborhoods))
@@ -272,9 +269,6 @@ def indiscrete(points) -> FiniteTopology:
 class GeneratedTopology(Record):
     topology: FiniteTopology
     base_compatible: bool  # False: the family is only a subbase
-
-    def __init__(self, topology, base_compatible):
-        self.__dict__.update(topology=topology, base_compatible=base_compatible)
 
 
 def generate_from_base(points, base) -> GeneratedTopology:

@@ -45,9 +45,6 @@ class GeneratingGraph(Record):
     vertices: frozenset
     edges: dict  # edge id -> (src, tgt)
 
-    def __init__(self, vertices, edges):
-        self.__dict__.update(vertices=vertices, edges=edges)
-
     def letter_ends(self, letter):
         e, s = letter
         u, v = self.edges[e]
@@ -57,9 +54,6 @@ class GeneratingGraph(Record):
 class Word(Record):
     letters: tuple
     base: str  # source vertex
-
-    def __init__(self, letters, base):
-        self.__dict__.update(letters=letters, base=base)
 
 
 def inv_letters(letters):
@@ -86,19 +80,11 @@ class ForestComponent(Record):
     tree_edges: frozenset
     paths: dict  # vertex -> Word from base
 
-    def __init__(self, base, vertices, tree_edges, paths):
-        self.__dict__.update(base=base, vertices=vertices, tree_edges=tree_edges,
-                             paths=paths)
-
 
 class Forest(Record):
     components: tuple
     vertex_component: dict
     tree_edges: frozenset  # union of the components' tree edges
-
-    def __init__(self, components, vertex_component, tree_edges):
-        self.__dict__.update(components=components, vertex_component=vertex_component,
-                             tree_edges=tree_edges)
 
 
 def spanning_forest(graph: GeneratingGraph) -> Forest:
@@ -142,11 +128,7 @@ def spanning_forest(graph: GeneratingGraph) -> Forest:
 class Presentation(Record):
     generators: tuple
     relations: tuple          # letter tuples over the generators
-    eliminations: tuple       # (gen, replacement letters), in order of application
-
-    def __init__(self, generators, relations, eliminations=()):
-        self.__dict__.update(generators=generators, relations=relations,
-                             eliminations=eliminations)
+    eliminations: tuple = ()  # (gen, replacement letters), in order of application
 
 
 def collapse_letters(forest: Forest, letters):
@@ -175,16 +157,16 @@ def canonical_relator(letters):
 def collapse_presentation(graph: GeneratingGraph, relators, forest: Forest):
     """One `Presentation` per forest component, with no eliminations: its
     non-tree edges, sorted, and the canonical collapses of the closed
-    relator Words based in it."""
+    relators (base, letters) based in it, freely reduced or not."""
     gens = [[] for _ in forest.components]
     for e, (u, _) in sorted(graph.edges.items()):
         if e not in forest.tree_edges:
             gens[forest.vertex_component[u]].append(e)
     rels = [set() for _ in forest.components]
-    for r in relators:
-        w = cyclic_reduce(collapse_letters(forest, r.letters))
+    for base, letters in relators:
+        w = cyclic_reduce(collapse_letters(forest, letters))
         if w:
-            rels[forest.vertex_component[r.base]].add(canonical_relator(w))
+            rels[forest.vertex_component[base]].add(canonical_relator(w))
     return tuple(Presentation(generators=tuple(g), relations=tuple(sorted(r)))
                  for g, r in zip(gens, rels))
 
@@ -275,19 +257,12 @@ class Exhausted(Record):
     budget: int
     rows_used: int
 
-    def __init__(self, budget, rows_used):
-        self.__dict__.update(budget=budget, rows_used=rows_used)
-
 
 class CosetTable(Record):
     generators: tuple
     size: int
     action: dict          # gen -> tuple of images, the right action
     inverse_action: dict
-
-    def __init__(self, generators, size, action, inverse_action):
-        self.__dict__.update(generators=generators, size=size, action=action,
-                             inverse_action=inverse_action)
 
     def follow(self, letters, start=0):
         c = start
@@ -454,10 +429,7 @@ class VertexGroupEngine(Record):
 
     presentation: Presentation | Callable[[], Presentation]
     kind: str
-    table: CosetTable
-
-    def __init__(self, presentation, kind, table=None):
-        self.__dict__.update(presentation=presentation, kind=kind, table=table)
+    table: CosetTable = None
 
     @cached_property
     def simplified(self) -> Presentation:

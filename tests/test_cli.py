@@ -498,6 +498,27 @@ def test_pi1_names_colliding_midpoints(tmp_path, capsys):
                    "('a', 'b,c') and ('a,b', 'c') both give 'mid(a,b,c)'\n")
 
 
+def test_pi1_repeated_vertex_is_named_by_its_field(tmp_path, capsys):
+    """The parser names the repeated vertex; `pi1_graph` keeps its own check
+    for callers that bypass the document."""
+    from groupoids.monodromy import pi1_graph
+
+    doc = {"vertices": ["a", "a", "b"], "edges": [["a", "b"]]}
+    code, out, err = run(["pi1", _write(tmp_path, "twice.json", doc)], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: graph.vertices[1]: duplicate vertex 'a'\n"
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        pi1_graph(["a", "a", "b"], [("a", "b")])
+
+
+def test_document_not_in_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"objects": ["\xff"]}')
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: not UTF-8 at byte 14\n"
+
+
 def _closed_carrier_doc(G, carrier, **extra):
     from groupoids.interchange import serialize_groupoid
 

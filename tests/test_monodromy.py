@@ -34,6 +34,7 @@ from groupoids.words import (
     Word,
     build_engine,
     collapse_letters,
+    collapse_presentation,
     coset_enumeration,
     simplify_presentation,
 )
@@ -1071,6 +1072,33 @@ def test_relators_and_collapse_match_the_word_pipeline(M):
     pairs = {frozenset({a, G.inverse[a]}) for a in W if not G.is_identity(a)}
     label = f'  label="{len(pairs)} generators, {len(relators)} relators";'
     assert export_dot(M).splitlines()[1] == label
+
+
+def _punctured(n):
+    return build_monodromy(group_groupoid(cyclic(n)),
+                           {str(i) for i in range(n) if i not in (2, n - 2)})
+
+
+# the carriers the machine-report gate enumerates, and one pi1
+GATE_PRESENTATIONS = {
+    "punctured-Z10": lambda: _punctured(10),
+    "punctured-Z12": lambda: _punctured(12),
+    "S3-transpositions": lambda: build_monodromy(group_groupoid(sym3()),
+                                                 {"012", "021", "102", "210"}, budget=200),
+    "pi1-K4": lambda: pi1_graph("abcd", list(itertools.combinations("abcd", 2))),
+}
+
+
+@pytest.mark.parametrize("name", GATE_PRESENTATIONS)
+def test_vertex_groups_collapse_the_relator_words(name):
+    """`vertex_groups` collapses each defining triple's letters, unreduced
+    and with no Word built; collapsing the freely reduced relator Words
+    instead gives the same presentations."""
+    M = GATE_PRESENTATIONS[name]()
+    assert M.relators
+    via_words = collapse_presentation(M.graph, ((r.base, r.letters) for r in M.relators),
+                                      M.forest)
+    assert M.vertex_groups == via_words
 
 
 @given(presented_carriers())

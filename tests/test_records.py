@@ -9,9 +9,8 @@ import sys
 
 import pytest
 
-from groupoids.core import normal_closure, pair_groupoid, quotient
+from groupoids.core import Record, normal_closure, pair_groupoid, quotient
 from groupoids.loctriv import (
-    WindowTopologyReport,
     clt_on_monodromy,
     local_trivialization,
     sections_from_arrows,
@@ -23,7 +22,7 @@ from groupoids.monodromy import (
     star_covering_report,
 )
 from groupoids.topology import generate_from_base, indiscrete
-from groupoids.words import Presentation, build_engine, coset_enumeration
+from groupoids.words import Presentation, VertexGroupEngine, build_engine, coset_enumeration
 
 from helpers import cyclic, group_groupoid
 
@@ -86,7 +85,8 @@ RECORDS = {name: build() for name, build in BUILDERS.items()}
 
 
 def _fields(r):
-    return list(vars(type(r))["__annotations__"])
+    cls = r if isinstance(r, type) else type(r)
+    return list(vars(cls)["__annotations__"])
 
 
 def _hash(r):
@@ -145,8 +145,30 @@ def test_repr_names_the_class_and_its_fields():
     assert repr(RECORDS["Exhausted"]) == "Exhausted(budget=2, rows_used=2)"
 
 
-def test_window_reports_without_values_get_distinct_dicts():
-    a, b = (WindowTopologyReport(depth=0, points=0, base_compatible=True,
-                                 tokens_exact=True, opens=1) for _ in range(2))
-    assert a.values == {} and b.values == {} and a.values is not b.values
-    assert a == b
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((("a",),), {}, "missing required argument 'relations'"),
+    ((("a",), ()), {"extra": 1}, "unexpected keyword argument 'extra'"),
+    ((("a",), ()), {"generators": ("b",)}, "multiple values for argument 'generators'"),
+    ((("a",), (), (), 4), {}, "takes 3 arguments but 4 were given"),
+])
+def test_constructor_rejects_what_a_signature_would(args, kwargs, message):
+    with pytest.raises(TypeError, match=f"^Presentation\\(\\) .*{message}"):
+        Presentation(*args, **kwargs)
+
+
+def test_omitted_fields_take_their_defaults():
+    p = Presentation(("a",), ())
+    assert p.eliminations == () and p == Presentation(("a",), (), ())
+    assert VertexGroupEngine(presentation=p, kind="free").table is None
+
+
+def test_record_is_the_only_constructor():
+    assert {cls.__name__ for cls in Record.__subclasses__()} == set(BUILDERS)
+    for cls in Record.__subclasses__():
+        assert "__init__" not in vars(cls), cls.__name__
+
+
+def test_no_default_is_a_shared_mutable():
+    for cls in Record.__subclasses__():
+        for f in _fields(cls):
+            assert not isinstance(vars(cls).get(f), (dict, list, set)), (cls.__name__, f)
