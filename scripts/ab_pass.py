@@ -8,15 +8,22 @@ package name of its own (`groupoids_parent`, `groupoids_change`), so both
 import side by side; the package's own imports are relative.  One pass of
 documents comes from this tree's `perfbench.workloads` and is written to
 the same temporary directory.  Every document is first run once on each
-side, and the outputs must agree apart from `timing`.  Then whole passes of
-the two sides alternate, the side that goes first swapping every pair, and
-the script prints each side's median pass time and median per-document
-time, with the quartiles of the pass times and the pairs each side won.
+side, and the outputs must agree apart from `timing`; then each side runs
+one more untimed pass, in the reverse order, so the change is not always
+warmed second.  Then whole passes of the two sides alternate,
+the side that goes first swapping every pair, and the script prints each
+side's median pass time and median per-document time, with the quartiles
+of the pass times and the pairs each side won, and the change/parent ratio
+apart for the pairs the parent led and those the change led.  Each pass
+starts with a full garbage collection: without it the cyclic collector
+fell mostly in the first pass of a pair, and on monodromy-words a tree
+timed against itself read about 10 % faster when it ran second.
 Timing both sides in one process keeps the machine's drift between
 processes out of the comparison.  perfbench is only read.
 """
 
 import argparse
+import gc
 import importlib
 import shutil
 import statistics
@@ -42,7 +49,9 @@ def load_side(tree, name, into):
 
 
 def one_pass(main, docs):
-    """(pass seconds, seconds per document, outcomes)."""
+    """(pass seconds, seconds per document, outcomes), after a full
+    collection, so that no pass pays for the garbage of the one before."""
+    gc.collect()
     outcomes = [call_main(main, doc.argv()) for doc in docs]
     return sum(o.seconds for o in outcomes), [o.seconds for o in outcomes], outcomes
 
@@ -73,6 +82,8 @@ def main(argv=None):
             print(f"error: the sides answer {len(differ)} of {len(docs)} documents "
                   f"differently, first {differ[0]}", file=sys.stderr)
             return 1
+        for side in SIDES[::-1]:
+            one_pass(mains[side], docs)
 
         pass_s = {side: [] for side in SIDES}
         doc_s = {side: [] for side in SIDES}
@@ -94,6 +105,11 @@ def main(argv=None):
               f"per-document median {per_doc * 1e3:.4f} ms")
     base, new = (statistics.median(pass_s[side]) for side in SIDES)
     print(f"  change/parent {new / base:.3f}; change faster in {wins} of {args.pairs} pairs")
+    for lead, start in zip(SIDES, (0, 1)):  # pair k ran the parent first when k is even
+        old, new = (pass_s[side][start::2] for side in SIDES)
+        print(f"    {lead} first: change/parent "
+              f"{statistics.median(new) / statistics.median(old):.3f}; change faster in "
+              f"{sum(n < o for o, n in zip(old, new))} of {len(old)} pairs")
     return 0
 
 

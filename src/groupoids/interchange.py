@@ -280,19 +280,22 @@ def serialize_topology(T: FiniteTopology) -> dict:
 # ----------------------------------------------------------------- graphs
 
 def parse_graph(doc, where="graph"):
-    """(vertices, edges) for a fundamental-groupoid run."""
+    """(vertices, edges) for a fundamental-groupoid run: a simple graph."""
     vertices = _distinct(_require(doc, "vertices", list, where), f"{where}.vertices", "vertex")
-    edges = []
+    if not vertices:
+        raise DocumentError(f"{where}.vertices: expected at least one vertex")
+    edges = {}  # {u, v} -> (u, v)
     for i, e in enumerate(_require(doc, "edges", list, where)):
         spot = f"{where}.edges[{i}]"
         if not (isinstance(e, list) and len(e) == 2):
             raise DocumentError(f"{spot}: expected [u, v]")
-        u, v = _strings(e, spot)
-        for p in (u, v):
+        for j, p in enumerate(_strings(e, spot)):
             if p not in vertices:
-                raise DocumentError(f"{spot}: unknown vertex {p!r}")
-        edges.append((u, v))
-    return vertices, edges
+                raise DocumentError(f"{spot}[{j}]: unknown vertex {p!r}")
+        if e[0] == e[1] or frozenset(e) in edges:
+            raise DocumentError(f"{spot}: {'loop' if e[0] == e[1] else 'duplicate'} edge {e!r}")
+        edges[frozenset(e)] = tuple(e)
+    return vertices, list(edges.values())
 
 
 # ----------------------------------------------------- local trivializations

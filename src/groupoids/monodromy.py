@@ -4,8 +4,8 @@ Given a groupoid G and an inversion-closed subset W containing every
 identity, the monodromy groupoid here is presented by one generator per
 non-identity element of W and one relator a.b.(ab)^-1 for every pair
 a, b in W whose ambient product is defined and lands back in W (identity
-letters are erased).  Elements are words; equality is decided by the
-word-problem engine per component.
+letters are erased, and 1.b.b^-1 and a.1.a^-1 are skipped).  Elements are
+words; equality is decided by the word-problem engine per component.
 
 When no product of two composable carrier elements leaves the carrier (W is
 a subgroupoid), the relators are W's own multiplication table and the vertex
@@ -69,16 +69,26 @@ class MonodromyGroupoid(Record):
     graph: GeneratingGraph
     relator_family: tuple      # (a, b, ab) triples, the defining family
     forest: Forest
-    generates_ambient: bool
     closed: bool               # no product of composable carrier elements leaves W
     budget: int
 
+    @cached_property
+    def generates_ambient(self) -> bool:
+        """Does W generate G?  Decided on first read, which `pi1_graph` never
+        makes; a closed carrier is its own closure."""
+        G = self.ambient
+        return self.carrier == G.morphisms if self.closed else generated_by(G, self.carrier)
+
     def _relator_letters(self):
-        """(base, letters of a.b.(ab)^-1) per triple, identity letters erased, unreduced."""
+        """(base, letters of a.b.(ab)^-1) per triple, identity letters erased,
+        unreduced, less those that reduce away and so add no relation: b b^-1
+        (a an identity, ab == b) and a a^-1 (b an identity, ab == a).  The test
+        reads the table, so one breaking the identity law keeps its relator."""
         G = self.ambient
         one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.carrier}
-        inv = {a: inv_letters(w) for a, w in one.items()}
-        return ((G.source[a], one[a] + one[b] + inv[ab]) for a, b, ab in self.relator_family)
+        return ((G.source[a], one[a] + one[b] + (((ab, -1),) if one[ab] else ()))
+                for a, b, ab in self.relator_family
+                if not (ab == b and not one[a] or ab == a and not one[b]))
 
     @cached_property
     def relators(self) -> tuple:
@@ -164,13 +174,8 @@ def build_monodromy(G: FiniteGroupoid, carrier, budget=DEFAULT_BUDGET) -> Monodr
                 family.append((a, b, ab))
             else:
                 closed = False
-    forest = spanning_forest(graph)
-
-    # a closed carrier holds every inverse and product of its members: its own closure
-    generates = carrier == G.morphisms if closed else generated_by(G, carrier)
-    return MonodromyGroupoid(ambient=G, carrier=carrier, graph=graph,
-                             relator_family=tuple(family), forest=forest,
-                             generates_ambient=generates, closed=closed, budget=budget)
+    return MonodromyGroupoid(ambient=G, carrier=carrier, graph=graph, relator_family=tuple(family),
+                             forest=spanning_forest(graph), closed=closed, budget=budget)
 
 
 def _table_engine(M: MonodromyGroupoid, i, triples):

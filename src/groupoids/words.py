@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable
 from functools import cached_property
 
@@ -44,11 +44,6 @@ Letter = tuple  # (edge id, +1 | -1)
 class GeneratingGraph(Record):
     vertices: frozenset
     edges: dict  # edge id -> (src, tgt)
-
-    def letter_ends(self, letter):
-        e, s = letter
-        u, v = self.edges[e]
-        return (u, v) if s > 0 else (v, u)
 
 
 class Word(Record):
@@ -71,7 +66,10 @@ def free_reduce(letters):
 
 
 def word_target(graph: GeneratingGraph, w: Word):
-    return graph.letter_ends(w.letters[-1])[1] if w.letters else w.base
+    if not w.letters:
+        return w.base
+    e, s = w.letters[-1]
+    return graph.edges[e][s > 0]  # the edge's tgt, or its src for the inverse letter
 
 
 class ForestComponent(Record):
@@ -91,14 +89,12 @@ def spanning_forest(graph: GeneratingGraph) -> Forest:
     """Breadth-first spanning forest.
 
     Deterministic: components rooted at their smallest vertex, neighbors
-    explored in edge-id order, forward direction before backward.
+    explored in edge-id order, forward before backward, from one edge sort.
     """
-    incidence = {v: [] for v in graph.vertices}
-    for e, (u, v) in graph.edges.items():
-        incidence[u].append((e, 1))
-        incidence[v].append((e, -1))
-    for v in incidence:
-        incidence[v].sort(key=lambda l: (l[0], l[1] < 0))
+    incidence = {v: [] for v in graph.vertices}  # v -> (edge, sign, the far end)
+    for e, (u, v) in sorted(graph.edges.items()):
+        incidence[u].append((e, 1, v))
+        incidence[v].append((e, -1, u))
 
     comps, vertex_component = [], {}
     for root in sorted(graph.vertices):
@@ -111,8 +107,7 @@ def spanning_forest(graph: GeneratingGraph) -> Forest:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for e, s in incidence[u]:
-                v = graph.letter_ends((e, s))[1]
+            for e, s, v in incidence[u]:
                 if v in paths:
                     continue
                 paths[v] = Word(paths[u].letters + ((e, s),), root)
@@ -183,9 +178,16 @@ def _substitute(letters, gen, repl):
     return free_reduce(tuple(out))
 
 
+def _generator_counts(letters) -> dict:
+    counts = {}
+    for e, _ in letters:
+        counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
 def _lone_letter(r):
     """Index of the first letter of r whose generator occurs once in r, or None."""
-    counts = Counter(e for e, _ in r)
+    counts = _generator_counts(r)
     return next((i for i, (e, _) in enumerate(r) if counts[e] == 1), None)
 
 
@@ -212,7 +214,7 @@ def simplify_presentation(generators, relations) -> Presentation:
     def add(w):
         if w and w not in rels:
             k = rels[w] = next(serials)
-            counts = Counter(e for e, _ in w)
+            counts = _generator_counts(w)
             for e in counts:
                 containing.setdefault(e, {})[k] = w
             if 1 in counts.values():

@@ -17,6 +17,7 @@ from groupoids.words import (
     VertexGroupEngine,
     Word,
     canonical_relator,
+    collapse_presentation,
     cyclic_reduce,
     free_reduce,
     inv_letters,
@@ -114,6 +115,13 @@ def group_groupoid(table, obj="*"):
         inverse=dict(inv),
         compose=dict(mul),
     )
+
+
+def z2_breaking_the_identity_law():
+    """Z/2 with g.e = e: it passes the linear checks of `validate_structure`,
+    but e is no right identity for g."""
+    G = group_groupoid(cyclic(2))
+    return with_tables(G, compose={**G.compose, ("1", "0"): "0"})
 
 
 def product_groupoid(n_objects, table):
@@ -335,6 +343,19 @@ def collapse_oracle(G, carrier, forest):
                 rels.add(canonical_relator(w))
         out.append(Presentation(generators=tuple(gens), relations=tuple(sorted(rels))))
     return tuple(relators), tuple(out)
+
+
+def triple_collapse(M):
+    """`collapse_presentation` over the letters a.b.(ab)^-1 of every defining
+    triple of M, none skipped: identity letters erased, unreduced."""
+    G = M.ambient
+
+    def letters_of(a):
+        return () if G.is_identity(a) else ((a, 1),)
+
+    return collapse_presentation(
+        M.graph, ((G.source[a], letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
+                  for a, b, ab in M.relator_family), M.forest)
 
 
 # -------------------------------------------- relator certificate oracle

@@ -511,6 +511,46 @@ def test_pi1_repeated_vertex_is_named_by_its_field(tmp_path, capsys):
         pi1_graph(["a", "a", "b"], [("a", "b")])
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": [], "edges": []}, "graph.vertices: expected at least one vertex"),
+    ({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]},
+     "graph.edges[1]: duplicate edge ['b', 'a']"),
+    ({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
+     "graph.edges[1]: duplicate edge ['a', 'b']"),
+    ({"vertices": ["a", "b"], "edges": [["a", "a"]]}, "graph.edges[0]: loop edge ['a', 'a']"),
+    ({"vertices": ["a", "b"], "edges": [["a", "z"]]}, "graph.edges[0][1]: unknown vertex 'z'"),
+], ids=["no-vertex", "reversed-edge", "repeated-edge", "loop", "unknown-vertex"])
+def test_pi1_graph_faults_are_named_by_their_field(doc, message, tmp_path, capsys):
+    code, out, err = run(["pi1", _write(tmp_path, "graph.json", doc)], capsys)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_pi1_never_decides_generation(monkeypatch, capsys):
+    """`generates_ambient` is decided on first read, and a pi1 run reads it
+    nowhere."""
+    import groupoids.monodromy as monodromy
+
+    calls = []
+    monkeypatch.setattr(monodromy, "generated_by", lambda *a: calls.append(a))
+    code, out, _ = run(["pi1", str(CORPUS / "triangle-graph.json"), "--format", "machine"],
+                       capsys)
+    assert code == 0 and json.loads(out)["verdicts"]["rank"] == 1
+    assert not calls
+
+
+def test_monodromy_keeps_the_relator_of_a_broken_identity_law(tmp_path, capsys):
+    """Z/2 with g.e = e passes the linear checks; its triple (g, e, e) has
+    the letter g for relator, so the vertex group is trivial, not Z/2."""
+    from helpers import z2_breaking_the_identity_law
+
+    G = z2_breaking_the_identity_law()
+    path = _write(tmp_path, "z2.json", _closed_carrier_doc(G, G.morphisms))
+    code, out, _ = run(["monodromy", path, "--format", "machine"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {"generates-ambient": True, "relators": 4,
+                                           "vertex-group[*]": "free rank 0"}
+
+
 def test_document_not_in_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"objects": ["\xff"]}')

@@ -20,6 +20,7 @@ from groupoids.core import (
     validate_structure,
 )
 from groupoids.monodromy import (
+    MonodromyGroupoid,
     build_monodromy,
     canonical_morphism,
     globalize,
@@ -54,6 +55,8 @@ from helpers import (
     table_engine_oracle,
     translate_collisions_oracle,
     tree_links,
+    triple_collapse,
+    z2_breaking_the_identity_law,
 )
 
 
@@ -1099,6 +1102,39 @@ def test_vertex_groups_collapse_the_relator_words(name):
     via_words = collapse_presentation(M.graph, ((r.base, r.letters) for r in M.relators),
                                       M.forest)
     assert M.vertex_groups == via_words
+
+
+@pytest.mark.parametrize("name", [*GATE_PRESENTATIONS, "Z2-breaking-the-identity-law"])
+def test_vertex_groups_skip_only_triples_whose_letters_reduce_away(name):
+    """`vertex_groups` skips the triples 1.b.b^-1 and a.1.a^-1 and equals the
+    collapse of every triple's letters.  Z/2 with g.e = e passes the linear
+    checks; its triple (g, e, e) has the letters g, which a skip on "a or b
+    is an identity" would drop, leaving <g | g^2> in place of the trivial
+    group."""
+    if name in GATE_PRESENTATIONS:
+        M = GATE_PRESENTATIONS[name]()
+    else:
+        G = z2_breaking_the_identity_law()
+        assert not validate_structure(G)
+        M = build_monodromy(G, G.morphisms)
+        assert M.vertex_group_info(0) == ("free", 0)
+    assert M.vertex_groups == triple_collapse(M)
+
+
+def test_generation_is_decided_on_first_read(monkeypatch):
+    """`generates_ambient` is no field: `pi1_graph` never calls
+    `generated_by`, a carrier that is not closed calls it once, on the first
+    read, and a closed one never does."""
+    calls, real = [], monodromy.generated_by
+    monkeypatch.setattr(monodromy, "generated_by", lambda *a: calls.append(a) or real(*a))
+    assert "generates_ambient" not in MonodromyGroupoid._fields
+    M = pi1_graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")])
+    assert not calls
+    assert not M.generates_ambient and not M.generates_ambient  # d is apart
+    assert len(calls) == 1
+    G, W = zmod(5)
+    assert build_monodromy(G, W).generates_ambient and len(calls) == 2
+    assert build_monodromy(G, G.morphisms).generates_ambient and len(calls) == 2
 
 
 @given(presented_carriers())
