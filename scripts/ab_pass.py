@@ -3,28 +3,33 @@
 
     python3 scripts/ab_pass.py PARENT_TREE CHANGE_TREE --workload clt-topology --seed 3
 
-Each tree's `src/groupoids` is copied into a temporary directory under a
-package name of its own (`groupoids_parent`, `groupoids_change`), so both
-import side by side; the package's own imports are relative.  One pass of
-documents comes from this tree's `perfbench.workloads` and is written to
-the same temporary directory.  Every document is first run once on each
-side, and the outputs must agree apart from `timing`; then each side runs
-one more untimed pass, in the reverse order, so the change is not always
-warmed second.  Then whole passes of the two sides alternate,
-the side that goes first swapping every pair, and the script prints each
-side's median pass time and median per-document time, with the quartiles
-of the pass times and the pairs each side won, and the change/parent ratio
-apart for the pairs the parent led and those the change led.  Each pass
-starts with a full garbage collection: without it the cyclic collector
-fell mostly in the first pass of a pair, and on monodromy-words a tree
-timed against itself read about 10 % faster when it ran second.
-Timing both sides in one process keeps the machine's drift between
-processes out of the comparison.  perfbench is only read.
+The timing runs twice, each time in a fresh worker process started with
+multiprocessing's "spawn" context: one worker imports the parent first and
+the other the change first, and the script prints change/parent for each
+import order, since the tree imported first could be favoured.  In a
+worker, each tree's `src/groupoids` is copied into a temporary directory
+under a package name of its own (`groupoids_parent`, `groupoids_change`),
+so both import side by side; the package's own imports are relative.  One
+pass of documents comes from this tree's `perfbench.workloads` and is
+written to the same temporary directory.  Every document is first run once
+on each side, in import order, and the outputs must agree apart from
+`timing`; then each side runs one more untimed pass, in the reverse order,
+so neither side is always warmed second.  Then whole passes of the two
+sides alternate, the side that goes first swapping every pair, and the
+script prints each side's median pass time and median per-document time,
+with the quartiles of the pass times and the pairs each side won, and the
+change/parent ratio apart for the pairs the parent led and those the
+change led.  Each pass starts with a full garbage collection: without it
+the cyclic collector fell mostly in the first pass of a pair, and on
+monodromy-words a tree timed against itself read about 10 % faster when it
+ran second.  Timing both sides in one process keeps the machine's drift
+between processes out of each comparison.  perfbench is only read.
 """
 
 import argparse
 import gc
 import importlib
+import multiprocessing
 import shutil
 import statistics
 import sys
@@ -56,6 +61,57 @@ def one_pass(main, docs):
     return sum(o.seconds for o in outcomes), [o.seconds for o in outcomes], outcomes
 
 
+def time_pairs(order, trees, workload, seed, pairs):
+    """In a fresh process: import the sides in `order`, check that they
+    agree, and time `pairs` alternating pass pairs.  (documents, pass times,
+    per-document times), the times by side, or an error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        mains = {side: load_side(trees[side], side, tmp) for side in order}
+        docs = build(workload, seed, ROOT)
+        write_documents(docs, tmp / "docs")
+
+        first = {side: one_pass(mains[side], docs)[2] for side in order}
+        differ = [doc.name for doc, a, b in zip(docs, first["parent"], first["change"])
+                  if a.stable_text() != b.stable_text() or a.err != b.err]
+        if differ:
+            return (f"the sides answer {len(differ)} of {len(docs)} documents "
+                    f"differently, first {differ[0]}")
+        for side in order[::-1]:
+            one_pass(mains[side], docs)
+
+        pass_s = {side: [] for side in SIDES}
+        doc_s = {side: [] for side in SIDES}
+        for k in range(pairs):
+            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                seconds, per_doc, _ = one_pass(mains[side], docs)
+                pass_s[side].append(seconds)
+                doc_s[side].append(per_doc)
+    return len(docs), pass_s, doc_s
+
+
+def report(pass_s, doc_s, pairs):
+    """Print one worker's medians, quartiles, wins and ratios."""
+    for side in SIDES:
+        q1, med, q3 = statistics.quantiles(pass_s[side], n=4)
+        per_doc = statistics.median(statistics.median(times)
+                                    for times in zip(*doc_s[side]))
+        print(f"    {side:6s} pass median {med * 1e3:9.3f} ms "
+              f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), "
+              f"per-document median {per_doc * 1e3:.4f} ms")
+    wins = sum(new < old for old, new in zip(pass_s["parent"], pass_s["change"]))
+    base, new = (statistics.median(pass_s[side]) for side in SIDES)
+    ratio = new / base
+    print(f"    change/parent {ratio:.3f}; change faster in {wins} of {pairs} pairs")
+    for lead, start in zip(SIDES, (0, 1)):  # pair k ran the parent first when k is even
+        old, new = (pass_s[side][start::2] for side in SIDES)
+        print(f"      {lead} first: change/parent "
+              f"{statistics.median(new) / statistics.median(old):.3f}; change faster in "
+              f"{sum(n < o for o, n in zip(old, new))} of {len(old)} pairs")
+    return ratio
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="source tree of the parent commit")
@@ -67,49 +123,25 @@ def main(argv=None):
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        sys.path.insert(0, str(tmp))
-        mains = {side: load_side(tree, side, tmp)
-                 for side, tree in zip(SIDES, (args.parent, args.change))}
-        docs = build(args.workload, args.seed, ROOT)
-        write_documents(docs, tmp / "docs")
-
-        first = {side: one_pass(mains[side], docs)[2] for side in SIDES}
-        differ = [doc.name for doc, a, b in zip(docs, first["parent"], first["change"])
-                  if a.stable_text() != b.stable_text() or a.err != b.err]
-        if differ:
-            print(f"error: the sides answer {len(differ)} of {len(docs)} documents "
-                  f"differently, first {differ[0]}", file=sys.stderr)
+    trees = dict(zip(SIDES, (args.parent, args.change)))
+    orders = (SIDES, SIDES[::-1])
+    # one task per worker, so each import order gets a process of its own
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        results = [pool.apply(time_pairs, (order, trees, args.workload, args.seed, args.pairs))
+                   for order in orders]
+    for result in results:
+        if isinstance(result, str):
+            print(f"error: {result}", file=sys.stderr)
             return 1
-        for side in SIDES[::-1]:
-            one_pass(mains[side], docs)
 
-        pass_s = {side: [] for side in SIDES}
-        doc_s = {side: [] for side in SIDES}
-        for k in range(args.pairs):
-            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                seconds, per_doc, _ = one_pass(mains[side], docs)
-                pass_s[side].append(seconds)
-                doc_s[side].append(per_doc)
-
-    wins = sum(new < old for old, new in zip(pass_s["parent"], pass_s["change"]))
-    print(f"{args.workload} seed {args.seed}: {len(docs)} documents, "
-          f"{args.pairs} alternating pass pairs, outputs agree")
-    for side in SIDES:
-        q1, med, q3 = statistics.quantiles(pass_s[side], n=4)
-        per_doc = statistics.median(statistics.median(times)
-                                    for times in zip(*doc_s[side]))
-        print(f"  {side:6s} pass median {med * 1e3:9.3f} ms "
-              f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), "
-              f"per-document median {per_doc * 1e3:.4f} ms")
-    base, new = (statistics.median(pass_s[side]) for side in SIDES)
-    print(f"  change/parent {new / base:.3f}; change faster in {wins} of {args.pairs} pairs")
-    for lead, start in zip(SIDES, (0, 1)):  # pair k ran the parent first when k is even
-        old, new = (pass_s[side][start::2] for side in SIDES)
-        print(f"    {lead} first: change/parent "
-              f"{statistics.median(new) / statistics.median(old):.3f}; change faster in "
-              f"{sum(n < o for o, n in zip(old, new))} of {len(old)} pairs")
+    print(f"{args.workload} seed {args.seed}: {results[0][0]} documents, "
+          f"{args.pairs} alternating pass pairs per import order, outputs agree")
+    ratios = []
+    for order, (_, pass_s, doc_s) in zip(orders, results):
+        print(f"  {order[0]} imported first:")
+        ratios.append(report(pass_s, doc_s, args.pairs))
+    print("  change/parent by import order: " + ", ".join(
+        f"{order[0]} first {ratio:.3f}" for order, ratio in zip(orders, ratios)))
     return 0
 
 

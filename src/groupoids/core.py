@@ -274,21 +274,19 @@ def validate_groupoid(G: FiniteGroupoid) -> tuple:
 
 
 class _PairCompose(Mapping):
-    """The composition table of a pair groupoid, computed on lookup:
-    (x,y)·(y,z) = (x,z).  It keeps the N x N name table and the other tables
-    the groupoid was built with, so `generated_by` can tell an unmodified
-    pair groupoid from one rebuilt around this table."""
+    """The composition table of a pair groupoid, computed on lookup from
+    the groupoid's source and target tables and its N x N name table:
+    (x,y)·(y,z) = (x,z)."""
 
-    def __init__(self, pts, names, tables):
+    def __init__(self, pts, names, source, target):
         self._index = {x: i for i, x in enumerate(pts)}
         self._names = names
-        self.tables = tables  # (objects, source, target, identity, inverse)
+        self.source, self.target = source, target
 
     def __getitem__(self, key):
-        _, source, target, _, _ = self.tables
         try:
             a, b = key
-            x, y, y2, z = source[a], target[a], source[b], target[b]
+            x, y, y2, z = self.source[a], self.target[a], self.source[b], self.target[b]
         except (KeyError, TypeError, ValueError):  # not a pair of morphisms
             raise KeyError(key) from None
         if y != y2:
@@ -337,26 +335,17 @@ def pair_groupoid(points) -> FiniteGroupoid:
     target = dict(zip(flat, itertools.chain.from_iterable(itertools.repeat(pts, n))))
     inverse = dict(zip(flat, itertools.chain.from_iterable(zip(*names))))
     identity = {x: names[i][i] for i, x in enumerate(pts)}
-    objects = frozenset(pts)
-    compose = _PairCompose(pts, names, (objects, source, target, identity, inverse))
     return FiniteGroupoid(
-        objects=objects, source=source, target=target,
-        identity=identity, inverse=inverse, compose=compose,
+        objects=frozenset(pts), source=source, target=target, identity=identity,
+        inverse=inverse, compose=_PairCompose(pts, names, source, target),
     )
 
 
-def _is_pair_groupoid(G: FiniteGroupoid) -> bool:
-    """Is G a pair groupoid with every table it was built with?"""
-    return isinstance(G.compose, _PairCompose) and all(
-        mine is built for mine, built in
-        zip((G.objects, G.source, G.target, G.identity, G.inverse), G.compose.tables))
-
-
-def components(G: FiniteGroupoid, morphisms=None):
+def components(G: FiniteGroupoid):
     """Connected components of the object set, as sorted lists, joined by
-    `morphisms` (every morphism by default) in either direction."""
+    the morphisms in either direction."""
     adj = {x: set() for x in G.objects}
-    for m in G.morphisms if morphisms is None else morphisms:
+    for m in G.morphisms:
         adj[G.source[m]].add(G.target[m])
         adj[G.target[m]].add(G.source[m])
     seen, comps = set(), []
@@ -413,16 +402,11 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
     """Does the closure of `carrier` under composition and inversion reach
     every morphism?  `carrier` must contain all identities.
 
-    On an unmodified `pair_groupoid` every hom-set is one arrow, so the
-    closure is every (x,y) with x and y joined by a path of carrier arrows
-    taken either way (the tree-groupoid picture: Higgins 1971; Brown,
-    *Topology and Groupoids* 6.7), and the answer is whether the carrier's
-    graph on the objects is connected.  Any other table gets the least
-    fixpoint of "add every inverse and every composite of two members",
-    reached by semi-naive rounds (Bancilhon & Ramakrishnan 1986) that pair
-    only the newest members with the rest.  That uses the table as it is
-    and assumes no associativity, so on an unlawful table it is still the
-    closure under the entries present.
+    The closure is the least fixpoint of "add every inverse and every
+    composite of two members", reached by semi-naive rounds (Bancilhon &
+    Ramakrishnan 1986) that pair only the newest members with the rest.
+    That uses the table as it is and assumes no associativity, so on an
+    unlawful table it is still the closure under the entries present.
     """
     carrier = set(carrier)
     for x in sorted(G.objects):
@@ -431,8 +415,6 @@ def generated_by(G: FiniteGroupoid, carrier) -> bool:
     unknown = [m for m in carrier if m not in G.source]
     if unknown:
         raise ValueError(f"carrier not a subset of morphisms: {min(unknown)!r}")
-    if _is_pair_groupoid(G):
-        return len(components(G, carrier)) == 1
     return _closure(G, carrier) == set(G.morphisms)
 
 

@@ -219,9 +219,9 @@ def serialize_groupoid(G: FiniteGroupoid) -> dict:
 
 def parse_carrier(doc, G: FiniteGroupoid, where="document") -> frozenset:
     names = _strings(_require(doc, "carrier", list, where), f"{where}.carrier")
-    for m in names:
+    for i, m in enumerate(names):
         if m not in G.morphisms:
-            raise DocumentError(f"{where}.carrier: unknown morphism {m!r}")
+            raise DocumentError(f"{where}.carrier[{i}]: unknown morphism {m!r}")
     return frozenset(names)
 
 

@@ -23,7 +23,6 @@ refuted map, the kind being the map's name from STRUCTURE_MAPS.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 
@@ -305,25 +304,24 @@ STRUCTURE_MAPS = ("source", "target", "identity", "inversion", "composition",
                   "difference")
 
 
-def _first_bad_open(dom: FiniteTopology, cod: FiniteTopology, fn):
+def _first_bad(images, around):
     """The first codomain open in `_family_order` whose preimage is not open,
-    or None.  Any such open O holds some f(p) with f(U_p) not inside V_f(p);
-    that V_f(p) is bad too and sorts no later than O.  Points sharing a pair
-    (U_p, V_f(p)) share the test."""
-    bad, tested = set(), set()
-    for p, u in dom.neighborhoods.items():
-        v = cod.neighborhoods[fn(p)]
-        if v not in bad and (u, v) not in tested:
-            tested.add((u, v))
-            if any(fn(q) not in v for q in u):
-                bad.add(v)
-    return min(bad, key=_family_order, default=None)
+    or None.  `images` maps each class of domain points sharing a minimal
+    neighbourhood to that neighbourhood's image, and `around` maps it to the
+    neighbourhoods V_f(p) of its points' values.  Any bad open O holds some
+    f(p) with f(U_p) not inside V_f(p); that V_f(p) is bad too and sorts no
+    later than O."""
+    return min((v for k, image in images.items() for v in around[k] if not image <= v),
+               key=_family_order, default=None)
 
 
 def continuity(dom: FiniteTopology, cod: FiniteTopology, fn):
     """None when f is continuous, which it is iff f(U_p) lies inside V_f(p)
     at every point p; else (the first bad open, its preimage)."""
-    o = _first_bad_open(dom, cod, fn)
+    cod_nb, around = cod.neighborhoods, {}
+    for p, u in dom.neighborhoods.items():
+        around.setdefault(u, set()).add(cod_nb[fn(p)])
+    o = _first_bad({u: {fn(q) for q in u} for u in around}, around)
     return None if o is None else (o, frozenset(p for p in dom.points if fn(p) in o))
 
 
@@ -333,39 +331,24 @@ def pullback_continuity(pairs, factor: FiniteTopology, cod: FiniteTopology, fn):
     else (the first bad open, a pair (a, b) mapped into it with the first
     pair of its neighbourhood that is not).
 
-    Pairs sharing (U_a, U_b) share a neighbourhood, whose image is read
-    off a row per a of its partners b and their values; the map is
-    continuous when each such image lies inside V_f(a, b) for every pair
-    of the class.  Only a map that fails there is searched again, by
-    `_pullback_witness`, for its first bad open and pair."""
-    nb, cod_nb, rows, classes = factor.neighborhoods, cod.neighborhoods, {}, {}
-    for a, b in pairs:
+    Pairs sharing (U_a, U_b) share a neighbourhood, whose image is read off
+    a row per a of its partners b and their values, in the one pass
+    `continuity` makes.  Only a map refuted there enumerates the pairs of a
+    neighbourhood, from the same rows, to name its pair."""
+    nb, cod_nb, rows, around = factor.neighborhoods, cod.neighborhoods, {}, {}
+    for a, b in pairs:  # `pairs` may be an iterator, read once
         v = fn(a, b)
         rows.setdefault(a, {})[b] = v
-        classes.setdefault((nb[a], nb[b]), set()).add(cod_nb[v])
-    for (ua, ub), around in classes.items():
-        image = {v for a in ua if a in rows for b, v in rows[a].items() if b in ub}
-        if not all(image <= v for v in around):  # `pairs` may be a spent iterator
-            return _pullback_witness([(a, b) for a, row in rows.items() for b in row],
-                                     factor, cod, fn)
-    return None
-
-
-def _pullback_witness(pairs, factor, cod, fn):
-    """`pullback_continuity` by the pullback's own neighbourhoods, for a
-    map that is not continuous: the first bad open and its pair."""
-    pair_set, nb, traces = frozenset(pairs), factor.neighborhoods, {}
-    for a, b in pair_set:
-        if (nb[a], nb[b]) not in traces:
-            traces[nb[a], nb[b]] = frozenset(
-                q for q in itertools.product(nb[a], nb[b]) if q in pair_set)
-    dom = FiniteTopology({(a, b): traces[nb[a], nb[b]] for a, b in pair_set})
-    o = _first_bad_open(dom, cod, lambda ab: fn(*ab))
+        around.setdefault((nb[a], nb[b]), set()).add(cod_nb[v])
+    o = _first_bad({(ua, ub): {v for a in ua if a in rows for b, v in rows[a].items() if b in ub}
+                    for ua, ub in around}, around)
     if o is None:
         return None
-    inside = {ab for ab in pair_set if fn(*ab) in o}
+    inside = {(a, b) for a, row in rows.items() for b, v in row.items() if v in o}
     return o, next((ab, q) for ab in sorted(inside)
-                   for q in sorted(dom.neighborhoods[ab]) if q not in inside)
+                   for q in sorted((a, b) for a in nb[ab[0]] if a in rows
+                                   for b in rows[a] if b in nb[ab[1]])
+                   if q not in inside)
 
 
 def check_topological_groupoid(G, T_G: FiniteTopology, T_X: FiniteTopology) -> tuple:

@@ -940,3 +940,22 @@ def scan_pullback_continuity(pairs, pair_opens, cod_opens, fn):
                 for ab in pairs}
     return o, next((ab, q) for ab in sorted(inside)
                    for q in sorted(smallest[ab]) if q not in inside)
+
+
+def pullback_pointwise(pairs, factor, cod, fn):
+    """`pullback_continuity` pair by pair, with no family listed: each pair
+    gets its own neighbourhood (U_a x U_b) & pairs, and the first bad open
+    is the least V_f(a, b) in (size, sorted names) that does not hold the
+    image of its pair's neighbourhood.  (open, ((a, b), (a2, b2))) as the
+    scan gives it, or None."""
+    pairs, nb = frozenset(pairs), factor.neighborhoods
+    around = {(a, b): frozenset(q for q in itertools.product(nb[a], nb[b]) if q in pairs)
+              for a, b in pairs}
+    values = {ab: cod.neighborhoods[fn(*ab)] for ab in pairs}
+    bad = [values[ab] for ab, u in around.items() if any(fn(*q) not in values[ab] for q in u)]
+    if not bad:
+        return None
+    o = min(bad, key=_family_order)
+    inside = {ab for ab in pairs if fn(*ab) in o}
+    return o, next((ab, q) for ab in sorted(inside)
+                   for q in sorted(around[ab]) if q not in inside)

@@ -139,6 +139,16 @@ def test_bad_carrier_is_a_precondition_error(tmp_path, capsys):
     assert code == 3 and "precondition" in err
 
 
+def test_unknown_carrier_morphism_names_its_entry(tmp_path, capsys):
+    doc = json.loads((CORPUS / "z5-window.json").read_text())
+    doc["carrier"] = ["0", "1", "x", "4"]
+    path = tmp_path / "unknown-carrier.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["monodromy", str(path)], capsys)
+    assert code == 3
+    assert "document.carrier[2]: unknown morphism 'x'" in err
+
+
 def test_clt_generate_reports_window_results(capsys):
     code, out, _ = run(["clt-generate", str(CORPUS / "clt-monodromy-triangle.json"),
                         "--window", "4"], capsys)

@@ -30,6 +30,7 @@ from helpers import (
     group_groupoid,
     product_groupoid,
     product_topology,
+    pullback_pointwise,
     pullback_space,
     scan_continuity,
     scan_pullback_continuity,
@@ -388,11 +389,12 @@ def test_certificates_match_the_explicit_family_scan(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_pullback_continuity_is_the_explicit_scan(data):
-    """The bulk decision, and the witness search it falls back to, give what
-    an exhaustive preimage scan of the explicit pullback family gives, on
+    """The one neighbourhood pass gives the verdict, open and pair that an
+    exhaustive preimage scan of the explicit pullback family gives, on
     composition and on the difference map.  Random subbases refute often;
     discrete and indiscrete topologies never do.  The explicit family grows
-    fast, so the larger groupoids are checked against the search alone."""
+    fast, so the larger groupoids are checked against the pair-by-pair
+    neighbourhoods of `pullback_pointwise` alone."""
     small = [pair_groupoid([0, 1]), group_groupoid(cyclic(3))]
     G = data.draw(st.sampled_from(small + [group_groupoid(cyclic(4)), pair_groupoid([0, 1, 2]),
                                            product_groupoid(2, cyclic(2))]))
@@ -404,12 +406,31 @@ def test_pullback_continuity_is_the_explicit_scan(data):
     for pairs, fn in ((composable_pairs(G), lambda a, b: G.compose[(a, b)]),
                       (difference_pairs(G), lambda a, b: G.compose[(G.inverse[a], b)])):
         found = pullback_continuity(pairs, T, T, fn)
-        assert found == finite_topology._pullback_witness(pairs, T, T, fn)
+        assert found == pullback_pointwise(pairs, T, T, fn)
         assert pullback_continuity(iter(pairs), T, T, fn) == found  # read once
         if G in small:
             opens = T.opens
             assert found == scan_pullback_continuity(
                 pairs, explicit_pullback(opens, pairs), opens, lambda ab: fn(*ab))
+
+
+def test_pullback_first_bad_open_may_lie_in_a_later_class():
+    """Two neighbourhood classes fail: the first, of the pair (1, 1), only
+    the open {p, t, u}, the later, of (3, 3), the smaller {r}.  The witness
+    is {r}, so the least bad open is taken over every class."""
+    factor = FiniteTopology({"1": F("12"), "2": F("2"), "3": F("34"), "4": F("4")})
+    cod = FiniteTopology({"p": F("ptu"), **{x: F(x) for x in "qrstu"}})
+    pairs = [(x, x) for x in "1234"]
+    value = dict(zip(pairs, "pqrs"))
+
+    def fn(a, b):
+        return value[(a, b)]
+
+    found = pullback_continuity(pairs, factor, cod, fn)
+    assert found == (F("r"), (("3", "3"), ("4", "4")))
+    assert found == pullback_pointwise(pairs, factor, cod, fn)
+    assert found == scan_pullback_continuity(
+        pairs, explicit_pullback(factor.opens, pairs), cod.opens, lambda ab: fn(*ab))
 
 
 def test_the_package_attribute_is_the_module():
