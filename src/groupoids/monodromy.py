@@ -1,11 +1,14 @@
 """Monodromy presentations over a finite groupoid.
 
 Given a groupoid G and an inversion-closed subset W containing every
-identity, the monodromy groupoid here is presented by one generator per
+identity, the monodromy groupoid here is presented by one letter per
 non-identity element of W and one relator a.b.(ab)^-1 for every pair
 a, b in W whose ambient product is defined and lands back in W (identity
 letters are erased, and 1.b.b^-1 and a.1.a^-1 are skipped).  Elements are
-words; equality is decided by the word-problem engine per component.
+words; equality is decided by the word-problem engine per component.  The
+collapse has one generator per inverse pair {a, a'} with a.a' and a'.a both
+identities: the relator a.a' replaces a' by a^-1 (a Tietze move) and is
+skipped.  A self-inverse t keeps its generator and its relator t.t.
 
 When no product of two composable carrier elements leaves the carrier (W is
 a subgroupoid), the relators are W's own multiplication table and the vertex
@@ -79,28 +82,30 @@ class MonodromyGroupoid(Record):
         G = self.ambient
         return self.carrier == G.morphisms if self.closed else generated_by(G, self.carrier)
 
-    def _relator_letters(self):
+    def _relator_letters(self, partner):
         """(base, letters of a.b.(ab)^-1) per triple, identity letters erased,
         unreduced, less those that reduce away and so add no relation: b b^-1
-        (a an identity, ab == b) and a a^-1 (b an identity, ab == a).  The test
-        reads the table, so one breaking the identity law keeps its relator."""
+        (a an identity, ab == b), a a^-1 (b an identity, ab == a) and, given
+        `partner`, a a' (a' == partner[a]).  The test reads the table, so one
+        breaking the identity law keeps its relator."""
         G = self.ambient
         one = {a: () if G.is_identity(a) else ((a, 1),) for a in self.carrier}
         return ((G.source[a], one[a] + one[b] + (((ab, -1),) if one[ab] else ()))
                 for a, b, ab in self.relator_family
-                if not (ab == b and not one[a] or ab == a and not one[b]))
+                if not (ab == b and not one[a] or ab == a and not one[b]
+                        or partner.get(a) == b))
 
     @cached_property
     def relators(self) -> tuple:
         """Closed Words a.b.(ab)^-1 that do not reduce away, one per triple
-        in order; built on first use, for the DOT export."""
-        words = ((base, free_reduce(letters)) for base, letters in self._relator_letters())
+        in order, a.a' included; built on first use, for the DOT export."""
+        words = ((base, free_reduce(letters)) for base, letters in self._relator_letters({}))
         return tuple(Word(w, base) for base, w in words if w)
 
     @cached_property
     def vertex_groups(self) -> tuple:
         """Presentation per component, collapsed from `_relator_letters`."""
-        return collapse_presentation(self.graph, self._relator_letters(), self.forest)
+        return collapse_presentation(self._relator_letters(self.forest.partner), self.forest)
 
     @cached_property
     def engines(self) -> tuple:
@@ -166,16 +171,20 @@ def build_monodromy(G: FiniteGroupoid, carrier, budget=DEFAULT_BUDGET) -> Monodr
     by_src = {}
     for b in ordered:
         by_src.setdefault(G.source[b], []).append(b)
-    family, closed = [], True
+    family, closed, inverse = [], True, {}  # inverse: edge a -> b = G.inverse[a], a.b = 1 at u
     for a in ordered:
+        u, a_inv = G.source[a], G.inverse[a]
         for b in by_src.get(G.target[a], ()):
             ab = G.compose[(a, b)]
             if ab in carrier:
                 family.append((a, b, ab))
+                if b == a_inv != a and ab == G.identity[u] and a in edges:
+                    inverse[a] = b
             else:
                 closed = False
+    partner = {a: b for a, b in inverse.items() if inverse.get(b) == a}
     return MonodromyGroupoid(ambient=G, carrier=carrier, graph=graph, relator_family=tuple(family),
-                             forest=spanning_forest(graph), closed=closed, budget=budget)
+                             forest=spanning_forest(graph, partner), closed=closed, budget=budget)
 
 
 def _table_engine(M: MonodromyGroupoid, i, triples):
@@ -183,15 +192,16 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     off the carrier's own table and certified by the component's defining
     triples (a, b, ab); None leaves the component to `build_engine`.
 
-    A collapsed generator e, an edge u -> v, stands for the loop
-    path(u) e path(v)^-1 at the base x, evaluated in G.  Row 0 is the
+    A generator e (`Forest.generators`), an edge u -> v, stands for the
+    loop path(u) e path(v)^-1 at the base x, evaluated in G.  Row 0 is the
     identity at x, and the rows are its breadth-first orbit under right
     multiplication by each loop and then its inverse, in generator order.
     The table is kept only when it is certified: the rows are exactly
     W(x,x), each inverse action undoes its action, and P(a) then P(b) is
-    P(ab) on every row for every triple, P being a generator's action and
-    the identity on identity arrows and tree edges.  Once inverse actions
-    are certified P is a homomorphism on free words, and reduction,
+    P(ab) on every row for every triple, P being a generator's action, its
+    inverse action on the generator's partner, and the identity on identity
+    arrows, tree edges and their partners.  Once inverse actions are
+    certified P is a homomorphism on free words, and reduction,
     rotation and inversion keep "fixes every row", so these are the checks
     that every collapsed relator fixes every row.  Then the rows carry a
     transitive action of the vertex group, which has at least n = |W(x,x)|
@@ -224,8 +234,7 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     members = {a for a in M.carrier if G.source[a] == x == G.target[a]}
     if len(members) < 2:
         return None
-    generators = tuple(sorted(e for e, (u, _) in M.graph.edges.items()
-                              if u in comp.vertices and e not in comp.tree_edges))
+    generators = M.forest.generators[i]
 
     try:
         steps = []  # (loop, its inverse) per generator
@@ -251,7 +260,8 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     fixed = tuple(range(len(rows)))  # two or more, so itemgetter gives tuples
     action = {e: tuple(f) for e, (f, _) in zip(generators, columns)}
     inverse_action = {e: tuple(b) for e, (_, b) in zip(generators, columns)}
-    perm = defaultdict(lambda: fixed, action)  # P: the identity off the generators
+    perm = defaultdict(lambda: fixed, action)  # P, as `Forest.images` reads the letters
+    perm.update((p, inverse_action[r]) for r, p in M.forest.partner.items() if r in action)
     if (any(itemgetter(*action[e])(inverse_action[e]) != fixed for e in generators)
             or any(itemgetter(*perm[a])(perm[b]) != perm[ab] for a, b, ab in triples)):
         return None
@@ -476,8 +486,8 @@ def pi1_graph(vertices, edges, budget=DEFAULT_BUDGET) -> MonodromyGroupoid:
     Each edge is split at a midpoint before the pair groupoid and its
     adjacency subset are formed; splitting keeps |E| - |V| + #components
     intact and guarantees that no two-step product of adjacency pairs lands
-    back in the subset, so the relators are exactly the backtracking ones and
-    the vertex groups come out certified free.  They are decided here.
+    back in the subset: the relators are the backtracking ones, which only
+    pair arrows with their inverses, so the vertex groups are free, decided here.
     """
     vertices = sorted(vertices)
     if len(set(vertices)) != len(vertices):

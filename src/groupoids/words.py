@@ -8,9 +8,10 @@ vertex is representable).
 The word-problem pipeline is:
 
   spanning forest (deterministic breadth-first, lexicographic edge order)
-    -> collapse every relator into its base's component by one filter:
-       letters whose edge is one of the forest's tree edges vanish, the
-       rest keep their names (each edge lies in exactly one component)
+    -> collapse every relator into its base's component letter by letter,
+       one generator per inverse pair of edges: a tree edge's letters and
+       its partner's vanish, and an edge paired with a lesser one takes
+       that one's inverse letters (each edge lies in exactly one component)
     -> eliminate generators that occur exactly once in some relator
        (records substitutions, so words can be canonicalized later); an
        index from each generator to the relators holding it means each
@@ -83,16 +84,25 @@ class Forest(Record):
     components: tuple
     vertex_component: dict
     tree_edges: frozenset  # union of the components' tree edges
+    partner: dict          # edge -> the inverse edge it shares a generator with
+    generators: tuple      # per component: the least edge of each pair off the tree, sorted
+    images: dict           # letter -> its letters once the forest is contracted
 
 
-def spanning_forest(graph: GeneratingGraph) -> Forest:
+def spanning_forest(graph: GeneratingGraph, partner: dict) -> Forest:
     """Breadth-first spanning forest.
 
     Deterministic: components rooted at their smallest vertex, neighbors
     explored in edge-id order, forward before backward, from one edge sort.
+
+    `partner` pairs formal inverse edges both ways round.  A pair or lone
+    edge is one generator, its least edge r: r's letters are their own
+    images, a partner's are r's inverse letters, all are () if r is a tree
+    edge.  Every tree edge is such an r, the least edge between its ends.
     """
+    edges = sorted(graph.edges.items())
     incidence = {v: [] for v in graph.vertices}  # v -> (edge, sign, the far end)
-    for e, (u, v) in sorted(graph.edges.items()):
+    for e, (u, v) in edges:
         incidence[u].append((e, 1, v))
         incidence[v].append((e, -1, u))
 
@@ -116,8 +126,16 @@ def spanning_forest(graph: GeneratingGraph) -> Forest:
                 queue.append(v)
         comps.append(ForestComponent(base=root, vertices=frozenset(paths),
                                      tree_edges=frozenset(tree), paths=paths))
-    return Forest(components=tuple(comps), vertex_component=vertex_component,
-                  tree_edges=frozenset().union(*(c.tree_edges for c in comps)))
+    tree_edges = frozenset().union(*(c.tree_edges for c in comps))
+    gens, images = [[] for _ in comps], {}
+    for e, (u, _) in edges:
+        r = min(e, partner.get(e, e))
+        s = 0 if e in tree_edges or r in tree_edges else 1 if r == e else -1  # 0: contracted
+        images[e, 1], images[e, -1] = (((r, s),), ((r, -s),)) if s else ((), ())
+        if s > 0:
+            gens[vertex_component[u]].append(e)
+    return Forest(components=tuple(comps), vertex_component=vertex_component, tree_edges=tree_edges,
+                  partner=partner, generators=tuple(map(tuple, gens)), images=images)
 
 
 class Presentation(Record):
@@ -127,10 +145,10 @@ class Presentation(Record):
 
 
 def collapse_letters(forest: Forest, letters):
-    """Image of a chain of letters after contracting the forest: tree letters
-    vanish, the rest keep their names.  Freely reduced."""
-    tree = forest.tree_edges
-    return free_reduce([letter for letter in letters if letter[0] not in tree])
+    """Image of a chain of letters after contracting the forest, letter by
+    letter through `Forest.images`.  Freely reduced."""
+    images = forest.images
+    return free_reduce([x for letter in letters for x in images[letter]])
 
 
 def cyclic_reduce(letters):
@@ -149,21 +167,17 @@ def canonical_relator(letters):
     return min(candidates) if candidates else ()
 
 
-def collapse_presentation(graph: GeneratingGraph, relators, forest: Forest):
+def collapse_presentation(relators, forest: Forest):
     """One `Presentation` per forest component, with no eliminations: its
-    non-tree edges, sorted, and the canonical collapses of the closed
-    relators (base, letters) based in it, freely reduced or not."""
-    gens = [[] for _ in forest.components]
-    for e, (u, _) in sorted(graph.edges.items()):
-        if e not in forest.tree_edges:
-            gens[forest.vertex_component[u]].append(e)
+    `Forest.generators` and the canonical collapses of the closed relators
+    (base, letters) based in it, freely reduced or not."""
     rels = [set() for _ in forest.components]
     for base, letters in relators:
         w = cyclic_reduce(collapse_letters(forest, letters))
         if w:
             rels[forest.vertex_component[base]].add(canonical_relator(w))
-    return tuple(Presentation(generators=tuple(g), relations=tuple(sorted(r)))
-                 for g, r in zip(gens, rels))
+    return tuple(Presentation(generators=g, relations=tuple(sorted(r)))
+                 for g, r in zip(forest.generators, rels))
 
 
 # ------------------------------------------------------------- simplification

@@ -17,7 +17,6 @@ from groupoids.words import (
     VertexGroupEngine,
     Word,
     canonical_relator,
-    collapse_presentation,
     cyclic_reduce,
     free_reduce,
     inv_letters,
@@ -301,9 +300,7 @@ def simplify_oracle(generators, relations):
 def collapse_oracle(G, carrier, forest):
     """(relators, vertex-group presentations) of the monodromy over `carrier`
     by the Word pipeline that re-walks every relator to check that it chains
-    and closes up, and then collapses it once per forest component: each
-    component scans every relator, and each letter is kept unless its edge
-    is a tree edge of the component its source vertex lies in."""
+    and closes up, and then collapses it by `paired_collapse`."""
     ends = {a: (G.source[a], G.target[a]) for a in carrier if not G.is_identity(a)}
 
     def letters_of(a):
@@ -325,37 +322,67 @@ def collapse_oracle(G, carrier, forest):
             assert u == at, f"relator does not chain: {r.letters!r}"
             at = v
         assert at == r.base, f"relator not closed: {r.letters!r}"
-
-    def kept(e, s):
-        u = ends[e][0] if s > 0 else ends[e][1]
-        return e not in forest.components[forest.vertex_component[u]].tree_edges
-
-    out = []
-    for ci, comp in enumerate(forest.components):
-        gens = sorted(e for e, (u, _) in ends.items()
-                      if forest.vertex_component[u] == ci and e not in comp.tree_edges)
-        rels = set()
-        for r in relators:
-            if forest.vertex_component[r.base] != ci:
-                continue
-            w = cyclic_reduce(free_reduce(tuple(x for x in r.letters if kept(*x))))
-            if w:
-                rels.add(canonical_relator(w))
-        out.append(Presentation(generators=tuple(gens), relations=tuple(sorted(rels))))
-    return tuple(relators), tuple(out)
+    return tuple(relators), paired_collapse(G, carrier, forest,
+                                            [(r.base, r.letters) for r in relators])
 
 
-def triple_collapse(M):
-    """`collapse_presentation` over the letters a.b.(ab)^-1 of every defining
-    triple of M, none skipped: identity letters erased, unreduced."""
+def inverse_pairs(G, relators):
+    """edge -> its partner: a != b, each the other's inverse in G, with a.b
+    and b.a both among the relators (base, letters).  A relator of two
+    positive letters comes only from a triple (a, b, ab) with ab an
+    identity, which lets b be replaced by a^-1."""
+    two = {letters for _, letters in relators
+           if len(letters) == 2 and letters[0][1] == letters[1][1] == 1}
+    return {a: b for (a, _), (b, _) in two
+            if a != b and ((b, 1), (a, 1)) in two and G.inverse[a] == b and G.inverse[b] == a}
+
+
+def paired_collapse(G, carrier, forest, relators, pair=True):
+    """Vertex-group presentations of the closed letter chains `relators`
+    (base, letters), one generator per pair of `inverse_pairs` (the least
+    edge) and one per other edge, less the spanning forest: every letter is
+    rewritten on its own, a tree edge's or its partner's to nothing, a
+    partner's to the inverse of its pair's least edge, and the rest kept;
+    each relator goes to its base's component, cyclically reduced and
+    deduplicated by `canonical_relator`.  With pair=False no edges pair:
+    the presentation with a generator per edge and the relators a.a^-1,
+    as collapsed before edges were paired."""
+    relators = list(relators)
+    partner = inverse_pairs(G, relators) if pair else {}
+    tree = forest.tree_edges
+
+    def image(e, s):
+        b = partner.get(e, e)
+        if e in tree or b in tree:
+            return ()
+        return ((min(e, b), s if e <= b else -s),)
+
+    gens = [set() for _ in forest.components]
+    for a in carrier:
+        if not G.is_identity(a):
+            for e, _ in image(a, 1):
+                gens[forest.vertex_component[G.source[a]]].add(e)
+    rels = [set() for _ in forest.components]
+    for base, letters in relators:
+        w = cyclic_reduce(free_reduce(tuple(x for e, s in letters for x in image(e, s))))
+        if w:
+            rels[forest.vertex_component[base]].add(canonical_relator(w))
+    return tuple(Presentation(generators=tuple(sorted(g)), relations=tuple(sorted(r)))
+                 for g, r in zip(gens, rels))
+
+
+def triple_collapse(M, pair=True):
+    """`paired_collapse` of the letters a.b.(ab)^-1 of every defining triple
+    of M, none skipped: identity letters erased, unreduced."""
     G = M.ambient
 
     def letters_of(a):
         return () if G.is_identity(a) else ((a, 1),)
 
-    return collapse_presentation(
-        M.graph, ((G.source[a], letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
-                  for a, b, ab in M.relator_family), M.forest)
+    return paired_collapse(
+        G, M.carrier, M.forest,
+        [(G.source[a], letters_of(a) + letters_of(b) + inv_letters(letters_of(ab)))
+         for a, b, ab in M.relator_family], pair)
 
 
 # -------------------------------------------- relator certificate oracle

@@ -613,6 +613,20 @@ def test_monodromy_at_the_order_budget_runs_no_elimination(tmp_path, monkeypatch
     assert shortcut[0] == 2 and shortcut[1]["verdicts"]["vertex-group[*]"] == "undecided"
 
 
+def test_transpositions_stay_undecided(tmp_path, capsys):
+    """S3 over its transpositions presents the infinite Z2 * Z2 * Z2: each
+    transposition keeps its square as a relation, so `--budget 200` runs out
+    (exit 2) instead of certifying a free group of rank 3."""
+    from helpers import group_groupoid, sym3
+
+    G = group_groupoid(sym3())
+    path = _write(tmp_path, "s3.json", _closed_carrier_doc(G, {"012", "021", "102", "210"}))
+    code, out, _ = run(["monodromy", path, "--budget", "200", "--format", "machine"], capsys)
+    assert code == 2
+    assert json.loads(out)["verdicts"] == {"generates-ambient": True, "relators": 10,
+                                           "vertex-group[*]": "undecided"}
+
+
 def test_star_cover_at_the_order_budget_simplifies_once_per_component(
         tmp_path, monkeypatch, capsys):
     """P2 x Z/6 with the carrier of every endomorphism has two components,

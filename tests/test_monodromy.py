@@ -1064,10 +1064,11 @@ def presented_carriers(draw):
 @given(presented_carriers())
 @settings(max_examples=150, deadline=None)
 def test_relators_and_collapse_match_the_word_pipeline(M):
-    """Filtering each relator once by the forest's tree edges, into its
-    base's component, gives the relators, the vertex-group presentations
-    (base, generators, relations, in order) and the DOT label that
-    re-walking every relator and collapsing it per component gives."""
+    """Mapping each relator's letters once through the forest's images, into
+    its base's component, gives the relators, the vertex-group
+    presentations (base, generators, relations, in order) and the DOT label
+    that re-walking every relator and collapsing it with the pairs it
+    shows (`paired_collapse`) gives."""
     G, W = M.ambient, M.carrier
     relators, vertex_groups = collapse_oracle(G, W, M.forest)
     assert M.relators == relators
@@ -1099,18 +1100,17 @@ def test_vertex_groups_collapse_the_relator_words(name):
     instead gives the same presentations."""
     M = GATE_PRESENTATIONS[name]()
     assert M.relators
-    via_words = collapse_presentation(M.graph, ((r.base, r.letters) for r in M.relators),
-                                      M.forest)
+    via_words = collapse_presentation(((r.base, r.letters) for r in M.relators), M.forest)
     assert M.vertex_groups == via_words
 
 
 @pytest.mark.parametrize("name", [*GATE_PRESENTATIONS, "Z2-breaking-the-identity-law"])
 def test_vertex_groups_skip_only_triples_whose_letters_reduce_away(name):
-    """`vertex_groups` skips the triples 1.b.b^-1 and a.1.a^-1 and equals the
-    collapse of every triple's letters.  Z/2 with g.e = e passes the linear
-    checks; its triple (g, e, e) has the letters g, which a skip on "a or b
-    is an identity" would drop, leaving <g | g^2> in place of the trivial
-    group."""
+    """`vertex_groups` skips the triples 1.b.b^-1, a.1.a^-1 and a.a' for an
+    inverse pair, and equals the collapse of every triple's letters.  Z/2
+    with g.e = e passes the linear checks; its triple (g, e, e) has the
+    letters g, which a skip on "a or b is an identity" would drop, leaving
+    <g | g^2> in place of the trivial group."""
     if name in GATE_PRESENTATIONS:
         M = GATE_PRESENTATIONS[name]()
     else:
@@ -1141,3 +1141,78 @@ def test_generation_is_decided_on_first_read(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_closed_flag_is_wide_subgroupoid_membership(M):
     assert M.closed == (not check_wide_subgroupoid(M.ambient, M.carrier))
+
+
+def test_transpositions_keep_their_squares():
+    """S3 over its transpositions presents Z2 * Z2 * Z2.  A transposition t
+    is its own inverse, so it pairs with nothing: it keeps its generator
+    and its relation t.t, and the group, infinite, stays undecided at
+    budget 200.  A skip of every triple (a, inverse(a), 1) would drop the
+    squares and leave a free group of rank 3."""
+    M = GATE_PRESENTATIONS["S3-transpositions"]()
+    (vgp,) = M.vertex_groups
+    ts = ("021", "102", "210")
+    assert not M.forest.partner and vgp.generators == ts
+    squares = {((t, -1), (t, -1)) for t in ts}  # t.t, canonically written
+    assert len(squares & set(vgp.relations)) == 3
+    assert M.vertex_group_info(0) == ("undecided", 200)
+
+
+# one-object tables that pass only the linear checks: the certificate tests'
+# and Z/4 with 1 and 2 called each other's inverses
+LAW_BREAKING = [(["011", "100", "200"], "011"), (["102", "010", "220"], "101"),
+                (["012", "101", "220"], "012"),
+                (["01234", "10342", "24013", "32401", "43120"], "01234"),
+                (["0123", "1230", "2301", "3012"], "0213")]
+
+
+def test_inverses_whose_product_is_no_identity_do_not_pair():
+    """In Z/4 with the inverses of 1 and 2 swapped, 1 and 2 are each other's
+    inverse but 1.2 = 3, so no defining relator says 2 = 1^-1: they keep a
+    generator each, and the vertex group is Z/4, as the table gives."""
+    G = one_object(*LAW_BREAKING[-1])
+    assert not validate_structure(G) and G.inverse["1"] == "2" and G.inverse["2"] == "1"
+    M = build_monodromy(G, G.morphisms)
+    assert not M.forest.partner and M.vertex_groups[0].generators == ("1", "2", "3")
+    assert M.vertex_group_info(0) == ("finite", 4)
+
+
+def carriers_in_any_table():
+    """`presented_carriers`, the closed carriers of `closed_carriers_in_any_table`
+    and the full carriers of the `LAW_BREAKING` tables, at budget 20."""
+    return st.one_of(
+        presented_carriers(),
+        closed_carriers_in_any_table().map(lambda GW: build_monodromy(*GW, budget=20)),
+        st.sampled_from(LAW_BREAKING).map(lambda t: one_object(*t))
+        .map(lambda G: build_monodromy(G, G.morphisms, budget=20)))
+
+
+@given(carriers_in_any_table())
+@settings(max_examples=150, deadline=None)
+def test_only_mutual_inverses_pair_and_tree_edges_lead_their_pairs(M):
+    """Edges a != b pair only where each is the other's inverse, a.b and
+    b.a are identities and b runs back along a, so the relator a.b is a
+    defining one; the pairing is symmetric, and every tree edge is the
+    lesser edge of its pair."""
+    G, partner = M.ambient, M.forest.partner
+    for a, b in partner.items():
+        assert a != b and partner[b] == a and G.inverse[a] == b
+        assert M.graph.edges[b] == M.graph.edges[a][::-1]
+        assert G.compose[(a, b)] == G.identity[G.source[a]]
+        assert (a, b, G.compose[(a, b)]) in M.relator_family
+    assert all(e <= partner.get(e, e) for e in M.forest.tree_edges)
+
+
+@given(carriers_in_any_table())
+@settings(max_examples=150, deadline=None)
+def test_pairing_keeps_the_vertex_groups(M):
+    """Differential test of the paired presentation against the unpaired
+    collapse, one generator per non-tree edge with the relators a.a^-1:
+    `build_engine` gives the same kind, order and rank on both wherever
+    both decide."""
+    unpaired = triple_collapse(M, pair=False)
+    assert len(unpaired) == len(M.vertex_groups)
+    for old, new in zip(unpaired, M.vertex_groups):
+        old, new = build_engine(old, budget=M.budget), build_engine(new, budget=M.budget)
+        if "undecided" not in (old.kind, new.kind):
+            assert (new.kind, new.order, new.rank) == (old.kind, old.order, old.rank)

@@ -25,9 +25,9 @@ _PRESENTED = {"core.compose_entries", "monodromy.relators"}
 # (command, corpus document, counters the command feeds)
 RUNS = [
     ("validate", "pair-groupoid-3", {"core.compose_entries"}),
-    ("monodromy", "z5-window", _PRESENTED | {"words.eliminations"}),
-    ("pi1", "triangle-graph", _PRESENTED | {"words.eliminations"}),
-    ("star-cover", "z5-star", _PRESENTED | {"words.eliminations", "monodromy.star_classes"}),
+    ("monodromy", "z5-window", _PRESENTED),
+    ("pi1", "triangle-graph", _PRESENTED),
+    ("star-cover", "z5-star", _PRESENTED | {"monodromy.star_classes"}),
     ("globalize", "globalize-z7-s3", _PRESENTED),
     ("topology-check", "discrete-pair-topology", {"core.compose_entries"}),
     ("w-open", "w-open-partition", {"core.compose_entries"}),

@@ -62,7 +62,7 @@ def test_forest_deterministic_and_lexicographic():
     g = GeneratingGraph(
         vertices=frozenset(["v0", "v1", "v2"]),
         edges={"e0": ("v0", "v1"), "e1": ("v0", "v2"), "e2": ("v1", "v2")})
-    f = spanning_forest(g)
+    f = spanning_forest(g, {})
     assert len(f.components) == 1
     assert f.components[0].tree_edges == frozenset({"e0", "e1"})
     assert f.components[0].paths["v2"].letters == (("e1", 1),)
@@ -71,7 +71,7 @@ def test_forest_deterministic_and_lexicographic():
 def test_forest_two_components():
     g = GeneratingGraph(vertices=frozenset(["a", "b", "c", "d"]),
                         edges={"e": ("a", "b"), "f": ("c", "d")})
-    f = spanning_forest(g)
+    f = spanning_forest(g, {})
     assert len(f.components) == 2
     assert f.vertex_component["a"] == f.vertex_component["b"]
     assert f.vertex_component["a"] != f.vertex_component["c"]
@@ -89,15 +89,54 @@ def random_connected_graph(rng, nv, extra):
     return GeneratingGraph(vertices=frozenset(vertices), edges=edges)
 
 
+def with_inverse_edges(rng, g):
+    """(g with a reversed twin e' of about half of its edges, the pairing of
+    each such edge with its twin, both ways round)."""
+    paired = [e for e in sorted(g.edges) if rng.random() < 0.5]
+    edges = {**g.edges, **{f"{e}'": g.edges[e][::-1] for e in paired}}
+    partner = {**{e: f"{e}'" for e in paired}, **{f"{e}'": e for e in paired}}
+    return GeneratingGraph(vertices=g.vertices, edges=edges), partner
+
+
 def test_collapse_rank_is_edges_minus_vertices_plus_one():
+    """An inverse pair of edges is one generator, so the rank of a connected
+    graph counts each pair once: edges less pairs, less vertices, plus one."""
     rng = random.Random(11)
     for _ in range(25):
         nv = rng.randint(2, 8)
-        g = random_connected_graph(rng, nv, rng.randint(0, 6))
-        f = spanning_forest(g)
-        (vgp,) = collapse_presentation(g, (), f)
-        assert len(vgp.generators) == len(g.edges) - nv + 1
+        g, partner = with_inverse_edges(rng, random_connected_graph(rng, nv, rng.randint(0, 6)))
+        f = spanning_forest(g, partner)
+        (vgp,) = collapse_presentation((), f)
+        assert len(vgp.generators) == len(g.edges) - len(partner) // 2 - nv + 1
         assert vgp.relations == ()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_tree_edge_is_the_least_of_its_pair(data):
+    """Under any edge names, every tree edge is the lesser edge of its pair,
+    which is what keeps the forest the one an unpaired graph gets.  A tree
+    edge's letters and its partner's collapse to nothing, the lesser edge
+    of any other pair keeps its letters and the greater takes their
+    inverses, and the generators are the kept lesser edges."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    nv = data.draw(st.integers(1, 7))
+    g, partner = with_inverse_edges(rng, random_connected_graph(rng, nv, rng.randint(0, 8)))
+    name = dict(zip(sorted(g.edges), data.draw(st.permutations(sorted(g.edges)))))
+    g = GeneratingGraph(vertices=g.vertices, edges={name[e]: g.edges[e] for e in g.edges})
+    partner = {name[a]: name[b] for a, b in partner.items()}
+    f = spanning_forest(g, partner)
+    assert f.tree_edges == spanning_forest(g, {}).tree_edges
+    assert all(e <= partner.get(e, e) for e in f.tree_edges)
+    kept = []
+    for e in g.edges:
+        r = min(e, partner.get(e, e))
+        if {e, r} & f.tree_edges:
+            assert f.images[e, 1] == f.images[e, -1] == ()
+        else:
+            assert collapse_letters(f, ((e, 1), (r, 1))) == (((r, 1),) * 2 if r == e else ())
+            kept += [e] if r == e else []
+    assert f.generators == (tuple(sorted(kept)),)
 
 
 def test_collapse_independent_of_names():
@@ -111,9 +150,9 @@ def test_collapse_independent_of_names():
     vname = {f"v{i}": f"u{5 - i}" for i in range(6)}
     g2 = GeneratingGraph(vertices=frozenset(vname.values()),
                          edges={name[e]: (vname[u], vname[v]) for e, (u, v) in g.edges.items()})
-    f1, f2 = spanning_forest(g), spanning_forest(g2)
+    f1, f2 = spanning_forest(g, {}), spanning_forest(g2, {})
     assert {name[e] for e in f1.tree_edges} != f2.tree_edges
-    r1, r2 = collapse_presentation(g, (), f1), collapse_presentation(g2, (), f2)
+    r1, r2 = collapse_presentation((), f1), collapse_presentation((), f2)
     assert len(r1[0].generators) == len(r2[0].generators)  # rank is name-invariant
 
 
@@ -121,7 +160,7 @@ def test_collapse_deletes_tree_letters():
     g = GeneratingGraph(
         vertices=frozenset(["v0", "v1", "v2"]),
         edges={"e0": ("v0", "v1"), "e1": ("v0", "v2"), "e2": ("v1", "v2")})
-    f = spanning_forest(g)
+    f = spanning_forest(g, {})
     loop = (("e0", 1), ("e2", 1), ("e1", -1))  # v0 -> v1 -> v2 -> v0
     assert collapse_letters(f, loop) == (("e2", 1),)
 
