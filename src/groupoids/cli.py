@@ -129,16 +129,10 @@ def _cmd_monodromy(doc, args):
     M, notes = _monodromy_of(_lawful_groupoid(doc, "groupoid"), doc, args.budget)
     verdicts = {"relators": len(M.relator_family),
                 "generates-ambient": M.generates_ambient}
-    undecided = []
-    for comp in M.forest.components:
-        kind, detail = M.vertex_group_info(M.component_of(comp.base))
-        if kind == "free":
-            verdicts[f"vertex-group[{comp.base}]"] = f"free rank {detail}"
-        elif kind == "finite":
-            verdicts[f"vertex-group[{comp.base}]"] = f"finite order {detail}"
-        else:
-            verdicts[f"vertex-group[{comp.base}]"] = "undecided"
-            undecided.append(f"vertex-group[{comp.base}]: budget {detail} exhausted")
+    for comp, engine in zip(M.forest.components, M.engines):
+        verdicts[f"vertex-group[{comp.base}]"] = engine.verdict
+    undecided = [f"vertex-group[{comp.base}]: budget {M.budget} exhausted"
+                 for comp, engine in zip(M.forest.components, M.engines) if not engine.exact]
     if args.dot:
         _write_atomic(args.dot, export_dot(M))
     return (UNDECIDED if undecided else PASS), verdicts, {}, undecided, notes

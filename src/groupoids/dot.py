@@ -36,12 +36,12 @@ def _render(label, clusters):
     return "\n".join(lines) + "\n"
 
 
-def _paired_edges(edge_ends, inverse, tree):
-    """One representative per inverse pair, smaller id first; self-inverse
-    edges represent themselves."""
+def _paired_edges(edge_ends, pairs, tree):
+    """One representative per pair of `pairs` (an edge -> its inverse edge),
+    smaller id first; an edge paired with none represents itself."""
     out, seen = [], set()
     for e in sorted(edge_ends):
-        partner = inverse.get(e, e)
+        partner = pairs.get(e, e)
         if partner in seen:
             continue
         seen.add(e)
@@ -53,7 +53,7 @@ def _paired_edges(edge_ends, inverse, tree):
 def export_dot(obj) -> str:
     """DOT text for a groupoid or a presented groupoid."""
     if isinstance(obj, MonodromyGroupoid):
-        edges = _paired_edges(obj.graph.edges, obj.ambient.inverse, obj.forest.tree_edges)
+        edges = _paired_edges(obj.graph.edges, obj.forest.partner, obj.forest.tree_edges)
         label = f"{len(edges)} generators, {len(obj.relators)} relators"
         comps = [sorted(c.vertices) for c in obj.forest.components]
         comps.sort(key=lambda vs: vs[0])

@@ -14,10 +14,10 @@ When no product of two composable carrier elements leaves the carrier (W is
 a subgroupoid), the relators are W's own multiplication table and the vertex
 group at a component's base x is W(x,x).  Such a component is decided from
 its defining triples (a, b, ab) alone, by a coset table read off W and
-certified triple by triple (`_table_engine`): "finite order n" below the
-budget, "undecided" at or above it.  The collapse, read off each defining
-triple's letters, and any simplification are built only on demand: for
-`build_engine` (a carrier that is not closed, a trivial group, a failed
+certified triple by triple (`_table_engine`): a `FiniteEngine` below the
+budget, an `UndecidedEngine` at or above it.  The collapse, read off each
+defining triple's letters, and any simplification are built only on demand:
+for `build_engine` (a carrier that is not closed, a trivial group, a failed
 certificate), and for the first token asked of an undecided engine.
 Relator Words are built only for the DOT export.
 
@@ -50,11 +50,12 @@ from .core import FiniteGroupoid, Record, generated_by, pair_groupoid
 from .words import (
     DEFAULT_BUDGET,
     CosetTable,
+    FiniteEngine,
     Forest,
     GeneratingGraph,
     Presentation,
     TokenTrie,
-    VertexGroupEngine,
+    UndecidedEngine,
     Word,
     build_engine,
     collapse_letters,
@@ -142,14 +143,6 @@ class MonodromyGroupoid(Record):
         return engine.is_trivial(
             collapse_letters(self.forest, w1.letters + inv_letters(w2.letters)))
 
-    def vertex_group_info(self, component):
-        e = self.engines[component]
-        if e.kind == "free":
-            return ("free", e.rank)
-        if e.kind == "finite":
-            return ("finite", e.order)
-        return ("undecided", self.budget)
-
 
 def build_monodromy(G: FiniteGroupoid, carrier, budget=DEFAULT_BUDGET) -> MonodromyGroupoid:
     """M(G, W) for W the carrier, which must be a set of morphisms holding
@@ -211,10 +204,10 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     formal inverse a^-1 = inv(a) (a inv(a))^-1 is then a positive word, as
     is every word.  So the action is regular and the table is exact.  The
     argument uses only the checks of `validate_structure`, not
-    associativity.  None is returned, too, when n is 1, which keeps
-    "free rank 0" for a trivial group.
+    associativity.  None is returned, too, when n is 1, which keeps the
+    `FreeEngine` of rank 0 for a trivial group.
 
-    A certified n >= budget gives an "undecided" engine, which is the
+    A certified n >= budget gives an `UndecidedEngine`, which is the
     verdict `build_engine` reaches, because Haselgrove-Leech-Trotter
     enumeration (`coset_enumeration`) always wastes a row.  It allocates at
     most `budget` rows and frees none.  The group is finite and nontrivial,
@@ -266,11 +259,10 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
             or any(itemgetter(*perm[a])(perm[b]) != perm[ab] for a, b, ab in triples)):
         return None
     if len(rows) >= M.budget:
-        return VertexGroupEngine(presentation=lambda: M.vertex_groups[i], kind="undecided")
+        return UndecidedEngine(lambda: M.vertex_groups[i])
     table = CosetTable(generators=generators, size=len(rows),
                        action=action, inverse_action=inverse_action)
-    return VertexGroupEngine(presentation=Presentation(generators, ()),
-                             kind="finite", table=table)
+    return FiniteEngine(Presentation(generators, ()), table)
 
 
 class WordEvaluator(Record):
@@ -372,21 +364,21 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     steps along the subset from the empty words at `roots`.
 
     A class is keyed by (base, target, node), its token interned: on a
-    "finite" engine the node is the token, a coset-table row, and on the
+    `FiniteEngine` the node is the token, a coset-table row, and on the
     others a `TokenTrie` node standing for the token, a reduced word.  Each
     carrier element's normal image is computed once, and kept in `moves`
-    with the function that steps a node by it (an identity's image is
-    empty); a candidate steps on from its parent's node by its letter's
-    image, so no token is rebuilt from a word.  Tokens are homomorphic
-    images of words, which is why that step is sound, here and in the
-    transported window: a free or undecided token is the reduced image under
-    the recorded eliminations, a substitution followed by free reduction is
-    a homomorphism of free groups, and the trie reduces as it walks; a
-    finite table's inverse columns undo its columns (a completed enumeration
-    traces g g^-1 from every row, and a table read off the carrier is
-    certified to), so following a word from a row gives the row its free
-    reduction gives.  Each class keeps its parent class, the carrier letter
-    that reached it and its product in the ambient groupoid;
+    with its engine's `advance`, the function that steps a node by it (an
+    identity's image is empty); a candidate steps on from its parent's node
+    by its letter's image, so no token is rebuilt from a word.  Tokens are
+    homomorphic images of words, which is why that step is sound, here and
+    in the transported window: a free or undecided token is the reduced
+    image under the recorded eliminations, a substitution followed by free
+    reduction is a homomorphism of free groups, and the trie reduces as it
+    walks; a finite table's inverse columns undo its columns (a completed
+    enumeration traces g g^-1 from every row, and a table read off the
+    carrier is certified to), so following a word from a row gives the row
+    its free reduction gives.  Each class keeps its parent class, the
+    carrier letter that reached it and its product in the ambient groupoid;
     `ClassSearch.classes` spells the words and tokens only when read.  The
     search stops, capped, when a new class turns up once MAX_CLASSES are
     known.
@@ -398,12 +390,13 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     for a in sorted(a for a in M.carrier if M.component_of(G.source[a]) in comps):
         engine, identity = M.engines[M.component_of(G.source[a])], G.is_identity(a)
         image = () if identity else engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
-        moves[a] = image, engine.table.follow if engine.kind == "finite" else trie.walk
+        moves[a] = image, engine.advance(trie)
         if not identity:
             steps.setdefault(G.source[a], []).append((a, G.target[a], *moves[a]))
-    kinds = {x: M.engines[M.component_of(x)].kind for x in roots}
-    rows = frozenset(x for x, kind in kinds.items() if kind == "finite")
-    exact = "undecided" not in kinds.values()
+    engines = [M.engines[M.component_of(x)] for x in roots]
+    # a node is its own token where the empty word's token is 0, the node a search starts at
+    rows = frozenset(x for x, engine in zip(roots, engines) if engine.unit == 0)
+    exact = all(engine.exact for engine in engines)
     compose, found, frontier = G.compose, {}, []
     for x in roots:  # node 0 is the empty word's: row 0, or the trie's root
         key = (x, x, 0)
@@ -474,7 +467,7 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
         surjective_within_depth=not undecided_depth and not unreachable,
         undecided_depth=undecided_depth, unreachable=unreachable,
         saturated=search.saturated,
-        fiber_counts_exact=engine.kind != "undecided",
+        fiber_counts_exact=engine.exact,
         engine_kind=engine.kind, capped_at=search.capped_at)
 
 

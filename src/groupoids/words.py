@@ -24,7 +24,9 @@ the collapse gives it with no eliminations, and simplification fills them
 in.
 
 Outcomes are three-valued: trivial, nontrivial with a certificate, or
-undecided when the budget runs out and no free fallback applies.
+undecided when the budget runs out and no free fallback applies.  Each
+verdict is its own engine class, `FreeEngine`, `FiniteEngine` or
+`UndecidedEngine`, with the same methods.
 """
 
 from __future__ import annotations
@@ -427,60 +429,31 @@ def coset_enumeration(gp, budget=DEFAULT_BUDGET):
 
 # ------------------------------------------------------------------- verdicts
 
-class VertexGroupEngine(Record):
-    """Normal forms for one collapsed vertex group.
+class _Engine:
+    """Normal forms for one collapsed vertex group, one class per verdict:
+    `FreeEngine` (no relations survived simplification; tokens are free
+    normal forms), `FiniteEngine` (enumeration completed; tokens are coset
+    indices) or `UndecidedEngine` (budget ran out, or a table read off a
+    closed carrier shows that it would; tokens are still sound for equality
+    but cannot certify inequality).  `kind` names the class in the
+    star-cover report, and `verdict` is the text the monodromy report prints."""
 
-    kind is "free" (no relations survived simplification; tokens are free
-    normal forms), "finite" (enumeration completed; tokens are coset
-    indices), or "undecided" (budget ran out, or a table read off a
-    closed carrier shows that it would; tokens are still sound for
-    equality but cannot certify inequality).
-
-    `presentation` is the simplified Presentation the tokens are normal
-    forms in (a table read off a closed carrier keeps no relations), or a
-    function giving the collapsed Presentation that `simplified` builds
-    and simplifies on first use, so a tokenless verdict never does; a
-    presentation is not callable, which is how `simplified` tells them
-    apart."""
-
-    presentation: Presentation | Callable[[], Presentation]
-    kind: str
-    table: CosetTable = None
-
-    @cached_property
-    def simplified(self) -> Presentation:
-        p = self.presentation
-        if not callable(p):
-            return p
-        vgp = p()
-        return simplify_presentation(vgp.generators, vgp.relations)
-
-    @property
-    def rank(self):
-        return len(self.simplified.generators) if self.kind == "free" else None
-
-    @property
-    def order(self):
-        if self.kind == "free":
-            return 1 if not self.simplified.generators else None
-        return self.table.size if self.kind == "finite" else None
-
-    @property
-    def unit(self):
-        """The token of the empty word."""
-        return 0 if self.kind == "finite" else ()
+    rank = order = None
+    unit = ()     # the token of the empty word
+    exact = True  # distinct tokens prove distinct elements
 
     def normal_letters(self, letters):
         return rewrite_through(self.simplified.eliminations, letters)
 
     def token(self, letters):
         """(token, exact).  Equal tokens always mean equal elements; when
-        exact is False, distinct tokens prove nothing.  A "finite" token is
-        the row the normal letters reach from row 0; any other token is the
-        normal letters themselves."""
-        normal = self.normal_letters(letters)
-        tok = self.table.follow(normal) if self.kind == "finite" else normal
-        return tok, self.kind != "undecided"
+        exact is False, distinct tokens prove nothing.  A token is the
+        normal letters, or on a table the row they reach from row 0."""
+        return self.normal_letters(letters), self.exact
+
+    def advance(self, trie):
+        """How a class search steps a node by normal letters."""
+        return trie.walk
 
     def is_trivial(self, letters):
         tok, exact = self.token(letters)
@@ -489,11 +462,50 @@ class VertexGroupEngine(Record):
         return False if exact else None
 
 
-def build_engine(vgp: Presentation, budget=DEFAULT_BUDGET) -> VertexGroupEngine:
+class FreeEngine(_Engine, Record):
+    simplified: Presentation
+    kind = "free"
+    rank = property(lambda self: len(self.simplified.generators))
+    order = property(lambda self: None if self.simplified.generators else 1)
+    verdict = property(lambda self: f"free rank {self.rank}")
+
+
+class FiniteEngine(_Engine, Record):
+    simplified: Presentation  # a table read off a closed carrier keeps no relations
+    table: CosetTable
+    kind, unit = "finite", 0
+    order = property(lambda self: self.table.size)
+    verdict = property(lambda self: f"finite order {self.order}")
+
+    def token(self, letters):
+        return self.table.follow(self.normal_letters(letters)), True
+
+    def advance(self, trie):
+        return self.table.follow
+
+
+class UndecidedEngine(_Engine, Record):
+    # the simplified Presentation, or a function giving the collapsed one
+    presentation: Presentation | Callable[[], Presentation]
+    kind = verdict = "undecided"
+    exact = False
+
+    @cached_property
+    def simplified(self) -> Presentation:
+        """`presentation`, or what it gives simplified, on first use, so a verdict
+        asked for no token never simplifies; a presentation is not callable."""
+        p = self.presentation
+        if not callable(p):
+            return p
+        vgp = p()
+        return simplify_presentation(vgp.generators, vgp.relations)
+
+
+def build_engine(vgp: Presentation, budget=DEFAULT_BUDGET) -> _Engine:
     simp = simplify_presentation(vgp.generators, vgp.relations)
     if not simp.relations:
-        return VertexGroupEngine(presentation=simp, kind="free")
+        return FreeEngine(simp)
     table = coset_enumeration(simp, budget=budget)
     if isinstance(table, Exhausted):
-        return VertexGroupEngine(presentation=simp, kind="undecided")
-    return VertexGroupEngine(presentation=simp, kind="finite", table=table)
+        return UndecidedEngine(simp)
+    return FiniteEngine(simp, table)

@@ -13,8 +13,9 @@ from groupoids.monodromy import WordEvaluator, enumerate_classes, pi1_graph
 from groupoids.topology import FiniteTopology, difference_pairs
 from groupoids.words import (
     CosetTable,
+    FiniteEngine,
     Presentation,
-    VertexGroupEngine,
+    UndecidedEngine,
     Word,
     canonical_relator,
     cyclic_reduce,
@@ -392,7 +393,7 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
     off the carrier and certified against the collapsed relations of the
     component's presentation `vgp`: the rows are W(x,x), each inverse
     action undoes its action, and following every relation from every row
-    returns to it.  None when n < 2 or a check fails; an "undecided" engine
+    returns to it.  None when n < 2 or a check fails; an `UndecidedEngine`
     that simplifies `vgp` on first use when n >= budget."""
     x = comp.base
     members = {a for a in carrier if G.source[a] == x == G.target[a]}
@@ -431,8 +432,8 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
         if any(table.follow(r, row) != row for row in range(len(rows))):
             return None
     if len(rows) >= budget:
-        return VertexGroupEngine(presentation=lambda: vgp, kind="undecided")
-    return VertexGroupEngine(presentation=vgp, kind="finite", table=table)
+        return UndecidedEngine(presentation=lambda: vgp)
+    return FiniteEngine(simplified=vgp, table=table)
 
 
 # --------------------------------------------------------- class search oracle

@@ -114,7 +114,7 @@ def _unit_window(n):
 def _rank_one_covering_case(n):
     t0 = perf_counter()
     G, W, M = _unit_window(n)
-    assert M.vertex_group_info(M.component_of("*")) == ("free", 1)
+    assert M.engines[M.component_of("*")].verdict == "free rank 1"
     report = star_covering_report(M, "*", depth=3 * n)
     assert report.surjective_within_depth
     assert not report.unreachable and not report.undecided_depth
@@ -142,7 +142,7 @@ def test_criterion_2_smallest_cyclic_true_behaviour():
     """What actually happens at n = 3: the window is the whole group, the
     presented groupoid is Z/3 itself, and evaluation is bijective."""
     G, W, M = _unit_window(3)
-    assert M.vertex_group_info(M.component_of("*")) == ("finite", 3)
+    assert M.engines[M.component_of("*")].verdict == "finite order 3"
     report = star_covering_report(M, "*", depth=9)
     assert report.surjective_within_depth and report.saturated
     assert report.reached == {"0": 1, "1": 1, "2": 1}  # one class per element
@@ -163,11 +163,11 @@ def test_criterion_3_full_window_recovers_the_group():
         if len(names) == 1:
             # the trivial group presents with no generators: certified free
             # of rank 0, which is the order-1 answer with nothing to count
-            assert M.vertex_group_info(0) == ("free", 0), label
+            assert engine.verdict == "free rank 0", label
         else:
             assert engine.kind == "finite", label
             assert engine.order == len(names), label  # exactly |G| cosets
-            assert M.vertex_group_info(0) == ("finite", len(names)), label
+            assert engine.verdict == f"finite order {len(names)}", label
         p = canonical_morphism(M)
         for a in sorted(G.morphisms):
             assert p.evaluate(M.i_tilde(a)) == a  # p inverts the embedding

@@ -106,7 +106,7 @@ def test_window_subset_gives_free_rank_one():
     for n in (4, 5, 6, 7, 11):
         G, W = zmod(n)
         M = build_monodromy(G, W)
-        assert M.vertex_group_info(0) == ("free", 1), n
+        assert M.engines[0].verdict == "free rank 1", n
         assert M.generates_ambient
 
 
@@ -116,14 +116,14 @@ def test_mod3_window_is_the_whole_group():
     G, W = zmod(3)
     M = build_monodromy(G, W)
     assert ("1", "1", "2") in M.relator_family
-    assert M.vertex_group_info(0) == ("finite", 3)
+    assert M.engines[0].verdict == "finite order 3"
 
 
 def test_full_subset_recovers_the_group():
     table, _ = sym3(), None
     G = group_groupoid(sym3())
     M = build_monodromy(G, G.morphisms)
-    assert M.vertex_group_info(0) == ("finite", 6)
+    assert M.engines[0].verdict == "finite order 6"
 
 
 def test_non_generating_subset_is_recorded():
@@ -131,7 +131,7 @@ def test_non_generating_subset_is_recorded():
     W = {"0", "2", "4"}
     M = build_monodromy(G, W)
     assert not M.generates_ambient
-    assert M.vertex_group_info(0) == ("finite", 3)  # the even subgroup
+    assert M.engines[0].verdict == "finite order 3"  # the even subgroup
 
 
 def test_i_tilde():
@@ -167,7 +167,8 @@ def test_word_equality_uses_endpoints():
 def test_undecided_engine_reports_none():
     G = group_groupoid(sym3())
     M = build_monodromy(G, G.morphisms, budget=3)
-    assert M.vertex_group_info(0) == ("undecided", 3)
+    engine = M.engines[0]
+    assert (engine.verdict, engine.exact, M.budget) == ("undecided", False, 3)
     undecided = [M.equal(M.i_tilde(a), M.i_tilde(b))
                  for a in sorted(M.carrier)
                  for b in sorted(M.carrier) if a < b]
@@ -612,7 +613,8 @@ def test_closed_carriers_agree_with_coset_enumeration(data):
         if old.kind != "undecided":
             assert (new.kind, new.order, new.rank) == (old.kind, old.order, old.rank)
         else:
-            assert M.vertex_group_info(i) in {("undecided", budget), ("finite", n)}
+            assert M.budget == budget
+            assert (new.verdict, new.exact) in {("undecided", False), (f"finite order {n}", True)}
             assert new.kind == "undecided" or n < budget
     for _ in range(4):
         base = data.draw(st.sampled_from(sorted(G.objects)))
@@ -685,11 +687,11 @@ def test_certificate_rejects_non_associative_tables(G):
 
 @pytest.mark.parametrize("rows, inverse, verdict", [
     # 0.2 = 1, so the rows {0, 1} miss 2; the group is Z/2 all the same
-    (["011", "100", "200"], "011", ("finite", 2)),
+    (["011", "100", "200"], "011", "finite order 2"),
     # 0.0 = 1: the inverse of 1 is 0, whose action does not undo 1's
-    (["102", "010", "220"], "101", ("free", 0)),
+    (["102", "010", "220"], "101", "free rank 0"),
     # (1.1).2 = 2 but 1.(1.2) = 0
-    (["012", "101", "220"], "012", ("free", 0)),
+    (["012", "101", "220"], "012", "free rank 0"),
 ], ids=["rows", "inverse-action", "relations"])
 def test_each_certificate_check_is_needed(rows, inverse, verdict):
     """Each table passes the linear checks and fails exactly one of the
@@ -700,7 +702,7 @@ def test_each_certificate_check_is_needed(rows, inverse, verdict):
     assert not validate_structure(G)
     M, engine = certificate(G)
     assert engine is None
-    assert M.vertex_group_info(0) == verdict
+    assert M.engines[0].verdict == verdict
     old = build_engine(M.vertex_groups[0])
     assert (old.kind, old.order) == (M.engines[0].kind, M.engines[0].order)
 
@@ -712,11 +714,12 @@ def test_closed_carriers_decide_only_below_the_budget():
     vertex group keeps its "free rank 0"."""
     G = product_groupoid(2, cyclic(2))
     W = G.morphisms
-    assert build_monodromy(G, W, budget=2).vertex_group_info(0) == ("undecided", 2)
-    assert build_monodromy(G, W, budget=3).vertex_group_info(0) == ("finite", 2)
+    M = build_monodromy(G, W, budget=2)
+    assert (M.engines[0].verdict, M.engines[0].exact, M.budget) == ("undecided", False, 2)
+    assert build_monodromy(G, W, budget=3).engines[0].verdict == "finite order 2"
     P = pair_groupoid(["a", "b", "c"])
     M = build_monodromy(P, P.morphisms)
-    assert M.vertex_group_info(0) == ("free", 0)
+    assert M.engines[0].verdict == "free rank 0"
 
 
 def stepped(engine, head, tail):
@@ -879,7 +882,7 @@ def test_full_carrier_scales_to_cyclic_groups_of_order_120(n):
     G = group_groupoid(cyclic(n))
     start = time.perf_counter()
     M = build_monodromy(G, G.morphisms)
-    assert M.vertex_group_info(0) == ("finite", n)
+    assert M.engines[0].verdict == f"finite order {n}"
     assert M.equal(Word((("1", 1),) * n, "*"), Word((), "*")) is True
     assert M.equal(Word((("1", 1),) * (n - 1), "*"), Word((("1", -1),), "*")) is True
     assert M.equal(Word((("1", 1),) * 2, "*"), Word((("2", 1),), "*")) is True
@@ -956,7 +959,7 @@ def test_class_search_matches_the_whole_word_oracle():
     rank 1, where an image of two letters starts with the inverse of a
     node's last letter, so the trie walks up before it walks down."""
     M = TWO_LETTER_IMAGES[0]
-    assert M.vertex_group_info(0) == ("free", 1)
+    assert M.engines[0].verdict == "free rank 1"
     images = [M.engines[0].normal_letters(collapse_letters(M.forest, ((a, 1),)))
               for a in ("1", "2", "5", "6")]
     assert any(len(image) >= 2 and (image[0][0], -image[0][1]) == other[-1]
@@ -988,7 +991,7 @@ def test_class_search_runs_deeper_than_the_recursion_limit():
     depth = 2000
     assert depth > sys.getrecursionlimit()
     M = build_monodromy(*zmod(5))
-    assert M.vertex_group_info(0) == ("free", 1)
+    assert M.engines[0].verdict == "free rank 1"
     search = monodromy.enumerate_classes(M, ["*"], depth)
     assert (len(search.found), search.saturated, search.capped_at) == (2 * depth + 1, False, None)
     classes = search.classes
@@ -1008,7 +1011,7 @@ def test_class_search_matches_the_oracle_when_capped_mid_level(monkeypatch):
     W = {*G.identity.values(), "o0>o0:1", "o0>o0:4", "o1>o1:2", "o1>o1:3"}
     M = build_monodromy(G, W)
     assert not M.generates_ambient  # W does not reach o0 -> o1
-    assert [M.vertex_group_info(i) for i in range(2)] == [("free", 1)] * 2
+    assert [e.verdict for e in M.engines] == ["free rank 1"] * 2
     monkeypatch.setattr(monodromy, "MAX_CLASSES", 7)
     capped = monodromy.enumerate_classes(M, ["o0", "o1"], 3)
     assert len(capped.classes) == 7 and capped.capped_at == 1
@@ -1117,7 +1120,7 @@ def test_vertex_groups_skip_only_triples_whose_letters_reduce_away(name):
         G = z2_breaking_the_identity_law()
         assert not validate_structure(G)
         M = build_monodromy(G, G.morphisms)
-        assert M.vertex_group_info(0) == ("free", 0)
+        assert M.engines[0].verdict == "free rank 0"
     assert M.vertex_groups == triple_collapse(M)
 
 
@@ -1155,7 +1158,7 @@ def test_transpositions_keep_their_squares():
     assert not M.forest.partner and vgp.generators == ts
     squares = {((t, -1), (t, -1)) for t in ts}  # t.t, canonically written
     assert len(squares & set(vgp.relations)) == 3
-    assert M.vertex_group_info(0) == ("undecided", 200)
+    assert (M.engines[0].verdict, M.engines[0].exact, M.budget) == ("undecided", False, 200)
 
 
 # one-object tables that pass only the linear checks: the certificate tests'
@@ -1174,7 +1177,21 @@ def test_inverses_whose_product_is_no_identity_do_not_pair():
     assert not validate_structure(G) and G.inverse["1"] == "2" and G.inverse["2"] == "1"
     M = build_monodromy(G, G.morphisms)
     assert not M.forest.partner and M.vertex_groups[0].generators == ("1", "2", "3")
-    assert M.vertex_group_info(0) == ("finite", 4)
+    assert M.engines[0].verdict == "finite order 4"
+
+
+@pytest.mark.parametrize("rows, inverse", LAW_BREAKING)
+def test_dot_label_counts_the_generators_on_tables_that_break_laws(rows, inverse):
+    """`test_relators_and_collapse_match_the_word_pipeline` pins the DOT
+    label on lawful tables.  On one object there is no tree, so the label
+    counts the vertex group's generators, however the table declares its
+    inverses: Z/4 with 1 and 2 declared each other's inverse has three."""
+    G = one_object(rows, inverse)
+    M = build_monodromy(G, G.morphisms)
+    label = f'  label="{len(M.vertex_groups[0].generators)} generators, {len(M.relators)} relators";'
+    assert export_dot(M).splitlines()[1] == label
+    if inverse == "0213":
+        assert M.vertex_groups[0].generators == ("1", "2", "3") and "3 generators" in label
 
 
 def carriers_in_any_table():

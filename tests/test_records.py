@@ -22,7 +22,7 @@ from groupoids.monodromy import (
     star_covering_report,
 )
 from groupoids.topology import generate_from_base, indiscrete
-from groupoids.words import Presentation, VertexGroupEngine, build_engine, coset_enumeration
+from groupoids.words import Presentation, build_engine, coset_enumeration
 
 from helpers import cyclic, group_groupoid
 
@@ -70,7 +70,9 @@ BUILDERS = {
     "Presentation": _z3_presentation,
     "Exhausted": lambda: coset_enumeration(_z3_presentation(), budget=2),
     "CosetTable": lambda: coset_enumeration(_z3_presentation()),
-    "VertexGroupEngine": lambda: build_engine(_z3_presentation()),
+    "FreeEngine": lambda: build_engine(Presentation(("a", "b"), ((("a", 1), ("b", 1)),))),
+    "FiniteEngine": lambda: build_engine(_z3_presentation()),
+    "UndecidedEngine": lambda: build_engine(_z3_presentation(), budget=2),
     "MonodromyGroupoid": _z4,
     "WordEvaluator": lambda: canonical_morphism(_z4()),
     "ClassSearch": lambda: enumerate_classes(_z4(), ["*"], 2),
@@ -98,7 +100,7 @@ def _hash(r):
 
 def test_every_record_class_is_covered():
     assert sorted(type(r).__name__ for r in RECORDS.values()) == sorted(BUILDERS)
-    assert len(BUILDERS) == 19
+    assert len(BUILDERS) == 21
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -159,7 +161,6 @@ def test_constructor_rejects_what_a_signature_would(args, kwargs, message):
 def test_omitted_fields_take_their_defaults():
     p = Presentation(("a",), ())
     assert p.eliminations == () and p == Presentation(("a",), (), ())
-    assert VertexGroupEngine(presentation=p, kind="free").table is None
 
 
 def test_record_is_the_only_constructor():

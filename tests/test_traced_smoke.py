@@ -83,6 +83,19 @@ def test_simplification_that_keeps_relations_feeds_its_counter(tmp_path):
     assert counts["words.relations_after_simplify"] > 0
 
 
+def test_lazy_simplification_of_an_undecided_table_feeds_its_counter(tmp_path):
+    """The full carrier of Z/5 is closed, and at budget 3 its table engine
+    is undecided without simplifying.  The star search asks it for tokens,
+    which simplify the presentation then, through the traced name."""
+    G = group_groupoid(cyclic(5))
+    path = tmp_path / "z5-full-star.json"
+    path.write_text(json.dumps({"groupoid": serialize_groupoid(G), "object": "*",
+                                "carrier": sorted(G.morphisms)}))
+    code, err, counts = _traced(_load_trace(), ["star-cover", str(path), "--budget", "3"])
+    assert (code, err) == (2, "")
+    assert counts["words.relations_after_simplify"] > 0
+
+
 def test_every_counter_is_fed_somewhere():
     fed = set().union(*(f for _, _, f in RUNS), {"words.relations_after_simplify"})
     assert fed == set(_load_trace().COUNT_METRICS)

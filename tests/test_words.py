@@ -291,6 +291,7 @@ def test_enumeration_with_unused_generator_does_not_lie():
 def test_engine_free_tokens():
     e = build_engine(vgp(["g1", "g4"], [(("g1", 1), ("g4", 1)), (("g4", 1), ("g1", 1))]))
     assert e.kind == "free" and e.rank == 1
+    assert (e.verdict, e.exact) == ("free rank 1", True)
     t1, exact = e.token((("g1", 1), ("g1", 1)))
     t2, _ = e.token((("g4", -1), ("g4", -1)))
     assert exact and t1 == t2  # g4 = g1^-1 was substituted away
@@ -300,6 +301,7 @@ def test_engine_free_tokens():
 def test_engine_finite_tokens():
     e = build_engine(vgp(["g"], [(("g", 1),) * 5]))
     assert e.kind == "finite" and e.order == 5
+    assert (e.verdict, e.exact) == ("finite order 5", True)
     assert e.is_trivial((("g", 1),) * 5) is True
     assert e.is_trivial((("g", 1),) * 3) is False
 
@@ -308,6 +310,7 @@ def test_engine_undecided_is_honest():
     e = build_engine(vgp(["a", "b"], [(("a", 1), ("b", 1), ("a", -1), ("b", -1))]),
                      budget=50)
     assert e.kind == "undecided"
+    assert (e.verdict, e.exact) == ("undecided", False)
     assert e.is_trivial((("a", 1), ("b", 1), ("a", -1), ("b", -1))) in (True, None)
     assert e.is_trivial((("a", 1),)) is None
 
