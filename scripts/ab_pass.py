@@ -17,13 +17,15 @@ on each side, in import order, and the outputs must agree apart from
 so neither side is always warmed second.  Then whole passes of the two
 sides alternate, the side that goes first swapping every pair, and the
 script prints each side's median pass time and median per-document time,
-with the quartiles of the pass times and the pairs each side won, and the
+with the quartiles of the pass times and the pairs each side won, the
 change/parent ratio apart for the pairs the parent led and those the
-change led.  Each pass starts with a full garbage collection: without it
-the cyclic collector fell mostly in the first pass of a pair, and on
-monodromy-words a tree timed against itself read about 10 % faster when it
-ran second.  Timing both sides in one process keeps the machine's drift
-between processes out of each comparison.  perfbench is only read.
+change led, and the five documents whose median time moved most, so a
+gain shows where it landed.  Each pass starts with a full garbage
+collection: without it the cyclic collector fell mostly in the first pass
+of a pair, and on monodromy-words a tree timed against itself read about
+10 % faster when it ran second.  Timing both sides in one process keeps
+the machine's drift between processes out of each comparison.  perfbench
+is only read.
 """
 
 import argparse
@@ -63,8 +65,8 @@ def one_pass(main, docs):
 
 def time_pairs(order, trees, workload, seed, pairs):
     """In a fresh process: import the sides in `order`, check that they
-    agree, and time `pairs` alternating pass pairs.  (documents, pass times,
-    per-document times), the times by side, or an error message."""
+    agree, and time `pairs` alternating pass pairs.  (document names, pass
+    times, per-document times), the times by side, or an error message."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         sys.path.insert(0, str(tmp))
@@ -88,11 +90,12 @@ def time_pairs(order, trees, workload, seed, pairs):
                 seconds, per_doc, _ = one_pass(mains[side], docs)
                 pass_s[side].append(seconds)
                 doc_s[side].append(per_doc)
-    return len(docs), pass_s, doc_s
+    return [doc.name for doc in docs], pass_s, doc_s
 
 
-def report(pass_s, doc_s, pairs):
-    """Print one worker's medians, quartiles, wins and ratios."""
+def report(names, pass_s, doc_s, pairs):
+    """Print one worker's medians, quartiles, wins and ratios, and the five
+    documents whose median time moved most, by milliseconds."""
     for side in SIDES:
         q1, med, q3 = statistics.quantiles(pass_s[side], n=4)
         per_doc = statistics.median(statistics.median(times)
@@ -109,6 +112,10 @@ def report(pass_s, doc_s, pairs):
         print(f"      {lead} first: change/parent "
               f"{statistics.median(new) / statistics.median(old):.3f}; change faster in "
               f"{sum(n < o for o, n in zip(old, new))} of {len(old)} pairs")
+    old, new = ([statistics.median(times) for times in zip(*doc_s[side])] for side in SIDES)
+    moved = sorted(zip(names, old, new), key=lambda t: -abs(t[2] - t[1]))[:5]
+    print("    documents that moved most: " + ", ".join(
+        f"{name} {(n - o) * 1e3:+.3f} ms ({n / o:.3f})" for name, o, n in moved))
     return ratio
 
 
@@ -134,12 +141,12 @@ def main(argv=None):
             print(f"error: {result}", file=sys.stderr)
             return 1
 
-    print(f"{args.workload} seed {args.seed}: {results[0][0]} documents, "
+    print(f"{args.workload} seed {args.seed}: {len(results[0][0])} documents, "
           f"{args.pairs} alternating pass pairs per import order, outputs agree")
     ratios = []
-    for order, (_, pass_s, doc_s) in zip(orders, results):
+    for order, (names, pass_s, doc_s) in zip(orders, results):
         print(f"  {order[0]} imported first:")
-        ratios.append(report(pass_s, doc_s, args.pairs))
+        ratios.append(report(names, pass_s, doc_s, args.pairs))
     print("  change/parent by import order: " + ", ".join(
         f"{order[0]} first {ratio:.3f}" for order, ratio in zip(orders, ratios)))
     return 0

@@ -286,12 +286,12 @@ def _window_topology(LT, M, depth) -> WindowTopologyReport:
     word classes of length <= depth, building no word.
 
     Classes come parents first, so the key of i~(s)^-1 . w, for each
-    section value s at w's base, is its parent's such key stepped by w's
-    last letter, or at an empty word s's inverted image walked from node
-    0.  One more step, by the image of s', gives the key of
-    i~(s)^-1 . w . i~(s'), as tokens are homomorphic images of words
-    (`enumerate_classes`).  A trace keeps the keys that are classes, so
-    each class costs the same at every depth.
+    section value s at w's base, is its parent row's such key stepped by
+    w's last letter, or at an empty word node 0 stepped by s's inverse.
+    One more step, by s', gives the key of i~(s)^-1 . w . i~(s'), as tokens
+    are homomorphic images of words (`enumerate_classes`); each (carrier
+    element, sign) gets one stepper, made here.  A trace keeps the keys
+    that are classes, so each class costs the same at every depth.
 
     i~(W) is open in the window whenever W is composition-closed and the
     tokens are exact: each class of i~(W) has a trace that contains the
@@ -301,29 +301,26 @@ def _window_topology(LT, M, depth) -> WindowTopologyReport:
     openness is left undecided."""
     G = M.ambient
     search = enumerate_classes(M, sorted(G.objects, key=str), depth)
-    found, moves, sections = search.found, search.moves, LT.sections
-
-    def step(a, node, sign=1):  # node stepped by i~(a), or by its inverse
-        image, advance = moves[a]
-        return advance(image if sign > 0 else inv_letters(image), node)
-
-    left, traces = {}, set()  # left: class key -> {s: key of i~(s)^-1 . w}
-    for key, (up, a, _) in found.items():
-        x, y, node = key
-        left[key] = ({s: (G.target[s], x, step(s, node, -1))
-                      for i in _members_at(LT, x) for s in sections[(x, i)].values()}
-                     if up is None else  # the empty word at x
-                     {s: (u, y, step(a, n)) for s, (u, _, n) in left[up].items()})
+    index, sections = search.index, LT.sections
+    stepper = {(a, sign): engine.stepper(image if sign > 0 else inv_letters(image), search.trie)
+               for a, (image, engine) in search.moves.items() for sign in (1, -1)}
+    left, traces = [], set()  # left: per class, {s: key of i~(s)^-1 . w}
+    for (x, y, node), up, a in zip(search.keys, search.parents, search.letters):
+        left.append({s: (G.target[s], x, stepper[s, -1](node))
+                     for i in _members_at(LT, x) for s in sections[(x, i)].values()}
+                    if up is None else  # the empty word at x
+                    {s: (u, y, stepper[a, 1](n)) for s, (u, _, n) in left[up].items()})
         for i, j in itertools.product(_members_at(LT, x), _members_at(LT, y)):
-            starts = [left[key][s] for s in sections[(x, i)].values()]
-            keys = ((u, v, step(s, n)) for v, s in sections[(y, j)].items() for u, _, n in starts)
-            traces.add(frozenset(k for k in keys if k in found))
-    gen = generate_from_base(found, traces)
-    return WindowTopologyReport(depth=depth, points=len(found),
+            starts = [left[-1][s] for s in sections[(x, i)].values()]
+            keys = ((u, v, stepper[s, 1](n)) for v, s in sections[(y, j)].items()
+                    for u, _, n in starts)
+            traces.add(frozenset(k for k in keys if k in index))
+    gen = generate_from_base(index, traces)
+    return WindowTopologyReport(depth=depth, points=len(index),
                                 base_compatible=gen.base_compatible,
                                 tokens_exact=search.exact,
                                 opens=gen.topology.open_count,
                                 w_tilde_open=True if M.closed and search.exact else None,
                                 topology=gen.topology,
-                                values={k: val for k, (_, _, val) in found.items()},
+                                values=dict(zip(search.keys, search.values)),
                                 capped_at=search.capped_at)

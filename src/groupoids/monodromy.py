@@ -34,10 +34,10 @@ whose engines carry the free ranks.  The star report and the transported
 window in `loctriv` share one breadth-first class search,
 `enumerate_classes`, which stops at MAX_CLASSES classes.  It interns each
 token (a coset-table row, or a `TokenTrie` node for a reduced word) and
-steps it on by the image of one more letter, computed once per carrier
-element, so a candidate costs one probe on a small key.  A class keeps
-only its value, its parent class and the letter that reached it; words
-and tokens are spelled from these back-pointers when they are read.
+steps it by one function per carrier letter, made once per search, so a
+candidate costs one call and one probe on a small key.  A class is one
+row of parallel lists: its key, its parent's row, the letter that reached
+it and its value; words and tokens are spelled from the rows when read.
 """
 
 from __future__ import annotations
@@ -338,8 +338,12 @@ MAX_CLASSES = 1 << 16  # word classes one breadth-first search may collect
 
 
 class ClassSearch(Record):
-    found: dict       # (base, target, node) -> (parent's key, carrier letter, ambient value)
-    moves: dict       # carrier element -> (normal image, how a node takes it)
+    keys: list        # per class, in the order found: (base, target, node)
+    parents: list     # per class: its parent's index, None at a root
+    letters: list     # per class: the carrier letter that reached it, a root's identity
+    values: list      # per class: its product in the ambient groupoid
+    index: dict       # key -> its class's index
+    moves: dict       # carrier element -> (its normal image, its engine)
     trie: TokenTrie   # spells the nodes of bases outside `rows`
     rows: frozenset   # bases whose node is a coset-table row
     exact: bool       # every token computed was decided
@@ -350,12 +354,10 @@ class ClassSearch(Record):
     def classes(self) -> dict:
         """class token -> (first word found, its ambient value), in the
         order found; each word is its parent class's word and one letter."""
-        spelled = self.trie.spelled()
-        words, out = {}, {}
-        for key, (up, a, val) in self.found.items():
-            base, y, node = key
-            w = words[key] = Word(() if up is None else words[up].letters + ((a, 1),), base)
-            out[base, y, node if base in self.rows else spelled[node]] = w, val
+        spelled, words, out = self.trie.spelled(), [], {}
+        for (base, y, node), up, a, val in zip(self.keys, self.parents, self.letters, self.values):
+            words.append(Word(() if up is None else words[up].letters + ((a, 1),), base))
+            out[base, y, node if base in self.rows else spelled[node]] = words[-1], val
         return out
 
 
@@ -366,59 +368,62 @@ def enumerate_classes(M: MonodromyGroupoid, roots, depth) -> ClassSearch:
     A class is keyed by (base, target, node), its token interned: on a
     `FiniteEngine` the node is the token, a coset-table row, and on the
     others a `TokenTrie` node standing for the token, a reduced word.  Each
-    carrier element's normal image is computed once, and kept in `moves`
-    with its engine's `advance`, the function that steps a node by it (an
-    identity's image is empty); a candidate steps on from its parent's node
-    by its letter's image, so no token is rebuilt from a word.  Tokens are
+    carrier element's normal image is computed once, kept in `moves` with
+    its engine, and each letter given one `stepper`, so a candidate is its
+    parent's node stepped and no token is rebuilt from a word.  Tokens are
     homomorphic images of words, which is why that step is sound, here and
     in the transported window: a free or undecided token is the reduced
     image under the recorded eliminations, a substitution followed by free
     reduction is a homomorphism of free groups, and the trie reduces as it
-    walks; a finite table's inverse columns undo its columns (a completed
+    steps; a finite table's inverse columns undo its columns (a completed
     enumeration traces g g^-1 from every row, and a table read off the
     carrier is certified to), so following a word from a row gives the row
-    its free reduction gives.  Each class keeps its parent class, the
-    carrier letter that reached it and its product in the ambient groupoid;
-    `ClassSearch.classes` spells the words and tokens only when read.  The
-    search stops, capped, when a new class turns up once MAX_CLASSES are
-    known.
+    its free reduction gives.  So no class is stepped by the partner
+    (`Forest.partner`) of the letter that reached it, whose image is that
+    letter's inverted: the step lands on the parent.  Classes are rows of
+    parallel lists, from which `ClassSearch.classes` spells words and tokens
+    when read.  The search stops, capped, when a new class turns up once
+    MAX_CLASSES are known.
     """
-    G = M.ambient
+    G, partner = M.ambient, M.forest.partner
     comps = {M.component_of(x) for x in roots}
-    trie = TokenTrie()
-    moves, steps = {}, {}  # steps: object -> (a, its target, a's move)
+    trie, moves, out = TokenTrie(), {}, {}  # out: object -> (a, its target, a's stepper)
     for a in sorted(a for a in M.carrier if M.component_of(G.source[a]) in comps):
         engine, identity = M.engines[M.component_of(G.source[a])], G.is_identity(a)
         image = () if identity else engine.normal_letters(collapse_letters(M.forest, ((a, 1),)))
-        moves[a] = image, engine.advance(trie)
+        moves[a] = image, engine
         if not identity:
-            steps.setdefault(G.source[a], []).append((a, G.target[a], *moves[a]))
+            out.setdefault(G.source[a], []).append((a, G.target[a], engine.stepper(image, trie)))
     engines = [M.engines[M.component_of(x)] for x in roots]
     # a node is its own token where the empty word's token is 0, the node a search starts at
     rows = frozenset(x for x, engine in zip(roots, engines) if engine.unit == 0)
     exact = all(engine.exact for engine in engines)
-    compose, found, frontier = G.compose, {}, []
-    for x in roots:  # node 0 is the empty word's: row 0, or the trie's root
-        key = (x, x, 0)
-        found.setdefault(key, (None, None, G.identity[x]))
-        frontier.append((key, G.identity[x]))
-    levels = 0
-    while frontier and levels < depth:
-        fresh = []
-        for key, val in frontier:
-            base, at, node = key
-            for a, y, image, advance in steps.get(at, ()):
-                k2 = (base, y, advance(image, node))
-                if k2 in found:
+    keys = list(dict.fromkeys((x, x, 0) for x in roots))  # node 0: row 0, or the trie's root
+    letters = [G.identity[x] for x, _, _ in keys]  # the empty word at x is i~(1_x)
+    parents, values, index = [None] * len(keys), letters[:], {k: i for i, k in enumerate(keys)}
+    found = (keys, parents, letters, values, index, moves, trie, rows, exact)
+    compose, steps, start, levels = G.compose, {}, 0, 0  # steps: letter -> the steps after it
+    while start < len(keys) and levels < depth:
+        end = len(keys)
+        for i in range(start, end):
+            (base, _, node), reach, val = keys[i], letters[i], values[i]
+            todo = steps.get(reach)
+            if todo is None:  # reach's first use: the steps from its target, less its partner's
+                back = partner.get(reach)
+                todo = steps[reach] = [t for t in out.get(G.target[reach], ()) if t[0] != back]
+            for a, y, step in todo:
+                k = (base, y, step(node))
+                if k in index:
                     continue
-                if len(found) >= MAX_CLASSES:
-                    return ClassSearch(found, moves, trie, rows, exact, False, levels)
-                val2 = compose[(val, a)]
-                found[k2] = (key, a, val2)
-                fresh.append((k2, val2))
-        frontier = fresh
-        levels += 1
-    return ClassSearch(found, moves, trie, rows, exact, not frontier, None)
+                if len(keys) >= MAX_CLASSES:
+                    return ClassSearch(*found, False, levels)
+                index[k] = len(keys)
+                keys.append(k)
+                parents.append(i)
+                letters.append(a)
+                values.append(compose[(val, a)])
+        start, levels = end, levels + 1
+    return ClassSearch(*found, start == len(keys), None)
 
 
 class StarCoverReport(Record):
@@ -451,7 +456,7 @@ def star_covering_report(M: MonodromyGroupoid, x, depth) -> StarCoverReport:
     engine = M.engines[M.component_of(x)]
     search = enumerate_classes(M, [x], depth)
 
-    reached = dict(Counter(val for _, _, val in search.found.values()))
+    reached = dict(Counter(search.values))
 
     star = set(G.star(x))
     closure, frontier = set(), {G.identity[x]}

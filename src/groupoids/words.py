@@ -35,7 +35,7 @@ import heapq
 import itertools
 from collections import deque
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 from .core import Record
 
@@ -294,30 +294,32 @@ class TokenTrie:
 
     Node 0 is the empty word, and every other node is a reduced word, kept
     as its parent (the word less its last letter) and that last letter.
-    A letter either cancels the node's last letter, which moves to the
-    parent, or moves to the child that a (node, letter) dict gives, made
-    on first use.  Nodes and reduced words therefore correspond one to
-    one, and a node is one int to hash where its word is a tuple as long
-    as itself."""
+    A letter's `stepper` either cancels a node's last letter, moving to
+    the parent, or moves to the child in the letter's own dict keyed by
+    node, made on first use, so a step builds no tuple.  Nodes and reduced
+    words correspond one to one, and a node is one int to hash where its
+    word is a tuple as long as itself."""
 
     def __init__(self):
-        self.parent, self.last, self.child = [0], [None], {}
+        self.parent, self.last, self.steppers = [0], [None], {}
 
-    def walk(self, letters, node):
-        """The node of the free reduction of node's word followed by
-        letters, in the argument order of `CosetTable.follow`."""
-        parent, last, child = self.parent, self.last, self.child
-        for letter in letters:
-            if last[node] == (letter[0], -letter[1]):
-                node = parent[node]
-                continue
-            nxt = child.get((node, letter))
-            if nxt is None:
-                nxt = child[node, letter] = len(parent)
-                parent.append(node)
-                last.append(letter)
-            node = nxt
-        return node
+    def stepper(self, letter):
+        """node -> the node of node's word and letter, reduced; one per letter."""
+        step = self.steppers.get(letter)
+        if step is None:
+            parent, last, child, back = self.parent, self.last, {}, (letter[0], -letter[1])
+
+            def step(node):
+                if last[node] == back:
+                    return parent[node]
+                nxt = child.get(node)
+                if nxt is None:
+                    nxt = child[node] = len(parent)
+                    parent.append(node)
+                    last.append(letter)
+                return nxt
+            self.steppers[letter] = step
+        return step
 
     def spelled(self) -> list:
         """Every node's reduced word, by node."""
@@ -431,12 +433,13 @@ def coset_enumeration(gp, budget=DEFAULT_BUDGET):
 
 class _Engine:
     """Normal forms for one collapsed vertex group, one class per verdict:
-    `FreeEngine` (no relations survived simplification; tokens are free
-    normal forms), `FiniteEngine` (enumeration completed; tokens are coset
-    indices) or `UndecidedEngine` (budget ran out, or a table read off a
-    closed carrier shows that it would; tokens are still sound for equality
-    but cannot certify inequality).  `kind` names the class in the
-    star-cover report, and `verdict` is the text the monodromy report prints."""
+    `FreeEngine` (no relations survived simplification, or they enumerate
+    to one row; tokens are free normal forms), `FiniteEngine` (two or more
+    rows; tokens are coset indices) or `UndecidedEngine` (budget ran out,
+    or a table read off a closed carrier shows that it would; tokens are
+    still sound for equality but cannot certify inequality).  `kind` names
+    the class in the star-cover report, and `verdict` is the text the
+    monodromy report prints."""
 
     rank = order = None
     unit = ()     # the token of the empty word
@@ -451,9 +454,10 @@ class _Engine:
         normal letters, or on a table the row they reach from row 0."""
         return self.normal_letters(letters), self.exact
 
-    def advance(self, trie):
-        """How a class search steps a node by normal letters."""
-        return trie.walk
+    def stepper(self, image, trie):
+        """node -> node stepped by normal letters: a `trie` node, or a table row."""
+        steps = list(map(trie.stepper, image))  # a longer image steps letter by letter
+        return steps[0] if len(steps) == 1 else partial(reduce, lambda n, step: step(n), steps)
 
     def is_trivial(self, letters):
         tok, exact = self.token(letters)
@@ -480,8 +484,9 @@ class FiniteEngine(_Engine, Record):
     def token(self, letters):
         return self.table.follow(self.normal_letters(letters)), True
 
-    def advance(self, trie):
-        return self.table.follow
+    def stepper(self, image, trie):
+        cols = [(self.table.action if s > 0 else self.table.inverse_action)[e] for e, s in image]
+        return cols[0].__getitem__ if len(cols) == 1 else partial(self.table.follow, image)
 
 
 class UndecidedEngine(_Engine, Record):
@@ -508,4 +513,7 @@ def build_engine(vgp: Presentation, budget=DEFAULT_BUDGET) -> _Engine:
     table = coset_enumeration(simp, budget=budget)
     if isinstance(table, Exhausted):
         return UndecidedEngine(simp)
+    if table.size == 1:  # a trivial group: every generator is the empty word
+        return FreeEngine(Presentation((), (), (*simp.eliminations,
+                                                *((g, ()) for g in simp.generators))))
     return FiniteEngine(simp, table)

@@ -436,6 +436,37 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
     return FiniteEngine(simplified=vgp, table=table)
 
 
+# ---------------------------------------------------------- token trie reference
+
+class PairKeyedTrie:
+    """Reduced words interned as ints, each child kept in one dict keyed
+    by (node, letter) and every letter walked in one loop: the reference
+    whose node numbers `words.TokenTrie`'s per-letter steppers must give."""
+
+    def __init__(self):
+        self.parent, self.last, self.child = [0], [None], {}
+
+    def walk(self, letters, node):
+        parent, last, child = self.parent, self.last, self.child
+        for letter in letters:
+            if last[node] == (letter[0], -letter[1]):
+                node = parent[node]
+                continue
+            nxt = child.get((node, letter))
+            if nxt is None:
+                nxt = child[node, letter] = len(parent)
+                parent.append(node)
+                last.append(letter)
+            node = nxt
+        return node
+
+    def spelled(self):
+        out = [()]
+        for up, letter in zip(self.parent[1:], self.last[1:]):
+            out.append(out[up] + (letter,))
+        return out
+
+
 # --------------------------------------------------------- class search oracle
 
 OracleSearch = namedtuple("OracleSearch", "classes exact saturated capped_at")
@@ -750,38 +781,39 @@ def monodromy_on_keys(M, depth):
     """M as a `FiniteGroupoid` on the keys of a class search over every
     object to `depth`, which must close with exact tokens (so its keys are
     all of M, one per element).  The identity at x is (x, x, 0); k1 . k2
-    steps k2's carrier path, read off the back-pointers, from k1's node;
-    the inverse of k steps k's path reversed and inverted from node 0 at
-    k's target.  No word is built, so this is M as the window sees it."""
+    steps k2's carrier path, read off the rows' parents, from k1's node by
+    the search's steppers; the inverse of k steps k's path reversed and
+    inverted from node 0 at k's target.  No word is built, so this is M as
+    the window sees it."""
     search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
     if not (search.saturated and search.exact):
         raise ValueError("the class search must close with exact tokens")
-    found, moves = search.found, search.moves
+    keys, parents, letters = search.keys, search.parents, search.letters
 
-    def path(key):  # carrier letters from the empty word to the class
+    def path(i):  # carrier letters from the empty word to class i
         out = []
-        while found[key][0] is not None:
-            key, a = found[key][:2]
-            out.append(a)
+        while parents[i] is not None:
+            out.append(letters[i])
+            i = parents[i]
         return out[::-1]
 
-    def walk(node, letters, sign=1):
-        for a in letters:
-            image, advance = moves[a]
-            node = advance(image if sign > 0 else inv_letters(image), node)
+    def walk(node, path, sign=1):
+        for a in path:
+            image, engine = search.moves[a]
+            node = engine.stepper(image if sign > 0 else inv_letters(image), search.trie)(node)
         return node
 
-    paths = {k: path(k) for k in found}
+    paths = {k: path(i) for i, k in enumerate(keys)}
     by_src = {}
-    for k in found:
+    for k in keys:
         by_src.setdefault(k[0], []).append(k)
     compose = {(k1, k2): (k1[0], k2[1], walk(k1[2], paths[k2]))
-               for k1 in found for k2 in by_src[k1[1]]}
+               for k1 in keys for k2 in by_src[k1[1]]}
     return FiniteGroupoid(
         objects=frozenset(M.ambient.objects),
-        source={k: k[0] for k in found}, target={k: k[1] for k in found},
+        source={k: k[0] for k in keys}, target={k: k[1] for k in keys},
         identity={x: (x, x, 0) for x in M.ambient.objects},
-        inverse={k: (k[1], k[0], walk(0, paths[k][::-1], -1)) for k in found},
+        inverse={k: (k[1], k[0], walk(0, paths[k][::-1], -1)) for k in keys},
         compose=compose)
 
 
@@ -789,7 +821,7 @@ def spelled_keys(search):
     """class key -> its token as `ClassSearch.classes` spells it."""
     spelled = search.trie.spelled()
     return {k: (k[0], k[1], k[2] if k[0] in search.rows else spelled[k[2]])
-            for k in search.found}
+            for k in search.keys}
 
 
 def difference_equivalence(problems):

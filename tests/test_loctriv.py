@@ -682,7 +682,7 @@ def test_window_on_class_keys_is_the_word_paths(data):
     for LT, M in _transports(data):
         win = clt_on_monodromy(LT, M, depth=depth).window
         search = enumerate_classes(M, sorted(M.ambient.objects, key=str), depth)
-        assert list(win.values) == list(search.found)  # the keys, in order
+        assert list(win.values) == search.keys  # the keys, in order
         spell = spelled_keys(search)
         oracle = window_oracle(LT, M, depth)
         assert (win.points, win.opens, win.base_compatible) == (

@@ -56,6 +56,7 @@ from helpers import (
     translate_collisions_oracle,
     tree_links,
     triple_collapse,
+    with_tables,
     z2_breaking_the_identity_law,
 )
 
@@ -724,13 +725,13 @@ def test_closed_carriers_decide_only_below_the_budget():
 
 def stepped(engine, head, tail):
     """The token of head.tail, stepped on from head's token as
-    `enumerate_classes` steps a class: the table followed from head's row,
-    or a `TokenTrie` walked on from head's node."""
-    tok, normal = engine.token(head)[0], engine.normal_letters(tail)
+    `enumerate_classes` steps a class, by the engine's `stepper` for
+    tail's normal letters: from head's row of a table, or from head's
+    node in a `TokenTrie`."""
+    tok, normal, trie = engine.token(head)[0], engine.normal_letters(tail), TokenTrie()
     if engine.kind == "finite":
-        return engine.table.follow(normal, tok)
-    trie = TokenTrie()
-    node = trie.walk(normal, trie.walk(tok, 0))
+        return engine.stepper(normal, trie)(tok)
+    node = engine.stepper(normal, trie)(engine.stepper(tok, trie)(0))
     return trie.spelled()[node]
 
 
@@ -947,6 +948,11 @@ def assert_same_search(new, old):
 S3, Z6, Z7 = group_groupoid(sym3()), group_groupoid(cyclic(6)), group_groupoid(cyclic(7))
 # free of rank 1, where the normal images of 2 and 5 have two letters each
 TWO_LETTER_IMAGES = search_instance(Z7, {"0", "1", "6", "2", "5"}, DEFAULT_BUDGET, ["*"], 4)
+Z5_ON_TWO = product_groupoid(2, cyclic(5))
+# o0>o1:0 and o1>o0:0 pair, and the first is the tree edge between the objects
+TREE_EDGE_PAIR = search_instance(
+    Z5_ON_TWO, {*Z5_ON_TWO.identity.values(), "o0>o1:0", "o1>o0:0", "o0>o0:1", "o0>o0:4"},
+    DEFAULT_BUDGET, ["o0", "o1"], 5)
 
 
 def test_class_search_matches_the_whole_word_oracle():
@@ -957,8 +963,18 @@ def test_class_search_matches_the_whole_word_oracle():
     Z/6 (read off W), S3 less a transposition (coset enumeration) and all
     of S3 at budget 3 (undecided); and Z/7 over {0, +-1, +-2}, free of
     rank 1, where an image of two letters starts with the inverse of a
-    node's last letter, so the trie walks up before it walks down."""
+    node's last letter, so the trie walks up before it walks down.  Three
+    more pin which steps the search may skip, those by the partner of the
+    letter that reached a class: Z/4 over {0, 1, 2} declaring 1 and 2 each
+    other's inverse, which do not pair as 1.2 = 3, so 1^3 is reached only
+    as 1.2 or 2.1 (coset enumeration); Z/2 breaking the identity law;
+    and two objects of Z/5 joined by a pair whose lesser edge is a tree
+    edge."""
     M = TWO_LETTER_IMAGES[0]
+    z4_swapped = one_object(*LAW_BREAKING[-1])  # 1 and 2 each other's inverse, 1.2 = 3
+    assert not build_monodromy(z4_swapped, z4_swapped.morphisms).forest.partner
+    M2 = TREE_EDGE_PAIR[0]
+    assert M2.forest.partner["o0>o1:0"] == "o1>o0:0" and "o0>o1:0" in M2.forest.tree_edges
     assert M.engines[0].verdict == "free rank 1"
     images = [M.engines[0].normal_letters(collapse_letters(M.forest, ((a, 1),)))
               for a in ("1", "2", "5", "6")]
@@ -972,6 +988,9 @@ def test_class_search_matches_the_whole_word_oracle():
     @example(search_instance(S3, set(S3.morphisms) - {"021"}, 20, ["*"], 4))
     @example(search_instance(S3, set(S3.morphisms), 3, ["*", "*"], 3))
     @example(TWO_LETTER_IMAGES)
+    @example(search_instance(z4_swapped, {"0", "1", "2"}, DEFAULT_BUDGET, ["*"], 4))
+    @example(search_instance(z2_breaking_the_identity_law(), {"0", "1"}, DEFAULT_BUDGET, ["*"], 3))
+    @example(TREE_EDGE_PAIR)
     @settings(max_examples=150, deadline=None)
     def check(instance):
         M, roots, depth = instance
@@ -993,7 +1012,7 @@ def test_class_search_runs_deeper_than_the_recursion_limit():
     M = build_monodromy(*zmod(5))
     assert M.engines[0].verdict == "free rank 1"
     search = monodromy.enumerate_classes(M, ["*"], depth)
-    assert (len(search.found), search.saturated, search.capped_at) == (2 * depth + 1, False, None)
+    assert (len(search.keys), search.saturated, search.capped_at) == (2 * depth + 1, False, None)
     classes = search.classes
     assert len(classes) == 2 * depth + 1
     assert max(len(w.letters) for w, _ in classes.values()) == depth
@@ -1220,16 +1239,32 @@ def test_only_mutual_inverses_pair_and_tree_edges_lead_their_pairs(M):
     assert all(e <= partner.get(e, e) for e in M.forest.tree_edges)
 
 
+def trivial_z7_on_two_objects():
+    """M over all of Z/7 on two objects, with o1>o0:0 declared the inverse
+    of o0>o1:1 and o1>o1:3 . o1>o0:1 set to o1>o0:2.  The table passes
+    `validate_structure`, and its vertex group is trivial: the unpaired
+    collapse simplifies to no relation, and the paired one keeps relations
+    that enumerate to one row."""
+    G = product_groupoid(2, cyclic(7))
+    G = with_tables(G, compose={**G.compose, ("o1>o1:3", "o1>o0:1"): "o1>o0:2"},
+                    inverse={**G.inverse, "o0>o1:1": "o1>o0:0"})
+    return build_monodromy(G, G.morphisms, budget=20)
+
+
 @given(carriers_in_any_table())
+@example(trivial_z7_on_two_objects())
 @settings(max_examples=150, deadline=None)
 def test_pairing_keeps_the_vertex_groups(M):
     """Differential test of the paired presentation against the unpaired
     collapse, one generator per non-tree edge with the relators a.a^-1:
     `build_engine` gives the same kind, order and rank on both wherever
-    both decide."""
+    both decide.  A trivial group is free of rank 0 whether or not a
+    relation survives simplification (the pinned example), on both and
+    in M's own engines."""
     unpaired = triple_collapse(M, pair=False)
     assert len(unpaired) == len(M.vertex_groups)
     for old, new in zip(unpaired, M.vertex_groups):
         old, new = build_engine(old, budget=M.budget), build_engine(new, budget=M.budget)
         if "undecided" not in (old.kind, new.kind):
             assert (new.kind, new.order, new.rank) == (old.kind, old.order, old.rank)
+    assert all(engine.order != 1 or engine.kind == "free" for engine in M.engines)

@@ -9,6 +9,7 @@ from groupoids.monodromy import build_monodromy, pi1_graph
 from groupoids.words import (
     CosetTable,
     Exhausted,
+    FreeEngine,
     GeneratingGraph,
     Presentation,
     TokenTrie,
@@ -21,12 +22,19 @@ from groupoids.words import (
     simplify_presentation,
     spanning_forest,
 )
-from helpers import all_groups_upto8, group_groupoid, product_groupoid, simplify_oracle
+from helpers import (
+    PairKeyedTrie,
+    all_groups_upto8,
+    group_groupoid,
+    product_groupoid,
+    simplify_oracle,
+)
 
 
 letters_strategy = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
     max_size=30).map(tuple)
+FREE_ABC = FreeEngine(Presentation(("a", "b", "c"), ()))  # steps a trie by whole images
 
 
 @given(letters_strategy)
@@ -44,17 +52,38 @@ def test_reduction_kills_inverse(ls):
 @given(st.lists(letters_strategy, max_size=6))
 @settings(max_examples=100)
 def test_token_trie_interns_reduced_words(pieces):
-    """Walking a word piece by piece, each piece from the node the last one
-    reached, gives the node of its free reduction: nodes spell as the
-    reductions, and two prefixes share a node exactly when their
-    reductions are equal."""
+    """Stepping a word piece by piece (a free engine's `stepper` for each
+    piece), each piece from the node the last one reached, gives the node
+    of its free reduction: nodes spell as the reductions, and two prefixes
+    share a node exactly when their reductions are equal."""
     trie, node, word, seen = TokenTrie(), 0, (), {(): 0}
     for piece in pieces:
-        node, word = trie.walk(piece, node), word + piece
+        node, word = FREE_ABC.stepper(piece, trie)(node), word + piece
         assert seen.setdefault(free_reduce(word), node) == node
         assert trie.spelled()[node] == free_reduce(word)
     spelled = trie.spelled()
     assert len(set(spelled)) == len(spelled)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10), st.booleans(), letters_strategy), max_size=8))
+@settings(max_examples=100)
+def test_token_trie_steppers_number_nodes_as_the_pair_keyed_walk(steps):
+    """Stepping letter by letter through `TokenTrie.stepper`, or a piece
+    whole through a free engine's `stepper`, from any node reached so far
+    numbers the nodes as the (node, letter)-keyed reference walk
+    (`helpers.PairKeyedTrie`) does, cancellations included, and spells
+    them the same."""
+    trie, ref, reached = TokenTrie(), PairKeyedTrie(), [0]
+    for back, whole, piece in steps:
+        start = node = reached[-1 - back % len(reached)]
+        if whole:
+            node = FREE_ABC.stepper(piece, trie)(start)
+        else:
+            for letter in piece:
+                node = trie.stepper(letter)(node)
+        assert node == ref.walk(piece, start)
+        reached.append(node)
+    assert (trie.parent, trie.last, trie.spelled()) == (ref.parent, ref.last, ref.spelled())
 
 
 def test_forest_deterministic_and_lexicographic():
