@@ -12,6 +12,12 @@ Runs `groupoids.cli.main` in this process on
     {2, n - 2}, under `monodromy` and `star-cover --depth 4`, and S3 over
     its transpositions and the identity, under `monodromy --budget 200`,
     where it stays undecided;
+  - composition-closed carriers, whose vertex groups are certified off the
+    table: the full carrier of Z/96 under `monodromy`, that of D6 on three
+    objects under `monodromy` and `star-cover --depth 3`, and under
+    `monodromy` three one-object tables that break the group laws (Z/5
+    with 2.3 = 1, a non-associative loop of order 5, and a table whose
+    columns (0 1) and (0 2) generate S3);
   - five structures whose base space is not the groupoid's object space,
     cut from corpus documents (`mismatched_base_documents`), under
     `clt-generate` and `w-open`;
@@ -124,6 +130,43 @@ def enumeration_records():
                              "machine", hidden)
 
 
+def closed_carrier_records():
+    """Composition-closed carriers, whose vertex groups are read off the
+    table and certified (`monodromy._table_engine`), at size and on tables
+    that break the laws: the full carriers of Z/96 and of D6 on three
+    objects, and three one-object tables the certificate turns down."""
+    from perfbench.tables import (Group, cyclic, dihedral, group_groupoid, groupoid_doc,
+                                  product_groupoid)
+
+    def one_object(rows, inverse):
+        names = tuple(map(str, range(len(rows))))
+        return group_groupoid(Group(names, {(a, b): rows[int(a)][int(b)]
+                                            for a in names for b in names},
+                                    dict(zip(names, inverse)), "0"))
+
+    z5 = cyclic(5)
+    docs = [("full-Z96", group_groupoid(cyclic(96)), "*", [("monodromy",)]),
+            ("full-D6-on-3", product_groupoid(["o0", "o1", "o2"], dihedral(6)), "o0",
+             [("monodromy",), ("star-cover", "--depth", "3")]),
+            ("scrambled-Z5",
+             group_groupoid(Group(z5.names, {**z5.mul, ("2", "3"): "1"}, z5.inv, z5.unit)),
+             "*", [("monodromy",)]),
+            ("loop-of-order-5",
+             one_object(["01234", "10342", "24013", "32401", "43120"], "01234"), "*",
+             [("monodromy",)]),
+            ("relations", one_object(["012", "101", "220"], "012"), "*", [("monodromy",)])]
+    with tempfile.TemporaryDirectory() as tmp:
+        hidden = [(tmp, "<docs>"), (str(ROOT), "<root>")]
+        for name, G, x, runs in docs:
+            path = Path(tmp) / f"{name}.json"
+            body = {"groupoid": groupoid_doc(G), "object": x, "carrier": list(G.morphisms)}
+            path.write_text(json.dumps(body), encoding="utf-8")
+            for command, *flags in runs:
+                yield record(f"closed-carrier/{name}",
+                             [command, str(path), *flags, "--format", "machine"],
+                             "machine", hidden)
+
+
 def mismatched_base_documents():
     """(name, body) of structures whose base points are not the objects:
     w-open-partition with its base cut to the points {0, 1}, one cover
@@ -196,7 +239,7 @@ def main(argv=None):
     p.add_argument("--out", help="write here instead of standard output")
     args = p.parse_args(argv)
     lines = [canonical(r) for r in (*corpus_records(), *enumeration_records(),
-                                    *mismatched_base_records())]
+                                    *closed_carrier_records(), *mismatched_base_records())]
     for seed in args.seed:
         lines += [canonical(r) for r in perfbench_records(seed)]
     text = "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ When no product of two composable carrier elements leaves the carrier (W is
 a subgroupoid), the relators are W's own multiplication table and the vertex
 group at a component's base x is W(x,x).  Such a component is decided from
 its defining triples (a, b, ab) alone, by a coset table read off W and
-certified triple by triple (`_table_engine`): a `FiniteEngine` below the
+certified by one row per triple and a few whole-row checks that the
+columns act regularly (`_table_engine`): a `FiniteEngine` below the
 budget, an `UndecidedEngine` at or above it.  The collapse, read off each
 defining triple's letters, and any simplification are built only on demand:
 for `build_engine` (a carrier that is not closed, a trivial group, a failed
@@ -112,9 +113,11 @@ class MonodromyGroupoid(Record):
     def engines(self) -> tuple:
         """Per component: `_table_engine` on a closed carrier, else `build_engine`."""
         G, forest = self.ambient, self.forest
-        triples = [[] for _ in forest.components]
-        for t in self.relator_family if self.closed else ():
-            triples[forest.vertex_component[G.source[t[0]]]].append(t)
+        triples = [self.relator_family]  # one component takes every triple
+        if self.closed and len(forest.components) > 1:
+            triples = [[] for _ in forest.components]
+            for t in self.relator_family:
+                triples[forest.vertex_component[G.source[t[0]]]].append(t)
         return tuple((self.closed and _table_engine(self, i, triples[i]))
                      or build_engine(self.vertex_groups[i], budget=self.budget)
                      for i in range(len(forest.components)))
@@ -189,23 +192,46 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
     loop path(u) e path(v)^-1 at the base x, evaluated in G.  Row 0 is the
     identity at x, and the rows are its breadth-first orbit under right
     multiplication by each loop and then its inverse, in generator order.
-    The table is kept only when it is certified: the rows are exactly
-    W(x,x), each inverse action undoes its action, and P(a) then P(b) is
-    P(ab) on every row for every triple, P being a generator's action, its
-    inverse action on the generator's partner, and the identity on identity
-    arrows, tree edges and their partners.  Once inverse actions are
-    certified P is a homomorphism on free words, and reduction,
-    rotation and inversion keep "fixes every row", so these are the checks
-    that every collapsed relator fixes every row.  Then the rows carry a
-    transitive action of the vertex group, which has at least n = |W(x,x)|
-    elements.  It has at most n: a product of two composable letters is
-    one letter, so the one-letter words from u to u with the empty word
-    are a finite set closed under products, hence a subgroup, and each
-    formal inverse a^-1 = inv(a) (a inv(a))^-1 is then a positive word, as
-    is every word.  So the action is regular and the table is exact.  The
-    argument uses only the checks of `validate_structure`, not
-    associativity.  None is returned, too, when n is 1, which keeps the
-    `FreeEngine` of rank 0 for a trivial group.
+    The table is kept only when it is certified: (A) the rows are exactly
+    W(x,x); (B) each inverse action undoes its action; (C1) for rows r
+    picked in order outside the orbit of row 0 under the maps picked so
+    far, until that orbit is every row, the map c_r with c_r(0) = r and
+    c_r(t) = col(c_r(s)), for the row s and column col that first reached
+    t, commutes with every column; (C2) P(b)(P(a)(0)) = P(ab)(0) for every
+    triple, P being a generator's action, its inverse action on the
+    generator's partner, and the identity on identity arrows, tree edges
+    and their partners.
+
+    These decide the triple certificate (C), P(a) then P(b) is P(ab) on
+    every row for every triple, without scanning a row per triple.  By (A)
+    and (B) the columns are permutations, generating a group Q whose orbit
+    of row 0 is every row.  A map commuting with each column commutes with
+    Q, and any such map taking 0 to r is c_r; it is a bijection, as the
+    stabilizer of s lies in that of c(s), which is no larger.  The
+    centralizer of a transitive group is semiregular, since an element
+    fixing one row fixes every q(row), so a pick outside the orbit of the
+    group H of earlier picks at least doubles |H| = |H 0| <= n: there are
+    at most floor(log2 n) + 1 picks, the last perhaps refused.  When (C1)
+    passes the centralizer is transitive, so Q is regular (an element
+    fixing 0 fixes c(0) for each c), a member of Q is fixed by its image
+    of row 0, and each P(a) lies in Q: (C2) gives (C).  Conversely (C)
+    makes Q regular (below), its centralizer is then regular, and each c_r
+    is the element taking 0 to r, so (C1) and (C2) pass.  Beyond the
+    breadth-first search that builds the table this costs O(|triples| +
+    n |S| log n) for |S| generators, where (C) costs O(n |triples|).
+
+    Under (C), once inverse actions are certified P is a homomorphism on
+    free words, and reduction, rotation and inversion keep "fixes every
+    row", so every collapsed relator fixes every row.  Then the rows carry
+    a transitive action of the vertex group, with Q its image, which has
+    at least n = |W(x,x)| elements.  It has at most n: a product of two
+    composable letters is one letter, so the one-letter words from u to u
+    with the empty word are a finite set closed under products, hence a
+    subgroup, and each formal inverse a^-1 = inv(a) (a inv(a))^-1 is then
+    a positive word, as is every word.  So the action is regular and the
+    table is exact.  The argument uses only the checks of
+    `validate_structure`, not associativity.  None is returned, too, when
+    n is 1, which keeps the `FreeEngine` of rank 0 for a trivial group.
 
     A certified n >= budget gives an `UndecidedEngine`, which is the
     verdict `build_engine` reaches, because Haselgrove-Leech-Trotter
@@ -238,25 +264,44 @@ def _table_engine(M: MonodromyGroupoid, i, triples):
             steps.append((loop, G.inverse[loop]))
         rows, index = [G.identity[x]], {G.identity[x]: 0}
         columns = [([], []) for _ in steps]  # (action, inverse action)
-        for g in rows:  # grows while it is read: a breadth-first search
+        via = []  # per row after row 0: (its parent row, the column that first reached it)
+        for r, g in enumerate(rows):  # grows while it is read: a breadth-first search
             for step, cols in zip(steps, columns):
                 for m, col in zip(step, cols):
                     h = G.compose[(g, m)]
                     if h not in index:
                         index[h] = len(rows)
                         rows.append(h)
+                        via.append((r, col))
                     col.append(index[h])
     except (KeyError, ValueError):  # a missing composite
         return None
-    if set(rows) != members:
+    if set(rows) != members:  # (A)
         return None
-    fixed = tuple(range(len(rows)))  # two or more, so itemgetter gives tuples
+    n, fixed = len(rows), tuple(range(len(rows)))  # two or more, so itemgetter gives tuples
     action = {e: tuple(f) for e, (f, _) in zip(generators, columns)}
     inverse_action = {e: tuple(b) for e, (_, b) in zip(generators, columns)}
+    gathers = [itemgetter(*f) for f in action.values()]  # gathers[k](c): t -> c(f_k(t))
+    if any(get(inverse_action[e]) != fixed for get, e in zip(gathers, generators)):  # (B)
+        return None
+    seen, orbit, picks = {0}, [0], []  # orbit: row 0's under the picks
+    for r in range(1, n):  # (C1)
+        if r in seen:
+            continue
+        c = [r]  # c_r: what a map commuting with the columns and taking 0 to r must be
+        for up, col in via:
+            c.append(col[c[up]])
+        after = itemgetter(*c)  # after(f): t -> f(c(t))
+        if any(get(c) != after(f) for get, f in zip(gathers, action.values())):
+            return None
+        picks.append(c)
+        for g in orbit:  # grows while it is read
+            for h in {q[g] for q in picks} - seen:
+                seen.add(h)
+                orbit.append(h)
     perm = defaultdict(lambda: fixed, action)  # P, as `Forest.images` reads the letters
     perm.update((p, inverse_action[r]) for r, p in M.forest.partner.items() if r in action)
-    if (any(itemgetter(*action[e])(inverse_action[e]) != fixed for e in generators)
-            or any(itemgetter(*perm[a])(perm[b]) != perm[ab] for a, b, ab in triples)):
+    if any(perm[b][perm[a][0]] != perm[ab][0] for a, b, ab in triples):  # (C2)
         return None
     if len(rows) >= M.budget:
         return UndecidedEngine(lambda: M.vertex_groups[i])

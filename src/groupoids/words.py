@@ -431,6 +431,12 @@ def coset_enumeration(gp, budget=DEFAULT_BUDGET):
 
 # ------------------------------------------------------------------- verdicts
 
+def _unmoved(node):
+    """The one stepper of every empty image (an identity, a tree edge, a
+    letter eliminated to the empty word)."""
+    return node
+
+
 class _Engine:
     """Normal forms for one collapsed vertex group, one class per verdict:
     `FreeEngine` (no relations survived simplification, or they enumerate
@@ -456,6 +462,8 @@ class _Engine:
 
     def stepper(self, image, trie):
         """node -> node stepped by normal letters: a `trie` node, or a table row."""
+        if not image:
+            return _unmoved
         steps = list(map(trie.stepper, image))  # a longer image steps letter by letter
         return steps[0] if len(steps) == 1 else partial(reduce, lambda n, step: step(n), steps)
 
@@ -485,6 +493,8 @@ class FiniteEngine(_Engine, Record):
         return self.table.follow(self.normal_letters(letters)), True
 
     def stepper(self, image, trie):
+        if not image:
+            return _unmoved
         cols = [(self.table.action if s > 0 else self.table.inverse_action)[e] for e, s in image]
         return cols[0].__getitem__ if len(cols) == 1 else partial(self.table.follow, image)
 

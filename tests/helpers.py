@@ -436,6 +436,57 @@ def table_engine_oracle(G, carrier, graph, comp, vgp, budget):
     return FiniteEngine(simplified=vgp, table=table)
 
 
+def triple_certificate_oracle(M, i, triples):
+    """The engine `monodromy._table_engine` gives for component i of a
+    closed carrier, certified by scanning every row for every defining
+    triple: the rows are W(x,x), each inverse action undoes its action, and
+    P(a) then P(b) is P(ab) on every row, P being a generator's action, its
+    inverse action on its partner and the identity on every other letter.
+    None when n < 2 or a check fails; an `UndecidedEngine` that simplifies
+    `M.vertex_groups[i]` on first use when n >= M.budget."""
+    G, comp = M.ambient, M.forest.components[i]
+    x = comp.base
+    members = {a for a in M.carrier if G.source[a] == x == G.target[a]}
+    if len(members) < 2:
+        return None
+    generators = M.forest.generators[i]
+    try:
+        steps = []  # (loop, its inverse) per generator
+        for e in generators:
+            u, v = M.graph.edges[e]
+            letters = comp.paths[u].letters + ((e, 1),) + inv_letters(comp.paths[v].letters)
+            loop = G.mul(G.identity[x], *(f if s > 0 else G.inverse[f] for f, s in letters))
+            steps.append((loop, G.inverse[loop]))
+        rows, index = [G.identity[x]], {G.identity[x]: 0}
+        columns = [([], []) for _ in steps]  # (action, inverse action)
+        for g in rows:
+            for step, cols in zip(steps, columns):
+                for m, col in zip(step, cols):
+                    h = G.compose[(g, m)]
+                    if h not in index:
+                        index[h] = len(rows)
+                        rows.append(h)
+                    col.append(index[h])
+    except (KeyError, ValueError):
+        return None
+    if set(rows) != members:
+        return None
+    every = range(len(rows))
+    action = {e: tuple(f) for e, (f, _) in zip(generators, columns)}
+    inverse_action = {e: tuple(b) for e, (_, b) in zip(generators, columns)}
+    perm = {a: tuple(every) for a in M.carrier}
+    perm.update(action)
+    perm.update((p, inverse_action[r]) for r, p in M.forest.partner.items() if r in action)
+    if (any(inverse_action[e][action[e][r]] != r for e in generators for r in every)
+            or any(perm[b][perm[a][r]] != perm[ab][r] for a, b, ab in triples for r in every)):
+        return None
+    if len(rows) >= M.budget:
+        return UndecidedEngine(lambda: M.vertex_groups[i])
+    table = CosetTable(generators=generators, size=len(rows),
+                       action=action, inverse_action=inverse_action)
+    return FiniteEngine(Presentation(generators, ()), table)
+
+
 # ---------------------------------------------------------- token trie reference
 
 class PairKeyedTrie:

@@ -53,6 +53,26 @@ def test_enumeration_rows_reach_their_verdicts():
     assert not [r for r in rows if str(ROOT) in json.dumps(r)]
 
 
+def test_closed_carrier_rows_keep_their_exit_codes():
+    """The composition-closed carriers: Z/96 and D6 on three objects are
+    certified at size, and the three one-object tables that break the
+    group laws are turned down by the certificate and decided by coset
+    enumeration; every run exits 0."""
+    harness = _harness()
+    rows = list(harness.closed_carrier_records())
+    assert [(r["name"], r["argv"][0], r["exit"]) for r in rows] == [
+        ("closed-carrier/full-Z96", "monodromy", 0),
+        ("closed-carrier/full-D6-on-3", "monodromy", 0),
+        ("closed-carrier/full-D6-on-3", "star-cover", 0),
+        ("closed-carrier/scrambled-Z5", "monodromy", 0),
+        ("closed-carrier/loop-of-order-5", "monodromy", 0),
+        ("closed-carrier/relations", "monodromy", 0)]
+    assert rows[0]["report"]["verdicts"]["vertex-group[*]"] == "finite order 96"
+    assert rows[1]["report"]["verdicts"]["vertex-group[o0]"] == "finite order 12"
+    assert [r["report"]["verdicts"]["vertex-group[*]"] for r in rows[3:]] == ["free rank 0"] * 3
+    assert not [r for r in rows if str(ROOT) in json.dumps(r)]
+
+
 def test_mismatched_base_rows_are_precondition_errors():
     """A structure whose base points are not the groupoid's objects exits 3
     under `clt-generate` and `w-open` alike, naming the first point, by

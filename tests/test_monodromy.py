@@ -55,6 +55,7 @@ from helpers import (
     table_engine_oracle,
     translate_collisions_oracle,
     tree_links,
+    triple_certificate_oracle,
     triple_collapse,
     with_tables,
     z2_breaking_the_identity_law,
@@ -686,26 +687,136 @@ def test_certificate_rejects_non_associative_tables(G):
     assert (M.engines[0].kind, M.engines[0].order) == (old.kind, old.order)
 
 
-@pytest.mark.parametrize("rows, inverse, verdict", [
+def off_base_triple_broken():
+    """P2 x Z/2 with o0>o1:1 . o1>o1:1 set to o0>o1:1: every generator's
+    loop at o0 is o0>o0:1, whose column swaps the two rows, so the columns
+    act regularly, but the triple (o0>o1:1, o1>o1:1, o0>o1:1) takes row 0
+    to row 0 by its first two letters and to row 1 by the third."""
+    G = product_groupoid(2, cyclic(2))
+    return with_tables(G, compose={**G.compose, ("o0>o1:1", "o1>o1:1"): "o0>o1:1"})
+
+
+@pytest.mark.parametrize("G, verdict", [
     # 0.2 = 1, so the rows {0, 1} miss 2; the group is Z/2 all the same
-    (["011", "100", "200"], "011", "finite order 2"),
+    (one_object(["011", "100", "200"], "011"), "finite order 2"),
     # 0.0 = 1: the inverse of 1 is 0, whose action does not undo 1's
-    (["102", "010", "220"], "101", "free rank 0"),
-    # (1.1).2 = 2 but 1.(1.2) = 0
-    (["012", "101", "220"], "012", "free rank 0"),
-], ids=["rows", "inverse-action", "relations"])
-def test_each_certificate_check_is_needed(rows, inverse, verdict):
+    (one_object(["102", "010", "220"], "101"), "free rank 0"),
+    # (1.1).2 = 2 but 1.(1.2) = 0: the columns (0 1) and (0 2) make S3, and
+    # no map commuting with both takes row 0 to row 1
+    (one_object(["012", "101", "220"], "012"), "free rank 0"),
+    # the columns (0 1), (0 2)(1 3) and (0 3)(1 2) make the dihedral group of
+    # order 8: the first pick, (0 1)(2 3), commutes with them, the second,
+    # taking row 0 to row 2, does not
+    (one_object(["0123", "1032", "2201", "3310"], "0123"), "finite order 2"),
+    (off_base_triple_broken(), "free rank 0"),
+], ids=["rows", "inverse-action", "relations", "semiregularity", "row-0-triples"])
+def test_each_certificate_check_is_needed(G, verdict):
     """Each table passes the linear checks and fails exactly one of the
-    certificate's, which turns it down; the verdict is coset
-    enumeration's.  Kept without its check, the second and third tables
-    would claim order 3 for a trivial group."""
-    G = one_object(rows, inverse)
+    certificate's: the rows, the inverse actions, the maps commuting with
+    the columns (on the third table at the first pick, on the fourth at
+    the second) or the triples at row 0.  The certificate turns it down,
+    and the verdict is coset enumeration's.  Kept without its check, the
+    second, third, fourth and fifth tables would claim order 3, 3, 4 and
+    2 for groups of order 1, 1, 2 and 1."""
     assert not validate_structure(G)
     M, engine = certificate(G)
     assert engine is None
     assert M.engines[0].verdict == verdict
     old = build_engine(M.vertex_groups[0])
     assert (old.kind, old.order) == (M.engines[0].kind, M.engines[0].order)
+
+
+def test_closed_carrier_certificate_gathers_no_row_per_triple(monkeypatch):
+    """On the full carrier of Z/60 (30 generators, 3,600 triples) the
+    certificate gathers whole rows only to check the inverse actions and
+    the maps commuting with the columns, at most floor(log2 n) + 1 of
+    them: no row is gathered per triple."""
+    G = group_groupoid(cyclic(60))
+    M = build_monodromy(G, G.morphisms)
+    gathered, itemgetter = [], monodromy.itemgetter
+
+    def counted(*items):
+        get = itemgetter(*items)
+        return lambda row: gathered.append(len(items)) or get(row)
+
+    monkeypatch.setattr(monodromy, "itemgetter", counted)
+    assert M.engines[0].verdict == "finite order 60"
+    n, S = 60, len(M.forest.generators[0])
+    assert (S, len(M.relator_family)) == (30, 3600)
+    assert set(gathered) == {n}
+    assert len(gathered) <= S + n.bit_length() * (S + 1)
+
+
+@st.composite
+def closed_tables(draw):
+    """(G, W): a closed carrier in a table that passes `validate_structure`
+    but need not obey any other law.  G is a one-object table on 2-6
+    elements with the identity row and column fixed, its other entries and
+    inverses drawn freely or as columns that their inverses' columns undo,
+    or `product_groupoid(k, cyclic(n))` for k <= 3 and n <= 6 with a few
+    composites and inverses replaced by others with the same endpoints.  W
+    is every morphism, or the closure of a few and the identities under
+    the table's own inverses and composites."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        if draw(st.booleans()):
+            entries = st.integers(0, n - 1)
+            columns = [list(range(n))] + [[a, *(draw(entries) for _ in range(n - 1))]
+                                          for a in range(1, n)]
+            inverse = [0, *(draw(entries) for _ in range(n - 1))]
+        else:  # a column per element a taking 0 to a, its inverse's column undoing it
+            inverse, columns = [0] * n, [list(range(n))] * n
+            free = draw(st.permutations(range(1, n)))
+            while free:
+                a = free.pop()
+                b = free.pop() if free and draw(st.booleans()) else a
+                inverse[a], inverse[b] = b, a
+                rest = [p for p in range(1, n) if p != b]  # points other than 0 and b
+                images = [p for p in range(1, n) if p != a]
+                col = {**dict(zip(rest, draw(st.permutations(images)))), 0: a, b: 0}
+                if a == b:  # self-inverse: an involution
+                    col = {p: col[p] if col[col[p]] == p else p for p in range(n)}
+                columns[a] = [col[p] for p in range(n)]
+                columns[b] = [columns[a].index(p) for p in range(n)]
+        G = one_object(["".join(str(columns[b][g]) for b in range(n)) for g in range(n)],
+                       "".join(map(str, inverse)))
+    else:
+        G = corrupted(draw, product_groupoid(draw(st.integers(1, 3)),
+                                             cyclic(draw(st.integers(1, 6)))),
+                      composites=4, inverses=1)
+    if draw(st.booleans()):
+        return G, G.morphisms
+    picks = draw(st.lists(st.sampled_from(sorted(G.morphisms)), max_size=3))
+    return G, closure_oracle(G, {*G.identity.values(), *picks})
+
+
+@given(closed_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_engine_matches_the_row_scans_on_any_closed_table(GW, data):
+    """Differential test of `_table_engine`, which checks the maps
+    commuting with the columns and one row per triple, against
+    `triple_certificate_oracle`, which checks every row for every triple,
+    and `table_engine_oracle`, which follows every collapsed relation from
+    every row, at budgets 2, 3, n and n + 1 for the order n of a drawn
+    component and the default: all three turn a component down, or give
+    the same kind, order and table."""
+    G, W = GW
+    forest = build_monodromy(G, W).forest
+    n = data.draw(st.sampled_from([sum(1 for a in W if G.source[a] == c.base == G.target[a])
+                                   for c in forest.components]))
+    budget = data.draw(st.sampled_from([2, 3, n, n + 1, DEFAULT_BUDGET]))
+    M = build_monodromy(G, W, budget=budget)
+    assert M.closed
+
+    def verdict(engine):
+        return engine and (engine.kind, engine.order, getattr(engine, "table", None))
+
+    for i, comp in enumerate(M.forest.components):
+        triples = [t for t in M.relator_family if M.component_of(G.source[t[0]]) == i]
+        new = monodromy._table_engine(M, i, triples)
+        assert verdict(new) == verdict(triple_certificate_oracle(M, i, triples))
+        assert verdict(new) == verdict(table_engine_oracle(G, W, M.graph, comp,
+                                                           M.vertex_groups[i], budget))
 
 
 def test_closed_carriers_decide_only_below_the_budget():
@@ -816,6 +927,26 @@ def test_triple_certificate_matches_the_relator_certificate(data):
         assert stepped(new, head, tail) == stepped(ref, head, tail) == ref.token(whole)[0]
 
 
+def corrupted(draw, G, composites, inverses):
+    """G with up to `composites` composites and `inverses` inverses replaced
+    by other morphisms with the same endpoints, so that it still passes
+    `validate_structure` but need not be associative."""
+    morphs = sorted(G.morphisms)
+
+    def parallel(x, y):
+        return [m for m in morphs if G.source[m] == x and G.target[m] == y]
+
+    compose, inverse = dict(G.compose), dict(G.inverse)
+    for a, b in draw(st.lists(st.sampled_from(sorted(compose)), max_size=composites,
+                              unique=True)):
+        compose[(a, b)] = draw(st.sampled_from(parallel(G.source[a], G.target[b])))
+    for m in draw(st.lists(st.sampled_from(morphs), max_size=inverses, unique=True)):
+        inverse[m] = draw(st.sampled_from(parallel(G.target[m], G.source[m])))
+    G = with_tables(G, inverse=inverse, compose=compose)
+    assert not validate_structure(G)
+    return G
+
+
 @st.composite
 def closed_carriers_in_any_table(draw):
     """(G, W): a `closed_carriers` groupoid, a pair groupoid on 1-5 points,
@@ -825,21 +956,9 @@ def closed_carriers_in_any_table(draw):
     identities under the table's own inverses and composites."""
     G = (draw(closed_carriers())[0] if draw(st.booleans())
          else pair_groupoid([f"p{i}" for i in range(draw(st.integers(1, 5)))]))
-    morphs = sorted(G.morphisms)
-
-    def parallel(x, y):
-        return [m for m in morphs if G.source[m] == x and G.target[m] == y]
-
     if draw(st.booleans()):
-        compose, inverse = dict(G.compose), dict(G.inverse)
-        for a, b in draw(st.lists(st.sampled_from(sorted(compose)), max_size=6, unique=True)):
-            compose[(a, b)] = draw(st.sampled_from(parallel(G.source[a], G.target[b])))
-        for m in draw(st.lists(st.sampled_from(morphs), max_size=2, unique=True)):
-            inverse[m] = draw(st.sampled_from(parallel(G.target[m], G.source[m])))
-        G = FiniteGroupoid(objects=G.objects, source=G.source, target=G.target,
-                           identity=G.identity, inverse=inverse, compose=compose)
-        assert not validate_structure(G)
-    picks = draw(st.lists(st.sampled_from(morphs), max_size=3))
+        G = corrupted(draw, G, composites=6, inverses=2)
+    picks = draw(st.lists(st.sampled_from(sorted(G.morphisms)), max_size=3))
     return G, closure_oracle(G, {*G.identity.values(), *picks})
 
 
