@@ -328,16 +328,6 @@ def _render_value(v):
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (frozenset, set)):
-        return sorted(map(_jsonable, v), key=str)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return v
-
-
 class OutputError(Exception):
     """An output file could not be written; the message names it."""
 
@@ -360,7 +350,7 @@ def _write_atomic(path, text):
 
 def _render_report(report, fmt):
     if fmt == "machine":
-        return canonical(_jsonable(report)) + "\n"
+        return canonical(report) + "\n"
     lines = [f"command: {report['command']}",
              f"fingerprint: {report['fingerprint']}",
              "parameters: " + " ".join(f"{k}={v}" for k, v

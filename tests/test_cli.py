@@ -500,6 +500,79 @@ def test_section_row_faults_are_input_errors(tmp_path, capsys, row, at, bad, mes
     assert err == f"error: document.sections[1][{bad}]: {message}\n"
 
 
+def _pair_target(doc):
+    """globalize from Z/7 into the pair groupoid on p, q, with 1 sent to
+    (p, q): its target is not the object the identity went to."""
+    from groupoids.core import pair_groupoid
+    from groupoids.interchange import serialize_groupoid
+
+    doc["target"] = serialize_groupoid(pair_groupoid(["p", "q"]))
+    doc["map"] = {"0": "(p,p)", "1": "(p,q)", "6": "(q,p)"}
+
+
+DOCUMENT_FAULTS = [  # (name, corpus document, command, corruption, exit, lines)
+    ("non-object-document", "pair-groupoid-3.json", "validate", None, 3,
+     ["error: {path}: top level must be an object"]),
+    ("star-object-not-a-string", "z5-star.json", "star-cover",
+     lambda doc: doc.update(object=0), 3, ["error: document.object: expected string"]),
+    ("star-object-unknown", "z5-star.json", "star-cover",
+     lambda doc: doc.update(object="zz"), 3,
+     ["error: precondition violated: unknown object: 'zz'"]),
+    ("identity-image-unknown", "globalize-z7-s3.json", "globalize",
+     lambda doc: doc["map"].update({"0": "nope"}), 3,
+     ["error: precondition violated: image not a morphism: 'nope'"]),
+    ("image-unknown", "globalize-z7-s3.json", "globalize",
+     lambda doc: doc["map"].update({"1": "nope"}), 3,
+     ["error: precondition violated: image not a morphism: 'nope'"]),
+    ("endpoints-not-preserved", "globalize-z7-s3.json", "globalize", _pair_target, 3,
+     ["error: precondition violated: endpoints not preserved at '1'"]),
+    ("carrier-misses-an-identity", "w-open-partition.json", "w-open",
+     lambda doc: doc["carrier"].remove("(3,3)"), 3,
+     ["error: precondition violated: not a wide subgroupoid: ('identity-missing', '3')"]),
+    ("section-domain", "clt-sierpinski.json", "clt-generate",
+     lambda doc: doc["sections"][1][2].pop(), 1,
+     ["clt-valid: False", "witness problem[0]: section-domain: (0, 1)"]),
+    ("section-source", "clt-sierpinski.json", "clt-generate",
+     lambda doc: doc["sections"][1][2][1].__setitem__(1, "(1,1)"), 1,
+     ["clt-valid: False", "witness problem[0]: section-source: (0, 1, 1)"]),
+    ("section-value", "clt-sierpinski.json", "clt-generate",
+     lambda doc: doc["sections"][1][2][1].__setitem__(1, "nope"), 1,
+     ["clt-valid: False", "witness problem[0]: section-value: (0, 1, 1)"]),
+    ("identity-missing", "pair-groupoid-3.json", "validate",
+     lambda doc: doc["identities"].pop("c"), 1,
+     ["violations: 1", "witness violation[0]: identity-missing: ('c',)"]),
+    ("compose-domain", "pair-groupoid-3.json", "validate",
+     lambda doc: doc["compose"].append(["(a,b)", "(a,b)", "(a,b)"]), 1,
+     ["violations: 1", "witness violation[0]: compose-domain: ('(a,b)', '(a,b)')"]),
+    ("family-not-a-topology", "discrete-pair-topology.json", "topology-check",
+     lambda doc: doc["object_topology"]["opens"].pop(), 1,
+     ["object_topology-valid: False", "object_topology-failure: missing-union",
+      "witness object_topology: ({0}, {1})"]),
+]
+
+
+@pytest.mark.parametrize("name, source, command, corrupt, code, lines", DOCUMENT_FAULTS,
+                         ids=[c[0] for c in DOCUMENT_FAULTS])
+def test_document_faults_exit_with_their_message(name, source, command, corrupt, code,
+                                                 lines, tmp_path, capsys):
+    """A corpus document with one fault: an input error names it on stderr
+    (exit 3), and a refutation carries it in the report (exit 1)."""
+    doc = json.loads((CORPUS / source).read_text())
+    doc.pop("_expect")
+    if corrupt is None:
+        doc = [doc]
+    else:
+        corrupt(doc)
+    path = _write(tmp_path, "fault.json", doc)
+    got, out, err = run([command, path], capsys)
+    assert got == code
+    shown, other = (err, out) if code == 3 else (out, err)
+    assert other == ""
+    shown = shown.splitlines()
+    for line in lines:
+        assert line.replace("{path}", path) in shown
+
+
 def test_pi1_names_colliding_midpoints(tmp_path, capsys):
     doc = {"vertices": ["a", "b,c", "a,b", "c"], "edges": [["a", "b,c"], ["a,b", "c"]]}
     code, out, err = run(["pi1", _write(tmp_path, "commas.json", doc)], capsys)

@@ -76,6 +76,63 @@ def test_injected_endpoint_fault_is_reported_once():
     assert rep[0][0] == "compose-endpoint"
 
 
+P2 = pair_groupoid(["0", "1"])
+IDENTITY_MAP = {m: m for m in P2.morphisms}
+
+
+def _without(table, key):
+    table = dict(table)
+    del table[key]
+    return table
+
+
+@pytest.mark.parametrize("tables, fault", [
+    ({"source": {**P2.source, "(0,1)": "z"}},
+     ("dangling-reference", ("src", "(0,1)", "z"))),
+    ({"target": {**P2.target, "(0,1)": "z"}},
+     ("dangling-reference", ("tgt", "(0,1)", "z"))),
+    ({"target": _without(P2.target, "(0,1)")},
+     ("dangling-reference", ("target-missing", "(0,1)"))),
+    ({"target": {**P2.target, "x": "0"}}, ("dangling-reference", ("target-extra", "x"))),
+    ({"identity": {**P2.identity, "0": "nope"}},
+     ("dangling-reference", ("identity", "0", "nope"))),
+    ({"inverse": _without(P2.inverse, "(0,1)")}, ("inverse-missing", ("(0,1)",))),
+    ({"inverse": {**P2.inverse, "(0,1)": "nope"}},
+     ("dangling-reference", ("inverse", "(0,1)", "nope"))),
+    ({"compose": {**dict(P2.compose), ("(0,1)", "(1,0)"): "nope"}},
+     ("dangling-reference", ("compose", "(0,1)", "(1,0)", "nope"))),
+], ids=["src", "tgt", "target-missing", "target-extra", "identity", "inverse-missing",
+        "inverse", "compose"])
+def test_reference_faults_are_named_alone(tables, fault):
+    """A table naming what is not there, or leaving out an inverse, is
+    reported by the reference scan alone, in `validate_structure` and
+    `validate_groupoid` both."""
+    B = with_tables(P2, **tables)
+    assert core.validate_structure(B) == (fault,)
+    assert validate_groupoid(B) == (fault,)
+
+
+@pytest.mark.parametrize("obj_map, mor_map, faults", [
+    ({"0": "0"}, IDENTITY_MAP, (("object-unmapped", ("1",)),)),
+    ({"0": "0", "1": "z"}, IDENTITY_MAP, (("object-image-unknown", ("1", "z")),)),
+    ({"0": "0", "1": "1"}, _without(IDENTITY_MAP, "(0,1)"),
+     (("morphism-unmapped", ("(0,1)",)),)),
+    ({"0": "0", "1": "1"}, {**IDENTITY_MAP, "(0,1)": "nope"},
+     (("morphism-image-unknown", ("(0,1)", "nope")),)),
+    ({"0": "1", "1": "0"}, IDENTITY_MAP,
+     (*((kind, (m,)) for m in sorted(P2.morphisms)
+        for kind in ("source-not-preserved", "target-not-preserved")),
+      ("identity-not-preserved", ("0",)), ("identity-not-preserved", ("1",)))),
+], ids=["object-unmapped", "object-image-unknown", "morphism-unmapped",
+        "morphism-image-unknown", "objects-swapped"])
+def test_validate_morphism_names_each_fault(obj_map, mor_map, faults):
+    """A map that is not total, or leaves the codomain, stops the check
+    there; swapping the objects under the identity on morphisms breaks the
+    endpoints of every morphism and every identity."""
+    f = core.GroupoidMorphism(obj_map=obj_map, mor_map=mor_map)
+    assert validate_morphism(P2, P2, f) == faults
+
+
 def test_associativity_fault_in_group_table():
     names, mul, inv, unit = cyclic(5)
     mul = dict(mul)

@@ -4,6 +4,7 @@ DOT rendering."""
 import copy
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -149,9 +150,9 @@ def test_deeply_nested_document_is_a_document_error(tmp_path):
     assert str(caught.value) == f"{path}: nested too deeply"
 
 
-# ------------------------------------- bulk decisions against the entry loop
+# ------------------------------ the groupoid's bulk decision against the loop
 
-BULK = ("_groupoid_in_bulk", "_family_in_bulk", "_trivialization_in_bulk")
+BULK = ("_groupoid_in_bulk",)
 
 
 def _outcome(parse, doc):
@@ -160,8 +161,6 @@ def _outcome(parse, doc):
         result = parse(doc)
     except DocumentError as e:
         return str(e)
-    if isinstance(result, tuple):  # (points, family)
-        return result
     tables = {k: v for k, v in vars(result).items() if isinstance(v, dict)}
     orders = {k: [(key, list(v.items()) if isinstance(v, dict) else v)
                   for key, v in t.items()] for k, t in tables.items()}
@@ -248,6 +247,8 @@ def test_bulk_groupoid_parse_is_the_entry_loop(name, corrupt, message, monkeypat
         assert message in bulk
 
 
+# ------------------------- field paths of family and structure faults
+
 TOPOLOGY_CASES = [
     ("valid", lambda doc: None, None),
     ("non-object-document", None, "expected object"),
@@ -261,15 +262,19 @@ TOPOLOGY_CASES = [
 
 @pytest.mark.parametrize("name, corrupt, message", TOPOLOGY_CASES,
                          ids=[c[0] for c in TOPOLOGY_CASES])
-def test_bulk_family_parse_is_the_entry_loop(name, corrupt, message, monkeypatch):
+def test_bulk_family_parse_is_the_entry_loop(name, corrupt, message):
+    """Each fault of a topology family is named with its field path, and a
+    valid family parses to its points and opens."""
     doc = _corpus("sierpinski.json")
     if corrupt is None:
         doc = "points"
     else:
         corrupt(doc)
-    bulk, by_entry = _both_ways(parse_topology_family, doc, monkeypatch)
-    assert bulk == by_entry
-    assert (not isinstance(bulk, str)) if message is None else message in bulk
+    if message is None:
+        assert parse_topology_family(doc) == (doc["points"], [F(o) for o in doc["opens"]])
+    else:
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            parse_topology_family(doc)
 
 
 CLT_CASES = [
@@ -296,12 +301,16 @@ CLT_CASES = [
 
 
 @pytest.mark.parametrize("name, corrupt, message", CLT_CASES, ids=[c[0] for c in CLT_CASES])
-def test_bulk_trivialization_parse_is_the_entry_loop(name, corrupt, message, monkeypatch):
+def test_bulk_trivialization_parse_is_the_entry_loop(name, corrupt, message):
+    """Each fault of a local trivialization's cover and section tables is
+    named with its field path, and a valid structure parses."""
     doc = _corpus("clt-sierpinski.json")
     corrupt(doc)
-    bulk, by_entry = _both_ways(parse_local_trivialization, doc, monkeypatch)
-    assert bulk == by_entry
-    assert (not isinstance(bulk, str)) if message is None else message in bulk
+    if message is None:
+        parse_local_trivialization(doc)
+    else:
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            parse_local_trivialization(doc)
 
 
 # ---------------------------------------------------------------------- DOT

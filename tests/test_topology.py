@@ -254,10 +254,12 @@ def test_long_chains_and_wide_antichains_count_without_recursion():
     assert discrete(range(200)).open_count == 2 ** 200
 
 
-def test_open_count_stops_at_its_bound(monkeypatch, capsys):
+def test_open_count_stops_at_its_bound(monkeypatch, capsys, tmp_path):
     """The Sierpinski clt document needs 5 memoised subproblems to count the
     6 opens of its morphism topology; with the bound at 4 the count stops
-    and the report is undecided, naming the bound."""
+    and the report is undecided, naming the bound.  With every morphism as
+    its carrier, the transported window's count stops too, and has its own
+    marker."""
     import json
     import pathlib
 
@@ -279,6 +281,17 @@ def test_open_count_stops_at_its_bound(monkeypatch, capsys):
     assert report["verdict"] == "undecided" and report["verdicts"]["opens"] is None
     assert report["undecided"] == [
         "opens not counted: the count stopped at MAX_COUNT_STATES = 4 memoised subproblems"]
+
+    transported = json.loads(doc.read_text())
+    transported["carrier"] = [m["id"] for m in transported["groupoid"]["morphisms"]]
+    path = tmp_path / "clt-sierpinski-carrier.json"
+    path.write_text(json.dumps(transported))
+    assert main(["clt-generate", str(path), "--format", "machine"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["window-opens"] is None
+    assert report["undecided"][1:] == [
+        "window-opens not counted: the count stopped at MAX_COUNT_STATES = 4 memoised "
+        "subproblems"]
 
 
 # -------------------------------------------------------------- continuity
